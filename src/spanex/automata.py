@@ -195,7 +195,18 @@ class EVA(_AutomatonBase):
     """Extended automaton: labels are symbols, nonempty marker sets, or
     (transiently) epsilon."""
 
-    __slots__ = ()
+    __slots__ = ("_tables",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._tables: Optional[DetTables] = None
+
+    def tables(self) -> "DetTables":
+        """The interned evaluation tables, built on first use and then
+        shared by every evaluation and count of this automaton."""
+        if self._tables is None:
+            self._tables = DetTables(self)
+        return self._tables
 
     def _validate_label(self, label: Label) -> None:
         if isinstance(label, str):
@@ -219,6 +230,38 @@ class EVA(_AutomatonBase):
 
     def epsilon_successors(self, q: State) -> List[State]:
         return [p for label, p in self.out(q) if label is EPSILON]
+
+
+class DetTables:
+    """The transition structure of an epsilon-free EVA over dense state ids.
+
+    States are numbered ``0..k-1`` in ``state_order()`` order, so sorting
+    ids sorts states canonically.  ``markers[q]`` holds the marker-set
+    transitions of state ``q`` as ``(markers, target)`` pairs in ``out``
+    order; ``letters[a][q]`` is the successor of ``q`` on symbol ``a``, or
+    None.  A deterministic automaton has at most one successor per symbol;
+    on any other, the last one in ``out`` order is kept.
+    """
+
+    __slots__ = ("states", "index", "initial", "finals", "markers", "letters")
+
+    def __init__(self, automaton: EVA):
+        states = automaton.state_order()
+        index = {q: i for i, q in enumerate(states)}
+        self.states: List[State] = states
+        self.index: Dict[State, int] = index
+        self.initial: int = index[automaton.initial]
+        self.finals: List[int] = sorted(index[q] for q in automaton.finals)
+        self.markers: List[List[Tuple[MarkerSet, int]]] = [[] for _ in states]
+        self.letters: Dict[str, List[Optional[int]]] = {
+            a: [None] * len(states) for a in automaton.alphabet
+        }
+        for i, q in enumerate(states):
+            for label, p in automaton.out(q):
+                if isinstance(label, str):
+                    self.letters[label][i] = index[p]
+                elif isinstance(label, frozenset):
+                    self.markers[i].append((label, index[p]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from itertools import islice
 from typing import List, Optional, Tuple
 
 import click
@@ -17,7 +18,7 @@ import click
 from .algebra import compile_expr, parse_expr
 from .automata import EVA, classify, dump_automaton, load_automaton
 from .counting import count_det_seva
-from .engine import enumerate_stream, evaluate_preprocess, measure_delay
+from .engine import DelayMeter, enumerate_stream, evaluate_preprocess, measure_delay
 from .errors import FormatError, SpanexError
 from .instrument import OpCounter
 from .model import Document
@@ -49,9 +50,17 @@ def _guard(fn):
         _fail(1, str(exc))
 
 
+def _read_text(path: str) -> str:
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    return json.loads(_read_text(path))
 
 
 def _load_spanner(rgx: Optional[str], automaton: Optional[str], expr: Optional[str],
@@ -70,7 +79,10 @@ def _load_spanner(rgx: Optional[str], automaton: Optional[str], expr: Optional[s
     return ("expr", parsed, sigma)
 
 
-def _compile_det_seva(kind: str, value, sigma, strategy: str) -> Tuple[EVA, List[Stage]]:
+def _compile_det_seva(kind: str, value, sigma, strategy: str) -> Tuple[EVA, List[Stage], bool]:
+    """The det-seVA of the input, its stage sizes, and whether it was
+    classified deterministic and sequential here (so the engine need not
+    classify it again)."""
     stages: List[Stage] = []
 
     def note(name: str, a) -> None:
@@ -79,7 +91,7 @@ def _compile_det_seva(kind: str, value, sigma, strategy: str) -> Tuple[EVA, List
     if kind == "expr":
         result = compile_expr(value, strategy=strategy)
         note("compiled expression", result)
-        return result, stages
+        return result, stages, False
     if kind == "rgx":
         value = rgx_to_va(value, sigma)
         note("regex to VA", value)
@@ -92,11 +104,11 @@ def _compile_det_seva(kind: str, value, sigma, strategy: str) -> Tuple[EVA, List
             note("epsilon eliminated", automaton)
         report = classify(automaton)
         if report.deterministic and report.sequential:
-            return automaton, stages
+            return automaton, stages, True
         if report.sequential:
             result = determinize_eva(automaton)
             note("determinized", result)
-            return result, stages
+            return result, stages, False
         automaton = eva_to_va(automaton)
         note("expanded to VA", automaton)
     report = classify(automaton)
@@ -106,7 +118,7 @@ def _compile_det_seva(kind: str, value, sigma, strategy: str) -> Tuple[EVA, List
     else:
         result = va_to_det_seva_general(automaton)
         note("general pipeline", result)
-    return result, stages
+    return result, stages, False
 
 
 def _print_stage_report(stages: List[Stage]) -> None:
@@ -122,12 +134,7 @@ def _print_stage_report(stages: List[Stage]) -> None:
 def _read_document(doc: Optional[str], doc_inline: Optional[str], automaton: EVA) -> Document:
     if (doc is None) == (doc_inline is None):
         raise FormatError("exactly one of --doc, --doc-inline is required")
-    if doc is not None:
-        with open(doc, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = doc_inline
-    document = Document(text)
+    document = Document(_read_text(doc) if doc is not None else doc_inline)
     document.validate_against(automaton.alphabet)
     return document
 
@@ -161,7 +168,7 @@ def cmd_compile(rgx, automaton, expr, alphabet, strategy, out) -> None:
 
     def run() -> None:
         kind, value, sigma = _load_spanner(rgx, automaton, expr, alphabet)
-        result, stages = _compile_det_seva(kind, value, sigma, strategy)
+        result, stages, _ = _compile_det_seva(kind, value, sigma, strategy)
         _print_stage_report(stages)
         payload = json.dumps(dump_automaton(result), indent=2, sort_keys=True)
         if out:
@@ -224,22 +231,24 @@ def cmd_enumerate(rgx, automaton, expr, alphabet, doc, doc_inline, limit, stats,
         if limit is not None and limit < 0:
             raise FormatError("--limit must be nonnegative")
         kind, value, sigma = _load_spanner(rgx, automaton, expr, alphabet)
-        result, _ = _compile_det_seva(kind, value, sigma, strategy)
+        result, _, classified = _compile_det_seva(kind, value, sigma, strategy)
         document = _read_document(doc, doc_inline, result)
-        state = evaluate_preprocess(result, document, validate=not skip_validation)
+        state = evaluate_preprocess(
+            result, document, validate=not (skip_validation or classified)
+        )
+        meter = DelayMeter() if stats else None
+        stream = enumerate_stream(state, counter=meter.counter if meter else None)
         sink = open(out, "w", encoding="utf-8") if out else sys.stdout
         try:
-            emitted = 0
-            for mapping in enumerate_stream(state):
-                if limit is not None and emitted >= limit:
-                    break
+            for mapping in stream if limit is None else islice(stream, limit):
+                if meter:
+                    meter.tick()
                 sink.write(json.dumps(mapping.to_json_obj(), sort_keys=True) + "\n")
-                emitted += 1
         finally:
             if out:
                 sink.close()
-        if stats:
-            report = measure_delay(state)
+        if meter:
+            report = meter.report(state.counter.preprocess)
             click.echo(json.dumps(report.as_dict(), sort_keys=True), err=True)
 
     _guard(run)
@@ -256,9 +265,10 @@ def cmd_count(rgx, automaton, expr, alphabet, doc, doc_inline, skip_validation, 
 
     def run() -> None:
         kind, value, sigma = _load_spanner(rgx, automaton, expr, alphabet)
-        result, _ = _compile_det_seva(kind, value, sigma, strategy)
+        result, _, classified = _compile_det_seva(kind, value, sigma, strategy)
         document = _read_document(doc, doc_inline, result)
-        click.echo(str(count_det_seva(result, document, validate=not skip_validation)))
+        validate = not (skip_validation or classified)
+        click.echo(str(count_det_seva(result, document, validate=validate)))
 
     _guard(run)
 
@@ -276,7 +286,7 @@ def cmd_bench(rgx, automaton, expr, alphabet, lengths, fill, suffix, strategy, o
 
     def run() -> None:
         kind, value, sigma = _load_spanner(rgx, automaton, expr, alphabet)
-        result, _ = _compile_det_seva(kind, value, sigma, strategy)
+        result, _, _ = _compile_det_seva(kind, value, sigma, strategy)
         try:
             sizes = [int(x) for x in lengths.split(",") if x.strip()]
         except ValueError as exc:

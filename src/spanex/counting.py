@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .automata import EVA, State, brute_enumerate_va, require_det_seva
+from .automata import EVA, brute_enumerate_va, require_det_seva
 from .errors import PreconditionError
 from .instrument import OpCounter
 from .model import Document
@@ -29,49 +29,43 @@ def count_det_seva(
     Capturing adds the pre-stage count of each state into its marker
     successors without clearing anything; reading rebuilds the counts
     along letter transitions.  The result is the sum over final states
-    after the last capturing stage.
+    after the last capturing stage.  Counts are keyed by interned state
+    id (see ``EVA.tables``); a symbol outside the alphabet raises
+    InputError when it is read.  ``counter.count_ops`` grows by one per
+    state visited in either stage and one per transition taken.
     """
     if automaton.has_epsilon:
         raise PreconditionError("counting requires an epsilon-free automaton")
     if validate:
         require_det_seva(automaton)
-    document.validate_against(automaton.alphabet)
     counter = counter if counter is not None else OpCounter()
+    tables = automaton.tables()
+    markers, letters = tables.markers, tables.letters
 
-    marker_out = {q: automaton.marker_transitions(q) for q in automaton.states}
-    letter_out: Dict[State, Dict[str, State]] = {}
-    for q in automaton.states:
-        letter_out[q] = {
-            label: p for label, p in automaton.out(q) if isinstance(label, str)
-        }
-
-    counts: Dict[State, int] = {automaton.initial: 1}
-
-    def capturing() -> None:
-        for q, amount in list(counts.items()):
-            counter.count_ops += 1
-            for _, p in marker_out[q]:
+    counts: Dict[int, int] = {tables.initial: 1}
+    ops = 0
+    text = document.content
+    n = len(text)
+    for i in range(1, n + 2):
+        ops += len(counts)
+        for q, amount in [(q, amount) for q, amount in counts.items() if markers[q]]:
+            for _, p in markers[q]:
                 counts[p] = counts.get(p, 0) + amount
-                counter.count_ops += 1
-
-    def reading(i: int) -> None:
-        nonlocal counts
-        symbol = document.symbol(i)
-        before = counts
-        counts = {}
+            ops += len(markers[q])
+        if i > n:
+            break
+        successor = letters.get(text[i - 1])
+        if successor is None:
+            raise document.alphabet_error(i)
+        ops += len(counts)
+        before, counts = counts, {}
         for q, amount in before.items():
-            counter.count_ops += 1
-            p = letter_out[q].get(symbol)
-            if p is None:
-                continue
-            counts[p] = counts.get(p, 0) + amount
-            counter.count_ops += 1
-
-    for i in range(1, len(document) + 1):
-        capturing()
-        reading(i)
-    capturing()
-    return sum(counts.get(q, 0) for q in automaton.finals)
+            p = successor[q]
+            if p is not None:
+                counts[p] = counts.get(p, 0) + amount
+                ops += 1
+    counter.count_ops += ops
+    return sum(counts.get(q, 0) for q in tables.finals)
 
 
 def count_oracle(automaton, document: Document) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from .automata import EVA, State, require_det_seva
+from .automata import EVA, DetTables, State, require_det_seva
 from .errors import PreconditionError
 from .instrument import DelayReport, OpCounter
 from .model import Document, Mapping, MarkerSet, Span
@@ -117,21 +117,39 @@ class DagNode:
 
 
 class EvaluationState:
-    """Result of preprocessing: per-state lists over the finished DAG."""
+    """Result of preprocessing: per-state lists over the finished DAG.
 
-    __slots__ = ("automaton", "document", "lists", "live", "counter", "order")
+    The lists are held by interned state id (see ``EVA.tables``); a state
+    whose list is empty holds None, and ``reached`` marks every state that
+    ever held a list.
+    """
 
-    def __init__(self, automaton: EVA, document: Document, lists, live, counter, order):
+    __slots__ = ("automaton", "document", "counter", "tables", "lists_by_id", "reached")
+
+    def __init__(self, automaton: EVA, document: Document, counter: OpCounter,
+                 tables: DetTables, lists_by_id: List[Optional[NodeList]], reached: bytearray):
         self.automaton = automaton
         self.document = document
-        self.lists: Dict[State, NodeList] = lists
-        self.live: Set[State] = live
-        self.counter: OpCounter = counter
-        self.order: Dict[State, int] = order
+        self.counter = counter
+        self.tables = tables
+        self.lists_by_id = lists_by_id
+        self.reached = reached
+
+    @property
+    def lists(self) -> Dict[State, NodeList]:
+        """The list of every state that ever got one, keyed by state; a
+        list that went empty reads as an empty NodeList."""
+        states = self.tables.states
+        return {
+            states[q]: NodeList() if nodelist is None else nodelist
+            for q, nodelist in enumerate(self.lists_by_id)
+            if self.reached[q]
+        }
 
     def expand_list(self, q: State):
         """Structural expansion of a state's list, for trace comparisons."""
-        nodelist = self.lists.get(q)
+        i = self.tables.index.get(q)
+        nodelist = None if i is None else self.lists_by_id[i]
         if nodelist is None:
             return ()
         return _expand(nodelist)
@@ -161,82 +179,112 @@ def evaluate_preprocess(
 
     ``validate`` may be disabled by callers that already checked the
     automaton; running on other inputs is undefined output (duplicates).
+    A symbol outside the alphabet raises InputError when it is read.
     The capturing stage never clears lists (a state stays live across a
     skipped variable step); the reading stage clears and moves them.
     Work per position is proportional to the live part of the automaton.
+
+    Operation counts are summed in locals and added to ``counter`` before
+    each ``on_phase`` call and at the end; the totals are those of one
+    ``preprocess`` step per lazy copy, per live state visited in either
+    stage, per list append and two per DAG node, plus one for the
+    initial list.
     """
     if automaton.has_epsilon:
         raise PreconditionError("evaluation requires an epsilon-free automaton")
     if validate:
         require_det_seva(automaton)
-    document.validate_against(automaton.alphabet)
     counter = counter if counter is not None else OpCounter()
+    tables = automaton.tables()
+    markers, letters = tables.markers, tables.letters
+    lists: List[Optional[NodeList]] = [None] * len(tables.states)
+    reached = bytearray(len(tables.states))
+    initial = NodeList()
+    initial.add(BOTTOM)
+    lists[tables.initial] = initial
+    reached[tables.initial] = 1
+    live = [tables.initial]  # ids of the nonempty lists, ascending
+    state = EvaluationState(automaton, document, counter, tables, lists, reached)
+    # ops: the initial list plus the live states visited by reading.
+    ops, copies, nodes, appends = 1, 0, 0, 0
 
-    order = {q: i for i, q in enumerate(automaton.state_order())}
-    marker_out: Dict[State, List[Tuple[MarkerSet, State]]] = {
-        q: automaton.marker_transitions(q) for q in automaton.states
-    }
-    letter_out: Dict[State, Dict[str, State]] = {}
-    for q in automaton.states:
-        targets: Dict[str, State] = {}
-        for label, p in automaton.out(q):
-            if isinstance(label, str):
-                targets[label] = p
-        letter_out[q] = targets
+    def flush() -> None:
+        nonlocal ops, copies, nodes, appends
+        counter.preprocess += ops + 2 * copies + 2 * nodes + appends
+        counter.note("lazycopy", copies)
+        if nodes:
+            counter.note("node", nodes)
+        if appends:
+            counter.note("append", appends)
+        ops = copies = nodes = appends = 0
 
-    lists: Dict[State, NodeList] = {automaton.initial: NodeList()}
-    lists[automaton.initial].add(BOTTOM)
-    counter.preprocess += 1
-    live: Set[State] = {automaton.initial}
-    state = EvaluationState(automaton, document, lists, live, counter, order)
-
-    def capturing(i: int) -> None:
-        snapshot = sorted(live, key=order.__getitem__)
-        old = {}
-        for q in snapshot:
-            old[q] = lists[q].lazycopy()
-            counter.preprocess += 1
-        counter.note("lazycopy", len(snapshot))
-        for q in snapshot:
-            counter.preprocess += 1
-            for markers, p in marker_out[q]:
-                node = DagNode(markers, i, old[q])
-                target = lists.get(p)
+    text = document.content
+    n = len(text)
+    for i in range(1, n + 2):
+        # Capturing: every marker transition of a live state adds a node
+        # holding a lazy copy of the source's list as it was before the
+        # stage; the copies are taken before any list grows.  Only states
+        # with marker transitions need one, but the count keeps one per
+        # live state.
+        copies += len(live)
+        sources = []
+        for q in live:
+            out = markers[q]
+            if out:
+                sources.append((out, lists[q].lazycopy()))
+        arrivals = []
+        for out, source in sources:
+            for marker_set, p in out:
+                element = _Element(DagNode(marker_set, i, source), None)
+                target = lists[p]
                 if target is None:
-                    target = lists[p] = NodeList()
-                target.add(node)
-                counter.preprocess += 2
-                counter.note("node", 1)
-                live.add(p)
+                    lists[p] = NodeList(element, element)
+                    reached[p] = 1
+                    arrivals.append(p)
+                else:
+                    element.next = target.start
+                    target.start = element
+            nodes += len(out)
+        if arrivals:
+            live += arrivals
+            live.sort()
         if on_phase is not None:
+            flush()
             on_phase("capturing", i, state)
+        if i > n:
+            break
 
-    def reading(i: int) -> None:
-        symbol = document.symbol(i)
-        snapshot = sorted(live, key=order.__getitem__)
-        old = {q: lists[q] for q in snapshot}
-        for q in snapshot:
-            lists[q] = NodeList()
-        live.clear()
-        for q in snapshot:
-            counter.preprocess += 1
-            p = letter_out[q].get(symbol)
+        # Reading: each live list moves along its letter transition into
+        # an empty target or is appended to a nonempty one; the others
+        # empty.
+        successor = letters.get(text[i - 1])
+        if successor is None:
+            raise document.alphabet_error(i)
+        moved: Dict[int, NodeList] = {}
+        for q in live:
+            source = lists[q]
+            lists[q] = None
+            p = successor[q]
             if p is None:
                 continue
-            target = lists.get(p)
+            target = moved.get(p)
             if target is None:
-                target = lists[p] = NodeList()
-            target.append(old[q])
-            counter.preprocess += 1
-            counter.note("append", 1)
-            live.add(p)
+                if source.consumed:
+                    raise AssertionError("append-once discipline violated: list already appended")
+                moved[p] = source
+            else:
+                target.append(source)
+            appends += 1
+        ops += len(live)
+        for p, nodelist in moved.items():
+            lists[p] = nodelist
+            reached[p] = 1
+        live = sorted(moved)
         if on_phase is not None:
+            flush()
             on_phase("reading", i, state)
 
-    for i in range(1, len(document) + 1):
-        capturing(i)
-        reading(i)
-    capturing(len(document) + 1)
+    flush()
     return state
 
 
@@ -290,12 +338,15 @@ def enumerate_raw(
     emission order is deterministic.
     """
     counter = counter if counter is not None else state.counter
+    tables = state.tables
     if finals is None:
-        finals = state.automaton.finals
-    for q in sorted(finals, key=state.order.__getitem__):
-        nodelist = state.lists.get(q)
+        final_ids = tables.finals
+    else:
+        final_ids = sorted(tables.index[q] for q in finals)
+    for q in final_ids:
+        nodelist = state.lists_by_id[q]
         counter.enum_work += 1
-        if nodelist is None or nodelist.is_empty:
+        if nodelist is None:
             continue
         # Frame: (cursor, entered_via_node); partial holds events deepest-last.
         stack: List[Tuple[_ListCursor, bool]] = [(_ListCursor(nodelist), False)]
@@ -337,24 +388,41 @@ def evaluate(
     return enumerate_stream(evaluate_preprocess(automaton, document, validate=validate))
 
 
+class DelayMeter:
+    """Maximum enumeration work between consecutive outputs, measured on
+    the walk that produces them: call ``tick`` once per output taken from
+    a stream that counts into ``counter``.  The report also covers the
+    work before the first output and after the last one taken."""
+
+    __slots__ = ("counter", "outputs", "last", "max_segment")
+
+    def __init__(self):
+        self.counter = OpCounter()
+        self.outputs = 0
+        self.last = 0
+        self.max_segment = 0
+
+    def tick(self) -> None:
+        work = self.counter.enum_work
+        self.max_segment = max(self.max_segment, work - self.last)
+        self.last = work
+        self.outputs += 1
+
+    def report(self, preprocessing_ops: int) -> DelayReport:
+        return DelayReport(
+            outputs=self.outputs,
+            max_inter_output_work=max(self.max_segment, self.counter.enum_work - self.last),
+            preprocessing_ops=preprocessing_ops,
+        )
+
+
 def measure_delay(
     state: EvaluationState,
     finals: Optional[Set[State]] = None,
 ) -> DelayReport:
     """Instrumented enumeration: maximum work between consecutive
     outputs, including before the first and after the last."""
-    counter = OpCounter()
-    last = 0
-    max_segment = 0
-    outputs = 0
-    for _ in enumerate_raw(state, finals, counter):
-        segment = counter.enum_work - last
-        last = counter.enum_work
-        max_segment = max(max_segment, segment)
-        outputs += 1
-    max_segment = max(max_segment, counter.enum_work - last)
-    return DelayReport(
-        outputs=outputs,
-        max_inter_output_work=max_segment,
-        preprocessing_ops=state.counter.preprocess,
-    )
+    meter = DelayMeter()
+    for _ in enumerate_raw(state, finals, meter.counter):
+        meter.tick()
+    return meter.report(state.counter.preprocess)

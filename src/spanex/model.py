@@ -113,9 +113,14 @@ class Document:
     def validate_against(self, alphabet: FrozenSet[str]) -> None:
         for i, ch in enumerate(self.content):
             if ch not in alphabet:
-                raise InputError(
-                    f"symbol {ch!r} at position {i + 1} is not in the alphabet"
-                )
+                raise self.alphabet_error(i + 1)
+
+    def alphabet_error(self, position: int) -> InputError:
+        """The error for the symbol at a 1-based position that is not in
+        the alphabet."""
+        return InputError(
+            f"symbol {self.symbol(position)!r} at position {position} is not in the alphabet"
+        )
 
     def slice(self, span: Span) -> str:
         """Substring named by a span; convenience only, not part of the

@@ -3,7 +3,17 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from spanex import dump_automaton
+import spanex.automata
+import spanex.cli
+from spanex import (
+    Document,
+    dump_automaton,
+    evaluate_preprocess,
+    functional_va_to_det_seva,
+    measure_delay,
+    parse_rgx,
+    rgx_to_va,
+)
 from spanex.cli import main
 from spanex.fixtures import (
     Nfa,
@@ -131,6 +141,50 @@ def test_enumerate_stats(runner, fig4_path):
     assert stats["max_inter_output_work"] > 0
 
 
+def test_enumerate_stats_walks_once(runner):
+    # The record is measured on the walk that writes the lines, so it
+    # stops where --limit stops, and on a full run equals measure_delay.
+    args = ["enumerate", "--rgx", ".*x{a.*}.*", "--alphabet", "ab",
+            "--doc-inline", "abababab", "--stats"]
+    limited = runner.invoke(main, args + ["--limit", "2"])
+    assert limited.exit_code == 0
+    assert len(limited.stdout.splitlines()) == 2
+    assert json.loads(limited.stderr.splitlines()[-1])["outputs"] == 2
+
+    full = runner.invoke(main, args)
+    assert full.exit_code == 0
+    assert len(full.stdout.splitlines()) == 20
+    sigma = frozenset("ab")
+    det = functional_va_to_det_seva(rgx_to_va(parse_rgx(".*x{a.*}.*", sigma), sigma))
+    expected = measure_delay(evaluate_preprocess(det, Document("abababab")))
+    assert json.loads(full.stderr.splitlines()[-1]) == expected.as_dict()
+
+
+def test_loaded_det_seva_classified_once(runner, fig4_path, monkeypatch):
+    # A loaded automaton the CLI already classified deterministic and
+    # sequential is not classified again by the engine; a compiled one is.
+    calls = []
+    real = spanex.automata.classify
+
+    def counting(automaton, *args, **kwargs):
+        calls.append(type(automaton).__name__)
+        return real(automaton, *args, **kwargs)
+
+    monkeypatch.setattr(spanex.automata, "classify", counting)
+    monkeypatch.setattr(spanex.cli, "classify", counting)
+    for command in ("count", "enumerate"):
+        calls.clear()
+        result = runner.invoke(main, [command, "--automaton", fig4_path, "--doc-inline", "ab"])
+        assert result.exit_code == 0
+        assert calls == ["EVA"]
+        calls.clear()
+        result = runner.invoke(
+            main, [command, "--rgx", ".*x{a}.*", "--alphabet", "ab", "--doc-inline", "ab"]
+        )
+        assert result.exit_code == 0
+        assert calls == ["VA", "EVA"]
+
+
 def test_enumerate_fig1_regex(runner):
     _, text, doc, alphabet = gen_fig1_fixture()
     result = runner.invoke(
@@ -225,3 +279,21 @@ def test_document_read_raw(runner, fig4_path, tmp_path):
     )
     assert result.exit_code == 0
     assert result.stdout.strip() == "3"
+
+
+def test_non_utf8_input_exits_2(runner, tmp_path):
+    doc = tmp_path / "d.txt"
+    doc.write_bytes(b"a\xffb")
+    result = runner.invoke(
+        main, ["count", "--rgx", ".*x{a}.*", "--alphabet", "ab", "--doc", str(doc)]
+    )
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:") and "UTF-8" in result.stderr
+
+    automaton = tmp_path / "a.json"
+    automaton.write_bytes(b'{"alphabet": ["\xff"]}')
+    result = runner.invoke(
+        main, ["enumerate", "--automaton", str(automaton), "--doc-inline", "a"]
+    )
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:") and "UTF-8" in result.stderr

@@ -11,11 +11,15 @@ from spanex import (
     evaluate,
     evaluate_preprocess,
     measure_delay,
+    rgx_to_va,
+    va_to_det_seva_general,
 )
 from spanex.engine import BOTTOM, NodeList
 from spanex.errors import InputError, PreconditionError
 from spanex.fixtures import (
+    FIG1_TEXT,
     RandomProfile,
+    gen_fig1_fixture,
     gen_fig4_automaton,
     random_documents,
     random_instance,
@@ -356,3 +360,80 @@ def test_preprocessing_scales_linearly():
         evaluate_preprocess(fig4, Document("a" * (n - 1) + "b"), validate=False, counter=counter)
         ratios.append(counter.preprocess / n)
     assert max(ratios) / min(ratios) - 1 < 0.05
+
+
+# ---------------------------------------------------------------------------
+# Kernel contract: interned tables and exact operation counts
+# ---------------------------------------------------------------------------
+
+def test_tables_intern_states_in_canonical_order():
+    fig4 = gen_fig4_automaton()
+    tables = fig4.tables()
+    assert tables is fig4.tables()  # built once per automaton
+    assert tables.states == fig4.state_order()
+    ids = tables.index
+    assert tables.initial == ids["q0"] and tables.finals == [ids["q9"]]
+    assert tables.markers[ids["q0"]] == [(m, ids[p]) for m, p in fig4.marker_transitions("q0")]
+    assert len(tables.markers[ids["q0"]]) == 3
+    assert tables.markers[ids["q1"]] == []
+    assert tables.letters["a"][ids["q3"]] == ids["q3"]
+    assert tables.letters["b"][ids["q1"]] is None
+
+
+def test_counters_exact_at_every_phase():
+    # Counts are batched inside the kernel but flushed before each hook.
+    counter = OpCounter()
+    seen = []
+
+    def hook(phase, index, state):
+        seen.append((phase, index, counter.preprocess, dict(counter.detail)))
+
+    evaluate_preprocess(gen_fig4_automaton(), Document("ab"), counter=counter, on_phase=hook)
+    assert seen == [
+        ("capturing", 1, 9, {"lazycopy": 1, "node": 3}),
+        ("reading", 1, 16, {"lazycopy": 1, "node": 3, "append": 3}),
+        ("capturing", 2, 28, {"lazycopy": 4, "node": 6, "append": 3}),
+        ("reading", 2, 37, {"lazycopy": 4, "node": 6, "append": 6}),
+        ("capturing", 3, 45, {"lazycopy": 6, "node": 8, "append": 6}),
+    ]
+    empty = OpCounter()
+    evaluate_preprocess(gen_fig4_automaton(), Document(""), counter=empty)
+    assert empty.detail == {"lazycopy": 1, "node": 3}  # no append ever noted
+
+
+def _fig1_det_seva():
+    ast, _, _, alphabet = gen_fig1_fixture()
+    return va_to_det_seva_general(rgx_to_va(ast, alphabet))
+
+
+# (automaton, document, preprocess ops, detail, count ops, outputs,
+#  max inter-output work, states that ever got a list, nonempty at the end)
+KERNEL_CONTRACT = [
+    (_fig1_det_seva, (FIG1_TEXT * 8)[:200], 4067,
+     {"append": 757, "lazycopy": 746, "node": 359}, 2961, 14, 46, 85, 6),
+    (gen_fig4_automaton, "a" * 99 + "b", 725,
+     {"append": 102, "lazycopy": 103, "node": 105}, 516, 1, 6, 9, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "build, text, ops, detail, count_ops, outputs, max_work, reached, nonempty",
+    KERNEL_CONTRACT,
+    ids=["fig1-200", "fig4-a99b"],
+)
+def test_kernel_op_counts_pinned(build, text, ops, detail, count_ops, outputs, max_work,
+                                 reached, nonempty):
+    automaton, doc = build(), Document(text)
+    counter = OpCounter()
+    state = evaluate_preprocess(automaton, doc, counter=counter)
+    assert counter.preprocess == ops
+    assert counter.detail == detail
+    counted = OpCounter()
+    assert count_det_seva(automaton, doc, counter=counted) == outputs
+    assert counted.count_ops == count_ops
+    report = measure_delay(state)
+    assert report.outputs == outputs
+    assert report.max_inter_output_work == max_work
+    # States whose list later went empty keep their key.
+    assert len(state.lists) == reached
+    assert sum(not nl.is_empty for nl in state.lists.values()) == nonempty
