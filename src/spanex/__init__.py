@@ -11,6 +11,7 @@ from .algebra import (
     Project,
     Union,
     compile_expr,
+    compile_spanner,
     expr_from_json,
     join_eva,
     parse_expr,
@@ -53,11 +54,7 @@ from .model import (
     Mapping,
     Marker,
     Span,
-    mapping_project,
     mapping_set_join,
-    mapping_union,
-    mappings_compatible,
-    span_concat,
 )
 from .rgx import RegexAst, parse_rgx, rgx_eval_reference, rgx_from_json, rgx_to_json, rgx_to_va
 from .transform import (

@@ -14,14 +14,18 @@ from .automata import EPSILON, EVA, VA, State, classify
 from .errors import FormatError, InputError, PreconditionError
 from .model import MarkerSet, markers_of
 from .rgx import RegexAst, infer_alphabet, parse_rgx, rgx_literal_symbols, rgx_to_va
-from .transform import determinize_eva, eliminate_epsilon, trim, va_to_eva
+from .transform import (
+    _check_bound,
+    determinize_eva,
+    eliminate_epsilon,
+    eva_to_va,
+    functional_va_to_det_seva,
+    trim,
+    va_to_det_seva_general,
+    va_to_eva,
+)
 
 logger = logging.getLogger(__name__)
-
-
-def _check_bound(condition: bool, message: str) -> None:
-    if not condition:
-        raise AssertionError(message)
 
 
 def _require_functional_eva(automaton: EVA, role: str) -> None:
@@ -391,6 +395,53 @@ def compile_expr(expr: AlgebraExpr, strategy: str = "auto") -> EVA:
             f"compiled automaton exceeded 2^(n^k) states: {len(result.states)} > {bound}",
         )
     return result
+
+
+Stage = Tuple[str, int, int]
+
+
+def compile_spanner(spanner: TUnion[RegexAst, VA, EVA, AlgebraExpr],
+                    alphabet: Optional[Iterable[str]] = None,
+                    strategy: str = "auto") -> Tuple[EVA, List[Stage]]:
+    """The deterministic sequential EVA of a regex AST (over ``alphabet``,
+    default its literal symbols), a VA, an EVA or an algebra expression
+    (compiled with ``strategy``), and one ``(stage, states, transitions)``
+    entry per automaton built on the way."""
+    stages: List[Stage] = []
+
+    def note(name: str, automaton) -> None:
+        stages.append((name, len(automaton.states), len(automaton.transitions)))
+
+    if isinstance(spanner, AlgebraExpr):
+        result = compile_expr(spanner, strategy=strategy)
+        note("compiled expression", result)
+        return result, stages
+    automaton = spanner
+    if isinstance(spanner, RegexAst):
+        sigma = rgx_literal_symbols(spanner) if alphabet is None else alphabet
+        automaton = rgx_to_va(spanner, sigma)
+        note("regex to VA", automaton)
+    note("input", automaton)
+    if isinstance(automaton, EVA):
+        if automaton.has_epsilon:
+            automaton = eliminate_epsilon(automaton)
+            note("epsilon eliminated", automaton)
+        report = classify(automaton)
+        if report.deterministic and report.sequential:
+            return automaton, stages
+        if report.sequential:
+            result = determinize_eva(automaton)
+            note("determinized", result)
+            return result, stages
+        automaton = eva_to_va(automaton)
+        note("expanded to VA", automaton)
+    if classify(automaton).functional:
+        result = functional_va_to_det_seva(automaton)
+        note("functional pipeline", result)
+    else:
+        result = va_to_det_seva_general(automaton)
+        note("general pipeline", result)
+    return result, stages
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ class _AutomatonBase:
     """Shared structure of VA and EVA; immutable after construction."""
 
     __slots__ = ("alphabet", "states", "initial", "finals", "transitions",
-                 "variables", "_out", "_size")
+                 "variables", "_out", "_size", "_report")
 
     def __init__(
         self,
@@ -129,6 +129,7 @@ class _AutomatonBase:
             out[q].sort(key=lambda t: (label_key(t[0]), canon_key(t[1])))
         self._out = out
         self._size = len(self.states) + len(self.transitions)
+        self._report: Optional[ClassificationReport] = None
 
     def _mentioned_variables(self) -> FrozenSet[str]:
         found: Set[str] = set()
@@ -164,9 +165,6 @@ class _AutomatonBase:
 
     def state_order(self) -> List[State]:
         return sorted(self.states, key=canon_key)
-
-    def letter_successors(self, q: State, a: str) -> List[State]:
-        return [p for label, p in self._out[q] if label == a]
 
     def __repr__(self) -> str:
         return (
@@ -507,7 +505,7 @@ _INVALID = "INVALID"
 DEFAULT_VARIABLE_CAP = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassificationReport:
     sequential: bool
     functional: bool
@@ -586,12 +584,20 @@ def _status_after_marker(status: Tuple[int, ...], marker: Marker, var_index: Dic
 
 def classify(automaton, variable_cap: int = DEFAULT_VARIABLE_CAP) -> ClassificationReport:
     """Decide sequential / functional (and deterministic for EVA) by
-    reachability over (state, per-variable status) configurations."""
-    variables = sorted(automaton.variables)
-    if len(variables) > variable_cap:
+    reachability over (state, per-variable status) configurations.  The
+    report is kept on the automaton; the variable cap is checked every call."""
+    if len(automaton.variables) > variable_cap:
         raise ClassificationTooLarge(
-            f"classification too large: {len(variables)} variables exceeds cap {variable_cap}"
+            f"classification too large: {len(automaton.variables)} variables "
+            f"exceeds cap {variable_cap}"
         )
+    if automaton._report is None:
+        automaton._report = _classify(automaton)
+    return automaton._report
+
+
+def _classify(automaton) -> ClassificationReport:
+    variables = sorted(automaton.variables)
     var_index = {v: i for i, v in enumerate(variables)}
     is_eva = isinstance(automaton, EVA)
     if is_eva and automaton.has_epsilon:

@@ -11,27 +11,18 @@ import json
 import sys
 import time
 from itertools import islice
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import click
 
-from .algebra import compile_expr, parse_expr
-from .automata import EVA, classify, dump_automaton, load_automaton
+from .algebra import AlgebraExpr, Stage, compile_spanner, parse_expr
+from .automata import classify, dump_automaton, load_automaton
 from .counting import count_det_seva
 from .engine import DelayMeter, enumerate_stream, evaluate_preprocess, measure_delay
 from .errors import FormatError, SpanexError
 from .instrument import OpCounter
 from .model import Document
-from .rgx import infer_alphabet, parse_rgx, rgx_to_va
-from .transform import (
-    determinize_eva,
-    eliminate_epsilon,
-    eva_to_va,
-    functional_va_to_det_seva,
-    va_to_det_seva_general,
-)
-
-Stage = Tuple[str, int, int]
+from .rgx import RegexAst, infer_alphabet, parse_rgx, rgx_to_va
 
 
 def _fail(code: int, message: str) -> None:
@@ -70,55 +61,13 @@ def _load_spanner(rgx: Optional[str], automaton: Optional[str], expr: Optional[s
         raise FormatError("exactly one of --rgx, --automaton, --expr is required")
     if rgx is not None:
         sigma = frozenset(alphabet) if alphabet else infer_alphabet(rgx)
-        return ("rgx", parse_rgx(rgx, sigma), sigma)
+        return parse_rgx(rgx, sigma), sigma
     if automaton is not None:
-        return ("automaton", load_automaton(_load_json(automaton)), None)
+        return load_automaton(_load_json(automaton)), None
     sigma = frozenset(alphabet) if alphabet else None
     parsed = parse_expr(expr, atom_loader=lambda p: load_automaton(_load_json(p)),
                         default_alphabet=sigma)
-    return ("expr", parsed, sigma)
-
-
-def _compile_det_seva(kind: str, value, sigma, strategy: str) -> Tuple[EVA, List[Stage], bool]:
-    """The det-seVA of the input, its stage sizes, and whether it was
-    classified deterministic and sequential here (so the engine need not
-    classify it again)."""
-    stages: List[Stage] = []
-
-    def note(name: str, a) -> None:
-        stages.append((name, len(a.states), len(a.transitions)))
-
-    if kind == "expr":
-        result = compile_expr(value, strategy=strategy)
-        note("compiled expression", result)
-        return result, stages, False
-    if kind == "rgx":
-        value = rgx_to_va(value, sigma)
-        note("regex to VA", value)
-        kind = "automaton"
-    automaton = value
-    note("input", automaton)
-    if isinstance(automaton, EVA):
-        if automaton.has_epsilon:
-            automaton = eliminate_epsilon(automaton)
-            note("epsilon eliminated", automaton)
-        report = classify(automaton)
-        if report.deterministic and report.sequential:
-            return automaton, stages, True
-        if report.sequential:
-            result = determinize_eva(automaton)
-            note("determinized", result)
-            return result, stages, False
-        automaton = eva_to_va(automaton)
-        note("expanded to VA", automaton)
-    report = classify(automaton)
-    if report.functional:
-        result = functional_va_to_det_seva(automaton)
-        note("functional pipeline", result)
-    else:
-        result = va_to_det_seva_general(automaton)
-        note("general pipeline", result)
-    return result, stages, False
+    return parsed, sigma
 
 
 def _print_stage_report(stages: List[Stage]) -> None:
@@ -131,12 +80,10 @@ def _print_stage_report(stages: List[Stage]) -> None:
         previous = (n_states, n_transitions)
 
 
-def _read_document(doc: Optional[str], doc_inline: Optional[str], automaton: EVA) -> Document:
+def _read_document(doc: Optional[str], doc_inline: Optional[str]) -> Document:
     if (doc is None) == (doc_inline is None):
         raise FormatError("exactly one of --doc, --doc-inline is required")
-    document = Document(_read_text(doc) if doc is not None else doc_inline)
-    document.validate_against(automaton.alphabet)
-    return document
+    return Document(_read_text(doc) if doc is not None else doc_inline)
 
 
 _INPUT_OPTIONS = [
@@ -167,8 +114,7 @@ def cmd_compile(rgx, automaton, expr, alphabet, strategy, out) -> None:
     """Compile the input spanner to a deterministic sequential EVA."""
 
     def run() -> None:
-        kind, value, sigma = _load_spanner(rgx, automaton, expr, alphabet)
-        result, stages, _ = _compile_det_seva(kind, value, sigma, strategy)
+        result, stages = compile_spanner(*_load_spanner(rgx, automaton, expr, alphabet), strategy)
         _print_stage_report(stages)
         payload = json.dumps(dump_automaton(result), indent=2, sort_keys=True)
         if out:
@@ -190,10 +136,10 @@ def cmd_check(rgx, automaton, expr, alphabet,
     """Classify the input automaton and verify requested properties."""
 
     def run() -> None:
-        kind, value, sigma = _load_spanner(rgx, automaton, expr, alphabet)
-        if kind == "expr":
+        value, sigma = _load_spanner(rgx, automaton, expr, alphabet)
+        if isinstance(value, AlgebraExpr):
             raise FormatError("check operates on an automaton or regex, not an expression")
-        if kind == "rgx":
+        if isinstance(value, RegexAst):
             value = rgx_to_va(value, sigma)
         report = classify(value)
         click.echo(report.summary())
@@ -220,22 +166,17 @@ def cmd_check(rgx, automaton, expr, alphabet,
 @click.option("--doc-inline", help="document text")
 @click.option("--limit", type=int, help="stop after this many mappings")
 @click.option("--stats", is_flag=True, help="print a delay report to stderr")
-@click.option("--skip-validation", is_flag=True, help="skip the det/sequential precondition check")
 @click.option("--strategy", type=click.Choice(["auto", "prop7", "prop8"]), default="auto")
 @click.option("--out", type=click.Path(), help="write NDJSON here instead of stdout")
 def cmd_enumerate(rgx, automaton, expr, alphabet, doc, doc_inline, limit, stats,
-                  skip_validation, strategy, out) -> None:
+                  strategy, out) -> None:
     """Stream the output mappings as NDJSON, one mapping per line."""
 
     def run() -> None:
         if limit is not None and limit < 0:
             raise FormatError("--limit must be nonnegative")
-        kind, value, sigma = _load_spanner(rgx, automaton, expr, alphabet)
-        result, _, classified = _compile_det_seva(kind, value, sigma, strategy)
-        document = _read_document(doc, doc_inline, result)
-        state = evaluate_preprocess(
-            result, document, validate=not (skip_validation or classified)
-        )
+        result, _ = compile_spanner(*_load_spanner(rgx, automaton, expr, alphabet), strategy)
+        state = evaluate_preprocess(result, _read_document(doc, doc_inline))
         meter = DelayMeter() if stats else None
         stream = enumerate_stream(state, counter=meter.counter if meter else None)
         sink = open(out, "w", encoding="utf-8") if out else sys.stdout
@@ -258,17 +199,13 @@ def cmd_enumerate(rgx, automaton, expr, alphabet, doc, doc_inline, limit, stats,
 @_with_input
 @click.option("--doc", type=click.Path(), help="document file (read raw)")
 @click.option("--doc-inline", help="document text")
-@click.option("--skip-validation", is_flag=True)
 @click.option("--strategy", type=click.Choice(["auto", "prop7", "prop8"]), default="auto")
-def cmd_count(rgx, automaton, expr, alphabet, doc, doc_inline, skip_validation, strategy) -> None:
+def cmd_count(rgx, automaton, expr, alphabet, doc, doc_inline, strategy) -> None:
     """Print the number of output mappings."""
 
     def run() -> None:
-        kind, value, sigma = _load_spanner(rgx, automaton, expr, alphabet)
-        result, _, classified = _compile_det_seva(kind, value, sigma, strategy)
-        document = _read_document(doc, doc_inline, result)
-        validate = not (skip_validation or classified)
-        click.echo(str(count_det_seva(result, document, validate=validate)))
+        result, _ = compile_spanner(*_load_spanner(rgx, automaton, expr, alphabet), strategy)
+        click.echo(str(count_det_seva(result, _read_document(doc, doc_inline))))
 
     _guard(run)
 
@@ -285,8 +222,7 @@ def cmd_bench(rgx, automaton, expr, alphabet, lengths, fill, suffix, strategy, o
     length; emit one CSV row per length with instrumented counts."""
 
     def run() -> None:
-        kind, value, sigma = _load_spanner(rgx, automaton, expr, alphabet)
-        result, _, _ = _compile_det_seva(kind, value, sigma, strategy)
+        result, _ = compile_spanner(*_load_spanner(rgx, automaton, expr, alphabet), strategy)
         try:
             sizes = [int(x) for x in lengths.split(",") if x.strip()]
         except ValueError as exc:

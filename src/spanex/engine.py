@@ -379,13 +379,9 @@ def enumerate_stream(
         yield _mapping_from_events(events)
 
 
-def evaluate(
-    automaton: EVA,
-    document: Document,
-    validate: bool = True,
-) -> Iterator[Mapping]:
+def evaluate(automaton: EVA, document: Document) -> Iterator[Mapping]:
     """Preprocess then stream every output mapping."""
-    return enumerate_stream(evaluate_preprocess(automaton, document, validate=validate))
+    return enumerate_stream(evaluate_preprocess(automaton, document))
 
 
 class DelayMeter:

@@ -40,10 +40,6 @@ class Span:
         return f"[{self.start},{self.end}>"
 
 
-def span_concat(s1: Span, s2: Span) -> Span:
-    return s1.concat(s2)
-
-
 @dataclass(frozen=True)
 class Marker:
     """An open or close event for one variable."""
@@ -210,18 +206,6 @@ class Mapping:
 
 
 EMPTY_MAPPING = Mapping()
-
-
-def mappings_compatible(m1: Mapping, m2: Mapping) -> bool:
-    return m1.compatible(m2)
-
-
-def mapping_union(m1: Mapping, m2: Mapping) -> Mapping:
-    return m1.union(m2)
-
-
-def mapping_project(m: Mapping, variables: Iterable[str]) -> Mapping:
-    return m.project(variables)
 
 
 def mapping_set_join(set1: Iterable[Mapping], set2: Iterable[Mapping]) -> Set[Mapping]:

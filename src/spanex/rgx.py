@@ -20,6 +20,9 @@ from .model import Document, Mapping, Marker, Span
 _METACHARS = set("|*(){}.\\")
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
+#: Deepest nesting of groups and captures accepted; the recursive parser
+#: and AST walks exhaust the stack a few hundred levels down.
+MAX_NESTING = 100
 
 
 class RegexAst:
@@ -96,6 +99,7 @@ class _Parser:
         self.text = text
         self.alphabet = alphabet
         self.i = 0
+        self.depth = 0
 
     def error(self, message: str) -> RegexSyntaxError:
         return RegexSyntaxError(message, self.i)
@@ -110,10 +114,14 @@ class _Parser:
         return node
 
     def parse_alt(self) -> RegexAst:
+        if self.depth > MAX_NESTING:
+            raise self.error(f"groups and captures nest deeper than {MAX_NESTING}")
+        self.depth += 1
         node = self.parse_concat()
         while self.peek() == "|":
             self.i += 1
             node = Alt(node, self.parse_concat())
+        self.depth -= 1
         return node
 
     def parse_concat(self) -> RegexAst:
@@ -125,10 +133,12 @@ class _Parser:
             parts.append(self.parse_repetition())
         if not parts:
             return Epsilon()
-        node = parts[0]
-        for part in parts[1:]:
-            node = Concat(node, part)
-        return node
+        # Pair neighbours up: a tree of logarithmic depth, so a long literal
+        # does not nest deeply (rgx_to_va numbers states the same either way).
+        while len(parts) > 1:
+            pairs = [Concat(left, right) for left, right in zip(parts[::2], parts[1::2])]
+            parts = pairs + parts[-1:] if len(parts) % 2 else pairs
+        return parts[0]
 
     def parse_repetition(self) -> RegexAst:
         node = self.parse_atom()

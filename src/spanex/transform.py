@@ -271,7 +271,7 @@ def va_to_det_seva_general(va: VA) -> EVA:
             finals.append((subset, markers))
         # Letter moves act on the subset componentwise.
         for symbol in va.alphabet:
-            targets = {p for q in subset for p in va.letter_successors(q, symbol)}
+            targets = {p for q in subset for label, p in va.out(q) if label == symbol}
             if not targets:
                 continue
             nxt = (frozenset(targets), markers)

@@ -169,7 +169,7 @@ def test_criterion_2_regex_fixture():
     assert rgx_eval_reference(ast, doc) == expected
 
     compiled = va_to_det_seva_general(rgx_to_va(ast, alphabet))
-    assert set(evaluate(compiled, doc, validate=False)) == expected
+    assert set(evaluate(compiled, doc)) == expected
     return "reference and engine agree"
 
 
@@ -184,7 +184,7 @@ def test_criterion_3_oracle_equivalence():
     checked = 0
 
     def engine_set(det, doc):
-        got = list(evaluate(det, doc, validate=False))
+        got = list(evaluate(det, doc))
         assert len(got) == len(set(got)), "duplicate emitted"
         return set(got)
 
@@ -280,13 +280,13 @@ def test_criterion_4_counting():
         for doc in _docs(seed):
             counted = count_det_seva(automaton, doc, validate=False)
             assert counted == count_oracle(automaton, doc)
-            assert counted == sum(1 for _ in evaluate(automaton, doc, validate=False))
+            assert counted == sum(1 for _ in evaluate(automaton, doc))
     for seed, automaton in enumerate(pool["general_va"][:60]):
         det = va_to_det_seva_general(automaton)
         for doc in _docs(seed + 10_000):
             counted = count_det_seva(det, doc, validate=False)
             assert counted == count_oracle(automaton, doc)
-            assert counted == sum(1 for _ in evaluate(det, doc, validate=False))
+            assert counted == sum(1 for _ in evaluate(det, doc))
 
     # Four nested captures on a length-30 document: the count is the
     # number of 4-chains of spans, a 26-bit integer, checked against an

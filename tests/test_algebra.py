@@ -184,7 +184,7 @@ def test_compile_single_atom_matches_functional_pipeline():
     compiled = compile_expr(Atom(va))
     direct = functional_va_to_det_seva(va)
     for doc in all_docs("a", 3):
-        assert set(evaluate(compiled, doc, validate=False)) == brute_enumerate_va(direct, doc)
+        assert set(evaluate(compiled, doc)) == brute_enumerate_va(direct, doc)
     report = classify(compiled)
     assert report.deterministic and report.sequential
 
@@ -216,7 +216,7 @@ def test_compile_expr_strategies_agree_with_semantics():
                 report = classify(compiled)
                 assert report.deterministic and report.sequential
                 for doc in random_documents(seed + 3, "ab", 4, 2):
-                    assert set(evaluate(compiled, doc, validate=False)) == _semantics(expr, doc), (
+                    assert set(evaluate(compiled, doc)) == _semantics(expr, doc), (
                         seed, strategy, doc.content,
                     )
 
@@ -254,14 +254,14 @@ def test_parse_expr_text(tmp_path):
     assert isinstance(expr, Join)
     compiled = compile_expr(expr)
     doc = Document("aa")
-    assert set(evaluate(compiled, doc, validate=False)) == {mapping(x=(1, 3), y=(1, 3))}
+    assert set(evaluate(compiled, doc)) == {mapping(x=(1, 3), y=(1, 3))}
 
 
 def test_parse_expr_project_and_union():
     expr = parse_expr('project([x], union(rgx("x{a}b", "ab"), rgx("x{ab}", "ab")))')
     assert isinstance(expr, Project)
     compiled = compile_expr(expr)
-    assert set(evaluate(compiled, Document("ab"), validate=False)) == {
+    assert set(evaluate(compiled, Document("ab"))) == {
         mapping(x=(1, 2)), mapping(x=(1, 3)),
     }
 
@@ -288,4 +288,4 @@ def test_expr_from_json():
     }
     expr = expr_from_json(obj)
     compiled = compile_expr(expr)
-    assert set(evaluate(compiled, Document("a"), validate=False)) == {mapping(x=(1, 2))}
+    assert set(evaluate(compiled, Document("a"))) == {mapping(x=(1, 2))}

@@ -206,6 +206,14 @@ def test_classification_cap():
     classify(va, variable_cap=17)
 
 
+def test_classify_report_kept_on_automaton():
+    va = VA(["q0"], "q0", ["q0"], [], ["a"], [f"v{i}" for i in range(17)])
+    report = classify(va, variable_cap=17)
+    assert classify(va, variable_cap=17) is report
+    with pytest.raises(ClassificationTooLarge):  # the cap holds for a kept report too
+        classify(va)
+
+
 def test_classify_rejects_epsilon():
     eva = EVA(["q0", "q1"], "q0", ["q1"], [("q0", EPSILON, "q1")], ["a"])
     with pytest.raises(PreconditionError):

@@ -4,7 +4,6 @@ import pytest
 from click.testing import CliRunner
 
 import spanex.automata
-import spanex.cli
 from spanex import (
     Document,
     dump_automaton,
@@ -164,14 +163,13 @@ def test_loaded_det_seva_classified_once(runner, fig4_path, monkeypatch):
     # A loaded automaton the CLI already classified deterministic and
     # sequential is not classified again by the engine; a compiled one is.
     calls = []
-    real = spanex.automata.classify
+    real = spanex.automata._classify
 
     def counting(automaton, *args, **kwargs):
         calls.append(type(automaton).__name__)
         return real(automaton, *args, **kwargs)
 
-    monkeypatch.setattr(spanex.automata, "classify", counting)
-    monkeypatch.setattr(spanex.cli, "classify", counting)
+    monkeypatch.setattr(spanex.automata, "_classify", counting)
     for command in ("count", "enumerate"):
         calls.clear()
         result = runner.invoke(main, [command, "--automaton", fig4_path, "--doc-inline", "ab"])
@@ -264,6 +262,27 @@ def test_exit_codes(runner, fig4_path, tmp_path):
         main, ["count", "--rgx", "a", "--automaton", fig4_path, "--doc-inline", "a"]
     )
     assert both.exit_code == 2
+    # A symbol outside the alphabet is reported where the kernel reads it,
+    # before any output is written.
+    out = tmp_path / "out.ndjson"
+    for argv in (["count"], ["enumerate", "--out", str(out)]):
+        bad = runner.invoke(main, argv + ["--automaton", fig4_path, "--doc-inline", "abz"])
+        assert bad.exit_code == 1
+        assert bad.stderr.startswith("error:") and "position 3" in bad.stderr
+        assert not out.exists()
+
+
+def test_long_and_deep_regexes(runner):
+    def count(pattern):
+        return runner.invoke(main, ["count", "--rgx", pattern, "--alphabet", "a",
+                                    "--doc-inline", "a"])
+
+    long = count("a" * 3000)
+    assert long.exit_code == 0
+    assert long.stdout.strip() == "0"
+    nested = count("(" * 3000 + "a" + ")" * 3000)
+    assert nested.exit_code == 2
+    assert nested.stderr.startswith("error:")
 
 
 def test_document_read_raw(runner, fig4_path, tmp_path):

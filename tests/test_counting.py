@@ -48,7 +48,7 @@ def test_count_matches_oracle_and_enumeration():
         for doc in random_documents(seed, "ab", 5, 3):
             counted = count_det_seva(eva, doc, validate=False)
             assert counted == count_oracle(eva, doc)
-            assert counted == sum(1 for _ in evaluate(eva, doc, validate=False))
+            assert counted == sum(1 for _ in evaluate(eva, doc))
 
 
 def test_count_rejects_bad_inputs():

@@ -270,7 +270,7 @@ def test_oracle_equality_random_corpus():
     for seed in range(60):
         eva = random_instance(seed, RandomProfile(kind="det_seva", states=6, variables=2))
         for doc in random_documents(seed + 7, "ab", 5, 3):
-            got = list(evaluate(eva, doc, validate=False))
+            got = list(evaluate(eva, doc))
             assert len(got) == len(set(got)), (seed, doc.content)
             assert set(got) == brute_enumerate_va(eva, doc), (seed, doc.content)
 

@@ -3,24 +3,16 @@ import itertools
 import pytest
 
 from spanex import Document, InputError, Mapping, Span
-from spanex.model import (
-    mapping_project,
-    mapping_set_join,
-    mapping_set_project,
-    mapping_union,
-    mappings_compatible,
-    serialize_mapping_set,
-    span_concat,
-)
+from spanex.model import mapping_set_join, mapping_set_project, serialize_mapping_set
 
 from helpers import mapping, span
 
 
 def test_span_concat_examples():
-    assert span_concat(span(1, 5), span(5, 7)) == span(1, 7)
-    assert span_concat(span(3, 3), span(3, 3)) == span(3, 3)
+    assert span(1, 5).concat(span(5, 7)) == span(1, 7)
+    assert span(3, 3).concat(span(3, 3)) == span(3, 3)
     with pytest.raises(InputError):
-        span_concat(span(1, 5), span(6, 7))
+        span(1, 5).concat(span(6, 7))
 
 
 def test_span_invariants():
@@ -61,25 +53,25 @@ def test_multibyte_symbols_are_single_positions():
 def test_compatibility_examples():
     m1 = mapping(x=(1, 2))
     m2 = mapping(x=(1, 2), y=(3, 4))
-    assert mappings_compatible(m1, m2)
-    assert not mappings_compatible(m1, mapping(x=(2, 3)))
-    assert mappings_compatible(Mapping(), m2)
+    assert m1.compatible(m2)
+    assert not m1.compatible(mapping(x=(2, 3)))
+    assert Mapping().compatible(m2)
 
 
 def test_union_examples():
-    assert mapping_union(mapping(x=(1, 2)), mapping(y=(3, 4))) == mapping(x=(1, 2), y=(3, 4))
+    assert mapping(x=(1, 2)).union(mapping(y=(3, 4))) == mapping(x=(1, 2), y=(3, 4))
     m = mapping(x=(1, 2), y=(3, 4))
-    assert mapping_union(Mapping(), m) == m
-    assert mapping_union(mapping(x=(1, 2)), mapping(x=(1, 2))) == mapping(x=(1, 2))
+    assert Mapping().union(m) == m
+    assert mapping(x=(1, 2)).union(mapping(x=(1, 2))) == mapping(x=(1, 2))
     with pytest.raises(InputError):
-        mapping_union(mapping(x=(1, 2)), mapping(x=(2, 3)))
+        mapping(x=(1, 2)).union(mapping(x=(2, 3)))
 
 
 def test_project_examples():
     m = mapping(x=(1, 2), y=(3, 4))
-    assert mapping_project(m, {"x"}) == mapping(x=(1, 2))
-    assert mapping_project(m, set()) == Mapping()
-    assert mapping_project(mapping(x=(1, 2)), {"y"}) == Mapping()
+    assert m.project({"x"}) == mapping(x=(1, 2))
+    assert m.project(set()) == Mapping()
+    assert mapping(x=(1, 2)).project({"y"}) == Mapping()
 
 
 def test_join_examples():
@@ -122,8 +114,8 @@ def test_project_distributes_over_union():
         if not m1.compatible(m2):
             continue
         for keep in ({"x"}, {"y"}, {"x", "y"}, set()):
-            direct = mapping_project(mapping_union(m1, m2), keep)
-            split = mapping_union(mapping_project(m1, keep), mapping_project(m2, keep))
+            direct = m1.union(m2).project(keep)
+            split = m1.project(keep).union(m2.project(keep))
             assert direct == split
 
 

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from spanex import Document, Mapping, brute_enumerate_va, rgx_eval_reference, rgx_to_va
+from spanex import (
+    Document,
+    Mapping,
+    brute_enumerate_va,
+    dump_automaton,
+    rgx_eval_reference,
+    rgx_to_va,
+)
 from spanex.errors import RegexSyntaxError
 from spanex.model import Marker
 from spanex.rgx import (
@@ -12,6 +19,7 @@ from spanex.rgx import (
     Epsilon,
     Star,
     Symbol,
+    MAX_NESTING,
     parse_rgx,
     rgx_from_json,
     rgx_literal_symbols,
@@ -50,6 +58,25 @@ def test_parse_errors():
         parse_rgx("a)", "a")
     with pytest.raises(RegexSyntaxError):
         parse_rgx("a}", "a")
+
+
+def test_nesting_limit():
+    deepest = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert parse_rgx(deepest, "a") == Symbol("a")
+    for text in ("(" + deepest + ")", "x{" + deepest + "}", "(" * 3000 + "a" + ")" * 3000):
+        with pytest.raises(RegexSyntaxError):
+            parse_rgx(text, "a")
+
+
+def test_balanced_concat_compiles_like_left_deep_chain():
+    parts = [Symbol("a"), Symbol("b"), Alt(Symbol("a"), Symbol("b")),
+             Capture("x", Symbol("a")), Symbol("b"), Star(Symbol("a"))]
+    chain = parts[0]
+    for part in parts[1:]:
+        chain = Concat(chain, part)
+    parsed = parse_rgx("ab(a|b)x{a}ba*", "ab")
+    assert parsed != chain
+    assert dump_automaton(rgx_to_va(parsed, "ab")) == dump_automaton(rgx_to_va(chain, "ab"))
 
 
 def test_variables_and_json_round_trip():
