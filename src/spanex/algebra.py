@@ -8,14 +8,16 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union as TUnion
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union as TUnion
 
 from .automata import EPSILON, EVA, VA, State, classify
 from .errors import FormatError, InputError, PreconditionError
 from .model import MarkerSet, markers_of
 from .rgx import RegexAst, infer_alphabet, parse_rgx, rgx_literal_symbols, rgx_to_va
 from .transform import (
+    _at_most_power_of_two,
     _check_bound,
+    _reachable_eva,
     determinize_eva,
     eliminate_epsilon,
     eva_to_va,
@@ -39,6 +41,14 @@ def _require_functional_eva(automaton: EVA, role: str) -> None:
         )
 
 
+def _require_same_variables(a1: EVA, a2: EVA) -> None:
+    if a1.variables != a2.variables:
+        raise InputError(
+            f"union operands must use the same variables: "
+            f"{sorted(a1.variables)} vs {sorted(a2.variables)}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Operators
 # ---------------------------------------------------------------------------
@@ -56,17 +66,8 @@ def join_eva(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
         _require_functional_eva(a2, "join operand")
     shared = markers_of(a1.variables & a2.variables)
 
-    start = (a1.initial, a2.initial)
-    seen: Set[Tuple[State, State]] = {start}
-    frontier = [start]
-    transitions: List[Tuple[State, object, State]] = []
-    finals: List[State] = []
-    while frontier:
-        state = frontier.pop()
+    def moves(state: Tuple[State, State]):
         p1, p2 = state
-        if p1 in a1.finals and p2 in a2.finals:
-            finals.append(state)
-        moves: List[Tuple[object, Tuple[State, State]]] = []
         letters2: Dict[str, List[State]] = {}
         markers2 = a2.marker_transitions(p2)
         for label, q2 in a2.out(p2):
@@ -75,24 +76,20 @@ def join_eva(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
         for label, q1 in a1.out(p1):
             if isinstance(label, str):
                 for q2 in letters2.get(label, ()):
-                    moves.append((label, (q1, q2)))
+                    yield label, (q1, q2)
             else:
                 if not label & shared:
-                    moves.append((label, (q1, p2)))
+                    yield label, (q1, p2)
                 for set2, q2 in markers2:
                     if label & shared == set2 & shared:
-                        moves.append((label | set2, (q1, q2)))
+                        yield label | set2, (q1, q2)
         for set2, q2 in markers2:
             if not set2 & shared:
-                moves.append((set2, (p1, q2)))
-        for label, target in moves:
-            transitions.append((state, label, target))
-            if target not in seen:
-                seen.add(target)
-                frontier.append(target)
+                yield set2, (p1, q2)
 
-    result = EVA(
-        seen, start, finals, transitions,
+    result = _reachable_eva(
+        (a1.initial, a2.initial), moves,
+        lambda state: state[0] in a1.finals and state[1] in a2.finals,
         a1.alphabet | a2.alphabet, a1.variables | a2.variables,
     )
     _check_bound(
@@ -108,11 +105,7 @@ def union_eva_linear(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
     if validate:
         _require_functional_eva(a1, "union operand")
         _require_functional_eva(a2, "union operand")
-    if a1.variables != a2.variables:
-        raise InputError(
-            f"union operands must use the same variables: "
-            f"{sorted(a1.variables)} vs {sorted(a2.variables)}"
-        )
+    _require_same_variables(a1, a2)
     fresh = ("u", 0)
     states = [fresh]
     transitions: List[Tuple[State, object, State]] = [
@@ -143,83 +136,45 @@ def union_eva_deterministic(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
     and branch off into a single component exactly when the other has no
     transition for the current label.  Size at most |A1| * |A2|."""
     if validate:
-        _require_functional_eva(a1, "union operand")
-        _require_functional_eva(a2, "union operand")
         for automaton in (a1, a2):
+            _require_functional_eva(automaton, "union operand")
             report = classify(automaton)
             if report.deterministic is not True:
                 raise PreconditionError(
                     f"deterministic union needs deterministic operands: "
                     f"{report.deterministic_witness}"
                 )
-    if a1.variables != a2.variables:
-        raise InputError(
-            f"union operands must use the same variables: "
-            f"{sorted(a1.variables)} vs {sorted(a2.variables)}"
-        )
+    _require_same_variables(a1, a2)
 
-    start = ("u12", a1.initial, a2.initial)
-    seen: Set[State] = {start}
-    frontier: List[State] = [start]
-    transitions: List[Tuple[State, object, State]] = []
-    finals: List[State] = []
+    def moves(state: State):
+        if state[0] != "u12":
+            tag, q = state
+            for label, p in (a1 if tag == "u1" else a2).out(q):
+                yield label, (tag, p)
+            return
+        _, p1, p2 = state
+        out1 = a1.out(p1)
+        out2 = dict(a2.out(p2))
+        for label, q1 in out1:
+            yield label, ("u12", q1, out2[label]) if label in out2 else ("u1", q1)
+        labels1 = {label for label, _ in out1}
+        for label, q2 in out2.items():
+            if label not in labels1:
+                yield label, ("u2", q2)
 
-    def push(state: State) -> None:
-        if state not in seen:
-            seen.add(state)
-            frontier.append(state)
+    def accepting(state: State) -> bool:
+        if state[0] == "u12":
+            return state[1] in a1.finals or state[2] in a2.finals
+        return state[1] in (a1 if state[0] == "u1" else a2).finals
 
-    while frontier:
-        state = frontier.pop()
-        tag = state[0]
-        if tag == "u12":
-            _, p1, p2 = state
-            if p1 in a1.finals or p2 in a2.finals:
-                finals.append(state)
-            out2 = {}
-            for label, q2 in a2.out(p2):
-                out2[_label_id(label)] = (label, q2)
-            matched = set()
-            for label, q1 in a1.out(p1):
-                key = _label_id(label)
-                if key in out2:
-                    matched.add(key)
-                    target = ("u12", q1, out2[key][1])
-                else:
-                    target = ("u1", q1)
-                transitions.append((state, label, target))
-                push(target)
-            for key, (label, q2) in out2.items():
-                if key not in matched:
-                    target = ("u2", q2)
-                    transitions.append((state, label, target))
-                    push(target)
-        else:
-            automaton = a1 if tag == "u1" else a2
-            q = state[1]
-            if q in automaton.finals:
-                finals.append(state)
-            for label, p in automaton.out(q):
-                target = (tag, p)
-                transitions.append((state, label, target))
-                push(target)
-
-    result = EVA(
-        seen, start, finals, transitions,
-        a1.alphabet | a2.alphabet, a1.variables,
-    )
+    result = _reachable_eva(("u12", a1.initial, a2.initial), moves, accepting,
+                            a1.alphabet | a2.alphabet, a1.variables)
     bound = (len(a1.states) + 1) * (len(a2.states) + 1)
     _check_bound(
         len(result.states) <= bound,
         f"deterministic union exceeded its size bound: {len(result.states)} > {bound}",
     )
     return result
-
-
-def _label_id(label) -> Tuple:
-    if isinstance(label, str):
-        return ("sym", label)
-    return ("set", frozenset(label))
 
 
 def project_eva(automaton: EVA, variables: Iterable[str], validate: bool = True) -> EVA:
@@ -298,25 +253,17 @@ def _atom_to_feva(atom: Atom) -> EVA:
     if isinstance(value, RegexAst):
         alphabet = atom.alphabet if atom.alphabet is not None else rgx_literal_symbols(value)
         value = rgx_to_va(value, alphabet)
-    if isinstance(value, VA):
-        trimmed = trim(value)
-        report = classify(trimmed)
-        if not report.functional:
-            raise PreconditionError(
-                f"algebra atoms must be functional: {report.functional_witness}"
-            )
-        return va_to_eva(trimmed)
     if isinstance(value, EVA):
-        if value.has_epsilon:
-            value = eliminate_epsilon(value)
-        trimmed = trim(value)
-        report = classify(trimmed)
-        if not report.functional:
-            raise PreconditionError(
-                f"algebra atoms must be functional: {report.functional_witness}"
-            )
-        return trimmed
-    raise TypeError(f"unsupported atom value: {value!r}")
+        value = eliminate_epsilon(value)
+    elif not isinstance(value, VA):
+        raise TypeError(f"unsupported atom value: {value!r}")
+    trimmed = trim(value)
+    report = classify(trimmed)
+    if not report.functional:
+        raise PreconditionError(
+            f"algebra atoms must be functional: {report.functional_witness}"
+        )
+    return va_to_eva(trimmed) if isinstance(trimmed, VA) else trimmed
 
 
 def compile_expr(expr: AlgebraExpr, strategy: str = "auto") -> EVA:
@@ -357,11 +304,6 @@ def compile_expr(expr: AlgebraExpr, strategy: str = "auto") -> EVA:
         if isinstance(node, Union):
             left = build(node.left, determinize_leaves)
             right = build(node.right, determinize_leaves)
-            if left.variables != right.variables:
-                raise InputError(
-                    f"union operands must use the same variables: "
-                    f"{sorted(left.variables)} vs {sorted(right.variables)}"
-                )
             if determinize_leaves:
                 return union_eva_deterministic(left, right, validate=False)
             return union_eva_linear(left, right, validate=False)
@@ -383,16 +325,16 @@ def compile_expr(expr: AlgebraExpr, strategy: str = "auto") -> EVA:
     k = len(atoms)
     n_eff = max(2, max(atom_sizes, default=1))
     if strategy == "prop8":
-        bound = 2 ** (n_eff * k)
+        exponent = n_eff * k
         _check_bound(
-            len(result.states) <= bound,
-            f"compiled automaton exceeded 2^(n*k) states: {len(result.states)} > {bound}",
+            _at_most_power_of_two(len(result.states), exponent),
+            f"compiled automaton exceeded 2^(n*k) states: {len(result.states)} > 2^{exponent}",
         )
     else:
-        bound = 2 ** (n_eff ** k)
+        exponent = n_eff ** k
         _check_bound(
-            len(result.states) <= bound,
-            f"compiled automaton exceeded 2^(n^k) states: {len(result.states)} > {bound}",
+            _at_most_power_of_two(len(result.states), exponent),
+            f"compiled automaton exceeded 2^(n^k) states: {len(result.states)} > 2^{exponent}",
         )
     return result
 

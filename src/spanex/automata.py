@@ -226,9 +226,6 @@ class EVA(_AutomatonBase):
     def marker_transitions(self, q: State) -> List[Tuple[MarkerSet, State]]:
         return [(label, p) for label, p in self.out(q) if isinstance(label, frozenset)]
 
-    def epsilon_successors(self, q: State) -> List[State]:
-        return [p for label, p in self.out(q) if label is EPSILON]
-
 
 class DetTables:
     """The transition structure of an epsilon-free EVA over dense state ids.
@@ -678,18 +675,22 @@ def _classify(automaton) -> ClassificationReport:
     deterministic: Optional[bool] = None
     det_witness = None
     if is_eva:
-        seen: Dict[Tuple[Any, Tuple], State] = {}
-        deterministic = True
-        for q, label, p in automaton.transitions:
-            key = (q, label_key(label))
-            if key in seen and seen[key] != p:
-                deterministic = False
-                det_witness = (
-                    f"state {state_name(q)} has two transitions on "
-                    f"{format_label(label)}: to {state_name(seen[key])} and {state_name(p)}"
-                )
-                break
-            seen[key] = p
+        # out(q) is sorted by label, so two transitions on one label are
+        # neighbours; scanning in state order makes the witness canonical.
+        clashes = (
+            (q, label, p1, p2)
+            for q in automaton.state_order()
+            for (label, p1), (other, p2) in zip(automaton.out(q), automaton.out(q)[1:])
+            if label == other
+        )
+        clash = next(clashes, None)
+        deterministic = clash is None
+        if clash is not None:
+            q, label, p1, p2 = clash
+            det_witness = (
+                f"state {state_name(q)} has two transitions on "
+                f"{format_label(label)}: to {state_name(p1)} and {state_name(p2)}"
+            )
 
     return ClassificationReport(
         sequential=sequential,

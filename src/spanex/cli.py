@@ -166,16 +166,14 @@ def cmd_check(rgx, automaton, expr, alphabet,
 @click.option("--doc-inline", help="document text")
 @click.option("--limit", type=int, help="stop after this many mappings")
 @click.option("--stats", is_flag=True, help="print a delay report to stderr")
-@click.option("--strategy", type=click.Choice(["auto", "prop7", "prop8"]), default="auto")
 @click.option("--out", type=click.Path(), help="write NDJSON here instead of stdout")
-def cmd_enumerate(rgx, automaton, expr, alphabet, doc, doc_inline, limit, stats,
-                  strategy, out) -> None:
+def cmd_enumerate(rgx, automaton, expr, alphabet, doc, doc_inline, limit, stats, out) -> None:
     """Stream the output mappings as NDJSON, one mapping per line."""
 
     def run() -> None:
         if limit is not None and limit < 0:
             raise FormatError("--limit must be nonnegative")
-        result, _ = compile_spanner(*_load_spanner(rgx, automaton, expr, alphabet), strategy)
+        result, _ = compile_spanner(*_load_spanner(rgx, automaton, expr, alphabet))
         state = evaluate_preprocess(result, _read_document(doc, doc_inline))
         meter = DelayMeter() if stats else None
         stream = enumerate_stream(state, counter=meter.counter if meter else None)
@@ -199,12 +197,11 @@ def cmd_enumerate(rgx, automaton, expr, alphabet, doc, doc_inline, limit, stats,
 @_with_input
 @click.option("--doc", type=click.Path(), help="document file (read raw)")
 @click.option("--doc-inline", help="document text")
-@click.option("--strategy", type=click.Choice(["auto", "prop7", "prop8"]), default="auto")
-def cmd_count(rgx, automaton, expr, alphabet, doc, doc_inline, strategy) -> None:
+def cmd_count(rgx, automaton, expr, alphabet, doc, doc_inline) -> None:
     """Print the number of output mappings."""
 
     def run() -> None:
-        result, _ = compile_spanner(*_load_spanner(rgx, automaton, expr, alphabet), strategy)
+        result, _ = compile_spanner(*_load_spanner(rgx, automaton, expr, alphabet))
         click.echo(str(count_det_seva(result, _read_document(doc, doc_inline))))
 
     _guard(run)
@@ -215,14 +212,13 @@ def cmd_count(rgx, automaton, expr, alphabet, doc, doc_inline, strategy) -> None
 @click.option("--lengths", default="10,100,1000", help="comma-separated document lengths")
 @click.option("--fill", default="a", help="symbol repeated to reach each length")
 @click.option("--suffix", default="", help="fixed document suffix")
-@click.option("--strategy", type=click.Choice(["auto", "prop7", "prop8"]), default="auto")
 @click.option("--out", type=click.Path(), help="write the CSV here instead of stdout")
-def cmd_bench(rgx, automaton, expr, alphabet, lengths, fill, suffix, strategy, out) -> None:
+def cmd_bench(rgx, automaton, expr, alphabet, lengths, fill, suffix, out) -> None:
     """Preprocess and enumerate over generated documents of increasing
     length; emit one CSV row per length with instrumented counts."""
 
     def run() -> None:
-        result, _ = compile_spanner(*_load_spanner(rgx, automaton, expr, alphabet), strategy)
+        result, _ = compile_spanner(*_load_spanner(rgx, automaton, expr, alphabet))
         try:
             sizes = [int(x) for x in lengths.split(",") if x.strip()]
         except ValueError as exc:

@@ -66,10 +66,6 @@ class Marker:
 MarkerSet = FrozenSet[Marker]
 
 
-def marker_set(markers: Iterable[Marker]) -> MarkerSet:
-    return frozenset(markers)
-
-
 def markers_of(variables: Iterable[str]) -> MarkerSet:
     out: Set[Marker] = set()
     for v in variables:
@@ -203,9 +199,6 @@ class Mapping:
 
     def __repr__(self) -> str:
         return "Mapping{" + self.canonical() + "}"
-
-
-EMPTY_MAPPING = Mapping()
 
 
 def mapping_set_join(set1: Iterable[Mapping], set2: Iterable[Mapping]) -> Set[Mapping]:

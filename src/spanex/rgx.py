@@ -11,7 +11,7 @@ so write `a(b{...})` for a symbol `a` followed by a capture named `b`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .automata import EPSILON, VA
 from .errors import FormatError, RegexSyntaxError
@@ -72,14 +72,6 @@ def rgx_variables(node: RegexAst) -> FrozenSet[str]:
     return frozenset()
 
 
-def rgx_size(node: RegexAst) -> int:
-    if isinstance(node, (Concat, Alt)):
-        return 1 + rgx_size(node.left) + rgx_size(node.right)
-    if isinstance(node, (Star, Capture)):
-        return 1 + rgx_size(node.child)
-    return 1
-
-
 def rgx_literal_symbols(node: RegexAst) -> FrozenSet[str]:
     if isinstance(node, Symbol):
         return frozenset([node.symbol])
@@ -93,6 +85,16 @@ def rgx_literal_symbols(node: RegexAst) -> FrozenSet[str]:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+def _balanced(parts: List[RegexAst], node: Callable[[RegexAst, RegexAst], RegexAst]) -> RegexAst:
+    """Join ``parts`` left to right with the binary ``node`` as a tree of
+    logarithmic depth, so long chains do not nest deeply (rgx_to_va numbers
+    states left to right, so the VA is the same for any association)."""
+    while len(parts) > 1:
+        pairs = [node(left, right) for left, right in zip(parts[::2], parts[1::2])]
+        parts = pairs + parts[-1:] if len(parts) % 2 else pairs
+    return parts[0]
+
 
 class _Parser:
     def __init__(self, text: str, alphabet: FrozenSet[str]):
@@ -117,12 +119,12 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise self.error(f"groups and captures nest deeper than {MAX_NESTING}")
         self.depth += 1
-        node = self.parse_concat()
+        alternatives = [self.parse_concat()]
         while self.peek() == "|":
             self.i += 1
-            node = Alt(node, self.parse_concat())
+            alternatives.append(self.parse_concat())
         self.depth -= 1
-        return node
+        return _balanced(alternatives, Alt)
 
     def parse_concat(self) -> RegexAst:
         parts: List[RegexAst] = []
@@ -133,28 +135,21 @@ class _Parser:
             parts.append(self.parse_repetition())
         if not parts:
             return Epsilon()
-        # Pair neighbours up: a tree of logarithmic depth, so a long literal
-        # does not nest deeply (rgx_to_va numbers states the same either way).
-        while len(parts) > 1:
-            pairs = [Concat(left, right) for left, right in zip(parts[::2], parts[1::2])]
-            parts = pairs + parts[-1:] if len(parts) % 2 else pairs
-        return parts[0]
+        return _balanced(parts, Concat)
 
     def parse_repetition(self) -> RegexAst:
         node = self.parse_atom()
+        if self.peek() != "*":
+            return node
+        # g** means g*: a run of stars is one Star.
         while self.peek() == "*":
             self.i += 1
-            node = Star(node)
-        return node
+        return Star(node)
 
     def any_symbol(self) -> RegexAst:
-        symbols = sorted(self.alphabet)
-        if not symbols:
+        if not self.alphabet:
             raise self.error("'.' needs a nonempty alphabet")
-        node: RegexAst = Symbol(symbols[0])
-        for s in symbols[1:]:
-            node = Alt(node, Symbol(s))
-        return node
+        return _balanced([Symbol(s) for s in sorted(self.alphabet)], Alt)
 
     def symbol(self, ch: str) -> RegexAst:
         if ch not in self.alphabet:

@@ -10,9 +10,9 @@ paid.  Constructed state names encode their provenance (state subsets,
 from __future__ import annotations
 
 import logging
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from .automata import EPSILON, EVA, VA, State, classify, label_key
+from .automata import EPSILON, EVA, VA, Label, State, classify, label_key
 from .errors import PreconditionError
 from .model import Marker, MarkerSet, format_marker_set
 
@@ -22,6 +22,12 @@ logger = logging.getLogger(__name__)
 def _check_bound(condition: bool, message: str) -> None:
     if not condition:
         raise AssertionError(message)
+
+
+def _at_most_power_of_two(count: int, exponent: int) -> bool:
+    """``count <= 2 ** exponent`` without building the power, which for
+    large automata has more digits than Python will print or can store."""
+    return count <= 1 or (count - 1).bit_length() <= exponent
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +64,9 @@ def variable_paths_from(va: VA, source: State) -> Dict[State, Dict[MarkerSet, Tu
 # ---------------------------------------------------------------------------
 
 def trim(automaton):
-    """Restrict to states both reachable from the initial state and able
-    to reach a final state; the initial state is always kept."""
+    """Restrict to the live states, those both reachable from the initial
+    state and able to reach a final state, and the transitions between
+    them; the initial state is always kept, isolated if it is not live."""
     forward: Set[State] = set()
     stack = [automaton.initial]
     while stack:
@@ -83,13 +90,13 @@ def trim(automaton):
         backward.add(q)
         stack.extend(incoming[q])
 
-    keep = (forward & backward) | {automaton.initial}
-    transitions = [(q, l, p) for q, l, p in automaton.transitions if q in keep and p in keep]
+    live = forward & backward
+    transitions = [(q, l, p) for q, l, p in automaton.transitions if q in live and p in live]
     cls = type(automaton)
     return cls(
-        keep,
+        live | {automaton.initial},
         automaton.initial,
-        automaton.finals & keep,
+        automaton.finals & live,
         transitions,
         automaton.alphabet,
         automaton.variables,
@@ -194,8 +201,31 @@ def eliminate_epsilon(eva: EVA) -> EVA:
 
 
 # ---------------------------------------------------------------------------
-# Determinization
+# Reachable-state builder and determinization
 # ---------------------------------------------------------------------------
+
+def _reachable_eva(start: State, moves: Callable[[State], Iterable[Tuple[Label, State]]],
+                   accepting: Callable[[State], bool], alphabet: Iterable[str],
+                   variables: Iterable[str]) -> EVA:
+    """The EVA over the states reachable from ``start``: ``moves(state)``
+    gives the ``(label, target)`` pairs of a state and ``accepting(state)``
+    whether it is final.  The worklist of every subset and product
+    construction."""
+    seen: Set[State] = {start}
+    frontier = [start]
+    transitions: List[Tuple[State, Label, State]] = []
+    finals: List[State] = []
+    while frontier:
+        state = frontier.pop()
+        if accepting(state):
+            finals.append(state)
+        for label, target in moves(state):
+            transitions.append((state, label, target))
+            if target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return EVA(seen, start, finals, transitions, alphabet, variables)
+
 
 def determinize_eva(eva: EVA) -> EVA:
     """Classical subset construction over reachable subsets.
@@ -206,26 +236,16 @@ def determinize_eva(eva: EVA) -> EVA:
     """
     if eva.has_epsilon:
         raise PreconditionError("determinize_eva requires an epsilon-free automaton")
-    start = frozenset([eva.initial])
-    seen: Set[FrozenSet[State]] = {start}
-    frontier = [start]
-    transitions: List[Tuple[State, object, State]] = []
-    finals: List[State] = []
-    while frontier:
-        subset = frontier.pop()
-        if subset & eva.finals:
-            finals.append(subset)
-        moves: Dict[object, Set[State]] = {}
+
+    def moves(subset: FrozenSet[State]):
+        targets: Dict[Label, Set[State]] = {}
         for q in subset:
             for label, p in eva.out(q):
-                moves.setdefault(label, set()).add(p)
-        for label, targets in moves.items():
-            target = frozenset(targets)
-            transitions.append((subset, label, target))
-            if target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    return EVA(seen, start, finals, transitions, eva.alphabet, eva.variables)
+                targets.setdefault(label, set()).add(p)
+        return [(label, frozenset(ps)) for label, ps in targets.items()]
+
+    return _reachable_eva(frozenset([eva.initial]), moves,
+                          lambda subset: bool(subset & eva.finals), eva.alphabet, eva.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -258,45 +278,32 @@ def va_to_det_seva_general(va: VA) -> EVA:
     """
     n = len(va.states)
     n_vars = len(va.variables)
-    start = (frozenset([va.initial]), frozenset())
-    seen_states: Set[Tuple[FrozenSet[State], MarkerSet]] = {start}
-    frontier = [start]
-    transitions: List[Tuple[State, object, State]] = []
-    finals: List[State] = []
     paths_cache: Dict[State, Dict[State, Dict[MarkerSet, Tuple[Marker, ...]]]] = {}
 
-    while frontier:
-        subset, markers = frontier.pop()
-        if (subset & va.finals) and _all_closed(markers):
-            finals.append((subset, markers))
+    def moves(state: Tuple[FrozenSet[State], MarkerSet]):
+        subset, markers = state
         # Letter moves act on the subset componentwise.
         for symbol in va.alphabet:
             targets = {p for q in subset for label, p in va.out(q) if label == symbol}
-            if not targets:
-                continue
-            nxt = (frozenset(targets), markers)
-            transitions.append(((subset, markers), symbol, nxt))
-            if nxt not in seen_states:
-                seen_states.add(nxt)
-                frontier.append(nxt)
+            if targets:
+                yield symbol, (frozenset(targets), markers)
         # Variable moves follow marker-set paths compatible with history.
-        moves: Dict[MarkerSet, Set[State]] = {}
+        steps: Dict[MarkerSet, Set[State]] = {}
         for q in subset:
             if q not in paths_cache:
                 paths_cache[q] = variable_paths_from(va, q)
             for target, by_set in paths_cache[q].items():
                 for step in by_set:
-                    moves.setdefault(step, set()).add(target)
-        for step, targets in moves.items():
-            if not _markers_compatible(markers, step):
-                continue
-            nxt = (frozenset(targets), markers | step)
-            transitions.append(((subset, markers), step, nxt))
-            if nxt not in seen_states:
-                seen_states.add(nxt)
-                frontier.append(nxt)
+                    steps.setdefault(step, set()).add(target)
+        for step, targets in steps.items():
+            if _markers_compatible(markers, step):
+                yield step, (frozenset(targets), markers | step)
 
-    result = EVA(seen_states, start, finals, transitions, va.alphabet, va.variables)
+    result = _reachable_eva(
+        (frozenset([va.initial]), frozenset()), moves,
+        lambda state: bool(state[0] & va.finals) and _all_closed(state[1]),
+        va.alphabet, va.variables,
+    )
     _check_bound(
         len(result.states) <= (2 ** n) * (3 ** n_vars),
         f"general construction exceeded 2^n*3^l states: {len(result.states)}",
@@ -328,7 +335,7 @@ def functional_va_to_det_seva(va: VA) -> EVA:
     transitions: List[Tuple[State, object, State]] = [
         (q, label, p) for q, label, p in trimmed.transitions if isinstance(label, str)
     ]
-    for source in trimmed.states:
+    for source in trimmed.state_order():
         for target, by_set in variable_paths_from(trimmed, source).items():
             if len(by_set) > 1:
                 (set1, path1), (set2, path2) = sorted(
@@ -355,12 +362,12 @@ def functional_va_to_det_seva(va: VA) -> EVA:
     result = determinize_eva(eva)
     n = len(trimmed.states)
     logger.info(
-        "functional pipeline: %d states -> %d deterministic states (bound %d)",
-        n, len(result.states), 2 ** n,
+        "functional pipeline: %d states -> %d deterministic states (bound 2^%d)",
+        n, len(result.states), n,
     )
     _check_bound(
-        len(result.states) <= 2 ** n,
-        f"functional construction exceeded 2^n states: {len(result.states)} > {2 ** n}",
+        _at_most_power_of_two(len(result.states), n),
+        f"functional construction exceeded 2^n states: {len(result.states)} > 2^{n}",
     )
     _check_bound(
         len(result.transitions) <= (2 ** n) * (n ** 2 + len(va.alphabet)),

@@ -231,6 +231,17 @@ def test_compile_expr_strategy_guards():
     compile_expr(expr, "auto")
 
 
+def test_compile_expr_bound_on_large_atoms():
+    # The prop7 bound 2^(n^k) has more than 4300 digits here.
+    word = "a" * 150
+    expr = Join(Atom(parse_rgx(word, "a"), frozenset("a")),
+                Atom(parse_rgx("x{" + word + "}", "a"), frozenset("a")))
+    for strategy in ("prop7", "prop8"):
+        assert list(evaluate(compile_expr(expr, strategy), Document(word))) == [
+            mapping(x=(1, 151))
+        ]
+
+
 def test_compile_expr_union_variable_mismatch():
     expr = Union(Atom(_whole_doc_binder("x")), Atom(_whole_doc_binder("y")))
     with pytest.raises(InputError):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -283,6 +286,57 @@ def test_long_and_deep_regexes(runner):
     nested = count("(" * 3000 + "a" + ")" * 3000)
     assert nested.exit_code == 2
     assert nested.stderr.startswith("error:")
+    alternatives = count("|".join(["a"] * 3000))
+    assert alternatives.exit_code == 0
+    assert alternatives.stdout.strip() == "1"
+    stars = count("a" + "*" * 3000)
+    assert stars.exit_code == 0
+    assert stars.stdout.strip() == "1"
+    # '.' over a large alphabet is a long alternation of its symbols.
+    symbols = "".join(chr(0x100 + i) for i in range(3000))
+    wide = runner.invoke(main, ["count", "--rgx", "x{.}", "--alphabet", symbols,
+                                "--doc-inline", symbols[1234]])
+    assert wide.exit_code == 0
+    assert wide.stdout.strip() == "1"
+
+
+def test_dead_initial_loops_count_zero(runner, tmp_path):
+    # q0 cannot reach qf; its marker loops must not be read as two
+    # variable-paths of an accepting run.
+    path = tmp_path / "dead.json"
+    path.write_text(json.dumps({
+        "alphabet": ["a"], "states": ["q0", "qf"], "initial": "q0", "finals": ["qf"],
+        "transitions": [
+            {"from": "q0", "label": {"markers": ["open:x"]}, "to": "q0"},
+            {"from": "q0", "label": {"markers": ["close:x"]}, "to": "q0"},
+        ],
+    }))
+    check = runner.invoke(main, ["check", "--automaton", str(path)])
+    assert check.exit_code == 0
+    assert "functional=True" in check.stdout
+    result = runner.invoke(main, ["count", "--automaton", str(path), "--doc-inline", "a"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.strip() == "0"
+
+
+def test_check_witness_independent_of_hash_seed(tmp_path):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({
+        "kind": "eva", "alphabet": ["a"], "states": ["q0", "q1", "q2", "q3", "q4"],
+        "initial": "q0", "finals": ["q1", "q2", "q3", "q4"],
+        "transitions": [{"from": "q0", "label": {"symbol": "a"}, "to": f"q{i}"}
+                        for i in range(1, 5)],
+    }))
+    src = os.path.dirname(os.path.dirname(spanex.__file__))
+    outputs = []
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "spanex.cli", "check", "--automaton", str(path)],
+                             env=env, capture_output=True, text=True, check=True, timeout=60)
+        outputs.append(run.stdout)
+    assert "to q1 and q2" in outputs[0]
+    assert len(set(outputs)) == 1
 
 
 def test_document_read_raw(runner, fig4_path, tmp_path):

@@ -1,0 +1,68 @@
+"""Property tests over random functional regex atoms: the compiled
+det-seVA agrees with the reference semantics, counting agrees with
+enumeration, and both expression strategies agree on joins and unions."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spanex import Document, classify, compile_expr, compile_spanner, count_det_seva, evaluate
+from spanex.algebra import Atom, Join, Union
+from spanex.rgx import Alt, Capture, Concat, Star, Symbol, rgx_eval_reference, rgx_to_va
+
+ALPHABET = frozenset("ab")
+
+PLAIN = st.recursive(
+    st.sampled_from([Symbol("a"), Symbol("b")]),
+    lambda inner: st.one_of(
+        st.builds(Concat, inner, inner), st.builds(Alt, inner, inner), st.builds(Star, inner)
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def atoms(draw, variables, depth=3):
+    """A regex that binds each of ``variables`` exactly once on every
+    accepting path: captures never sit under a star, and both sides of an
+    alternation bind the same variables."""
+    if not variables:
+        return draw(PLAIN)
+    kind = draw(st.sampled_from(("capture", "concat", "alt") if depth else ("capture",)))
+    if kind == "capture":
+        return Capture(variables[0], draw(atoms(variables[1:], depth - 1)))
+    if kind == "concat":
+        cut = draw(st.integers(0, len(variables)))
+        return Concat(draw(atoms(variables[:cut], depth - 1)),
+                      draw(atoms(variables[cut:], depth - 1)))
+    return Alt(draw(atoms(variables, depth - 1)), draw(atoms(variables, depth - 1)))
+
+
+VARIABLES = st.sampled_from([(), ("x",), ("x", "y"), ("y", "x")])
+DOCUMENTS = st.lists(st.text(alphabet="ab", max_size=4), min_size=1, max_size=3)
+
+
+def _outputs(automaton, text):
+    return list(evaluate(automaton, Document(text)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(VARIABLES.flatmap(atoms), DOCUMENTS)
+def test_compiled_atom_matches_reference_and_count(ast, texts):
+    assert classify(rgx_to_va(ast, ALPHABET)).functional
+    det, _ = compile_spanner(ast, ALPHABET)
+    for text in texts:
+        outputs = _outputs(det, text)
+        assert set(outputs) == rgx_eval_reference(ast, Document(text))
+        assert len(set(outputs)) == len(outputs)
+        assert count_det_seva(det, Document(text)) == len(outputs)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(VARIABLES.flatmap(lambda vs: st.tuples(atoms(vs), atoms(vs))),
+       st.sampled_from([(), ("y",), ("z",)]).flatmap(atoms), DOCUMENTS)
+def test_strategies_agree_on_join_and_union(pair, other, texts):
+    left, right = (Atom(ast, ALPHABET) for ast in pair)
+    for expr in (Union(left, right), Join(left, Atom(other, ALPHABET))):
+        prop7, prop8 = compile_expr(expr, "prop7"), compile_expr(expr, "prop8")
+        for text in texts:
+            assert set(_outputs(prop7, text)) == set(_outputs(prop8, text))

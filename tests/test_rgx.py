@@ -77,6 +77,12 @@ def test_balanced_concat_compiles_like_left_deep_chain():
     parsed = parse_rgx("ab(a|b)x{a}ba*", "ab")
     assert parsed != chain
     assert dump_automaton(rgx_to_va(parsed, "ab")) == dump_automaton(rgx_to_va(chain, "ab"))
+    alternation = parts[0]
+    for part in parts[1:]:
+        alternation = Alt(alternation, part)
+    parsed = parse_rgx("a|b|(a|b)|x{a}|b|a*", "ab")
+    assert parsed != alternation
+    assert dump_automaton(rgx_to_va(parsed, "ab")) == dump_automaton(rgx_to_va(alternation, "ab"))
 
 
 def test_variables_and_json_round_trip():
