@@ -95,7 +95,7 @@ class _AutomatonBase:
     """Shared structure of VA and EVA; immutable after construction."""
 
     __slots__ = ("alphabet", "states", "initial", "finals", "transitions",
-                 "variables", "_out", "_size", "_report")
+                 "variables", "_order", "_out", "_size", "_report")
 
     def __init__(
         self,
@@ -122,11 +122,19 @@ class _AutomatonBase:
                     f"markers reference undeclared variables: {sorted(missing)}"
                 )
         self._validate()
-        out: Dict[State, List[Tuple[Label, State]]] = {q: [] for q in self.states}
+        # The one canon_key sort: out(q), state_order() and the JSON dump
+        # all reuse this order.
+        order = sorted(self.states, key=canon_key)
+        rank = {q: i for i, q in enumerate(order)}
+        out: Dict[State, List[Tuple[Label, State]]] = {q: [] for q in order}
+        label_keys: Dict[Label, Tuple] = {}
         for q, label, p in self.transitions:
             out[q].append((label, p))
-        for q in out:
-            out[q].sort(key=lambda t: (label_key(t[0]), canon_key(t[1])))
+            if label not in label_keys:
+                label_keys[label] = label_key(label)
+        for moves in out.values():
+            moves.sort(key=lambda t: (label_keys[t[0]], rank[t[1]]))
+        self._order = order
         self._out = out
         self._size = len(self.states) + len(self.transitions)
         self._report: Optional[ClassificationReport] = None
@@ -161,10 +169,13 @@ class _AutomatonBase:
         return self._size
 
     def out(self, q: State) -> List[Tuple[Label, State]]:
+        """Transitions leaving ``q``, sorted by label, then by target in
+        state order."""
         return self._out[q]
 
     def state_order(self) -> List[State]:
-        return sorted(self.states, key=canon_key)
+        """The states sorted by ``canon_key``, as a fresh list."""
+        return list(self._order)
 
     def __repr__(self) -> str:
         return (
@@ -344,15 +355,16 @@ def load_automaton(data: Dict[str, Any]):
 
 
 def dump_automaton(automaton: _AutomatonBase) -> Dict[str, Any]:
+    order = automaton.state_order()
     names = {q: state_name(q) for q in automaton.states}
     if len(set(names.values())) != len(names):
-        names = {q: f"s{i}" for i, q in enumerate(automaton.state_order())}
+        names = {q: f"s{i}" for i, q in enumerate(order)}
+    # out(q) is sorted by (label, target in state order), so walking the
+    # states in order lists the transitions by (source, label, target).
     transitions = [
         {"from": names[q], "label": _label_to_json(label), "to": names[p]}
-        for q, label, p in sorted(
-            automaton.transitions,
-            key=lambda t: (canon_key(t[0]), label_key(t[1]), canon_key(t[2])),
-        )
+        for q in order
+        for label, p in automaton.out(q)
     ]
     return {
         "kind": "eva" if isinstance(automaton, EVA) else "va",

@@ -96,12 +96,25 @@ def _balanced(parts: List[RegexAst], node: Callable[[RegexAst, RegexAst], RegexA
     return parts[0]
 
 
+def _ident_run_end(text: str, i: int) -> int:
+    """End of the run of identifier characters that starts at ``i``.
+
+    Every position inside one run has the same end, so callers scan a run
+    once and reuse the end while they are inside it; rescanning at each
+    character makes a long literal quadratic."""
+    j = i + 1
+    while j < len(text) and text[j] in _IDENT_CONT:
+        j += 1
+    return j
+
+
 class _Parser:
     def __init__(self, text: str, alphabet: FrozenSet[str]):
         self.text = text
         self.alphabet = alphabet
         self.i = 0
         self.depth = 0
+        self.run_end = 0
 
     def error(self, message: str) -> RegexSyntaxError:
         return RegexSyntaxError(message, self.i)
@@ -178,9 +191,9 @@ class _Parser:
         if c in "*|){}":
             raise self.error(f"unexpected {c!r}")
         if c in _IDENT_START:
-            j = self.i + 1
-            while j < len(self.text) and self.text[j] in _IDENT_CONT:
-                j += 1
+            if self.i >= self.run_end:
+                self.run_end = _ident_run_end(self.text, self.i)
+            j = self.run_end
             if j < len(self.text) and self.text[j] == "{":
                 var = self.text[self.i : j]
                 self.i = j + 1
@@ -203,7 +216,7 @@ def infer_alphabet(text: str) -> FrozenSet[str]:
     characters count, capture-variable names and metacharacters do not.
     The default when no alphabet is declared."""
     out = set()
-    i = 0
+    i = run_end = 0
     while i < len(text):
         c = text[i]
         if c == "\\" and i + 1 < len(text):
@@ -211,11 +224,10 @@ def infer_alphabet(text: str) -> FrozenSet[str]:
             i += 2
             continue
         if c in _IDENT_START:
-            j = i + 1
-            while j < len(text) and text[j] in _IDENT_CONT:
-                j += 1
-            if j < len(text) and text[j] == "{":
-                i = j + 1
+            if i >= run_end:
+                run_end = _ident_run_end(text, i)
+            if run_end < len(text) and text[run_end] == "{":
+                i = run_end + 1
                 continue
         if c not in _METACHARS:
             out.add(c)

@@ -1,5 +1,6 @@
 import pytest
 
+import spanex.automata
 from spanex import (
     Document,
     EVA,
@@ -8,11 +9,16 @@ from spanex import (
     brute_enumerate_va,
     classify,
     dump_automaton,
+    functional_va_to_det_seva,
     load_automaton,
+    parse_rgx,
+    rgx_to_va,
 )
-from spanex.automata import EPSILON
+from spanex.algebra import join_eva
+from spanex.automata import EPSILON, _label_to_json, canon_key, label_key, state_name
 from spanex.errors import ClassificationTooLarge, FormatError, PreconditionError
 from spanex.fixtures import gen_fig3_va, gen_fig4_automaton
+from spanex.transform import determinize_eva, eva_to_va, va_to_eva
 
 from helpers import canon, close_m, mapping, mset, open_m
 
@@ -218,3 +224,54 @@ def test_classify_rejects_epsilon():
     eva = EVA(["q0", "q1"], "q0", ["q1"], [("q0", EPSILON, "q1")], ["a"])
     with pytest.raises(PreconditionError):
         classify(eva)
+
+
+def _structured_automata():
+    ab = frozenset("ab")
+
+    def va(pattern):
+        return rgx_to_va(parse_rgx(pattern, ab), ab)
+
+    subsets = determinize_eva(va_to_eva(va(".*x{a*}b.*")))
+    pairs = join_eva(functional_va_to_det_seva(va(".*x{a.*}")),
+                     functional_va_to_det_seva(va("y{.*b}.*")))
+    chains = eva_to_va(functional_va_to_det_seva(va("x{y{a}}b*")))
+    # 0 and "0" print alike, so the dump falls back to s0, s1, ...
+    clashing = VA([0, "0", "1"], 0, ["1"],
+                  [(0, "a", "0"), (0, "a", "1"), ("0", open_m("x"), "1"),
+                   ("0", close_m("x"), 0), ("1", "b", 0)], ["a", "b"])
+    return {"subsets": subsets, "pairs": pairs, "chains": chains, "clashing": clashing}
+
+
+@pytest.mark.parametrize("name", ["subsets", "pairs", "chains", "clashing"])
+def test_canonical_order_kept_from_construction(name, monkeypatch):
+    automaton = _structured_automata()[name]
+    order = sorted(automaton.states, key=canon_key)
+    assert automaton.state_order() == order
+    for q in automaton.states:
+        moves = automaton.out(q)
+        assert moves == sorted(moves, key=lambda t: (label_key(t[0]), canon_key(t[1])))
+
+    names = {q: state_name(q) for q in automaton.states}
+    if len(set(names.values())) != len(names):
+        names = {q: f"s{i}" for i, q in enumerate(order)}
+    assert (name == "clashing") == (names[order[0]] == "s0")
+    expected = [
+        {"from": names[q], "label": _label_to_json(label), "to": names[p]}
+        for q, label, p in sorted(
+            automaton.transitions,
+            key=lambda t: (canon_key(t[0]), label_key(t[1]), canon_key(t[2])),
+        )
+    ]
+
+    # After construction nothing recomputes the order.
+    calls = []
+    monkeypatch.setattr(spanex.automata, "canon_key", lambda obj: calls.append(obj))
+    assert dump_automaton(automaton)["transitions"] == expected
+    returned = automaton.state_order()
+    returned.reverse()
+    assert automaton.state_order() == order
+    if isinstance(automaton, EVA):
+        assert automaton.tables().states == order
+    classify(automaton)
+    assert calls == []

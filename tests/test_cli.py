@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -298,6 +299,17 @@ def test_long_and_deep_regexes(runner):
                                 "--doc-inline", symbols[1234]])
     assert wide.exit_code == 0
     assert wide.stdout.strip() == "1"
+
+
+def test_long_literal_scans_in_linear_time(runner):
+    # Without --alphabet both infer_alphabet and the parser scan the
+    # identifier run; rescanning it per character took about a minute.
+    started = time.perf_counter()
+    result = runner.invoke(main, ["count", "--rgx", "a" * 20000, "--doc-inline", "a"])
+    elapsed = time.perf_counter() - started
+    assert result.exit_code == 0, result.output
+    assert result.stdout.strip() == "0"
+    assert elapsed < 15.0
 
 
 def test_dead_initial_loops_count_zero(runner, tmp_path):

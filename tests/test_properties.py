@@ -1,11 +1,24 @@
 """Property tests over random functional regex atoms: the compiled
-det-seVA agrees with the reference semantics, counting agrees with
-enumeration, and both expression strategies agree on joins and unions."""
+det-seVA agrees with the reference semantics and the brute-force run
+search, counting agrees with enumeration, the JSON format keeps the
+semantics, and both expression strategies agree on joins and unions."""
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanex import Document, classify, compile_expr, compile_spanner, count_det_seva, evaluate
+from spanex import (
+    Document,
+    brute_enumerate_va,
+    classify,
+    compile_expr,
+    compile_spanner,
+    count_det_seva,
+    dump_automaton,
+    evaluate,
+    load_automaton,
+)
 from spanex.algebra import Atom, Join, Union
 from spanex.rgx import Alt, Capture, Concat, Star, Symbol, rgx_eval_reference, rgx_to_va
 
@@ -55,6 +68,38 @@ def test_compiled_atom_matches_reference_and_count(ast, texts):
         assert set(outputs) == rgx_eval_reference(ast, Document(text))
         assert len(set(outputs)) == len(outputs)
         assert count_det_seva(det, Document(text)) == len(outputs)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(VARIABLES.flatmap(atoms), DOCUMENTS)
+def test_compiled_atom_matches_brute_va_oracle(ast, texts):
+    va = rgx_to_va(ast, ALPHABET)
+    det, _ = compile_spanner(ast, ALPHABET)
+    for text in texts:
+        assert set(_outputs(det, text)) == brute_enumerate_va(va, Document(text))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(VARIABLES.flatmap(atoms), DOCUMENTS)
+def test_json_round_trip_keeps_semantics(ast, texts):
+    det, _ = compile_spanner(ast, ALPHABET)
+    data = dump_automaton(det)
+    loaded = load_automaton(data)
+    again = dump_automaton(loaded)
+    # The dump lists transitions in the canonical order of the compiled
+    # subset states; loaded, the same states are strings and sort by name
+    # ("{q10}" before "{q1}"), so only the order of that list may change.
+    assert _unordered(again) == _unordered(data)
+    assert dump_automaton(load_automaton(again)) == again
+    for text in texts:
+        outputs = set(_outputs(det, text))
+        assert set(_outputs(loaded, text)) == outputs
+        assert count_det_seva(loaded, Document(text)) == len(outputs)
+
+
+def _unordered(data):
+    return {**data, "transitions": sorted(json.dumps(t, sort_keys=True)
+                                          for t in data["transitions"])}
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
