@@ -12,7 +12,6 @@ from .algebra import (
     Union,
     compile_expr,
     compile_spanner,
-    expr_from_json,
     join_eva,
     parse_expr,
     project_eva,
@@ -56,11 +55,12 @@ from .model import (
     Span,
     mapping_set_join,
 )
-from .rgx import RegexAst, parse_rgx, rgx_eval_reference, rgx_from_json, rgx_to_json, rgx_to_va
+from .rgx import RegexAst, parse_rgx, rgx_eval_reference, rgx_to_va
 from .transform import (
     determinize_eva,
     eliminate_epsilon,
     eva_to_va,
+    functional_eva,
     functional_va_to_det_seva,
     trim,
     va_to_det_seva_general,

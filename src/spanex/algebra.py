@@ -10,8 +10,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union as TUnion
 
-from .automata import EPSILON, EVA, VA, State, classify
-from .errors import FormatError, InputError, PreconditionError
+from .automata import EPSILON, EVA, VA, State, classify, require_det_seva, require_functional
+from .errors import FormatError, InputError
 from .model import MarkerSet, markers_of
 from .rgx import RegexAst, infer_alphabet, parse_rgx, rgx_literal_symbols, rgx_to_va
 from .transform import (
@@ -21,24 +21,12 @@ from .transform import (
     determinize_eva,
     eliminate_epsilon,
     eva_to_va,
+    functional_eva,
     functional_va_to_det_seva,
-    trim,
     va_to_det_seva_general,
-    va_to_eva,
 )
 
 logger = logging.getLogger(__name__)
-
-
-def _require_functional_eva(automaton: EVA, role: str) -> None:
-    if automaton.has_epsilon:
-        raise PreconditionError(f"{role} must be epsilon-free")
-    report = classify(automaton)
-    if not report.functional:
-        raise PreconditionError(
-            f"{role} must be functional: {report.functional_witness}",
-            witness=report.functional_witness,
-        )
 
 
 def _require_same_variables(a1: EVA, a2: EVA) -> None:
@@ -62,8 +50,8 @@ def join_eva(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
     the state count is at most |Q1| * |Q2|.
     """
     if validate:
-        _require_functional_eva(a1, "join operand")
-        _require_functional_eva(a2, "join operand")
+        require_functional(a1, "join operand must be functional")
+        require_functional(a2, "join operand must be functional")
     shared = markers_of(a1.variables & a2.variables)
 
     def moves(state: Tuple[State, State]):
@@ -103,8 +91,8 @@ def union_eva_linear(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
     """Disjoint union behind a fresh initial state with epsilon edges,
     then epsilon elimination.  Linear size; need not be deterministic."""
     if validate:
-        _require_functional_eva(a1, "union operand")
-        _require_functional_eva(a2, "union operand")
+        require_functional(a1, "union operand must be functional")
+        require_functional(a2, "union operand must be functional")
     _require_same_variables(a1, a2)
     fresh = ("u", 0)
     states = [fresh]
@@ -137,13 +125,8 @@ def union_eva_deterministic(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
     transition for the current label.  Size at most |A1| * |A2|."""
     if validate:
         for automaton in (a1, a2):
-            _require_functional_eva(automaton, "union operand")
-            report = classify(automaton)
-            if report.deterministic is not True:
-                raise PreconditionError(
-                    f"deterministic union needs deterministic operands: "
-                    f"{report.deterministic_witness}"
-                )
+            require_functional(automaton, "union operand must be functional")
+            require_det_seva(automaton)
     _require_same_variables(a1, a2)
 
     def moves(state: State):
@@ -181,7 +164,7 @@ def project_eva(automaton: EVA, variables: Iterable[str], validate: bool = True)
     """Strip markers of variables outside the projection set; transitions
     whose set empties become epsilon edges, which are then eliminated."""
     if validate:
-        _require_functional_eva(automaton, "projection operand")
+        require_functional(automaton, "projection operand must be functional")
     keep = frozenset(variables)
     dropped: MarkerSet = markers_of(automaton.variables - keep)
     transitions: List[Tuple[State, object, State]] = []
@@ -253,17 +236,11 @@ def _atom_to_feva(atom: Atom) -> EVA:
     if isinstance(value, RegexAst):
         alphabet = atom.alphabet if atom.alphabet is not None else rgx_literal_symbols(value)
         value = rgx_to_va(value, alphabet)
-    if isinstance(value, EVA):
+    elif isinstance(value, EVA):
         value = eliminate_epsilon(value)
     elif not isinstance(value, VA):
         raise TypeError(f"unsupported atom value: {value!r}")
-    trimmed = trim(value)
-    report = classify(trimmed)
-    if not report.functional:
-        raise PreconditionError(
-            f"algebra atoms must be functional: {report.functional_witness}"
-        )
-    return va_to_eva(trimmed) if isinstance(trimmed, VA) else trimmed
+    return functional_eva(value, "algebra atoms must be functional")
 
 
 def compile_expr(expr: AlgebraExpr, strategy: str = "auto") -> EVA:
@@ -387,7 +364,7 @@ def compile_spanner(spanner: TUnion[RegexAst, VA, EVA, AlgebraExpr],
 
 
 # ---------------------------------------------------------------------------
-# Expression text and JSON forms
+# Expression text
 # ---------------------------------------------------------------------------
 
 AtomLoader = Callable[[str], TUnion[VA, EVA]]
@@ -512,44 +489,3 @@ def parse_expr(
     `atom(file.json)`, `rgx("...")` expression text."""
     alphabet = frozenset(default_alphabet) if default_alphabet is not None else None
     return _ExprParser(text, atom_loader, alphabet).parse()
-
-
-def expr_from_json(
-    obj: Dict,
-    atom_loader: Optional[AtomLoader] = None,
-    default_alphabet: Optional[Iterable[str]] = None,
-) -> AlgebraExpr:
-    from .automata import load_automaton
-
-    try:
-        op = obj["op"]
-        if op == "join":
-            return Join(
-                expr_from_json(obj["left"], atom_loader, default_alphabet),
-                expr_from_json(obj["right"], atom_loader, default_alphabet),
-            )
-        if op == "union":
-            return Union(
-                expr_from_json(obj["left"], atom_loader, default_alphabet),
-                expr_from_json(obj["right"], atom_loader, default_alphabet),
-            )
-        if op == "project":
-            return Project(
-                frozenset(obj["vars"]),
-                expr_from_json(obj["child"], atom_loader, default_alphabet),
-            )
-        if op == "atom":
-            if "automaton" in obj:
-                return Atom(load_automaton(obj["automaton"]))
-            if atom_loader is None:
-                raise FormatError("no atom loader supplied for atom path")
-            return Atom(atom_loader(obj["path"]))
-        if op == "rgx":
-            alphabet = obj.get("alphabet", default_alphabet)
-            if alphabet is None:
-                alphabet = infer_alphabet(obj["pattern"])
-            ast = parse_rgx(obj["pattern"], frozenset(alphabet))
-            return Atom(ast, frozenset(alphabet))
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad expression JSON: {exc}") from exc
-    raise FormatError(f"unknown expression op {op!r}")

@@ -275,9 +275,9 @@ class DetTables:
 # ---------------------------------------------------------------------------
 
 def _marker_from_string(text: str) -> Marker:
-    if text.startswith("open:"):
+    if isinstance(text, str) and text.startswith("open:"):
         return Marker.open(text[5:])
-    if text.startswith("close:"):
+    if isinstance(text, str) and text.startswith("close:"):
         return Marker.close(text[6:])
     raise FormatError(f"bad marker {text!r}; expected 'open:<var>' or 'close:<var>'")
 
@@ -288,6 +288,8 @@ def _label_from_json(obj: Any) -> Label:
     if obj.get("epsilon"):
         return EPSILON
     if "symbol" in obj:
+        if not isinstance(obj["symbol"], str):
+            raise FormatError(f"transition symbol must be a string, got {obj['symbol']!r}")
         return obj["symbol"]
     if "markers" in obj:
         markers = [_marker_from_string(m) for m in obj["markers"]]
@@ -309,6 +311,20 @@ def _label_to_json(label: Label) -> Dict[str, Any]:
     return {"markers": [str(m) for m in sorted(label, key=Marker.sort_key)]}
 
 
+def _state_from_json(value: Any, field: str) -> State:
+    # JSON arrays and objects are unhashable, so they cannot name a state.
+    if isinstance(value, (list, dict)):
+        raise FormatError(f"{field} must be a state name, got {value!r}")
+    return value
+
+
+def _strings_from_json(values: List[Any], field: str) -> List[str]:
+    for value in values:
+        if not isinstance(value, str):
+            raise FormatError(f"{field} must hold strings, got {value!r}")
+    return values
+
+
 def load_automaton(data: Dict[str, Any]):
     """Build a VA or EVA from the JSON object format.
 
@@ -318,21 +334,26 @@ def load_automaton(data: Dict[str, Any]):
     sets or epsilons force an EVA.
     """
     try:
-        alphabet = list(data["alphabet"])
-        states = list(data["states"])
-        initial = data["initial"]
-        finals = list(data["finals"])
-        raw_transitions = data["transitions"]
+        alphabet = _strings_from_json(list(data["alphabet"]), "alphabet")
+        states = [_state_from_json(q, "states entry") for q in data["states"]]
+        initial = _state_from_json(data["initial"], "initial")
+        finals = [_state_from_json(q, "finals entry") for q in data["finals"]]
+        raw_transitions = list(data["transitions"])
     except (KeyError, TypeError) as exc:
         raise FormatError(f"automaton object is missing field: {exc}") from exc
     variables = data.get("variables")
+    if variables is not None:
+        if not isinstance(variables, list):
+            raise FormatError(f"variables must be a list, got {variables!r}")
+        _strings_from_json(variables, "variables")
 
     labels: List[Tuple[str, Label, str]] = []
     needs_eva = False
     for t in raw_transitions:
         try:
             label = _label_from_json(t["label"])
-            labels.append((t["from"], label, t["to"]))
+            labels.append((_state_from_json(t["from"], "transition source"), label,
+                           _state_from_json(t["to"], "transition target")))
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad transition entry {t!r}") from exc
         if label is EPSILON or (isinstance(label, frozenset) and len(label) > 1):
@@ -712,6 +733,17 @@ def _classify(automaton) -> ClassificationReport:
         functional_witness=fun_witness,
         deterministic_witness=det_witness,
     )
+
+
+def require_functional(automaton, message: str) -> None:
+    """Precondition guard of the functional constructions: raise
+    ``PreconditionError("<message>: <witness>")`` unless functional."""
+    report = classify(automaton)
+    if not report.functional:
+        raise PreconditionError(
+            f"{message}: {report.functional_witness}",
+            witness=report.functional_witness,
+        )
 
 
 def require_det_seva(automaton: EVA, variable_cap: int = DEFAULT_VARIABLE_CAP) -> None:

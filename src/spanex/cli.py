@@ -1,4 +1,4 @@
-"""Command line surface: compile, check, enumerate, count, bench.
+"""Command line surface: compile, check, enumerate, count.
 
 Exit codes: 0 success, 1 semantic error (classification, alphabet or
 variable mismatch), 2 I/O or parse error.  Documents are read as raw
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-import time
 from itertools import islice
 from typing import List, Optional
 
@@ -18,9 +17,8 @@ import click
 from .algebra import AlgebraExpr, Stage, compile_spanner, parse_expr
 from .automata import classify, dump_automaton, load_automaton
 from .counting import count_det_seva
-from .engine import DelayMeter, enumerate_stream, evaluate_preprocess, measure_delay
+from .engine import DelayMeter, enumerate_stream, evaluate_preprocess
 from .errors import FormatError, SpanexError
-from .instrument import OpCounter
 from .model import Document
 from .rgx import RegexAst, infer_alphabet, parse_rgx, rgx_to_va
 
@@ -33,9 +31,7 @@ def _fail(code: int, message: str) -> None:
 def _guard(fn):
     try:
         fn()
-    except FormatError as exc:
-        _fail(2, str(exc))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (FormatError, OSError) as exc:
         _fail(2, str(exc))
     except SpanexError as exc:
         _fail(1, str(exc))
@@ -51,7 +47,11 @@ def _read_text(path: str) -> str:
 
 
 def _load_json(path: str):
-    return json.loads(_read_text(path))
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, a huge int, deep nesting
+        raise FormatError(str(exc)) from exc
 
 
 def _load_spanner(rgx: Optional[str], automaton: Optional[str], expr: Optional[str],
@@ -203,48 +203,6 @@ def cmd_count(rgx, automaton, expr, alphabet, doc, doc_inline) -> None:
     def run() -> None:
         result, _ = compile_spanner(*_load_spanner(rgx, automaton, expr, alphabet))
         click.echo(str(count_det_seva(result, _read_document(doc, doc_inline))))
-
-    _guard(run)
-
-
-@main.command("bench")
-@_with_input
-@click.option("--lengths", default="10,100,1000", help="comma-separated document lengths")
-@click.option("--fill", default="a", help="symbol repeated to reach each length")
-@click.option("--suffix", default="", help="fixed document suffix")
-@click.option("--out", type=click.Path(), help="write the CSV here instead of stdout")
-def cmd_bench(rgx, automaton, expr, alphabet, lengths, fill, suffix, out) -> None:
-    """Preprocess and enumerate over generated documents of increasing
-    length; emit one CSV row per length with instrumented counts."""
-
-    def run() -> None:
-        result, _ = compile_spanner(*_load_spanner(rgx, automaton, expr, alphabet))
-        try:
-            sizes = [int(x) for x in lengths.split(",") if x.strip()]
-        except ValueError as exc:
-            raise FormatError(f"bad --lengths: {exc}") from exc
-        rows = ["length,preprocess_ops,preprocess_seconds,outputs,max_inter_output_work"]
-        for n in [0] + sizes:
-            if n >= len(suffix):
-                text = fill * (n - len(suffix)) + suffix
-            else:
-                text = fill * n
-            document = Document(text)
-            counter = OpCounter()
-            started = time.perf_counter()
-            state = evaluate_preprocess(result, document, validate=False, counter=counter)
-            elapsed = time.perf_counter() - started
-            report = measure_delay(state)
-            rows.append(
-                f"{n},{counter.preprocess},{elapsed:.6f},"
-                f"{report.outputs},{report.max_inter_output_work}"
-            )
-        payload = "\n".join(rows) + "\n"
-        if out:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-        else:
-            click.echo(payload, nl=False)
 
     _guard(run)
 

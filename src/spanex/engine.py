@@ -11,7 +11,7 @@ two outputs bounded by the automaton alone.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .automata import EVA, DetTables, State, require_det_seva
 from .errors import PreconditionError
@@ -327,7 +327,6 @@ class _ListCursor:
 
 def enumerate_raw(
     state: EvaluationState,
-    finals: Optional[Set[State]] = None,
     counter: Optional[OpCounter] = None,
 ) -> Iterator[Tuple[Tuple[MarkerSet, int], ...]]:
     """Depth-first traversal of the DAG, yielding (S, i) event sequences
@@ -338,12 +337,7 @@ def enumerate_raw(
     emission order is deterministic.
     """
     counter = counter if counter is not None else state.counter
-    tables = state.tables
-    if finals is None:
-        final_ids = tables.finals
-    else:
-        final_ids = sorted(tables.index[q] for q in finals)
-    for q in final_ids:
+    for q in state.tables.finals:
         nodelist = state.lists_by_id[q]
         counter.enum_work += 1
         if nodelist is None:
@@ -371,11 +365,10 @@ def enumerate_raw(
 
 def enumerate_stream(
     state: EvaluationState,
-    finals: Optional[Set[State]] = None,
     counter: Optional[OpCounter] = None,
 ) -> Iterator[Mapping]:
     """All mappings of the evaluated automaton, each exactly once."""
-    for events in enumerate_raw(state, finals, counter):
+    for events in enumerate_raw(state, counter):
         yield _mapping_from_events(events)
 
 
@@ -412,13 +405,10 @@ class DelayMeter:
         )
 
 
-def measure_delay(
-    state: EvaluationState,
-    finals: Optional[Set[State]] = None,
-) -> DelayReport:
+def measure_delay(state: EvaluationState) -> DelayReport:
     """Instrumented enumeration: maximum work between consecutive
     outputs, including before the first and after the last."""
     meter = DelayMeter()
-    for _ in enumerate_raw(state, finals, meter.counter):
+    for _ in enumerate_raw(state, meter.counter):
         meter.tick()
     return meter.report(state.counter.preprocess)

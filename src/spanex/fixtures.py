@@ -1,5 +1,5 @@
 """Reference automata, hardness witnesses and seeded random instance
-generators shared by the test suites and the bench command.
+generators for the test suites.
 """
 
 from __future__ import annotations
@@ -437,7 +437,7 @@ def random_documents(seed: int, alphabet: Sequence[str], max_length: int, count:
 
 
 # ---------------------------------------------------------------------------
-# Scaling family for the linearity benches
+# Scaling family for the linearity tests
 # ---------------------------------------------------------------------------
 
 def gen_growing_family(width: int) -> EVA:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .automata import EPSILON, VA
-from .errors import FormatError, RegexSyntaxError
+from .errors import RegexSyntaxError
 from .model import Document, Mapping, Marker, Span
 
 _METACHARS = set("|*(){}.\\")
@@ -233,46 +233,6 @@ def infer_alphabet(text: str) -> FrozenSet[str]:
             out.add(c)
         i += 1
     return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip (test fixtures)
-# ---------------------------------------------------------------------------
-
-def rgx_to_json(node: RegexAst) -> Dict:
-    if isinstance(node, Epsilon):
-        return {"kind": "epsilon"}
-    if isinstance(node, Symbol):
-        return {"kind": "symbol", "symbol": node.symbol}
-    if isinstance(node, Capture):
-        return {"kind": "capture", "var": node.var, "child": rgx_to_json(node.child)}
-    if isinstance(node, Concat):
-        return {"kind": "concat", "left": rgx_to_json(node.left), "right": rgx_to_json(node.right)}
-    if isinstance(node, Alt):
-        return {"kind": "alt", "left": rgx_to_json(node.left), "right": rgx_to_json(node.right)}
-    if isinstance(node, Star):
-        return {"kind": "star", "child": rgx_to_json(node.child)}
-    raise TypeError(f"not a regex node: {node!r}")
-
-
-def rgx_from_json(obj: Dict) -> RegexAst:
-    try:
-        kind = obj["kind"]
-        if kind == "epsilon":
-            return Epsilon()
-        if kind == "symbol":
-            return Symbol(obj["symbol"])
-        if kind == "capture":
-            return Capture(obj["var"], rgx_from_json(obj["child"]))
-        if kind == "concat":
-            return Concat(rgx_from_json(obj["left"]), rgx_from_json(obj["right"]))
-        if kind == "alt":
-            return Alt(rgx_from_json(obj["left"]), rgx_from_json(obj["right"]))
-        if kind == "star":
-            return Star(rgx_from_json(obj["child"]))
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad regex JSON: {exc}") from exc
-    raise FormatError(f"unknown regex node kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

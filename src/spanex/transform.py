@@ -12,9 +12,9 @@ from __future__ import annotations
 import logging
 from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from .automata import EPSILON, EVA, VA, Label, State, classify, label_key
+from .automata import EPSILON, EVA, VA, Label, State, require_functional
 from .errors import PreconditionError
-from .model import Marker, MarkerSet, format_marker_set
+from .model import Marker, MarkerSet
 
 logger = logging.getLogger(__name__)
 
@@ -320,47 +320,28 @@ def va_to_det_seva_general(va: VA) -> EVA:
 # Functional VA -> deterministic sequential EVA
 # ---------------------------------------------------------------------------
 
-def functional_va_to_det_seva(va: VA) -> EVA:
-    """Pipeline for functional input: trim, condense variable paths,
-    then determinize.
+def functional_eva(automaton, message: str = "input is not functional") -> EVA:
+    """The trimmed EVA of a functional, epsilon-free VA or EVA; a VA's
+    variable-paths are condensed by ``va_to_eva``.
 
-    On a functional automaton all variable-paths between two states that
-    lie on accepting runs carry the same marker set; that is asserted
-    during the path condensation, and a violation (or a functionality
-    failure the path check cannot see) is reported as a precondition
-    failure.  Hard-asserts the 2^n state and 2^n*(n^2+|Sigma|)
-    transition bounds of the result.
+    On a trimmed functional automaton all variable-paths between two
+    states carry the same marker set, so each condensed transition is
+    unique.  A non-functional input raises ``PreconditionError`` with
+    ``message`` and the classifier's witness.
     """
-    trimmed = trim(va)
-    transitions: List[Tuple[State, object, State]] = [
-        (q, label, p) for q, label, p in trimmed.transitions if isinstance(label, str)
-    ]
-    for source in trimmed.state_order():
-        for target, by_set in variable_paths_from(trimmed, source).items():
-            if len(by_set) > 1:
-                (set1, path1), (set2, path2) = sorted(
-                    by_set.items(), key=lambda kv: label_key(kv[0])
-                )[:2]
-                raise PreconditionError(
-                    "input is not functional: two variable-paths between "
-                    f"{source!r} and {target!r} carry different marker sets "
-                    f"{format_marker_set(set1)} vs {format_marker_set(set2)}",
-                    witness=(path1, path2),
-                )
-            for markers in by_set:
-                transitions.append((source, markers, target))
-    report = classify(va)
-    if not report.functional:
-        raise PreconditionError(
-            f"input is not functional: {report.functional_witness}",
-            witness=report.functional_witness,
-        )
-    eva = EVA(
-        trimmed.states, trimmed.initial, trimmed.finals, transitions,
-        trimmed.alphabet, trimmed.variables,
-    )
+    require_functional(automaton, message)
+    trimmed = trim(automaton)
+    return va_to_eva(trimmed) if isinstance(trimmed, VA) else trimmed
+
+
+def functional_va_to_det_seva(va: VA) -> EVA:
+    """Pipeline for functional input: ``functional_eva``, then
+    determinize.  Hard-asserts the 2^n state and 2^n*(n^2+|Sigma|)
+    transition bounds of the result, n the trimmed state count.
+    """
+    eva = functional_eva(va)
     result = determinize_eva(eva)
-    n = len(trimmed.states)
+    n = len(eva.states)
     logger.info(
         "functional pipeline: %d states -> %d deterministic states (bound 2^%d)",
         n, len(result.states), n,

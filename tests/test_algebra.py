@@ -18,7 +18,7 @@ from spanex import (
     union_eva_deterministic,
     union_eva_linear,
 )
-from spanex.algebra import Atom, Join, Project, Union, expr_from_json
+from spanex.algebra import Atom, Join, Project, Union
 from spanex.automata import dump_automaton
 from spanex.errors import InputError, PreconditionError
 from spanex.fixtures import RandomProfile, gen_fig3_va, random_documents, random_instance
@@ -285,18 +285,3 @@ def test_parse_expr_errors():
         parse_expr('rgx("a" extra)')
     with pytest.raises(FormatError):
         parse_expr('atom(x.json)')  # no loader supplied
-
-
-def test_expr_from_json():
-    obj = {
-        "op": "project",
-        "vars": ["x"],
-        "child": {
-            "op": "join",
-            "left": {"op": "atom", "automaton": dump_automaton(_whole_doc_binder("x"))},
-            "right": {"op": "rgx", "pattern": "y{a*}", "alphabet": "a"},
-        },
-    }
-    expr = expr_from_json(obj)
-    compiled = compile_expr(expr)
-    assert set(evaluate(compiled, Document("a"))) == {mapping(x=(1, 2))}

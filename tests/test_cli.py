@@ -6,6 +6,8 @@ import time
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spanex.automata
 from spanex import (
@@ -235,24 +237,6 @@ def test_count_expression(runner):
     assert result.stdout.strip() == "1"
 
 
-def test_bench_csv(runner, fig4_path):
-    result = runner.invoke(
-        main,
-        ["bench", "--automaton", fig4_path, "--lengths", "10,50", "--fill", "a",
-         "--suffix", "b"],
-    )
-    assert result.exit_code == 0
-    rows = result.stdout.strip().splitlines()
-    assert rows[0].split(",") == [
-        "length", "preprocess_ops", "preprocess_seconds", "outputs",
-        "max_inter_output_work",
-    ]
-    lengths = [int(r.split(",")[0]) for r in rows[1:]]
-    assert lengths == [0, 10, 50]
-    work = {int(r.split(",")[4]) for r in rows[2:]}
-    assert len(work) == 1  # constant inter-output work across lengths
-
-
 def test_exit_codes(runner, fig4_path, tmp_path):
     assert runner.invoke(main, ["count", "--rgx", "x{(", "--doc-inline", "a"]).exit_code == 2
     assert runner.invoke(main, ["count", "--doc-inline", "a"]).exit_code == 2
@@ -382,3 +366,95 @@ def test_non_utf8_input_exits_2(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert result.stderr.startswith("error:") and "UTF-8" in result.stderr
+
+
+_GOOD_AUTOMATON = {
+    "alphabet": ["a"], "variables": ["x"], "states": ["q0", "q1"], "initial": "q0",
+    "finals": ["q1"],
+    "transitions": [{"from": "q0", "label": {"markers": ["open:x", "close:x"]}, "to": "q1"}],
+}
+
+
+@pytest.mark.parametrize("malformed", [
+    {"states": [["q0"], "q1"]},
+    {"initial": ["q0"]},
+    {"finals": [["q1"]]},
+    {"transitions": [{"from": ["q0"], "label": {"symbol": "a"}, "to": "q1"}]},
+    {"transitions": [{"from": "q0", "label": {"symbol": "a"}, "to": ["q1"]}]},
+    {"transitions": [{"from": "q0", "label": {"symbol": ["a"]}, "to": "q1"}]},
+    {"transitions": [{"from": "q0", "label": {"markers": [5]}, "to": "q1"}]},
+    {"transitions": None},
+    {"variables": 5},
+    {"variables": [1, "x"]},
+], ids=["state", "initial", "final", "from", "to", "symbol", "marker", "transitions",
+        "variables-int", "variables-mixed"])
+def test_malformed_automaton_exits_2(runner, tmp_path, malformed):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_GOOD_AUTOMATON, **malformed}))
+    result = runner.invoke(main, ["count", "--automaton", str(path), "--doc-inline", "a"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error:")
+
+
+def test_unreadable_json_exits_2(runner, tmp_path):
+    path = tmp_path / "bad.json"
+    for text in ("[" * 100000, '{"states": [' + "1" * 5000 + "]}"):
+        path.write_text(text)
+        result = runner.invoke(main, ["check", "--automaton", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:")
+
+
+_AUTOMATON_KEYS = ["alphabet", "variables", "states", "initial", "finals", "transitions",
+                   "kind", "from", "to", "label", "symbol", "markers", "epsilon"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2)
+    | st.sampled_from(["q0", "q1", "a", "b", "x", "open:x", "close:x", "va", "eva"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_AUTOMATON_KEYS), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _mostly(plausible):
+    """``plausible`` nine times in ten, any JSON value otherwise."""
+    return st.sampled_from([plausible] * 9 + [_JSON_VALUES]).flatmap(lambda values: values)
+
+
+_STATES = _mostly(st.sampled_from(["q0", "q1", "q2"]))
+_LABELS = _mostly(st.one_of(
+    st.fixed_dictionaries({"symbol": _mostly(st.sampled_from(["a", "b"]))}),
+    st.fixed_dictionaries({"markers": st.lists(
+        _mostly(st.sampled_from(["open:x", "close:x", "open:y", "close:y"])), max_size=3)}),
+    st.just({"epsilon": True}),
+))
+_AUTOMATON_OBJECTS = st.fixed_dictionaries(
+    {
+        "alphabet": _mostly(st.just(["a", "b"])),
+        "states": _mostly(st.lists(_STATES, max_size=3).map(lambda names: ["q0"] + names)),
+        "initial": _mostly(st.just("q0")),
+        "finals": _mostly(st.lists(_STATES, max_size=2)),
+        "transitions": _mostly(st.lists(_mostly(st.fixed_dictionaries(
+            {"from": _STATES, "label": _LABELS, "to": _STATES})), max_size=4)),
+    },
+    optional={
+        "variables": _mostly(st.lists(st.sampled_from(["x", "y"]), max_size=2)),
+        "kind": _mostly(st.sampled_from(["va", "eva"])),
+    },
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_AUTOMATON_OBJECTS)
+def test_random_automaton_json_never_crashes(data):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("a.json", "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        for argv in (["count", "--automaton", "a.json", "--doc-inline", "ab"],
+                     ["check", "--automaton", "a.json"]):
+            result = runner.invoke(main, argv)
+            assert result.exit_code in (0, 1, 2), (argv, result.output)
+            assert result.exception is None or isinstance(result.exception, SystemExit), (
+                argv, data, result.exception)

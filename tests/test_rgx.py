@@ -21,9 +21,7 @@ from spanex.rgx import (
     Symbol,
     MAX_NESTING,
     parse_rgx,
-    rgx_from_json,
     rgx_literal_symbols,
-    rgx_to_json,
     rgx_variables,
 )
 
@@ -89,7 +87,6 @@ def test_variables_and_json_round_trip():
     ast = parse_rgx("x{a}(y{b}|c)*", "abc")
     assert rgx_variables(ast) == {"x", "y"}
     assert rgx_literal_symbols(ast) == {"a", "b", "c"}
-    assert rgx_from_json(rgx_to_json(ast)) == ast
 
 
 def test_reference_eval_examples():

@@ -1,5 +1,6 @@
 import pytest
 
+import spanex.automata
 from spanex import (
     Document,
     EVA,
@@ -9,6 +10,7 @@ from spanex import (
     determinize_eva,
     eliminate_epsilon,
     eva_to_va,
+    functional_eva,
     functional_va_to_det_seva,
     trim,
     va_to_det_seva_general,
@@ -246,16 +248,8 @@ def test_functional_pipeline_size_bound():
         assert len(det.states) <= 2 ** len(trim(va).states) <= 16
 
 
-def test_functional_pipeline_rejects_non_functional_with_paths():
-    with pytest.raises(PreconditionError) as err:
-        functional_va_to_det_seva(gen_prop4_family(1))
-    path1, path2 = err.value.witness
-    assert path1 != path2
-
-
 def test_functional_pipeline_rejects_skipping_runs():
-    # Functional fails without any two-path witness; the classifier
-    # supplies the offending-run description instead.
+    # The classifier's offending-run description is the witness.
     va = VA(
         ["q0", "q1", "q2"],
         "q0",
@@ -266,6 +260,23 @@ def test_functional_pipeline_rejects_skipping_runs():
     )
     with pytest.raises(PreconditionError, match="not functional"):
         functional_va_to_det_seva(va)
+
+
+def test_functional_eva_guards_the_untrimmed_input(monkeypatch):
+    va = gen_prop4_family(1)
+    witness = classify(va).functional_witness
+    calls = []
+    real = spanex.automata._classify
+    monkeypatch.setattr(spanex.automata, "_classify", lambda a: calls.append(a) or real(a))
+    with pytest.raises(PreconditionError) as err:
+        functional_eva(va, "atoms must be functional")
+    assert str(err.value) == f"atoms must be functional: {witness}"
+    assert err.value.witness == witness
+    assert calls == []  # the report kept on the input is reused
+    fig3 = gen_fig3_va()
+    assert functional_eva(fig3).transitions == va_to_eva(trim(fig3)).transitions
+    eva = eliminate_epsilon(gen_fig4_automaton())
+    assert functional_eva(eva).transitions == trim(eva).transitions
 
 
 def test_functional_marker_set_lemma_on_random_instances():
