@@ -19,7 +19,6 @@ from .algebra import (
     union_eva_linear,
 )
 from .automata import (
-    EPSILON,
     EVA,
     VA,
     ClassificationReport,
@@ -58,8 +57,6 @@ from .model import (
 from .rgx import RegexAst, parse_rgx, rgx_eval_reference, rgx_to_va
 from .transform import (
     determinize_eva,
-    eliminate_epsilon,
-    eva_to_va,
     functional_eva,
     functional_va_to_det_seva,
     trim,

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union as TUnion
 
-from .automata import EPSILON, EVA, VA, State, classify, require_det_seva, require_functional
+from .automata import EVA, VA, State, classify, require_det_seva, require_functional
 from .errors import FormatError, InputError
 from .model import MarkerSet, markers_of
 from .rgx import RegexAst, infer_alphabet, parse_rgx, rgx_literal_symbols, rgx_to_va
@@ -19,8 +19,6 @@ from .transform import (
     _check_bound,
     _reachable_eva,
     determinize_eva,
-    eliminate_epsilon,
-    eva_to_va,
     functional_eva,
     functional_va_to_det_seva,
     va_to_det_seva_general,
@@ -88,30 +86,29 @@ def join_eva(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
 
 
 def union_eva_linear(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
-    """Disjoint union behind a fresh initial state with epsilon edges,
-    then epsilon elimination.  Linear size; need not be deterministic."""
+    """Disjoint union behind a fresh initial state that has both initial
+    states' transitions and is final if either is.  Linear size; need not
+    be deterministic."""
     if validate:
         require_functional(a1, "union operand must be functional")
         require_functional(a2, "union operand must be functional")
     _require_same_variables(a1, a2)
     fresh = ("u", 0)
     states = [fresh]
-    transitions: List[Tuple[State, object, State]] = [
-        (fresh, EPSILON, ("u1", a1.initial)),
-        (fresh, EPSILON, ("u2", a2.initial)),
-    ]
+    transitions: List[Tuple[State, object, State]] = []
     finals: List[State] = []
     for tag, automaton in (("u1", a1), ("u2", a2)):
         states.extend((tag, q) for q in automaton.states)
         transitions.extend(
             ((tag, q), label, (tag, p)) for q, label, p in automaton.transitions
         )
+        transitions.extend(
+            (fresh, label, (tag, p)) for label, p in automaton.out(automaton.initial)
+        )
         finals.extend((tag, q) for q in automaton.finals)
-    merged = EVA(
-        states, fresh, finals, transitions,
-        a1.alphabet | a2.alphabet, a1.variables,
-    )
-    result = eliminate_epsilon(merged)
+        if automaton.initial in automaton.finals:
+            finals.append(fresh)
+    result = EVA(states, fresh, finals, transitions, a1.alphabet | a2.alphabet, a1.variables)
     _check_bound(
         len(result.states) <= len(a1.states) + len(a2.states) + 1,
         "linear union grew beyond |Q1|+|Q2|+1 states",
@@ -161,24 +158,38 @@ def union_eva_deterministic(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
 
 
 def project_eva(automaton: EVA, variables: Iterable[str], validate: bool = True) -> EVA:
-    """Strip markers of variables outside the projection set; transitions
-    whose set empties become epsilon edges, which are then eliminated."""
+    """Strip markers of variables outside the projection set.
+
+    A marker step whose set empties becomes no step: its source takes the
+    letter transitions and finality of its target.  A run reads a letter
+    between two marker steps, so the letters a state gains this way must
+    not follow a marker step into it: a marker step into a state p with
+    marker steps of its own lands in a ("post", p) copy that has only p's
+    own letters and finality.
+    """
     if validate:
         require_functional(automaton, "projection operand must be functional")
     keep = frozenset(variables)
     dropped: MarkerSet = markers_of(automaton.variables - keep)
+    guarded = {p for _, label, p in automaton.transitions
+               if isinstance(label, frozenset) and automaton.marker_transitions(p)}
+    states = set(automaton.states) | {("post", p) for p in guarded}
+    finals = set(automaton.finals) | {("post", p) for p in guarded & automaton.finals}
     transitions: List[Tuple[State, object, State]] = []
     for q, label, p in automaton.transitions:
         if isinstance(label, str):
             transitions.append((q, label, p))
-            continue
-        remaining = label - dropped
-        transitions.append((q, remaining if remaining else EPSILON, p))
-    projected = EVA(
-        automaton.states, automaton.initial, automaton.finals, transitions,
-        automaton.alphabet, automaton.variables & keep,
-    )
-    return eliminate_epsilon(projected)
+            if q in guarded:
+                transitions.append((("post", q), label, p))
+        elif label <= dropped:
+            transitions.extend((q, letter, r) for letter, r in automaton.out(p)
+                               if isinstance(letter, str))
+            if p in automaton.finals:
+                finals.add(q)
+        else:
+            transitions.append((q, label - dropped, ("post", p) if p in guarded else p))
+    return EVA(states, automaton.initial, finals, transitions,
+               automaton.alphabet, automaton.variables & keep)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +247,7 @@ def _atom_to_feva(atom: Atom) -> EVA:
     if isinstance(value, RegexAst):
         alphabet = atom.alphabet if atom.alphabet is not None else rgx_literal_symbols(value)
         value = rgx_to_va(value, alphabet)
-    elif isinstance(value, EVA):
-        value = eliminate_epsilon(value)
-    elif not isinstance(value, VA):
+    elif not isinstance(value, (VA, EVA)):
         raise TypeError(f"unsupported atom value: {value!r}")
     return functional_eva(value, "algebra atoms must be functional")
 
@@ -341,20 +350,14 @@ def compile_spanner(spanner: TUnion[RegexAst, VA, EVA, AlgebraExpr],
         automaton = rgx_to_va(spanner, sigma)
         note("regex to VA", automaton)
     note("input", automaton)
-    if isinstance(automaton, EVA):
-        if automaton.has_epsilon:
-            automaton = eliminate_epsilon(automaton)
-            note("epsilon eliminated", automaton)
-        report = classify(automaton)
-        if report.deterministic and report.sequential:
+    report = classify(automaton)
+    if isinstance(automaton, EVA) and report.sequential:
+        if report.deterministic:
             return automaton, stages
-        if report.sequential:
-            result = determinize_eva(automaton)
-            note("determinized", result)
-            return result, stages
-        automaton = eva_to_va(automaton)
-        note("expanded to VA", automaton)
-    if classify(automaton).functional:
+        result = determinize_eva(automaton)
+        note("determinized", result)
+        return result, stages
+    if report.functional:
         result = functional_va_to_det_seva(automaton)
         note("functional pipeline", result)
     else:

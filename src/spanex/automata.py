@@ -4,8 +4,8 @@ oracle and the sequential/functional/deterministic classifier.
 A VA is an NFA whose transitions carry either an alphabet symbol or a
 single variable marker.  An extended automaton (EVA) carries nonempty
 marker *sets* instead, and its runs alternate between one variable step
-(possibly skipped) and one letter step.  Epsilon labels are accepted on
-EVA only as a transient device for the algebra constructions.
+(possibly skipped) and one letter step.  Epsilon labels are accepted in
+automaton files only: ``load_automaton`` removes them.
 """
 
 from __future__ import annotations
@@ -25,17 +25,8 @@ from .model import (
 )
 
 
-class _Epsilon:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "EPSILON"
-
-
-EPSILON = _Epsilon()
-
 State = Any
-Label = Any  # str | Marker | frozenset[Marker] | EPSILON
+Label = Any  # str | Marker | frozenset[Marker]
 Transition = Tuple[State, Label, State]
 
 
@@ -53,14 +44,10 @@ def canon_key(obj: Any) -> Tuple:
         return ("f", tuple(sorted(canon_key(e) for e in obj)))
     if isinstance(obj, tuple):
         return ("t", tuple(canon_key(e) for e in obj))
-    if obj is EPSILON:
-        return ("e",)
     return ("o", str(obj))
 
 
 def label_key(label: Label) -> Tuple:
-    if label is EPSILON:
-        return (2,)
     if isinstance(label, str):
         return (0, label)
     if isinstance(label, Marker):
@@ -82,8 +69,6 @@ def state_name(state: State) -> str:
 
 
 def format_label(label: Label) -> str:
-    if label is EPSILON:
-        return "eps"
     if isinstance(label, str):
         return label
     if isinstance(label, Marker):
@@ -111,6 +96,7 @@ class _AutomatonBase:
         self.finals = frozenset(finals)
         self.transitions = frozenset(transitions)
         self.alphabet = frozenset(alphabet)
+        self._validate()
         mentioned = self._mentioned_variables()
         if variables is None:
             self.variables = mentioned
@@ -121,7 +107,6 @@ class _AutomatonBase:
                 raise FormatError(
                     f"markers reference undeclared variables: {sorted(missing)}"
                 )
-        self._validate()
         # The one canon_key sort: out(q), state_order() and the JSON dump
         # all reuse this order.
         order = sorted(self.states, key=canon_key)
@@ -201,8 +186,7 @@ class VA(_AutomatonBase):
 
 
 class EVA(_AutomatonBase):
-    """Extended automaton: labels are symbols, nonempty marker sets, or
-    (transiently) epsilon."""
+    """Extended automaton: labels are symbols or nonempty marker sets."""
 
     __slots__ = ("_tables",)
 
@@ -227,19 +211,15 @@ class EVA(_AutomatonBase):
             for m in label:
                 if not isinstance(m, Marker):
                     raise FormatError(f"marker set contains a non-marker: {m!r}")
-        elif label is not EPSILON:
-            raise FormatError(f"EVA labels must be symbols, marker sets or epsilon, got {label!r}")
-
-    @property
-    def has_epsilon(self) -> bool:
-        return any(label is EPSILON for _, label, _ in self.transitions)
+        else:
+            raise FormatError(f"EVA labels must be symbols or nonempty marker sets, got {label!r}")
 
     def marker_transitions(self, q: State) -> List[Tuple[MarkerSet, State]]:
         return [(label, p) for label, p in self.out(q) if isinstance(label, frozenset)]
 
 
 class DetTables:
-    """The transition structure of an epsilon-free EVA over dense state ids.
+    """The transition structure of an EVA over dense state ids.
 
     States are numbered ``0..k-1`` in ``state_order()`` order, so sorting
     ids sorts states canonically.  ``markers[q]`` holds the marker-set
@@ -282,11 +262,12 @@ def _marker_from_string(text: str) -> Marker:
     raise FormatError(f"bad marker {text!r}; expected 'open:<var>' or 'close:<var>'")
 
 
-def _label_from_json(obj: Any) -> Label:
+def _label_from_json(obj: Any) -> Optional[Label]:
+    """The label of a transition entry; None stands for epsilon."""
     if not isinstance(obj, dict):
         raise FormatError(f"transition label must be an object, got {obj!r}")
     if obj.get("epsilon"):
-        return EPSILON
+        return None
     if "symbol" in obj:
         if not isinstance(obj["symbol"], str):
             raise FormatError(f"transition symbol must be a string, got {obj['symbol']!r}")
@@ -302,8 +283,6 @@ def _label_from_json(obj: Any) -> Label:
 
 
 def _label_to_json(label: Label) -> Dict[str, Any]:
-    if label is EPSILON:
-        return {"epsilon": True}
     if isinstance(label, str):
         return {"symbol": label}
     if isinstance(label, Marker):
@@ -312,8 +291,10 @@ def _label_to_json(label: Label) -> Dict[str, Any]:
 
 
 def _state_from_json(value: Any, field: str) -> State:
-    # JSON arrays and objects are unhashable, so they cannot name a state.
-    if isinstance(value, (list, dict)):
+    # JSON arrays and objects are unhashable, so they cannot name a state;
+    # Python finds true equal to 1 and 1.0 equal to 1, which would merge
+    # states the file keeps apart.
+    if isinstance(value, (list, dict, bool, float)):
         raise FormatError(f"{field} must be a state name, got {value!r}")
     return value
 
@@ -331,7 +312,10 @@ def load_automaton(data: Dict[str, Any]):
     The optional ``kind`` field ("va" or "eva") settles the reading of
     automata whose marker labels are all singletons, where the two run
     semantics differ; without it, single markers load as a VA and marker
-    sets or epsilons force an EVA.
+    sets or epsilons force an EVA.  Epsilon edges are removed here: for an
+    edge q -> r, q takes r's other transitions and r's finality.  One such
+    step is exact because an epsilon step never follows another in a run,
+    so epsilon cycles need no closure.
     """
     try:
         alphabet = _strings_from_json(list(data["alphabet"]), "alphabet")
@@ -347,32 +331,50 @@ def load_automaton(data: Dict[str, Any]):
             raise FormatError(f"variables must be a list, got {variables!r}")
         _strings_from_json(variables, "variables")
 
-    labels: List[Tuple[str, Label, str]] = []
-    needs_eva = False
+    labels: List[Tuple[State, Label, State]] = []
+    epsilons: List[Tuple[State, State]] = []
     for t in raw_transitions:
         try:
             label = _label_from_json(t["label"])
-            labels.append((_state_from_json(t["from"], "transition source"), label,
-                           _state_from_json(t["to"], "transition target")))
+            q = _state_from_json(t["from"], "transition source")
+            p = _state_from_json(t["to"], "transition target")
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad transition entry {t!r}") from exc
-        if label is EPSILON or (isinstance(label, frozenset) and len(label) > 1):
-            needs_eva = True
+        if label is None:
+            epsilons.append((q, p))
+        else:
+            labels.append((q, label, p))
+    needs_eva = bool(epsilons) or any(
+        isinstance(label, frozenset) and len(label) > 1 for _, label, _ in labels
+    )
 
     kind = data.get("kind")
     if kind not in (None, "va", "eva"):
         raise FormatError(f"unknown automaton kind {kind!r}")
     if kind == "va" and needs_eva:
         raise FormatError("kind 'va' conflicts with marker-set or epsilon labels")
-    make_eva = needs_eva or kind == "eva"
+    if not (needs_eva or kind == "eva"):
+        return VA(states, initial, finals, labels, alphabet, variables)
 
-    if make_eva:
-        transitions = [
-            (q, frozenset([label]) if isinstance(label, Marker) else label, p)
-            for q, label, p in labels
-        ]
-        return EVA(states, initial, finals, transitions, alphabet, variables)
-    return VA(states, initial, finals, labels, alphabet, variables)
+    transitions = [
+        (q, frozenset([label]) if isinstance(label, Marker) else label, p)
+        for q, label, p in labels
+    ]
+    if epsilons:
+        # Undeclared sources of other transitions are refused by EVA().
+        out: Dict[State, List[Tuple[Label, State]]] = {q: [] for q in states}
+        for q, label, p in transitions:
+            out.setdefault(q, []).append((label, p))
+        final_set = set(finals)
+        for q, r in epsilons:
+            if q not in out or r not in out:
+                raise FormatError(
+                    f"transition endpoint not declared: {state_name(q)} -> {state_name(r)}"
+                )
+            transitions.extend((q, label, p) for label, p in out[r])
+            if r in final_set:
+                finals.append(q)
+    return EVA(states, initial, finals, transitions, alphabet, variables)
 
 
 def dump_automaton(automaton: _AutomatonBase) -> Dict[str, Any]:
@@ -488,24 +490,19 @@ def _brute_eva(automaton: EVA, doc: Document) -> Set[Mapping]:
         open_at: Dict[str, int],
         done: Dict[str, Span],
         can_var: bool,
-        can_eps: bool,
     ) -> None:
         if pos == n + 1 and q in automaton.finals and not open_at:
             results.add(Mapping(done))
         for label, p in automaton.out(q):
             if isinstance(label, str):
                 if pos <= n and doc.symbol(pos) == label:
-                    explore(p, pos + 1, open_at, done, True, True)
-            elif label is EPSILON:
-                # Epsilon moves are position-transparent but never chain.
-                if can_eps:
-                    explore(p, pos, open_at, done, can_var, False)
+                    explore(p, pos + 1, open_at, done, True)
             elif can_var:
                 stepped = _apply_marker_set(label, open_at, done, pos)
                 if stepped is not None:
-                    explore(p, pos, stepped[0], stepped[1], False, True)
+                    explore(p, pos, stepped[0], stepped[1], False)
 
-    explore(automaton.initial, 1, {}, {}, True, True)
+    explore(automaton.initial, 1, {}, {}, True)
     return results
 
 
@@ -630,8 +627,6 @@ def _classify(automaton) -> ClassificationReport:
     variables = sorted(automaton.variables)
     var_index = {v: i for i, v in enumerate(variables)}
     is_eva = isinstance(automaton, EVA)
-    if is_eva and automaton.has_epsilon:
-        raise PreconditionError("classification requires an epsilon-free automaton")
 
     initial_status = tuple([UNSEEN] * len(variables))
     # Config: (state, status-or-_INVALID) for VA,

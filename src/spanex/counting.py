@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from .automata import EVA, brute_enumerate_va, require_det_seva
-from .errors import PreconditionError
 from .instrument import OpCounter
 from .model import Document
 
@@ -34,8 +33,6 @@ def count_det_seva(
     InputError when it is read.  ``counter.count_ops`` grows by one per
     state visited in either stage and one per transition taken.
     """
-    if automaton.has_epsilon:
-        raise PreconditionError("counting requires an epsilon-free automaton")
     if validate:
         require_det_seva(automaton)
     counter = counter if counter is not None else OpCounter()

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .automata import EVA, DetTables, State, require_det_seva
-from .errors import PreconditionError
 from .instrument import DelayReport, OpCounter
 from .model import Document, Mapping, MarkerSet, Span
 
@@ -190,8 +189,6 @@ def evaluate_preprocess(
     stage, per list append and two per DAG node, plus one for the
     initial list.
     """
-    if automaton.has_epsilon:
-        raise PreconditionError("evaluation requires an epsilon-free automaton")
     if validate:
         require_det_seva(automaton)
     counter = counter if counter is not None else OpCounter()

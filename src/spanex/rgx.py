@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .automata import EPSILON, VA
+from .automata import VA
 from .errors import RegexSyntaxError
 from .model import Document, Mapping, Marker, Span
 
@@ -317,6 +317,7 @@ def rgx_to_va(node: RegexAst, alphabet: Iterable[str]) -> VA:
     document.
     """
     alphabet = frozenset(alphabet)
+    epsilon = object()  # the empty-word label of the fragments
     counter = 0
     transitions: List[Tuple[int, object, int]] = []
 
@@ -328,7 +329,7 @@ def rgx_to_va(node: RegexAst, alphabet: Iterable[str]) -> VA:
     def build(node: RegexAst) -> Tuple[int, int]:
         if isinstance(node, Epsilon):
             s, e = fresh(), fresh()
-            transitions.append((s, EPSILON, e))
+            transitions.append((s, epsilon, e))
             return s, e
         if isinstance(node, Symbol):
             s, e = fresh(), fresh()
@@ -343,21 +344,21 @@ def rgx_to_va(node: RegexAst, alphabet: Iterable[str]) -> VA:
         if isinstance(node, Concat):
             ls, le = build(node.left)
             rs, re = build(node.right)
-            transitions.append((le, EPSILON, rs))
+            transitions.append((le, epsilon, rs))
             return ls, re
         if isinstance(node, Alt):
             ls, le = build(node.left)
             rs, re = build(node.right)
             s, e = fresh(), fresh()
             transitions.extend(
-                [(s, EPSILON, ls), (s, EPSILON, rs), (le, EPSILON, e), (re, EPSILON, e)]
+                [(s, epsilon, ls), (s, epsilon, rs), (le, epsilon, e), (re, epsilon, e)]
             )
             return s, e
         if isinstance(node, Star):
             cs, ce = build(node.child)
             s, e = fresh(), fresh()
             transitions.extend(
-                [(s, EPSILON, e), (s, EPSILON, cs), (ce, EPSILON, e), (ce, EPSILON, cs)]
+                [(s, epsilon, e), (s, epsilon, cs), (ce, epsilon, e), (ce, epsilon, cs)]
             )
             return s, e
         raise TypeError(f"not a regex node: {node!r}")
@@ -369,7 +370,7 @@ def rgx_to_va(node: RegexAst, alphabet: Iterable[str]) -> VA:
     eps_out: Dict[int, List[int]] = {}
     real_out: Dict[int, List[Tuple[object, int]]] = {}
     for q, label, p in transitions:
-        if label is EPSILON:
+        if label is epsilon:
             eps_out.setdefault(q, []).append(p)
         else:
             real_out.setdefault(q, []).append((label, p))

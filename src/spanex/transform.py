@@ -1,5 +1,5 @@
-"""Transformations between VA and EVA and into the deterministic
-sequential form the evaluation engine consumes.
+"""Transformations from VA to EVA and into the deterministic sequential
+form the evaluation engine consumes.
 
 All subset-style constructions materialize only states reachable from
 the initial state, so the exponential worst-case bounds are not always
@@ -12,8 +12,7 @@ from __future__ import annotations
 import logging
 from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from .automata import EPSILON, EVA, VA, Label, State, require_functional
-from .errors import PreconditionError
+from .automata import EVA, VA, Label, State, require_functional
 from .model import Marker, MarkerSet
 
 logger = logging.getLogger(__name__)
@@ -104,7 +103,7 @@ def trim(automaton):
 
 
 # ---------------------------------------------------------------------------
-# VA <-> EVA
+# VA -> EVA
 # ---------------------------------------------------------------------------
 
 def va_to_eva(va: VA) -> EVA:
@@ -121,83 +120,6 @@ def va_to_eva(va: VA) -> EVA:
             for markers in by_set:
                 transitions.append((source, markers, target))
     return EVA(va.states, va.initial, va.finals, transitions, va.alphabet, va.variables)
-
-
-def eva_to_va(eva: EVA) -> VA:
-    """Expand marker sets into chains of single-marker transitions.
-
-    Markers inside a set are ordered with all opens before all closes
-    (variable name order within each kind), so the produced runs open
-    and close in a correct order.  A set of size k needs k-1 fresh
-    intermediate states; singletons map to a plain transition.
-
-    An extended transition whose target has extended transitions of its
-    own lands in a marker-free "post" copy of the target instead (same
-    letters, same finality): otherwise the VA could chain two expanded
-    marker blocks with no letter between them, which the alternating
-    run shape of the extended automaton forbids.
-    """
-    if eva.has_epsilon:
-        raise PreconditionError("eva_to_va requires an epsilon-free automaton")
-    states: Set[State] = set(eva.states)
-    guarded = {
-        p
-        for _, label, p in eva.transitions
-        if isinstance(label, frozenset) and eva.marker_transitions(p)
-    }
-    transitions: List[Tuple[State, object, State]] = []
-    finals: Set[State] = set(eva.finals)
-    for p in guarded:
-        states.add(("post", p))
-        if p in eva.finals:
-            finals.add(("post", p))
-        for label, target in eva.out(p):
-            if isinstance(label, str):
-                transitions.append((("post", p), label, target))
-    for q, label, p in eva.transitions:
-        if isinstance(label, str):
-            transitions.append((q, label, p))
-            continue
-        landing = ("post", p) if p in guarded else p
-        ordered = sorted(label, key=Marker.sort_key)
-        if len(ordered) == 1:
-            transitions.append((q, ordered[0], landing))
-            continue
-        key = (q, tuple(ordered), p)
-        chain = [("chain", key, i) for i in range(len(ordered) - 1)]
-        states.update(chain)
-        hops = [q] + chain + [landing]
-        for marker, src, dst in zip(ordered, hops, hops[1:]):
-            transitions.append((src, marker, dst))
-    return VA(states, eva.initial, finals, transitions, eva.alphabet, eva.variables)
-
-
-# ---------------------------------------------------------------------------
-# Epsilon elimination
-# ---------------------------------------------------------------------------
-
-def eliminate_epsilon(eva: EVA) -> EVA:
-    """Remove epsilon labels by merging each epsilon edge's endpoint into
-    its source: the endpoint's letter and marker-set transitions are
-    copied to the source, which also inherits finality.
-
-    A single merge step is exact because epsilon steps never chain in a
-    run (and cycles of epsilon edges therefore need no closure
-    iteration).  Epsilon-free input is returned unchanged.
-    """
-    if not eva.has_epsilon:
-        return eva
-    transitions = [(q, l, p) for q, l, p in eva.transitions if l is not EPSILON]
-    finals = set(eva.finals)
-    for q, label, r in eva.transitions:
-        if label is not EPSILON:
-            continue
-        for out_label, target in eva.out(r):
-            if out_label is not EPSILON:
-                transitions.append((q, out_label, target))
-        if r in eva.finals:
-            finals.add(q)
-    return EVA(eva.states, eva.initial, finals, transitions, eva.alphabet, eva.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +156,6 @@ def determinize_eva(eva: EVA) -> EVA:
     input yields a sequential output.  Subset states are frozensets of
     the input states.
     """
-    if eva.has_epsilon:
-        raise PreconditionError("determinize_eva requires an epsilon-free automaton")
-
     def moves(subset: FrozenSet[State]):
         targets: Dict[Label, Set[State]] = {}
         for q in subset:
@@ -249,7 +168,7 @@ def determinize_eva(eva: EVA) -> EVA:
 
 
 # ---------------------------------------------------------------------------
-# Arbitrary VA -> deterministic sequential EVA
+# Arbitrary VA or EVA -> deterministic sequential EVA
 # ---------------------------------------------------------------------------
 
 def _markers_compatible(seen: MarkerSet, step: MarkerSet) -> bool:
@@ -266,43 +185,51 @@ def _all_closed(markers: MarkerSet) -> bool:
     return all(Marker.close(m.var) in markers for m in markers if m.is_open)
 
 
-def va_to_det_seva_general(va: VA) -> EVA:
+def va_to_det_seva_general(automaton) -> EVA:
     """Direct construction of a deterministic sequential EVA equivalent
-    to an arbitrary (possibly non-sequential) VA.
+    to an arbitrary (possibly non-sequential) VA or EVA.
 
-    States are pairs (subset of VA states, markers seen so far); only
+    States are pairs (subset of input states, markers seen so far); only
     the markers of valid run prefixes are representable, so invalid runs
     of the input are pruned and the output is sequential by
-    construction.  Hard-asserts the 2^n*3^l state bound and the
-    2^n*(5^l + 3^l*|Sigma|) transition bound.
+    construction.  The variable steps of a state are its marker-set
+    transitions in an EVA and its variable-paths in a VA.  Hard-asserts
+    the 2^n*3^l state bound and the 2^n*(5^l + 3^l*|Sigma|) transition
+    bound.
     """
-    n = len(va.states)
-    n_vars = len(va.variables)
-    paths_cache: Dict[State, Dict[State, Dict[MarkerSet, Tuple[Marker, ...]]]] = {}
+    n = len(automaton.states)
+    n_vars = len(automaton.variables)
+    steps_cache: Dict[State, List[Tuple[MarkerSet, State]]] = {}
+
+    def variable_steps(q: State) -> List[Tuple[MarkerSet, State]]:
+        if q not in steps_cache:
+            if isinstance(automaton, EVA):
+                steps_cache[q] = automaton.marker_transitions(q)
+            else:
+                steps_cache[q] = [(step, target) for target, by_set
+                                  in variable_paths_from(automaton, q).items() for step in by_set]
+        return steps_cache[q]
 
     def moves(state: Tuple[FrozenSet[State], MarkerSet]):
         subset, markers = state
         # Letter moves act on the subset componentwise.
-        for symbol in va.alphabet:
-            targets = {p for q in subset for label, p in va.out(q) if label == symbol}
+        for symbol in automaton.alphabet:
+            targets = {p for q in subset for label, p in automaton.out(q) if label == symbol}
             if targets:
                 yield symbol, (frozenset(targets), markers)
-        # Variable moves follow marker-set paths compatible with history.
+        # Variable moves follow the steps compatible with history.
         steps: Dict[MarkerSet, Set[State]] = {}
         for q in subset:
-            if q not in paths_cache:
-                paths_cache[q] = variable_paths_from(va, q)
-            for target, by_set in paths_cache[q].items():
-                for step in by_set:
-                    steps.setdefault(step, set()).add(target)
+            for step, target in variable_steps(q):
+                steps.setdefault(step, set()).add(target)
         for step, targets in steps.items():
             if _markers_compatible(markers, step):
                 yield step, (frozenset(targets), markers | step)
 
     result = _reachable_eva(
-        (frozenset([va.initial]), frozenset()), moves,
-        lambda state: bool(state[0] & va.finals) and _all_closed(state[1]),
-        va.alphabet, va.variables,
+        (frozenset([automaton.initial]), frozenset()), moves,
+        lambda state: bool(state[0] & automaton.finals) and _all_closed(state[1]),
+        automaton.alphabet, automaton.variables,
     )
     _check_bound(
         len(result.states) <= (2 ** n) * (3 ** n_vars),
@@ -310,7 +237,7 @@ def va_to_det_seva_general(va: VA) -> EVA:
     )
     _check_bound(
         len(result.transitions)
-        <= (2 ** n) * (5 ** n_vars + (3 ** n_vars) * len(va.alphabet)),
+        <= (2 ** n) * (5 ** n_vars + (3 ** n_vars) * len(automaton.alphabet)),
         f"general construction exceeded its transition bound: {len(result.transitions)}",
     )
     return result
@@ -321,7 +248,7 @@ def va_to_det_seva_general(va: VA) -> EVA:
 # ---------------------------------------------------------------------------
 
 def functional_eva(automaton, message: str = "input is not functional") -> EVA:
-    """The trimmed EVA of a functional, epsilon-free VA or EVA; a VA's
+    """The trimmed EVA of a functional VA or EVA; a VA's
     variable-paths are condensed by ``va_to_eva``.
 
     On a trimmed functional automaton all variable-paths between two

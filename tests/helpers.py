@@ -6,6 +6,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Tuple
 
+from hypothesis import strategies as st
+
 from spanex import Document, EVA, Mapping, Span
 from spanex.automata import State
 from spanex.engine import BOTTOM, NodeList
@@ -42,6 +44,54 @@ def close_m(var: str) -> Marker:
 
 def mset(*markers: Marker) -> MarkerSet:
     return frozenset(markers)
+
+
+# ---------------------------------------------------------------------------
+# Random extended automata
+# ---------------------------------------------------------------------------
+
+_MARKERS = [Marker.open("x"), Marker.close("x"), Marker.open("y"), Marker.close("y")]
+_MARKER_SETS = [frozenset(c) for k in range(1, 5) for c in itertools.combinations(_MARKERS, k)]
+# The orders in which a valid run can use the four markers.
+_ORDERS = [order for order in itertools.permutations(_MARKERS)
+           if all(order.index(Marker.open(v)) < order.index(Marker.close(v)) for v in "xy")]
+
+
+@st.composite
+def random_evas(draw, functional: bool) -> EVA:
+    """A small EVA over {a, b} and the variables x, y: a chain q0 -> q1
+    -> ... -> q(n-1) plus random transitions, many of them marker sets, so
+    that marker steps often lead into states with marker steps of their own.
+
+    When ``functional``, state qi holds a prefix of one valid marker order,
+    growing along the chain and complete at the end: letters join states
+    with equal prefixes, a marker set adds the difference, and the states
+    with all four markers are the final ones.  Otherwise labels and final
+    states are arbitrary.
+    """
+    n = draw(st.integers(2, 5))
+    if functional:
+        order = draw(st.sampled_from(_ORDERS))
+        cuts = sorted(draw(st.lists(st.integers(0, 4), min_size=n - 2, max_size=n - 2)))
+        seen = [frozenset(order[:c]) for c in [0] + cuts + [4]]
+
+        def labels(q, p):
+            if seen[q] == seen[p]:
+                return ["a", "b"]
+            return [seen[p] - seen[q]] if seen[q] < seen[p] else []
+
+        finals = [q for q in range(n) if len(seen[q]) == 4]
+    else:
+        def labels(q, p):
+            return ["a", "b"] + _MARKER_SETS
+
+        finals = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    chain = [(q, draw(st.sampled_from(labels(q, q + 1))), q + 1) for q in range(n - 1)]
+    moves = [(q, label, p) for q in range(n) for p in range(n) for label in labels(q, p)]
+    extra = draw(st.lists(st.sampled_from(moves), max_size=2 * n))
+    names = [f"q{i}" for i in range(n)]
+    return EVA(names, "q0", [names[q] for q in finals],
+               [(names[q], label, names[p]) for q, label, p in chain + extra], "ab", ["x", "y"])
 
 
 # ---------------------------------------------------------------------------

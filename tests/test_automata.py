@@ -14,11 +14,11 @@ from spanex import (
     parse_rgx,
     rgx_to_va,
 )
-from spanex.algebra import join_eva
-from spanex.automata import EPSILON, _label_to_json, canon_key, label_key, state_name
-from spanex.errors import ClassificationTooLarge, FormatError, PreconditionError
+from spanex.algebra import join_eva, project_eva
+from spanex.automata import _label_to_json, canon_key, label_key, state_name
+from spanex.errors import ClassificationTooLarge, FormatError
 from spanex.fixtures import gen_fig3_va, gen_fig4_automaton
-from spanex.transform import determinize_eva, eva_to_va, va_to_eva
+from spanex.transform import determinize_eva, va_to_eva
 
 from helpers import canon, close_m, mapping, mset, open_m
 
@@ -220,10 +220,11 @@ def test_classify_report_kept_on_automaton():
         classify(va)
 
 
-def test_classify_rejects_epsilon():
-    eva = EVA(["q0", "q1"], "q0", ["q1"], [("q0", EPSILON, "q1")], ["a"])
-    with pytest.raises(PreconditionError):
-        classify(eva)
+def test_eva_rejects_other_labels():
+    # Symbols and nonempty marker sets are the only EVA labels.
+    for label in (open_m("x"), frozenset(["x"]), None, 0, ("a",)):
+        with pytest.raises(FormatError):
+            EVA(["q0", "q1"], "q0", ["q1"], [("q0", label, "q1")], ["a"])
 
 
 def _structured_automata():
@@ -235,15 +236,16 @@ def _structured_automata():
     subsets = determinize_eva(va_to_eva(va(".*x{a*}b.*")))
     pairs = join_eva(functional_va_to_det_seva(va(".*x{a.*}")),
                      functional_va_to_det_seva(va("y{.*b}.*")))
-    chains = eva_to_va(functional_va_to_det_seva(va("x{y{a}}b*")))
+    # ("post", p) copies next to the original string states
+    posts = project_eva(gen_fig4_automaton(), ["x"])
     # 0 and "0" print alike, so the dump falls back to s0, s1, ...
     clashing = VA([0, "0", "1"], 0, ["1"],
                   [(0, "a", "0"), (0, "a", "1"), ("0", open_m("x"), "1"),
                    ("0", close_m("x"), 0), ("1", "b", 0)], ["a", "b"])
-    return {"subsets": subsets, "pairs": pairs, "chains": chains, "clashing": clashing}
+    return {"subsets": subsets, "pairs": pairs, "posts": posts, "clashing": clashing}
 
 
-@pytest.mark.parametrize("name", ["subsets", "pairs", "chains", "clashing"])
+@pytest.mark.parametrize("name", ["subsets", "pairs", "posts", "clashing"])
 def test_canonical_order_kept_from_construction(name, monkeypatch):
     automaton = _structured_automata()[name]
     order = sorted(automaton.states, key=canon_key)

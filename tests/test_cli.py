@@ -117,6 +117,47 @@ def test_check_non_sequential_witness(runner, tmp_path):
     assert "witness[sequential]" in result.stdout
 
 
+def test_check_eva_with_epsilon_labels(runner, tmp_path):
+    path = tmp_path / "eps.json"
+    path.write_text(json.dumps({
+        "kind": "eva", "alphabet": ["a"], "variables": ["x"],
+        "states": ["q0", "q1", "q2", "q3"], "initial": "q0", "finals": ["q3"],
+        "transitions": [
+            {"from": "q0", "label": {"epsilon": True}, "to": "q1"},
+            {"from": "q1", "label": {"markers": ["open:x", "close:x"]}, "to": "q2"},
+            {"from": "q2", "label": {"symbol": "a"}, "to": "q3"},
+        ],
+    }))
+    result = runner.invoke(main, ["check", "--automaton", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "sequential=True functional=True deterministic=True\n"
+
+
+def test_projection_drops_emptied_marker_steps(runner, tmp_path):
+    # Projecting x away empties q1's marker step; the open:y step behind
+    # it belongs to the same position and must not become reachable.
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "kind": "eva", "alphabet": ["a", "b"], "variables": ["x", "y"],
+        "states": ["q0", "q1", "q2", "q3", "q4", "q5"], "initial": "q0", "finals": ["q5"],
+        "transitions": [
+            {"from": "q0", "label": {"symbol": "a"}, "to": "q1"},
+            {"from": "q1", "label": {"markers": ["open:x"]}, "to": "q2"},
+            {"from": "q2", "label": {"markers": ["open:y"]}, "to": "q3"},
+            {"from": "q3", "label": {"symbol": "b"}, "to": "q4"},
+            {"from": "q4", "label": {"markers": ["close:x", "close:y"]}, "to": "q5"},
+        ],
+    }))
+    expr = f"project([y], atom({path}))"
+    for source in (["--automaton", str(path)], ["--expr", expr]):
+        count = runner.invoke(main, ["count", *source, "--doc-inline", "ab"])
+        assert count.exit_code == 0, count.output
+        assert count.stdout == "0\n"
+    listed = runner.invoke(main, ["enumerate", "--expr", expr, "--doc-inline", "ab"])
+    assert listed.exit_code == 0, listed.output
+    assert listed.stdout == ""
+
+
 def test_enumerate_fig4(runner, fig4_path):
     result = runner.invoke(
         main, ["enumerate", "--automaton", fig4_path, "--doc-inline", "ab"]
@@ -386,8 +427,11 @@ _GOOD_AUTOMATON = {
     {"transitions": None},
     {"variables": 5},
     {"variables": [1, "x"]},
+    # true == 1 and 1.0 == 1 in Python; as names they would merge two states.
+    {"states": [1, True], "initial": 1, "finals": [True], "transitions": []},
+    {"states": [1, 1.0], "initial": 1, "finals": [1.0], "transitions": []},
 ], ids=["state", "initial", "final", "from", "to", "symbol", "marker", "transitions",
-        "variables-int", "variables-mixed"])
+        "variables-int", "variables-mixed", "state-bool", "state-float"])
 def test_malformed_automaton_exits_2(runner, tmp_path, malformed):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_GOOD_AUTOMATON, **malformed}))
@@ -458,3 +502,37 @@ def test_random_automaton_json_never_crashes(data):
             assert result.exit_code in (0, 1, 2), (argv, result.output)
             assert result.exception is None or isinstance(result.exception, SystemExit), (
                 argv, data, result.exception)
+
+
+_EXPR_TOKENS = ["join(", "union(", "project([", "rgx(", "atom(", "x", "y", ",", "]", ")",
+                '"', "\\"]
+_EXPRS = st.recursive(
+    st.sampled_from(['rgx("x{a}")', 'rgx("y{b*}")', 'rgx("x{a}|b", "ab")', 'rgx("a*")']),
+    lambda inner: st.one_of(st.builds("join({}, {})".format, inner, inner),
+                            st.builds("union({},{})".format, inner, inner),
+                            st.builds("project([x], {})".format, inner)),
+    max_leaves=3,
+)
+
+
+@st.composite
+def _expr_texts(draw):
+    """An expression, half of the time with one token inserted and up to
+    three characters cut."""
+    text = draw(_EXPRS)
+    if draw(st.booleans()):
+        return text
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from(_EXPR_TOKENS)) + text[at + draw(st.integers(0, 3)):]
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(st.text(alphabet="abxy|*(){}.\\", max_size=12), _expr_texts())
+def test_random_rgx_and_expr_text_never_crash(rgx, expr):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        for source in (["--rgx", rgx], ["--expr", expr]):
+            result = runner.invoke(main, ["count", *source, "--doc-inline", "a"])
+            assert result.exit_code in (0, 1, 2), (source, result.output)
+            assert result.exception is None or isinstance(result.exception, SystemExit), (
+                source, result.exception)

@@ -1,7 +1,9 @@
 """Property tests over random functional regex atoms: the compiled
 det-seVA agrees with the reference semantics and the brute-force run
 search, counting agrees with enumeration, the JSON format keeps the
-semantics, and both expression strategies agree on joins and unions."""
+semantics, and both expression strategies agree on joins and unions.
+Over random extended automata: projection agrees with projecting the
+outputs, and the compiled det-seVA agrees with the brute-force search."""
 
 import json
 
@@ -18,9 +20,13 @@ from spanex import (
     dump_automaton,
     evaluate,
     load_automaton,
+    project_eva,
 )
-from spanex.algebra import Atom, Join, Union
+from spanex.algebra import Atom, Join, Project, Union
+from spanex.model import mapping_set_project
 from spanex.rgx import Alt, Capture, Concat, Star, Symbol, rgx_eval_reference, rgx_to_va
+
+from helpers import random_evas
 
 ALPHABET = frozenset("ab")
 
@@ -111,3 +117,26 @@ def test_strategies_agree_on_join_and_union(pair, other, texts):
         prop7, prop8 = compile_expr(expr, "prop7"), compile_expr(expr, "prop8")
         for text in texts:
             assert set(_outputs(prop7, text)) == set(_outputs(prop8, text))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(random_evas(functional=True), st.sampled_from([(), ("x",), ("y",), ("x", "y")]),
+       DOCUMENTS)
+def test_projection_matches_projected_outputs(eva, keep, texts):
+    projected = project_eva(eva, keep)
+    compiled = compile_expr(Project(frozenset(keep), Atom(eva)))
+    for text in texts:
+        want = mapping_set_project(brute_enumerate_va(eva, Document(text)), keep)
+        assert brute_enumerate_va(projected, Document(text)) == want
+        assert set(_outputs(compiled, text)) == want
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(random_evas(functional=False), DOCUMENTS)
+def test_compiled_eva_matches_brute_oracle(eva, texts):
+    det, _ = compile_spanner(eva)
+    for text in texts:
+        outputs = _outputs(det, text)
+        assert len(set(outputs)) == len(outputs)
+        assert set(outputs) == brute_enumerate_va(eva, Document(text))
+        assert count_det_seva(det, Document(text)) == len(outputs)

@@ -4,19 +4,18 @@ import spanex.automata
 from spanex import (
     Document,
     EVA,
+    Mapping,
     VA,
     brute_enumerate_va,
     classify,
     determinize_eva,
-    eliminate_epsilon,
-    eva_to_va,
     functional_eva,
     functional_va_to_det_seva,
+    load_automaton,
     trim,
     va_to_det_seva_general,
     va_to_eva,
 )
-from spanex.automata import EPSILON
 from spanex.errors import PreconditionError
 from spanex.fixtures import (
     RandomProfile,
@@ -28,7 +27,7 @@ from spanex.fixtures import (
 )
 from spanex.transform import variable_paths_from
 
-from helpers import all_docs, close_m, mset, open_m
+from helpers import all_docs, close_m, mapping, mset, open_m
 
 
 def test_va_to_eva_fig3_pair_transition():
@@ -70,95 +69,56 @@ def test_va_to_eva_preserves_semantics():
             assert brute_enumerate_va(eva, doc) == brute_enumerate_va(va, doc)
 
 
-def test_eva_to_va_singleton_needs_no_fresh_state():
-    eva = EVA(
-        ["p", "q"], "p", ["q"], [("p", mset(open_m("x")), "q"), ("p", "a", "q")],
-        ["a"], ["x"],
-    )
-    va = eva_to_va(eva)
-    assert va.states == eva.states
-    assert ("p", open_m("x"), "q") in va.transitions
+# Epsilon labels are legal in automaton files only; load_automaton
+# removes them: for an edge q -> r, q takes r's other transitions and
+# r's finality.
 
+def _load_with_epsilons(states, initial, finals, transitions):
+    def label(value):
+        if value is None:
+            return {"epsilon": True}
+        if isinstance(value, str):
+            return {"symbol": value}
+        return {"markers": [str(m) for m in value]}
 
-def test_eva_to_va_expands_pairs_in_marker_order():
-    eva = EVA(["p", "q"], "p", ["q"], [("p", mset(open_m("x"), open_m("y")), "q")],
-              ["a"], ["x", "y"])
-    va = eva_to_va(eva)
-    assert len(va.states) == 3  # one fresh chain state
-    (first,) = [t for t in va.transitions if t[0] == "p"]
-    assert first[1] == open_m("x")  # opens before closes, then name order
-    (second,) = [t for t in va.transitions if t[2] == "q"]
-    assert second[1] == open_m("y")
-
-
-def test_eva_to_va_blocks_consecutive_marker_blocks():
-    # Two extended transitions in a row accept nothing on the empty
-    # document in the extended semantics; the expansion must agree.
-    fig4 = gen_fig4_automaton()
-    va = eva_to_va(fig4)
-    assert brute_enumerate_va(fig4, Document("")) == set()
-    assert brute_enumerate_va(va, Document("")) == set()
-
-
-def test_round_trip_fig4():
-    fig4 = gen_fig4_automaton()
-    back = va_to_eva(eva_to_va(fig4))
-    for doc in all_docs("ab", 3):
-        assert brute_enumerate_va(back, doc) == brute_enumerate_va(fig4, doc), doc
-
-
-def test_eva_to_va_random_oracle():
-    for seed in range(15):
-        eva = random_instance(seed, RandomProfile(kind="det_seva", states=5, variables=2))
-        expanded = eva_to_va(eva)
-        for doc in random_documents(seed, "ab", 4, 3):
-            assert brute_enumerate_va(expanded, doc) == brute_enumerate_va(eva, doc), (
-                seed, doc.content,
-            )
+    return load_automaton({
+        "alphabet": ["a"], "states": states, "initial": initial, "finals": finals,
+        "transitions": [{"from": q, "label": label(l), "to": p} for q, l, p in transitions],
+    })
 
 
 def test_eliminate_epsilon_examples():
-    eva = EVA(["q0", "q1"], "q0", ["q1"], [("q0", EPSILON, "q1")], ["a"])
-    result = eliminate_epsilon(eva)
-    assert "q0" in result.finals
-    assert not result.has_epsilon
-
-    plain = gen_fig4_automaton()
-    assert eliminate_epsilon(plain) is plain
+    eva = _load_with_epsilons(["q0", "q1"], "q0", ["q1"], [("q0", None, "q1")])
+    assert isinstance(eva, EVA)
+    assert eva.finals == frozenset(["q0", "q1"])
+    assert eva.transitions == frozenset()
+    assert brute_enumerate_va(eva, Document("")) == {Mapping()}
+    assert brute_enumerate_va(eva, Document("a")) == set()
 
 
 def test_eliminate_epsilon_merges_outgoing():
-    eva = EVA(
-        ["q0", "q1", "q2"],
-        "q0",
-        ["q2"],
-        [
-            ("q0", EPSILON, "q1"),
-            ("q1", mset(open_m("x"), close_m("x")), "q2"),
-            ("q1", "a", "q2"),
-        ],
-        ["a"],
-        ["x"],
+    both = mset(open_m("x"), close_m("x"))
+    eva = _load_with_epsilons(
+        ["q0", "q1", "q2"], "q0", ["q2"],
+        [("q0", None, "q1"), ("q1", both, "q2"), ("q1", "a", "q2")],
     )
-    result = eliminate_epsilon(eva)
-    assert ("q0", mset(open_m("x"), close_m("x")), "q2") in result.transitions
-    assert ("q0", "a", "q2") in result.transitions
-    for doc in all_docs("a", 2):
-        assert brute_enumerate_va(result, doc) == brute_enumerate_va(eva, doc)
+    assert ("q0", both, "q2") in eva.transitions
+    assert ("q0", "a", "q2") in eva.transitions
+    assert brute_enumerate_va(eva, Document("")) == {mapping(x=(1, 1))}
+    assert brute_enumerate_va(eva, Document("a")) == {Mapping()}
+    assert brute_enumerate_va(eva, Document("aa")) == set()
 
 
 def test_eliminate_epsilon_cycle():
-    eva = EVA(
-        ["q0", "q1"],
-        "q0",
-        ["q1"],
-        [("q0", EPSILON, "q1"), ("q1", EPSILON, "q0"), ("q0", "a", "q0")],
-        ["a"],
+    # One merge step is exact: an epsilon step never follows another.
+    eva = _load_with_epsilons(
+        ["q0", "q1"], "q0", ["q1"],
+        [("q0", None, "q1"), ("q1", None, "q0"), ("q0", "a", "q0")],
     )
-    result = eliminate_epsilon(eva)
-    assert not result.has_epsilon
+    assert eva.finals == frozenset(["q0", "q1"])
+    assert eva.transitions == frozenset([("q0", "a", "q0"), ("q1", "a", "q0")])
     for doc in all_docs("a", 3):
-        assert brute_enumerate_va(result, doc) == brute_enumerate_va(eva, doc)
+        assert brute_enumerate_va(eva, doc) == {Mapping()}
 
 
 def test_determinize_deterministic_input_is_isomorphic():
@@ -275,8 +235,8 @@ def test_functional_eva_guards_the_untrimmed_input(monkeypatch):
     assert calls == []  # the report kept on the input is reused
     fig3 = gen_fig3_va()
     assert functional_eva(fig3).transitions == va_to_eva(trim(fig3)).transitions
-    eva = eliminate_epsilon(gen_fig4_automaton())
-    assert functional_eva(eva).transitions == trim(eva).transitions
+    fig4 = gen_fig4_automaton()
+    assert functional_eva(fig4).transitions == trim(fig4).transitions
 
 
 def test_functional_marker_set_lemma_on_random_instances():
