@@ -226,10 +226,15 @@ class DetTables:
     transitions of state ``q`` as ``(markers, target)`` pairs in ``out``
     order; ``letters[a][q]`` is the successor of ``q`` on symbol ``a``, or
     None.  A deterministic automaton has at most one successor per symbol;
-    on any other, the last one in ``out`` order is kept.
+    on any other, the last one in ``out`` order is kept.  ``variables``
+    lists the variables in ``str`` order, the key order of JSON output,
+    and ``marker_ranks`` maps each marker set that labels a transition to
+    the ranks in that list of the variables it opens and of those it
+    closes.
     """
 
-    __slots__ = ("states", "index", "initial", "finals", "markers", "letters")
+    __slots__ = ("states", "index", "initial", "finals", "markers", "letters",
+                 "variables", "marker_ranks")
 
     def __init__(self, automaton: EVA):
         states = automaton.state_order()
@@ -242,12 +247,20 @@ class DetTables:
         self.letters: Dict[str, List[Optional[int]]] = {
             a: [None] * len(states) for a in automaton.alphabet
         }
+        self.variables: List[str] = sorted(automaton.variables)
+        rank = {v: r for r, v in enumerate(self.variables)}
+        self.marker_ranks: Dict[MarkerSet, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
         for i, q in enumerate(states):
             for label, p in automaton.out(q):
                 if isinstance(label, str):
                     self.letters[label][i] = index[p]
                 elif isinstance(label, frozenset):
                     self.markers[i].append((label, index[p]))
+                    if label not in self.marker_ranks:
+                        self.marker_ranks[label] = (
+                            tuple(rank[m.var] for m in label if m.is_open),
+                            tuple(rank[m.var] for m in label if not m.is_open),
+                        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Command line surface: compile, check, enumerate, count.
 
 Exit codes: 0 success, 1 semantic error (classification, alphabet or
-variable mismatch), 2 I/O or parse error.  Documents are read as raw
-files; symbols outside the declared alphabet are a semantic error.
+variable mismatch), 2 I/O or parse error.  A reader that closes
+``enumerate``'s stdout early ends the output with exit 0.  Documents are
+read as raw files; symbols outside the declared alphabet are a semantic
+error.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from itertools import islice
 from typing import List, Optional
@@ -17,7 +20,7 @@ import click
 from .algebra import AlgebraExpr, Stage, compile_spanner, parse_expr
 from .automata import classify, dump_automaton, load_automaton
 from .counting import count_det_seva
-from .engine import DelayMeter, enumerate_stream, evaluate_preprocess
+from .engine import DelayMeter, enumerate_ndjson, evaluate_preprocess
 from .errors import FormatError, SpanexError
 from .model import Document
 from .rgx import RegexAst, infer_alphabet, parse_rgx, rgx_to_va
@@ -176,13 +179,21 @@ def cmd_enumerate(rgx, automaton, expr, alphabet, doc, doc_inline, limit, stats,
         result, _ = compile_spanner(*_load_spanner(rgx, automaton, expr, alphabet))
         state = evaluate_preprocess(result, _read_document(doc, doc_inline))
         meter = DelayMeter() if stats else None
-        stream = enumerate_stream(state, counter=meter.counter if meter else None)
+        lines = enumerate_ndjson(state, counter=meter.counter if meter else None)
         sink = open(out, "w", encoding="utf-8") if out else sys.stdout
         try:
-            for mapping in stream if limit is None else islice(stream, limit):
+            for line in lines if limit is None else islice(lines, limit):
                 if meter:
                     meter.tick()
-                sink.write(json.dumps(mapping.to_json_obj(), sort_keys=True) + "\n")
+                sink.write(line)
+            if not out:
+                sink.flush()  # a closed pipe shows here, not at exit
+        except BrokenPipeError:
+            # The reader of stdout stopped reading: the output ends as with
+            # --limit, and what is still buffered goes to the null device.
+            if out:
+                raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         finally:
             if out:
                 sink.close()

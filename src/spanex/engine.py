@@ -11,9 +11,11 @@ two outputs bounded by the automaton alone.
 
 from __future__ import annotations
 
+import json
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .automata import EVA, DetTables, State, require_det_seva
+from .errors import InputError
 from .instrument import DelayReport, OpCounter
 from .model import Document, Mapping, MarkerSet, Span
 
@@ -367,6 +369,45 @@ def enumerate_stream(
     """All mappings of the evaluated automaton, each exactly once."""
     for events in enumerate_raw(state, counter):
         yield _mapping_from_events(events)
+
+
+def enumerate_ndjson(
+    state: EvaluationState,
+    counter: Optional[OpCounter] = None,
+) -> Iterator[str]:
+    """The NDJSON line of every mapping, in ``enumerate_stream`` order:
+    ``json.dumps(mapping.to_json_obj(), sort_keys=True) + "\\n"``, written
+    from the walk's events without building a Span or a Mapping.
+
+    The checks those make are kept: a variable closed but never opened,
+    one opened but never closed, and a span ending before its start all
+    raise.
+    """
+    tables = state.tables
+    ranks = tables.marker_ranks
+    names = tables.variables
+    heads = [json.dumps(v) + ": [" for v in names]
+    k = len(names)
+    for events in enumerate_raw(state, counter):
+        starts: List[Optional[int]] = [None] * k
+        fields: List[Optional[str]] = [None] * k
+        for markers, position in events:
+            opens, closes = ranks[markers]
+            # Opens before closes: one set may both open and close a variable.
+            for r in opens:
+                starts[r] = position
+            for r in closes:
+                start = starts[r]
+                if start is None:
+                    raise AssertionError(f"variable {names[r]!r} closed but never opened")
+                if not 1 <= start <= position:
+                    raise InputError(f"invalid span [{start},{position}>")
+                starts[r] = None
+                fields[r] = f"{heads[r]}{start}, {position}]"
+        if starts.count(None) != k:
+            unclosed = [names[r] for r in range(k) if starts[r] is not None]
+            raise AssertionError(f"unclosed variables in emitted run: {unclosed}")
+        yield "{" + ", ".join([f for f in fields if f is not None]) + "}\n"
 
 
 def evaluate(automaton: EVA, document: Document) -> Iterator[Mapping]:

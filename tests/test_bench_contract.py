@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from spanex import Document, dump_automaton, evaluate
+from spanex import Document, compile_spanner, dump_automaton, evaluate, parse_rgx
 from spanex.fixtures import gen_fig4_automaton
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -58,3 +58,29 @@ def test_traced_jobs_on_fig4(bench, tmp_path):
     sizes = adapter.traced_compile(tracer, argv)
     assert sizes["det_states"] == len(json.loads(out.read_text())["states"])
     assert tracer.last_job() == 2
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_cli_lines_equal_traced_lines(bench, tmp_path, to_file):
+    # The timed runs take the CLI's lines, the traced run encodes the
+    # mappings itself; both must be the same bytes, one write per line.
+    adapter, tracing = bench
+    dense, _ = compile_spanner(parse_rgx(".*x{a.*}.*", frozenset("ab")), frozenset("ab"))
+    for name, automaton, text in (("fig4", gen_fig4_automaton(), "ab"),
+                                  ("dense", dense, "abab")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dump_automaton(automaton)))
+        doc = tmp_path / f"{name}.txt"
+        doc.write_text(text)
+        out = str(tmp_path / f"{name}.ndjson") if to_file else None
+        argv = adapter.enumerate_argv(str(path), str(doc), None, out)
+        run = adapter.run_cli(argv)
+        traced = adapter.traced_enumerate(tracing.Tracer(adapter.clock), argv,
+                                          adapter.new_counter())
+        assert run.code == 0 and traced.lines
+        written = run.output_lines()[0]
+        if to_file:
+            assert written == []
+            with open(out, encoding="utf-8", newline="") as handle:
+                written = handle.readlines()
+        assert written == traced.lines

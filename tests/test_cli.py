@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 import spanex.automata
 from spanex import (
     Document,
+    compile_spanner,
     dump_automaton,
+    enumerate_stream,
     evaluate_preprocess,
     functional_va_to_det_seva,
+    load_automaton,
     measure_delay,
     parse_rgx,
     rgx_to_va,
@@ -204,6 +207,54 @@ def test_enumerate_stats_walks_once(runner):
     det = functional_va_to_det_seva(rgx_to_va(parse_rgx(".*x{a.*}.*", sigma), sigma))
     expected = measure_delay(evaluate_preprocess(det, Document("abababab")))
     assert json.loads(full.stderr.splitlines()[-1]) == expected.as_dict()
+
+
+def test_enumerate_escaped_names_and_empty_spans(runner, tmp_path):
+    # The lines are written without json.dumps: names JSON must escape,
+    # a set that opens and closes a variable at once (the empty span
+    # [i, i>) and key order must come out as json.dumps writes them.
+    steps = [["open:\"", "open:\u00e9"], ["close:\"", "open:\\", "close:\\"],
+             ["close:\u00e9", "open:\n", "open:a b"], ["close:\n", "close:a b"]]
+    names = [f"q{i}" for i in range(len(steps) + 1)]
+    transitions = [{"from": q, "label": {"symbol": "a"}, "to": q} for q in names]
+    transitions += [{"from": q, "label": {"markers": markers}, "to": p}
+                    for q, markers, p in zip(names, steps, names[1:])]
+    data = {"kind": "eva", "alphabet": ["a"], "states": names, "initial": "q0",
+            "finals": [names[-1]], "transitions": transitions}
+    path = tmp_path / "escapes.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["enumerate", "--automaton", str(path),
+                                  "--doc-inline", "aaaaa"])
+    assert result.exit_code == 0, result.output
+    det, _ = compile_spanner(load_automaton(data))
+    state = evaluate_preprocess(det, Document("aaaaa"))
+    expected = "".join(json.dumps(m.to_json_obj(), sort_keys=True) + "\n"
+                       for m in enumerate_stream(state))
+    assert result.stdout == expected
+    assert '"\\u00e9": [' in expected and '"\\n": [' in expected
+    assert '"\\\\": [2, 2]' in expected and len(expected.splitlines()) == 15  # C(6, 4) runs
+
+
+def test_enumerate_stops_quietly_on_broken_pipe(tmp_path):
+    # A reader that closes stdout early ends the output like --limit; a
+    # broken pipe on an --out file is still an I/O error.
+    src = os.path.dirname(os.path.dirname(spanex.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-m", "spanex.cli", "enumerate", "--rgx", ".*x{a.*}.*",
+            "--alphabet", "ab", "--doc-inline", "ab" * 300]
+    for extra, code in (([], 0), (["--out", "/dev/stdout"], 2)):
+        proc = subprocess.Popen(args + extra, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert json.loads(first) == {"x": [599, 601]}
+        assert proc.returncode == code
+        if code == 0:
+            assert err == b""
+        else:
+            assert err.decode().startswith("error: [Errno 32] Broken pipe")
 
 
 def test_loaded_det_seva_classified_once(runner, fig4_path, monkeypatch):

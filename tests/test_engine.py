@@ -14,7 +14,8 @@ from spanex import (
     rgx_to_va,
     va_to_det_seva_general,
 )
-from spanex.engine import BOTTOM, NodeList
+from spanex import engine
+from spanex.engine import BOTTOM, NodeList, enumerate_ndjson
 from spanex.errors import InputError, PreconditionError
 from spanex.fixtures import (
     FIG1_TEXT,
@@ -242,6 +243,29 @@ def test_precondition_validation():
     )
     with pytest.raises(PreconditionError):
         evaluate_preprocess(nonseq, Document(""))
+
+
+_OPEN, _CLOSE = mset(open_m("x")), mset(close_m("x"))
+
+
+@pytest.mark.parametrize("events, stream_error, line_error", [
+    (((_CLOSE, 1),), KeyError, AssertionError),            # closed, never opened
+    (((_OPEN, 1),), AssertionError, AssertionError),       # opened, never closed
+    (((_OPEN, 2), (_CLOSE, 1)), InputError, InputError),   # ends before it starts
+])
+def test_bad_event_sequences_raise_in_both_writers(monkeypatch, events, stream_error,
+                                                   line_error):
+    # The walk of a det-seVA never yields these; the NDJSON writer keeps
+    # the checks that building a Span and a Mapping makes.
+    eva = EVA(["q0", "q1", "q2", "q3"], "q0", ["q3"],
+              [("q0", _OPEN, "q1"), ("q1", "a", "q2"), ("q2", _CLOSE, "q3")], ["a"], ["x"])
+    state = evaluate_preprocess(eva, Document("a"))
+    assert list(enumerate_ndjson(state)) == ['{"x": [1, 2]}\n']
+    monkeypatch.setattr(engine, "enumerate_raw", lambda state, counter=None: iter([events]))
+    with pytest.raises(stream_error):
+        list(enumerate_stream(state))
+    with pytest.raises(line_error):
+        list(enumerate_ndjson(state))
 
 
 def test_streaming_is_lazy():

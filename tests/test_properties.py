@@ -3,7 +3,8 @@ det-seVA agrees with the reference semantics and the brute-force run
 search, counting agrees with enumeration, the JSON format keeps the
 semantics, and both expression strategies agree on joins and unions.
 Over random extended automata: projection agrees with projecting the
-outputs, and the compiled det-seVA agrees with the brute-force search."""
+outputs, the compiled det-seVA agrees with the brute-force search, and
+the CLI's NDJSON lines are the JSON encoding of the mapping stream."""
 
 import json
 
@@ -12,17 +13,21 @@ from hypothesis import strategies as st
 
 from spanex import (
     Document,
+    OpCounter,
     brute_enumerate_va,
     classify,
     compile_expr,
     compile_spanner,
     count_det_seva,
     dump_automaton,
+    enumerate_stream,
     evaluate,
+    evaluate_preprocess,
     load_automaton,
     project_eva,
 )
 from spanex.algebra import Atom, Join, Project, Union
+from spanex.engine import enumerate_ndjson
 from spanex.model import mapping_set_project
 from spanex.rgx import Alt, Capture, Concat, Star, Symbol, rgx_eval_reference, rgx_to_va
 
@@ -140,3 +145,18 @@ def test_compiled_eva_matches_brute_oracle(eva, texts):
         assert len(set(outputs)) == len(outputs)
         assert set(outputs) == brute_enumerate_va(eva, Document(text))
         assert count_det_seva(det, Document(text)) == len(outputs)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.booleans().flatmap(lambda functional: random_evas(functional=functional)),
+       st.lists(st.text(alphabet="ab", max_size=6), min_size=1, max_size=3))
+def test_ndjson_lines_equal_encoded_mappings(eva, texts):
+    # Non-functional automata give outputs that leave variables unbound.
+    det, _ = compile_spanner(eva)
+    for text in texts:
+        state = evaluate_preprocess(det, Document(text))
+        streamed, written = OpCounter(), OpCounter()
+        want = [json.dumps(m.to_json_obj(), sort_keys=True) + "\n"
+                for m in enumerate_stream(state, streamed)]
+        assert list(enumerate_ndjson(state, written)) == want
+        assert written.enum_work == streamed.enum_work
