@@ -39,7 +39,7 @@ def _require_same_variables(a1: EVA, a2: EVA) -> None:
 # Operators
 # ---------------------------------------------------------------------------
 
-def join_eva(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
+def join_eva(a1: EVA, a2: EVA) -> EVA:
     """Product automaton computing the join of two functional EVA.
 
     Letter moves synchronize; a marker set free of shared markers moves
@@ -47,9 +47,8 @@ def join_eva(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
     merge and move both.  Only reachable product states are built, so
     the state count is at most |Q1| * |Q2|.
     """
-    if validate:
-        require_functional(a1, "join operand must be functional")
-        require_functional(a2, "join operand must be functional")
+    require_functional(a1, "join operand must be functional")
+    require_functional(a2, "join operand must be functional")
     shared = markers_of(a1.variables & a2.variables)
 
     def moves(state: Tuple[State, State]):
@@ -85,13 +84,12 @@ def join_eva(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
     return result
 
 
-def union_eva_linear(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
+def union_eva_linear(a1: EVA, a2: EVA) -> EVA:
     """Disjoint union behind a fresh initial state that has both initial
     states' transitions and is final if either is.  Linear size; need not
     be deterministic."""
-    if validate:
-        require_functional(a1, "union operand must be functional")
-        require_functional(a2, "union operand must be functional")
+    require_functional(a1, "union operand must be functional")
+    require_functional(a2, "union operand must be functional")
     _require_same_variables(a1, a2)
     fresh = ("u", 0)
     states = [fresh]
@@ -116,14 +114,13 @@ def union_eva_linear(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
     return result
 
 
-def union_eva_deterministic(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
+def union_eva_deterministic(a1: EVA, a2: EVA) -> EVA:
     """Union that preserves determinism: run both components in lockstep
     and branch off into a single component exactly when the other has no
     transition for the current label.  Size at most |A1| * |A2|."""
-    if validate:
-        for automaton in (a1, a2):
-            require_functional(automaton, "union operand must be functional")
-            require_det_seva(automaton)
+    for automaton in (a1, a2):
+        require_functional(automaton, "union operand must be functional")
+        require_det_seva(automaton)
     _require_same_variables(a1, a2)
 
     def moves(state: State):
@@ -157,7 +154,7 @@ def union_eva_deterministic(a1: EVA, a2: EVA, validate: bool = True) -> EVA:
     return result
 
 
-def project_eva(automaton: EVA, variables: Iterable[str], validate: bool = True) -> EVA:
+def project_eva(automaton: EVA, variables: Iterable[str]) -> EVA:
     """Strip markers of variables outside the projection set.
 
     A marker step whose set empties becomes no step: its source takes the
@@ -167,8 +164,7 @@ def project_eva(automaton: EVA, variables: Iterable[str], validate: bool = True)
     marker steps of its own lands in a ("post", p) copy that has only p's
     own letters and finality.
     """
-    if validate:
-        require_functional(automaton, "projection operand must be functional")
+    require_functional(automaton, "projection operand must be functional")
     keep = frozenset(variables)
     dropped: MarkerSet = markers_of(automaton.variables - keep)
     guarded = {p for _, label, p in automaton.transitions
@@ -226,14 +222,6 @@ class Join(AlgebraExpr):
     right: AlgebraExpr
 
 
-def expr_atoms(expr: AlgebraExpr) -> List[Atom]:
-    if isinstance(expr, Atom):
-        return [expr]
-    if isinstance(expr, Project):
-        return expr_atoms(expr.child)
-    return expr_atoms(expr.left) + expr_atoms(expr.right)
-
-
 def expr_has_project(expr: AlgebraExpr) -> bool:
     if isinstance(expr, Atom):
         return False
@@ -269,7 +257,6 @@ def compile_expr(expr: AlgebraExpr, strategy: str = "auto") -> EVA:
     if strategy == "prop8" and expr_has_project(expr):
         raise InputError("the determinize-atoms-first strategy cannot handle projections")
 
-    atoms = expr_atoms(expr)
     atom_sizes = []
 
     def build(node: AlgebraExpr, determinize_leaves: bool) -> EVA:
@@ -282,20 +269,16 @@ def compile_expr(expr: AlgebraExpr, strategy: str = "auto") -> EVA:
                 return det
             return feva
         if isinstance(node, Join):
-            return join_eva(
-                build(node.left, determinize_leaves),
-                build(node.right, determinize_leaves),
-                validate=False,
-            )
+            return join_eva(build(node.left, determinize_leaves),
+                            build(node.right, determinize_leaves))
         if isinstance(node, Union):
             left = build(node.left, determinize_leaves)
             right = build(node.right, determinize_leaves)
             if determinize_leaves:
-                return union_eva_deterministic(left, right, validate=False)
-            return union_eva_linear(left, right, validate=False)
+                return union_eva_deterministic(left, right)
+            return union_eva_linear(left, right)
         if isinstance(node, Project):
-            return project_eva(build(node.child, determinize_leaves),
-                               node.variables, validate=False)
+            return project_eva(build(node.child, determinize_leaves), node.variables)
         raise TypeError(f"not an algebra node: {node!r}")
 
     if strategy == "prop8":
@@ -308,7 +291,7 @@ def compile_expr(expr: AlgebraExpr, strategy: str = "auto") -> EVA:
         )
         result = determinize_eva(combined)
 
-    k = len(atoms)
+    k = len(atom_sizes)
     n_eff = max(2, max(atom_sizes, default=1))
     if strategy == "prop8":
         exponent = n_eff * k
@@ -411,12 +394,12 @@ class _ExprParser:
         self.i += 1
         out = []
         while self.i < len(self.text) and self.text[self.i] != '"':
-            if self.text[self.i] == "\\" and self.i + 1 < len(self.text):
-                out.append(self.text[self.i + 1])
-                self.i += 2
-            else:
-                out.append(self.text[self.i])
+            # Only \" and \\ are escapes; any other backslash stays for the
+            # regex parser, so rgx("a\.b") reads as --rgx 'a\.b' does.
+            if self.text[self.i] == "\\" and self.text[self.i + 1 : self.i + 2] in ('"', "\\"):
                 self.i += 1
+            out.append(self.text[self.i])
+            self.i += 1
         if self.i >= len(self.text):
             raise self.error("unterminated string")
         self.i += 1

@@ -542,7 +542,7 @@ UNSEEN, OPEN, CLOSED, PENDING_CLOSE = 0, 1, 2, 3
 _INVALID = "INVALID"
 
 #: Refuse classification beyond this many variables (3^l status space).
-DEFAULT_VARIABLE_CAP = 16
+VARIABLE_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -622,16 +622,18 @@ def _status_after_marker(status: Tuple[int, ...], marker: Marker, var_index: Dic
     return tuple(new)
 
 
-def classify(automaton, variable_cap: int = DEFAULT_VARIABLE_CAP) -> ClassificationReport:
+def classify(automaton) -> ClassificationReport:
     """Decide sequential / functional (and deterministic for EVA) by
     reachability over (state, per-variable status) configurations.  The
-    report is kept on the automaton; the variable cap is checked every call."""
-    if len(automaton.variables) > variable_cap:
-        raise ClassificationTooLarge(
-            f"classification too large: {len(automaton.variables)} variables "
-            f"exceeds cap {variable_cap}"
-        )
+    report is kept on the automaton.  An automaton of more than
+    ``VARIABLE_CAP`` variables raises and never gets one, so a kept report
+    needs no cap check."""
     if automaton._report is None:
+        if len(automaton.variables) > VARIABLE_CAP:
+            raise ClassificationTooLarge(
+                f"classification too large: {len(automaton.variables)} variables "
+                f"exceeds cap {VARIABLE_CAP}"
+            )
         automaton._report = _classify(automaton)
     return automaton._report
 
@@ -754,9 +756,10 @@ def require_functional(automaton, message: str) -> None:
         )
 
 
-def require_det_seva(automaton: EVA, variable_cap: int = DEFAULT_VARIABLE_CAP) -> None:
-    """Precondition guard used by the evaluation and counting engines."""
-    report = classify(automaton, variable_cap)
+def require_det_seva(automaton: EVA) -> None:
+    """Precondition guard of the evaluation and counting engines and of
+    the lockstep union."""
+    report = classify(automaton)
     if report.deterministic is not True:
         raise PreconditionError(
             f"automaton is not deterministic: {report.deterministic_witness}",

@@ -63,11 +63,11 @@ def _load_spanner(rgx: Optional[str], automaton: Optional[str], expr: Optional[s
     if len(given) != 1:
         raise FormatError("exactly one of --rgx, --automaton, --expr is required")
     if rgx is not None:
-        sigma = frozenset(alphabet) if alphabet else infer_alphabet(rgx)
+        sigma = frozenset(alphabet) if alphabet is not None else infer_alphabet(rgx)
         return parse_rgx(rgx, sigma), sigma
     if automaton is not None:
         return load_automaton(_load_json(automaton)), None
-    sigma = frozenset(alphabet) if alphabet else None
+    sigma = frozenset(alphabet) if alphabet is not None else None
     parsed = parse_expr(expr, atom_loader=lambda p: load_automaton(_load_json(p)),
                         default_alphabet=sigma)
     return parsed, sigma

@@ -125,12 +125,11 @@ class EvaluationState:
     ever held a list.
     """
 
-    __slots__ = ("automaton", "document", "counter", "tables", "lists_by_id", "reached")
+    __slots__ = ("automaton", "counter", "tables", "lists_by_id", "reached")
 
-    def __init__(self, automaton: EVA, document: Document, counter: OpCounter,
-                 tables: DetTables, lists_by_id: List[Optional[NodeList]], reached: bytearray):
+    def __init__(self, automaton: EVA, counter: OpCounter, tables: DetTables,
+                 lists_by_id: List[Optional[NodeList]], reached: bytearray):
         self.automaton = automaton
-        self.document = document
         self.counter = counter
         self.tables = tables
         self.lists_by_id = lists_by_id
@@ -203,7 +202,7 @@ def evaluate_preprocess(
     lists[tables.initial] = initial
     reached[tables.initial] = 1
     live = [tables.initial]  # ids of the nonempty lists, ascending
-    state = EvaluationState(automaton, document, counter, tables, lists, reached)
+    state = EvaluationState(automaton, counter, tables, lists, reached)
     # ops: the initial list plus the live states visited by reading.
     ops, copies, nodes, appends = 1, 0, 0, 0
 

@@ -208,8 +208,8 @@ def test_criterion_3_oracle_equivalence():
     pairs = list(zip(pool["feva_xy"], pool["feva_yz"]))
     same_vars = list(zip(pool["feva_xy"], pool["feva_xy2"]))
     for seed, (a1, a2) in enumerate(pairs):
-        joined = determinize_eva(join_eva(a1, a2, validate=False))
-        projected = determinize_eva(project_eva(a1, ["x"], validate=False))
+        joined = determinize_eva(join_eva(a1, a2))
+        projected = determinize_eva(project_eva(a1, ["x"]))
         for doc in _docs(seed + 30_000):
             want_join = mapping_set_join(
                 brute_enumerate_va(a1, doc), brute_enumerate_va(a2, doc)
@@ -220,10 +220,8 @@ def test_criterion_3_oracle_equivalence():
             )
         checked += 2
     for seed, (a1, a2) in enumerate(same_vars):
-        linear = determinize_eva(union_eva_linear(a1, a2, validate=False))
-        lockstep = union_eva_deterministic(
-            determinize_eva(a1), determinize_eva(a2), validate=False
-        )
+        linear = determinize_eva(union_eva_linear(a1, a2))
+        lockstep = union_eva_deterministic(determinize_eva(a1), determinize_eva(a2))
         for doc in _docs(seed + 40_000):
             want = brute_enumerate_va(a1, doc) | brute_enumerate_va(a2, doc)
             assert engine_set(linear, doc) == want
@@ -381,7 +379,7 @@ def test_criterion_7_size_bounds():
         assert len(det.states) <= 2 ** n
         assert len(det.transitions) <= 2 ** n * (n ** 2 + sigma)
     for a1, a2 in zip(pool["feva_xy"], pool["feva_yz"]):
-        joined = join_eva(a1, a2, validate=False)
+        joined = join_eva(a1, a2)
         assert len(joined.states) <= len(a1.states) * len(a2.states)
     for (a1, a2), (b1, _) in zip(zip(pool["feva_xy"], pool["feva_yz"]),
                                  zip(pool["feva_xy2"], pool["feva_xy"])):

@@ -109,7 +109,7 @@ def test_union_linear_examples():
     for doc in all_docs("a", 3):
         assert brute_enumerate_va(union_eva_linear(a, a), doc) == brute_enumerate_va(a, doc)
     empty = EVA(["z0", "z1"], "z0", [], [("z0", mset(open_m("x")), "z1")], ["a"], ["x"])
-    merged = union_eva_linear(a, empty, validate=False)
+    merged = union_eva_linear(a, empty)
     for doc in all_docs("a", 3):
         assert brute_enumerate_va(merged, doc) == brute_enumerate_va(a, doc)
 
@@ -177,6 +177,21 @@ def test_operators_reject_non_functional():
         join_eva(non_functional, _whole_doc_binder("y"))
     with pytest.raises(PreconditionError):
         project_eva(non_functional, ["x"])
+    with pytest.raises(PreconditionError, match="union operand must be functional"):
+        union_eva_linear(non_functional, _whole_doc_binder("x"))
+    with pytest.raises(PreconditionError, match="union operand must be functional"):
+        union_eva_deterministic(_whole_doc_binder("x"), non_functional)
+    # Functional, but q0 has two transitions on {open:x}.
+    nondeterministic = EVA(
+        ["q0", "q1", "q2", "q3"], "q0", ["q3"],
+        [("q0", mset(open_m("x")), "q1"), ("q0", mset(open_m("x")), "q2"),
+         ("q1", "a", "q1"), ("q1", mset(close_m("x")), "q3"),
+         ("q2", "a", "q2"), ("q2", mset(close_m("x")), "q3")],
+        ["a"], ["x"],
+    )
+    assert classify(nondeterministic).functional
+    with pytest.raises(PreconditionError, match="automaton is not deterministic"):
+        union_eva_deterministic(_whole_doc_binder("x"), nondeterministic)
 
 
 def test_compile_single_atom_matches_functional_pipeline():
@@ -275,6 +290,15 @@ def test_parse_expr_project_and_union():
     assert set(evaluate(compiled, Document("ab"))) == {
         mapping(x=(1, 2)), mapping(x=(1, 3)),
     }
+
+
+def test_parse_expr_keeps_regex_escapes():
+    # Only \" and \\ are string escapes; \. reaches the regex parser.
+    want = parse_rgx(r"x{a\.b}", "a.b")
+    for text in (r'rgx("x{a\.b}")', r'rgx("x{a\\.b}")', r'rgx("x{a\.b}", "a.b")'):
+        expr = parse_expr(text, default_alphabet="a.b")
+        assert expr.value == want, text
+    assert parse_expr(r'rgx("x{\"}")', default_alphabet='"').value == parse_rgx('x{"}', '"')
 
 
 def test_parse_expr_errors():

@@ -209,15 +209,12 @@ def test_classification_cap():
     va = VA(["q0"], "q0", ["q0"], [], ["a"], names)
     with pytest.raises(ClassificationTooLarge):
         classify(va)
-    classify(va, variable_cap=17)
 
 
 def test_classify_report_kept_on_automaton():
-    va = VA(["q0"], "q0", ["q0"], [], ["a"], [f"v{i}" for i in range(17)])
-    report = classify(va, variable_cap=17)
-    assert classify(va, variable_cap=17) is report
-    with pytest.raises(ClassificationTooLarge):  # the cap holds for a kept report too
-        classify(va)
+    va = VA(["q0"], "q0", ["q0"], [], ["a"], [f"v{i}" for i in range(16)])
+    report = classify(va)
+    assert classify(va) is report
 
 
 def test_eva_rejects_other_labels():

@@ -84,3 +84,17 @@ def test_cli_lines_equal_traced_lines(bench, tmp_path, to_file):
             with open(out, encoding="utf-8", newline="") as handle:
                 written = handle.readlines()
         assert written == traced.lines
+
+
+@pytest.mark.parametrize("strategy", ["prop7", "prop8"])
+def test_traced_expression_compile_equals_cli(bench, tmp_path, strategy):
+    # The traced run calls compile_expr itself; its file must be the
+    # bytes `spanex compile --expr` writes.
+    adapter, tracing = bench
+    expr = 'join(rgx(".*a......x{.*}"), rgx(".*y{b.*}.*"))'
+    argv = ["compile", "--expr", expr, "--strategy", strategy, "--alphabet", "ab", "--out"]
+    cli, traced = tmp_path / "cli.json", tmp_path / "traced.json"
+    assert adapter.run_cli(argv + [str(cli)]).code == 0
+    sizes = adapter.traced_compile(tracing.Tracer(adapter.clock), argv + [str(traced)])
+    assert traced.read_bytes() == cli.read_bytes()
+    assert sizes["det_states"] == len(json.loads(cli.read_text())["states"])

@@ -329,6 +329,34 @@ def test_count_expression(runner):
     assert result.stdout.strip() == "1"
 
 
+def test_expr_rgx_keeps_regex_escapes(runner):
+    # \. inside rgx("...") is the regex's literal dot, as it is in --rgx.
+    for doc, want in (("aab", "0\n"), ("a.b", "1\n")):
+        for source in (["--rgx", r"x{a\.b}"], ["--expr", r'rgx("x{a\.b}")']):
+            result = runner.invoke(
+                main, ["count", *source, "--alphabet", "a.b", "--doc-inline", doc])
+            assert (result.exit_code, result.stdout) == (0, want), (doc, source)
+
+
+def test_declared_empty_alphabet(runner):
+    for source in (["--rgx", "a"], ["--expr", 'rgx("a")']):
+        result = runner.invoke(main, ["count", *source, "--alphabet", "", "--doc-inline", "a"])
+        assert result.exit_code == 2, source
+        assert "not in the declared alphabet" in result.stderr
+    empty = runner.invoke(main, ["count", "--rgx", "", "--alphabet", "", "--doc-inline", ""])
+    assert (empty.exit_code, empty.stdout) == (0, "1\n")
+
+
+def test_compile_refuses_operand_beyond_variable_cap(runner):
+    # The operators classify their operands, so a join whose left operand
+    # has 18 variables stops at compile time, not only at count time.
+    nine = ["".join(f"{v}{i}{{a}}" for i in range(9)) for v in "pq"]
+    expr = f'join(join(rgx("{nine[0]}"), rgx("{nine[1]}")), rgx("c{{a*}}"))'
+    result = runner.invoke(main, ["compile", "--expr", expr, "--alphabet", "a"])
+    assert result.exit_code == 1
+    assert "classification too large: 18 variables exceeds cap 16" in result.stderr
+
+
 def test_exit_codes(runner, fig4_path, tmp_path):
     assert runner.invoke(main, ["count", "--rgx", "x{(", "--doc-inline", "a"]).exit_code == 2
     assert runner.invoke(main, ["count", "--doc-inline", "a"]).exit_code == 2
