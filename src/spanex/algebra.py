@@ -17,6 +17,7 @@ from .rgx import RegexAst, infer_alphabet, parse_rgx, rgx_literal_symbols, rgx_t
 from .transform import (
     _at_most_power_of_two,
     _check_bound,
+    _determinize,
     _reachable_eva,
     determinize_eva,
     functional_eva,
@@ -115,37 +116,17 @@ def union_eva_linear(a1: EVA, a2: EVA) -> EVA:
 
 
 def union_eva_deterministic(a1: EVA, a2: EVA) -> EVA:
-    """Union that preserves determinism: run both components in lockstep
-    and branch off into a single component exactly when the other has no
-    transition for the current label.  Size at most |A1| * |A2|."""
+    """Union that preserves determinism: the subset construction of
+    ``union_eva_linear``'s automaton started at both initial states.  As
+    both operands are deterministic, it runs them in lockstep and branches
+    off into a single component exactly when the other has no transition
+    for the current label.  Size at most |A1| * |A2|."""
     for automaton in (a1, a2):
         require_functional(automaton, "union operand must be functional")
         require_det_seva(automaton)
     _require_same_variables(a1, a2)
-
-    def moves(state: State):
-        if state[0] != "u12":
-            tag, q = state
-            for label, p in (a1 if tag == "u1" else a2).out(q):
-                yield label, (tag, p)
-            return
-        _, p1, p2 = state
-        out1 = a1.out(p1)
-        out2 = dict(a2.out(p2))
-        for label, q1 in out1:
-            yield label, ("u12", q1, out2[label]) if label in out2 else ("u1", q1)
-        labels1 = {label for label, _ in out1}
-        for label, q2 in out2.items():
-            if label not in labels1:
-                yield label, ("u2", q2)
-
-    def accepting(state: State) -> bool:
-        if state[0] == "u12":
-            return state[1] in a1.finals or state[2] in a2.finals
-        return state[1] in (a1 if state[0] == "u1" else a2).finals
-
-    result = _reachable_eva(("u12", a1.initial, a2.initial), moves, accepting,
-                            a1.alphabet | a2.alphabet, a1.variables)
+    result = _determinize(union_eva_linear(a1, a2),
+                          frozenset([("u1", a1.initial), ("u2", a2.initial)]))
     bound = (len(a1.states) + 1) * (len(a2.states) + 1)
     _check_bound(
         len(result.states) <= bound,
@@ -433,9 +414,10 @@ class _ExprParser:
             return Join(left, right) if head == "join" else Union(left, right)
         if head == "project":
             self.expect("[")
-            variables = [self.name()]
             self.skip_ws()
-            while self.i < len(self.text) and self.text[self.i] == ",":
+            variables = [] if self.text[self.i : self.i + 1] == "]" else [self.name()]
+            self.skip_ws()
+            while variables and self.i < len(self.text) and self.text[self.i] == ",":
                 self.i += 1
                 variables.append(self.name())
                 self.skip_ws()

@@ -20,8 +20,10 @@ from .model import (
     Marker,
     MarkerSet,
     Span,
+    all_closed,
     format_marker_set,
     marker_set_key,
+    markers_compatible,
 )
 
 
@@ -286,7 +288,7 @@ def _label_from_json(obj: Any) -> Optional[Label]:
             raise FormatError(f"transition symbol must be a string, got {obj['symbol']!r}")
         return obj["symbol"]
     if "markers" in obj:
-        markers = [_marker_from_string(m) for m in obj["markers"]]
+        markers = [_marker_from_string(m) for m in _list_from_json(obj["markers"], "markers")]
         if not markers:
             raise FormatError("empty marker set in transition label")
         if len(markers) == 1:
@@ -312,6 +314,12 @@ def _state_from_json(value: Any, field: str) -> State:
     return value
 
 
+def _list_from_json(value: Any, field: str) -> List[Any]:
+    if not isinstance(value, list):
+        raise FormatError(f"{field} must be a list, got {value!r}")
+    return value
+
+
 def _strings_from_json(values: List[Any], field: str) -> List[str]:
     for value in values:
         if not isinstance(value, str):
@@ -330,19 +338,25 @@ def load_automaton(data: Dict[str, Any]):
     step is exact because an epsilon step never follows another in a run,
     so epsilon cycles need no closure.
     """
+    if not isinstance(data, dict):
+        raise FormatError(f"an automaton must be a JSON object, got a {type(data).__name__}")
     try:
-        alphabet = _strings_from_json(list(data["alphabet"]), "alphabet")
-        states = [_state_from_json(q, "states entry") for q in data["states"]]
+        alphabet = _strings_from_json(_list_from_json(data["alphabet"], "alphabet"), "alphabet")
+        states = [_state_from_json(q, "states entry")
+                  for q in _list_from_json(data["states"], "states")]
         initial = _state_from_json(data["initial"], "initial")
-        finals = [_state_from_json(q, "finals entry") for q in data["finals"]]
-        raw_transitions = list(data["transitions"])
-    except (KeyError, TypeError) as exc:
+        finals = [_state_from_json(q, "finals entry")
+                  for q in _list_from_json(data["finals"], "finals")]
+        raw_transitions = _list_from_json(data["transitions"], "transitions")
+    except KeyError as exc:
         raise FormatError(f"automaton object is missing field: {exc}") from exc
+    for symbol in alphabet:
+        # Documents are read one character per position.
+        if len(symbol) != 1:
+            raise FormatError(f"alphabet entries must be single characters, got {symbol!r}")
     variables = data.get("variables")
     if variables is not None:
-        if not isinstance(variables, list):
-            raise FormatError(f"variables must be a list, got {variables!r}")
-        _strings_from_json(variables, "variables")
+        _strings_from_json(_list_from_json(variables, "variables"), "variables")
 
     labels: List[Tuple[State, Label, State]] = []
     epsilons: List[Tuple[State, State]] = []
@@ -538,10 +552,9 @@ def brute_enumerate_va(automaton, doc: Document) -> Set[Mapping]:
 # Classification
 # ---------------------------------------------------------------------------
 
-UNSEEN, OPEN, CLOSED, PENDING_CLOSE = 0, 1, 2, 3
 _INVALID = "INVALID"
 
-#: Refuse classification beyond this many variables (3^l status space).
+#: Refuse classification beyond this many variables (up to 4^l marker histories).
 VARIABLE_CAP = 16
 
 
@@ -575,56 +588,9 @@ def _describe_path(parents, config, extra: str) -> str:
     return f"run [{path}] {extra}"
 
 
-def _status_after_set(status: Tuple[int, ...], markers: MarkerSet, var_index: Dict[str, int]):
-    """Apply one extended marker set to a status vector; None means
-    invalid.  A set holding both markers of a variable closes it at one
-    position (empty span), which is a valid step from unseen."""
-    new = list(status)
-    opens = {m.var for m in markers if m.is_open}
-    closes = {m.var for m in markers if not m.is_open}
-    for var in opens | closes:
-        i = var_index[var]
-        if var in opens and var in closes:
-            if new[i] != UNSEEN:
-                return None
-            new[i] = CLOSED
-        elif var in opens:
-            if new[i] != UNSEEN:
-                return None
-            new[i] = OPEN
-        else:
-            if new[i] != OPEN:
-                return None
-            new[i] = CLOSED
-    return tuple(new)
-
-
-def _status_after_marker(status: Tuple[int, ...], marker: Marker, var_index: Dict[str, int]):
-    """Single VA marker step.  Validity is positional, so a close before
-    its open is pending until an open at the same position matches it;
-    a letter step with a pending close can never become valid."""
-    i = var_index[marker.var]
-    new = list(status)
-    if marker.is_open:
-        if new[i] == UNSEEN:
-            new[i] = OPEN
-        elif new[i] == PENDING_CLOSE:
-            new[i] = CLOSED
-        else:
-            return None
-    else:
-        if new[i] == OPEN:
-            new[i] = CLOSED
-        elif new[i] == UNSEEN:
-            new[i] = PENDING_CLOSE
-        else:
-            return None
-    return tuple(new)
-
-
 def classify(automaton) -> ClassificationReport:
     """Decide sequential / functional (and deterministic for EVA) by
-    reachability over (state, per-variable status) configurations.  The
+    reachability over (state, marker history) configurations.  The
     report is kept on the automaton.  An automaton of more than
     ``VARIABLE_CAP`` variables raises and never gets one, so a kept report
     needs no cap check."""
@@ -639,53 +605,61 @@ def classify(automaton) -> ClassificationReport:
 
 
 def _classify(automaton) -> ClassificationReport:
+    # A configuration pairs a state with the run's history, the set of
+    # markers it has used, or _INVALID once the run can no longer be
+    # valid; an EVA's also records whether a variable step may come next.
+    # A VA may close a variable before opening it at one position, so its
+    # history can hold a close without its open; such a pending close
+    # makes the run invalid at the next letter.
     variables = sorted(automaton.variables)
-    var_index = {v: i for i, v in enumerate(variables)}
     is_eva = isinstance(automaton, EVA)
-
-    initial_status = tuple([UNSEEN] * len(variables))
-    # Config: (state, status-or-_INVALID) for VA,
-    #         (state, status-or-_INVALID, var_step_available) for EVA.
-    if is_eva:
-        start = (automaton.initial, initial_status, True)
-    else:
-        start = (automaton.initial, initial_status)
+    finals = automaton.finals
+    empty: MarkerSet = frozenset()
+    start = (automaton.initial, empty, True) if is_eva else (automaton.initial, empty)
     parents: Dict[Any, Optional[Tuple[Any, Label]]] = {start: None}
     queue = [start]
     seq_bad = None
     fun_bad = None
+    # What the rule derives from each history, computed once: the history
+    # after a letter, whether accepting with it breaks sequentiality or
+    # leaves a variable unused, and the history after each marker label.
+    derived: Dict[Any, Tuple[Any, bool, bool, Dict[Label, Any]]] = {}
+
+    def derive(history):
+        if history is _INVALID:
+            return _INVALID, True, False, {}
+        valid = markers_compatible(empty, history)
+        return (history if valid else _INVALID, not (valid and all_closed(history)),
+                len({m.var for m in history}) < len(variables), {})
+
+    def after_markers(history, label: Label):
+        if history is _INVALID:
+            return _INVALID
+        if isinstance(label, Marker):
+            return _INVALID if label in history else history | {label}
+        return history | label if markers_compatible(history, label) else _INVALID
 
     while queue:
         config = queue.pop()
-        state, status = config[0], config[1]
-        if state in automaton.finals:
-            bad_seq = status is _INVALID or OPEN in status or PENDING_CLOSE in status
+        state, history = config[0], config[1]
+        if history not in derived:
+            derived[history] = derive(history)
+        at_letter, bad_seq, unused, after = derived[history]
+        if state in finals:
             if bad_seq and seq_bad is None:
                 seq_bad = config
-            if status is not _INVALID and UNSEEN in status and fun_bad is None:
+            if unused and fun_bad is None:
                 fun_bad = config
         for label, p in automaton.out(state):
             if isinstance(label, str):
-                stepped = status
-                if status is not _INVALID and PENDING_CLOSE in status:
-                    stepped = _INVALID
-                nxt = (p, stepped, True) if is_eva else (p, stepped)
-            elif is_eva:
-                if not config[2]:
-                    continue
-                if status is _INVALID:
-                    stepped = _INVALID
-                else:
-                    stepped = _status_after_set(status, label, var_index)
-                    stepped = _INVALID if stepped is None else stepped
-                nxt = (p, stepped, False)
+                nxt = (p, at_letter, True) if is_eva else (p, at_letter)
             else:
-                if status is _INVALID:
-                    stepped = _INVALID
-                else:
-                    stepped = _status_after_marker(status, label, var_index)
-                    stepped = _INVALID if stepped is None else stepped
-                nxt = (p, stepped)
+                if is_eva and not config[2]:
+                    continue
+                stepped = after.get(label)
+                if stepped is None:
+                    stepped = after[label] = after_markers(history, label)
+                nxt = (p, stepped, False) if is_eva else (p, stepped)
             if nxt not in parents:
                 parents[nxt] = (config, label)
                 queue.append(nxt)
@@ -695,24 +669,20 @@ def _classify(automaton) -> ClassificationReport:
     seq_witness = None
     fun_witness = None
     if not sequential:
-        status = seq_bad[1]
-        if status is _INVALID:
+        history = seq_bad[1]
+        if history is _INVALID:
             reason = "reuses or mis-nests a marker and still accepts"
         else:
-            dangling = [
-                v for v in variables
-                if status[var_index[v]] in (OPEN, PENDING_CLOSE)
-            ]
-            reason = "accepts with unmatched variables: " + ",".join(dangling)
+            reason = "accepts with unmatched variables: " + ",".join(
+                v for v in variables if (Marker.open(v) in history) != (Marker.close(v) in history)
+            )
         seq_witness = _describe_path(parents, seq_bad, reason)
     if not functional:
         if not sequential:
             fun_witness = "not sequential"
         else:
-            status = fun_bad[1]
-            reason = "accepts without using: " + ",".join(
-                v for v in variables if status[var_index[v]] == UNSEEN
-            )
+            used = {m.var for m in fun_bad[1]}
+            reason = "accepts without using: " + ",".join(v for v in variables if v not in used)
             fun_witness = _describe_path(parents, fun_bad, reason)
 
     deterministic: Optional[bool] = None

@@ -13,7 +13,7 @@ import logging
 from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .automata import EVA, VA, Label, State, require_functional
-from .model import Marker, MarkerSet
+from .model import MarkerSet, all_closed, markers_compatible
 
 logger = logging.getLogger(__name__)
 
@@ -33,17 +33,16 @@ def _at_most_power_of_two(count: int, exponent: int) -> bool:
 # Variable paths
 # ---------------------------------------------------------------------------
 
-def variable_paths_from(va: VA, source: State) -> Dict[State, Dict[MarkerSet, Tuple[Marker, ...]]]:
+def variable_paths_from(va: VA, source: State) -> Dict[State, Set[MarkerSet]]:
     """All variable-paths out of ``source`` with pairwise-distinct markers.
 
-    Returns target -> {marker set -> one example path}.  Distinct paths
-    carrying the same marker set to the same target collapse into one
-    entry; exploration is memoized on (state, used markers).
+    Returns target -> the marker sets of the paths that reach it.
+    Exploration is memoized on (state, used markers).
     """
-    results: Dict[State, Dict[MarkerSet, Tuple[Marker, ...]]] = {}
+    results: Dict[State, Set[MarkerSet]] = {}
     visited: Set[Tuple[State, MarkerSet]] = set()
 
-    def walk(state: State, used: MarkerSet, path: Tuple[Marker, ...]) -> None:
+    def walk(state: State, used: MarkerSet) -> None:
         if (state, used) in visited:
             return
         visited.add((state, used))
@@ -51,10 +50,10 @@ def variable_paths_from(va: VA, source: State) -> Dict[State, Dict[MarkerSet, Tu
             if marker in used:
                 continue
             extended = used | {marker}
-            results.setdefault(nxt, {}).setdefault(extended, path + (marker,))
-            walk(nxt, extended, path + (marker,))
+            results.setdefault(nxt, set()).add(extended)
+            walk(nxt, extended)
 
-    walk(source, frozenset(), ())
+    walk(source, frozenset())
     return results
 
 
@@ -116,8 +115,8 @@ def va_to_eva(va: VA) -> EVA:
         (q, label, p) for q, label, p in va.transitions if isinstance(label, str)
     ]
     for source in va.states:
-        for target, by_set in variable_paths_from(va, source).items():
-            for markers in by_set:
+        for target, marker_sets in variable_paths_from(va, source).items():
+            for markers in marker_sets:
                 transitions.append((source, markers, target))
     return EVA(va.states, va.initial, va.finals, transitions, va.alphabet, va.variables)
 
@@ -149,6 +148,25 @@ def _reachable_eva(start: State, moves: Callable[[State], Iterable[Tuple[Label, 
     return EVA(seen, start, finals, transitions, alphabet, variables)
 
 
+def _subset_moves(subset: FrozenSet[State], out: Callable[[State], Iterable[Tuple[Label, State]]]
+                  ) -> List[Tuple[Label, FrozenSet[State]]]:
+    """The subset step: for each label some member of ``subset`` moves
+    on, the set of all the members' targets on it, given each member's
+    ``(label, target)`` moves by ``out``."""
+    targets: Dict[Label, Set[State]] = {}
+    for q in subset:
+        for label, p in out(q):
+            targets.setdefault(label, set()).add(p)
+    return [(label, frozenset(ps)) for label, ps in targets.items()]
+
+
+def _determinize(automaton: EVA, start: FrozenSet[State]) -> EVA:
+    """The subset construction over the subsets reachable from ``start``."""
+    return _reachable_eva(start, lambda subset: _subset_moves(subset, automaton.out),
+                          lambda subset: bool(subset & automaton.finals),
+                          automaton.alphabet, automaton.variables)
+
+
 def determinize_eva(eva: EVA) -> EVA:
     """Classical subset construction over reachable subsets.
 
@@ -156,79 +174,52 @@ def determinize_eva(eva: EVA) -> EVA:
     input yields a sequential output.  Subset states are frozensets of
     the input states.
     """
-    def moves(subset: FrozenSet[State]):
-        targets: Dict[Label, Set[State]] = {}
-        for q in subset:
-            for label, p in eva.out(q):
-                targets.setdefault(label, set()).add(p)
-        return [(label, frozenset(ps)) for label, ps in targets.items()]
-
-    return _reachable_eva(frozenset([eva.initial]), moves,
-                          lambda subset: bool(subset & eva.finals), eva.alphabet, eva.variables)
+    return _determinize(eva, frozenset([eva.initial]))
 
 
 # ---------------------------------------------------------------------------
 # Arbitrary VA or EVA -> deterministic sequential EVA
 # ---------------------------------------------------------------------------
 
-def _markers_compatible(seen: MarkerSet, step: MarkerSet) -> bool:
-    # No marker fires twice, and a close needs its open in the combined set.
-    if seen & step:
-        return False
-    combined = seen | step
-    return all(
-        Marker.open(m.var) in combined for m in step if not m.is_open
-    )
-
-
-def _all_closed(markers: MarkerSet) -> bool:
-    return all(Marker.close(m.var) in markers for m in markers if m.is_open)
-
-
 def va_to_det_seva_general(automaton) -> EVA:
     """Direct construction of a deterministic sequential EVA equivalent
     to an arbitrary (possibly non-sequential) VA or EVA.
 
-    States are pairs (subset of input states, markers seen so far); only
-    the markers of valid run prefixes are representable, so invalid runs
-    of the input are pruned and the output is sequential by
-    construction.  The variable steps of a state are its marker-set
-    transitions in an EVA and its variable-paths in a VA.  Hard-asserts
-    the 2^n*3^l state bound and the 2^n*(5^l + 3^l*|Sigma|) transition
-    bound.
+    States are pairs (subset of input states, markers used so far); a
+    variable step is taken only when ``markers_compatible`` with those
+    markers, so invalid runs of the input are pruned and the output is
+    sequential by construction.  The variable steps of a state are its
+    marker-set transitions in an EVA and its variable-paths in a VA.
+    Hard-asserts the 2^n*3^l state bound and the 2^n*(5^l + 3^l*|Sigma|)
+    transition bound.
     """
     n = len(automaton.states)
     n_vars = len(automaton.variables)
-    steps_cache: Dict[State, List[Tuple[MarkerSet, State]]] = {}
+    steps_cache: Dict[State, List[Tuple[Label, State]]] = {}
 
-    def variable_steps(q: State) -> List[Tuple[MarkerSet, State]]:
+    def steps(q: State) -> List[Tuple[Label, State]]:
         if q not in steps_cache:
             if isinstance(automaton, EVA):
-                steps_cache[q] = automaton.marker_transitions(q)
+                steps_cache[q] = automaton.out(q)
             else:
-                steps_cache[q] = [(step, target) for target, by_set
-                                  in variable_paths_from(automaton, q).items() for step in by_set]
+                steps_cache[q] = [(label, p) for label, p in automaton.out(q)
+                                  if isinstance(label, str)]
+                steps_cache[q].extend((step, target) for target, marker_sets
+                                      in variable_paths_from(automaton, q).items()
+                                      for step in marker_sets)
         return steps_cache[q]
 
     def moves(state: Tuple[FrozenSet[State], MarkerSet]):
-        subset, markers = state
-        # Letter moves act on the subset componentwise.
-        for symbol in automaton.alphabet:
-            targets = {p for q in subset for label, p in automaton.out(q) if label == symbol}
-            if targets:
-                yield symbol, (frozenset(targets), markers)
-        # Variable moves follow the steps compatible with history.
-        steps: Dict[MarkerSet, Set[State]] = {}
-        for q in subset:
-            for step, target in variable_steps(q):
-                steps.setdefault(step, set()).add(target)
-        for step, targets in steps.items():
-            if _markers_compatible(markers, step):
-                yield step, (frozenset(targets), markers | step)
+        subset, used = state
+        for label, targets in _subset_moves(subset, steps):
+            if isinstance(label, str):
+                yield label, (targets, used)
+            elif markers_compatible(used, label):
+                yield label, (targets, used | label)
 
     result = _reachable_eva(
         (frozenset([automaton.initial]), frozenset()), moves,
-        lambda state: bool(state[0] & automaton.finals) and _all_closed(state[1]),
+        lambda state: bool(state[0] & automaton.finals) and all_closed(state[1]),
         automaton.alphabet, automaton.variables,
     )
     _check_bound(

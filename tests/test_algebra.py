@@ -23,7 +23,8 @@ from spanex.automata import dump_automaton
 from spanex.errors import InputError, PreconditionError
 from spanex.fixtures import RandomProfile, gen_fig3_va, random_documents, random_instance
 from spanex.model import mapping_set_join, mapping_set_project
-from spanex.rgx import parse_rgx
+from spanex.rgx import parse_rgx, rgx_to_va
+from spanex.transform import functional_eva
 
 from helpers import all_docs, close_m, mapping, mset, open_m
 
@@ -143,6 +144,21 @@ def test_union_deterministic_exercises_escape():
     for doc in all_docs("a", 5):
         want = brute_enumerate_va(first, doc) | brute_enumerate_va(second, doc)
         assert brute_enumerate_va(det, doc) == want
+
+
+def test_union_deterministic_size():
+    # Pinned sizes of the lockstep union of two determinized regex atoms,
+    # built directly and by compile_expr's prop8 strategy.
+    ab = frozenset("ab")
+    texts = (".*a.......x{.*}", ".*x{b.*}b.....")
+    a1, a2 = (determinize_eva(functional_eva(rgx_to_va(parse_rgx(text, ab), ab)))
+              for text in texts)
+    det = union_eva_deterministic(a1, a2)
+    assert (len(det.states), len(det.transitions)) == (281, 947)
+    assert classify(det).deterministic is True
+    compiled = compile_expr(Union(Atom(parse_rgx(texts[0], ab), ab),
+                                  Atom(parse_rgx(texts[1], ab), ab)), "prop8")
+    assert (len(compiled.states), len(compiled.transitions)) == (281, 947)
 
 
 def test_project_examples():

@@ -93,6 +93,31 @@ def test_loader_validation():
             {"from": "q0", "label": {"markers": ["open:x"]}, "to": "q0"}]})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("alphabet", "ab", "alphabet must be a list"),
+    ("alphabet", 5, "alphabet must be a list"),
+    ("alphabet", ["ab"], "alphabet entries must be single characters"),
+    ("alphabet", [""], "alphabet entries must be single characters"),
+    ("states", "q0", "states must be a list"),
+    ("finals", "q0", "finals must be a list"),
+    ("transitions", {}, "transitions must be a list"),
+    ("transitions", [{"from": "q0", "label": {"markers": "open:x"}, "to": "q0"}],
+     "markers must be a list"),
+], ids=["alphabet-string", "alphabet-int", "alphabet-long-symbol", "alphabet-empty-symbol",
+        "states-string", "finals-string", "transitions-object", "markers-string"])
+def test_loader_names_the_field_of_a_wrong_type(field, value, message):
+    good = {"alphabet": ["a"], "states": ["q0"], "initial": "q0", "finals": ["q0"],
+            "transitions": []}
+    with pytest.raises(FormatError, match=message):
+        load_automaton({**good, field: value})
+
+
+def test_loader_requires_an_object():
+    for data in ([], "q0", None):
+        with pytest.raises(FormatError, match="an automaton must be a JSON object"):
+            load_automaton(data)
+
+
 def test_empty_marker_set_rejected_in_constructor():
     with pytest.raises(FormatError):
         EVA(["q0"], "q0", [], [("q0", frozenset(), "q0")], ["a"])
@@ -188,6 +213,35 @@ def test_classify_empty_span_step_is_valid():
     report = classify(eva)
     assert report.sequential and report.functional
     assert brute_enumerate_va(eva, Document("")) == {mapping(x=(1, 1))}
+
+
+def test_classify_va_close_before_open_at_one_position():
+    # Validity is positional: a close pends until its open at the same
+    # position matches it, which gives the empty span.
+    va = VA(["q0", "q1", "q2"], "q0", ["q2"],
+            [("q0", close_m("x"), "q1"), ("q1", open_m("x"), "q2")], ["a"], ["x"])
+    report = classify(va)
+    assert report.sequential and report.functional
+    assert report.sequential_witness is None and report.functional_witness is None
+    assert brute_enumerate_va(va, Document("")) == {mapping(x=(1, 1))}
+
+
+def test_classify_va_pending_close_across_a_letter():
+    va = VA(["q0", "q1", "q2", "q3"], "q0", ["q3"],
+            [("q0", close_m("x"), "q1"), ("q1", "a", "q2"), ("q2", open_m("x"), "q3")],
+            ["a"], ["x"])
+    report = classify(va)
+    assert not report.sequential and not report.functional
+    assert report.sequential_witness == (
+        "run [close:x a open:x] reuses or mis-nests a marker and still accepts")
+    assert report.functional_witness == "not sequential"
+
+
+def test_classify_va_lone_close_is_unmatched():
+    va = VA(["q0", "q1"], "q0", ["q1"], [("q0", close_m("x"), "q1")], ["a"], ["x"])
+    report = classify(va)
+    assert not report.sequential
+    assert report.sequential_witness == "run [close:x] accepts with unmatched variables: x"
 
 
 def test_classify_determinism_witness():

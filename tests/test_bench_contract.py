@@ -86,13 +86,25 @@ def test_cli_lines_equal_traced_lines(bench, tmp_path, to_file):
         assert written == traced.lines
 
 
-@pytest.mark.parametrize("strategy", ["prop7", "prop8"])
-def test_traced_expression_compile_equals_cli(bench, tmp_path, strategy):
-    # The traced run calls compile_expr itself; its file must be the
-    # bytes `spanex compile --expr` writes.
+_JOIN = 'join(rgx(".*a......x{.*}"), rgx(".*y{b.*}.*"))'
+_UNION = 'union(rgx(".*a.......x{.*}"), rgx(".*x{b.*}b....."))'
+
+
+@pytest.mark.parametrize("source", [
+    ["--expr", _JOIN, "--strategy", "prop7"],
+    ["--expr", _JOIN, "--strategy", "prop8"],
+    ["--expr", _UNION, "--strategy", "prop7"],
+    ["--expr", _UNION, "--strategy", "prop8"],
+    ["--rgx", ".*x{a.*}.*"],
+    ["--rgx", ".*(x{a}|y{b}).*"],
+], ids=["prop7", "prop8", "union-prop7", "union-prop8", "functional", "general"])
+def test_traced_expression_compile_equals_cli(bench, tmp_path, source):
+    # The traced run calls the compile pipelines itself; its file must be
+    # the bytes `spanex compile` writes, for expressions under both
+    # strategies and for regexes through the functional and the general
+    # pipeline.
     adapter, tracing = bench
-    expr = 'join(rgx(".*a......x{.*}"), rgx(".*y{b.*}.*"))'
-    argv = ["compile", "--expr", expr, "--strategy", strategy, "--alphabet", "ab", "--out"]
+    argv = ["compile", *source, "--alphabet", "ab", "--out"]
     cli, traced = tmp_path / "cli.json", tmp_path / "traced.json"
     assert adapter.run_cli(argv + [str(cli)]).code == 0
     sizes = adapter.traced_compile(tracing.Tracer(adapter.clock), argv + [str(traced)])

@@ -329,6 +329,16 @@ def test_count_expression(runner):
     assert result.stdout.strip() == "1"
 
 
+def test_boolean_projection_expression(runner):
+    # project([], e) keeps no variable: the empty mapping iff e matches.
+    expr = ["--expr", 'project([], rgx(".*x{a}.*"))', "--alphabet", "ab"]
+    for doc, want in (("ab", "1\n"), ("bb", "0\n")):
+        result = runner.invoke(main, ["count", *expr, "--doc-inline", doc])
+        assert (result.exit_code, result.stdout) == (0, want), doc
+    result = runner.invoke(main, ["enumerate", *expr, "--doc-inline", "ab"])
+    assert (result.exit_code, result.stdout) == (0, "{}\n")
+
+
 def test_expr_rgx_keeps_regex_escapes(runner):
     # \. inside rgx("...") is the regex's literal dot, as it is in --rgx.
     for doc, want in (("aab", "0\n"), ("a.b", "1\n")):
@@ -509,8 +519,17 @@ _GOOD_AUTOMATON = {
     # true == 1 and 1.0 == 1 in Python; as names they would merge two states.
     {"states": [1, True], "initial": 1, "finals": [True], "transitions": []},
     {"states": [1, 1.0], "initial": 1, "finals": [1.0], "transitions": []},
+    {"alphabet": "ab"},
+    {"alphabet": 5},
+    {"alphabet": ["ab"]},
+    {"states": "q0"},
+    {"finals": "q1"},
+    {"transitions": {}},
+    {"transitions": [{"from": "q0", "label": {"markers": "open:x"}, "to": "q1"}]},
 ], ids=["state", "initial", "final", "from", "to", "symbol", "marker", "transitions",
-        "variables-int", "variables-mixed", "state-bool", "state-float"])
+        "variables-int", "variables-mixed", "state-bool", "state-float",
+        "alphabet-string", "alphabet-int", "alphabet-long-symbol", "states-string",
+        "finals-string", "transitions-object", "markers-string"])
 def test_malformed_automaton_exits_2(runner, tmp_path, malformed):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_GOOD_AUTOMATON, **malformed}))
