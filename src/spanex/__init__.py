@@ -27,14 +27,13 @@ from .automata import (
     dump_automaton,
     load_automaton,
 )
-from .counting import count_det_seva, count_oracle
+from .counting import count_det_seva
 from .engine import (
     DagNode,
     EvaluationState,
     NodeList,
     enumerate_raw,
     enumerate_stream,
-    evaluate,
     evaluate_preprocess,
     measure_delay,
 )

@@ -13,7 +13,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, U
 from .automata import EVA, VA, State, classify, require_det_seva, require_functional
 from .errors import FormatError, InputError
 from .model import MarkerSet, markers_of
-from .rgx import RegexAst, infer_alphabet, parse_rgx, rgx_literal_symbols, rgx_to_va
+from .rgx import RegexAst, infer_alphabet, parse_rgx, rgx_to_va
 from .transform import (
     _at_most_power_of_two,
     _check_bound,
@@ -214,8 +214,7 @@ def expr_has_project(expr: AlgebraExpr) -> bool:
 def _atom_to_feva(atom: Atom) -> EVA:
     value = atom.value
     if isinstance(value, RegexAst):
-        alphabet = atom.alphabet if atom.alphabet is not None else rgx_literal_symbols(value)
-        value = rgx_to_va(value, alphabet)
+        value = rgx_to_va(value, atom.alphabet)
     elif not isinstance(value, (VA, EVA)):
         raise TypeError(f"unsupported atom value: {value!r}")
     return functional_eva(value, "algebra atoms must be functional")
@@ -274,18 +273,11 @@ def compile_expr(expr: AlgebraExpr, strategy: str = "auto") -> EVA:
 
     k = len(atom_sizes)
     n_eff = max(2, max(atom_sizes, default=1))
-    if strategy == "prop8":
-        exponent = n_eff * k
-        _check_bound(
-            _at_most_power_of_two(len(result.states), exponent),
-            f"compiled automaton exceeded 2^(n*k) states: {len(result.states)} > 2^{exponent}",
-        )
-    else:
-        exponent = n_eff ** k
-        _check_bound(
-            _at_most_power_of_two(len(result.states), exponent),
-            f"compiled automaton exceeded 2^(n^k) states: {len(result.states)} > 2^{exponent}",
-        )
+    formula, exponent = ("n*k", n_eff * k) if strategy == "prop8" else ("n^k", n_eff ** k)
+    _check_bound(
+        _at_most_power_of_two(len(result.states), exponent),
+        f"compiled automaton exceeded 2^({formula}) states: {len(result.states)} > 2^{exponent}",
+    )
     return result
 
 
@@ -310,8 +302,7 @@ def compile_spanner(spanner: TUnion[RegexAst, VA, EVA, AlgebraExpr],
         return result, stages
     automaton = spanner
     if isinstance(spanner, RegexAst):
-        sigma = rgx_literal_symbols(spanner) if alphabet is None else alphabet
-        automaton = rgx_to_va(spanner, sigma)
+        automaton = rgx_to_va(spanner, alphabet)
         note("regex to VA", automaton)
     note("input", automaton)
     report = classify(automaton)

@@ -160,6 +160,11 @@ class _AutomatonBase:
         state order."""
         return self._out[q]
 
+    def marker_transitions(self, q: State) -> List[Tuple[Label, State]]:
+        """Transitions leaving ``q`` on a marker (VA) or a marker set
+        (EVA), in ``out`` order."""
+        return [(label, p) for label, p in self._out[q] if not isinstance(label, str)]
+
     def state_order(self) -> List[State]:
         """The states sorted by ``canon_key``, as a fresh list."""
         return list(self._order)
@@ -182,9 +187,6 @@ class VA(_AutomatonBase):
                 raise FormatError(f"symbol {label!r} is not in the alphabet")
         elif not isinstance(label, Marker):
             raise FormatError(f"VA labels must be symbols or single markers, got {label!r}")
-
-    def variable_transitions(self, q: State) -> List[Tuple[Marker, State]]:
-        return [(label, p) for label, p in self.out(q) if isinstance(label, Marker)]
 
 
 class EVA(_AutomatonBase):
@@ -215,9 +217,6 @@ class EVA(_AutomatonBase):
                     raise FormatError(f"marker set contains a non-marker: {m!r}")
         else:
             raise FormatError(f"EVA labels must be symbols or nonempty marker sets, got {label!r}")
-
-    def marker_transitions(self, q: State) -> List[Tuple[MarkerSet, State]]:
-        return [(label, p) for label, p in self.out(q) if isinstance(label, frozenset)]
 
 
 class DetTables:
@@ -291,9 +290,9 @@ def _label_from_json(obj: Any) -> Optional[Label]:
         markers = [_marker_from_string(m) for m in _list_from_json(obj["markers"], "markers")]
         if not markers:
             raise FormatError("empty marker set in transition label")
-        if len(markers) == 1:
-            return markers[0]
-        return frozenset(markers)
+        if len(set(markers)) != len(markers):
+            raise FormatError(f"transition label repeats a marker: {obj!r}")
+        return markers[0] if len(markers) == 1 else frozenset(markers)
     raise FormatError(f"unrecognized transition label: {obj!r}")
 
 
@@ -371,9 +370,7 @@ def load_automaton(data: Dict[str, Any]):
             epsilons.append((q, p))
         else:
             labels.append((q, label, p))
-    needs_eva = bool(epsilons) or any(
-        isinstance(label, frozenset) and len(label) > 1 for _, label, _ in labels
-    )
+    needs_eva = bool(epsilons) or any(isinstance(label, frozenset) for _, label, _ in labels)
 
     kind = data.get("kind")
     if kind not in (None, "va", "eva"):

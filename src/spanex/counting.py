@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .automata import EVA, brute_enumerate_va, require_det_seva
+from .automata import EVA, require_det_seva
 from .instrument import OpCounter
 from .model import Document
 
@@ -64,7 +64,3 @@ def count_det_seva(
     counter.count_ops += ops
     return sum(counts.get(q, 0) for q in tables.finals)
 
-
-def count_oracle(automaton, document: Document) -> int:
-    """|brute-force enumeration|; the independent cross-check."""
-    return len(brute_enumerate_va(automaton, document))

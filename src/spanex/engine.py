@@ -94,7 +94,9 @@ class NodeList:
         self.end = other.end
 
     def payloads(self) -> Iterator[Any]:
-        """Plain traversal for tests and trace dumps (not instrumented)."""
+        """The payloads from the start handle to the end handle: the
+        traversal of the enumeration walk (which counts its steps), of
+        trace dumps and of tests."""
         element = self.start
         while element is not None:
             yield element.payload
@@ -306,23 +308,6 @@ def _mapping_from_events(events: Tuple[Tuple[MarkerSet, int], ...]) -> Mapping:
     return Mapping(bindings)
 
 
-class _ListCursor:
-    """Iteration state over one list: begin/next/atEnd folded together."""
-
-    __slots__ = ("nxt", "end")
-
-    def __init__(self, nodelist: NodeList):
-        self.nxt = nodelist.start
-        self.end = nodelist.end
-
-    def advance(self) -> Optional[_Element]:
-        element = self.nxt
-        if element is None:
-            return None
-        self.nxt = None if element is self.end else element.next
-        return element
-
-
 def enumerate_raw(
     state: EvaluationState,
     counter: Optional[OpCounter] = None,
@@ -340,24 +325,23 @@ def enumerate_raw(
         counter.enum_work += 1
         if nodelist is None:
             continue
-        # Frame: (cursor, entered_via_node); partial holds events deepest-last.
-        stack: List[Tuple[_ListCursor, bool]] = [(_ListCursor(nodelist), False)]
+        # Frame: (payloads, entered_via_node); partial holds events deepest-last.
+        stack: List[Tuple[Iterator[Any], bool]] = [(nodelist.payloads(), False)]
         partial: List[Tuple[MarkerSet, int]] = []
         while stack:
-            cursor, via_node = stack[-1]
-            element = cursor.advance()
+            payloads, via_node = stack[-1]
+            payload = next(payloads, None)
             counter.enum_work += 1
-            if element is None:
+            if payload is None:
                 stack.pop()
                 if via_node:
                     partial.pop()
                 continue
-            payload = element.payload
             if payload is BOTTOM:
                 yield tuple(reversed(partial))
             else:
                 partial.append((payload.markers, payload.position))
-                stack.append((_ListCursor(payload.list), True))
+                stack.append((payload.list.payloads(), True))
                 counter.enum_work += 1
 
 
@@ -407,11 +391,6 @@ def enumerate_ndjson(
             unclosed = [names[r] for r in range(k) if starts[r] is not None]
             raise AssertionError(f"unclosed variables in emitted run: {unclosed}")
         yield "{" + ", ".join([f for f in fields if f is not None]) + "}\n"
-
-
-def evaluate(automaton: EVA, document: Document) -> Iterator[Mapping]:
-    """Preprocess then stream every output mapping."""
-    return enumerate_stream(evaluate_preprocess(automaton, document))
 
 
 class DelayMeter:

@@ -120,7 +120,7 @@ def gen_fig1_fixture() -> Tuple[RegexAst, str, Document, FrozenSet[str]]:
     )
     alphabet = frozenset(FIG1_TEXT)
     ast = parse_rgx(text, alphabet)
-    return ast, text, Document(FIG1_TEXT, alphabet), alphabet
+    return ast, text, Document(FIG1_TEXT), alphabet
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ def census_reduction(nfa: Nfa, n: int) -> Tuple[VA, Document]:
         ["c", "#"],
         [f"x{i}" for i in range(1, n + 1)],
     )
-    return va, Document("#cc" * n, ["c", "#"])
+    return va, Document("#cc" * n)
 
 
 def enumerate_nfas(max_states: int) -> Iterator[Nfa]:

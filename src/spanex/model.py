@@ -101,17 +101,12 @@ def format_marker_set(s: MarkerSet) -> str:
 
 
 class Document:
-    """A finite string, optionally validated against a declared alphabet."""
+    """A finite string; ``validate_against`` checks it against an alphabet."""
 
-    __slots__ = ("content", "alphabet")
+    __slots__ = ("content",)
 
-    def __init__(self, content: str, alphabet: Optional[Iterable[str]] = None):
+    def __init__(self, content: str):
         self.content = content
-        self.alphabet: Optional[FrozenSet[str]] = (
-            frozenset(alphabet) if alphabet is not None else None
-        )
-        if self.alphabet is not None:
-            self.validate_against(self.alphabet)
 
     def __len__(self) -> int:
         return len(self.content)

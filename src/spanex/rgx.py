@@ -170,6 +170,8 @@ class _Parser:
         return Symbol(ch)
 
     def parse_atom(self) -> RegexAst:
+        # A symbol atom is built before it is consumed, so its errors point
+        # at its first character (an escape's backslash).
         c = self.peek()
         if c is None:
             raise self.error("unexpected end of input")
@@ -181,13 +183,15 @@ class _Parser:
             self.i += 1
             return node
         if c == ".":
+            node = self.any_symbol()
             self.i += 1
-            return self.any_symbol()
+            return node
         if c == "\\":
             if self.i + 1 >= len(self.text):
                 raise self.error("dangling escape")
+            node = self.symbol(self.text[self.i + 1])
             self.i += 2
-            return self.symbol(self.text[self.i - 1])
+            return node
         if c in "*|){}":
             raise self.error(f"unexpected {c!r}")
         if c in _IDENT_START:
@@ -202,8 +206,9 @@ class _Parser:
                     raise self.error("expected '}'")
                 self.i += 1
                 return Capture(var, child)
+        node = self.symbol(c)
         self.i += 1
-        return self.symbol(c)
+        return node
 
 
 def parse_rgx(text: str, alphabet: Iterable[str]) -> RegexAst:
@@ -308,15 +313,16 @@ def rgx_eval_reference(node: RegexAst, doc: Document) -> Set[Mapping]:
 # Compilation to VA
 # ---------------------------------------------------------------------------
 
-def rgx_to_va(node: RegexAst, alphabet: Iterable[str]) -> VA:
-    """Thompson-style construction, then epsilon elimination.
+def rgx_to_va(node: RegexAst, alphabet: Optional[Iterable[str]] = None) -> VA:
+    """Thompson-style construction, then epsilon elimination, over
+    ``alphabet`` (default: the regex's literal symbols).
 
     Capture(x, child) becomes an open-x transition into the child
     fragment and a close-x transition out of it.  The result has O(|g|)
     states and the same semantics as the reference evaluation on every
     document.
     """
-    alphabet = frozenset(alphabet)
+    alphabet = rgx_literal_symbols(node) if alphabet is None else frozenset(alphabet)
     epsilon = object()  # the empty-word label of the fragments
     counter = 0
     transitions: List[Tuple[int, object, int]] = []

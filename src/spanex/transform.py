@@ -46,7 +46,7 @@ def variable_paths_from(va: VA, source: State) -> Dict[State, Set[MarkerSet]]:
         if (state, used) in visited:
             return
         visited.add((state, used))
-        for marker, nxt in va.variable_transitions(state):
+        for marker, nxt in va.marker_transitions(state):
             if marker in used:
                 continue
             extended = used | {marker}
@@ -188,30 +188,17 @@ def va_to_det_seva_general(automaton) -> EVA:
     States are pairs (subset of input states, markers used so far); a
     variable step is taken only when ``markers_compatible`` with those
     markers, so invalid runs of the input are pruned and the output is
-    sequential by construction.  The variable steps of a state are its
-    marker-set transitions in an EVA and its variable-paths in a VA.
-    Hard-asserts the 2^n*3^l state bound and the 2^n*(5^l + 3^l*|Sigma|)
-    transition bound.
+    sequential by construction.  A VA is condensed by ``va_to_eva`` first,
+    so every variable step is a marker-set transition.  Hard-asserts the
+    2^n*3^l state bound and the 2^n*(5^l + 3^l*|Sigma|) transition bound.
     """
     n = len(automaton.states)
     n_vars = len(automaton.variables)
-    steps_cache: Dict[State, List[Tuple[Label, State]]] = {}
-
-    def steps(q: State) -> List[Tuple[Label, State]]:
-        if q not in steps_cache:
-            if isinstance(automaton, EVA):
-                steps_cache[q] = automaton.out(q)
-            else:
-                steps_cache[q] = [(label, p) for label, p in automaton.out(q)
-                                  if isinstance(label, str)]
-                steps_cache[q].extend((step, target) for target, marker_sets
-                                      in variable_paths_from(automaton, q).items()
-                                      for step in marker_sets)
-        return steps_cache[q]
+    eva = automaton if isinstance(automaton, EVA) else va_to_eva(automaton)
 
     def moves(state: Tuple[FrozenSet[State], MarkerSet]):
         subset, used = state
-        for label, targets in _subset_moves(subset, steps):
+        for label, targets in _subset_moves(subset, eva.out):
             if isinstance(label, str):
                 yield label, (targets, used)
             elif markers_compatible(used, label):

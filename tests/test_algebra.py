@@ -10,7 +10,8 @@ from spanex import (
     classify,
     compile_expr,
     determinize_eva,
-    evaluate,
+    enumerate_stream,
+    evaluate_preprocess,
     functional_va_to_det_seva,
     join_eva,
     parse_expr,
@@ -215,7 +216,8 @@ def test_compile_single_atom_matches_functional_pipeline():
     compiled = compile_expr(Atom(va))
     direct = functional_va_to_det_seva(va)
     for doc in all_docs("a", 3):
-        assert set(evaluate(compiled, doc)) == brute_enumerate_va(direct, doc)
+        assert (set(enumerate_stream(evaluate_preprocess(compiled, doc)))
+                == brute_enumerate_va(direct, doc))
     report = classify(compiled)
     assert report.deterministic and report.sequential
 
@@ -247,7 +249,8 @@ def test_compile_expr_strategies_agree_with_semantics():
                 report = classify(compiled)
                 assert report.deterministic and report.sequential
                 for doc in random_documents(seed + 3, "ab", 4, 2):
-                    assert set(evaluate(compiled, doc)) == _semantics(expr, doc), (
+                    assert set(enumerate_stream(
+                        evaluate_preprocess(compiled, doc))) == _semantics(expr, doc), (
                         seed, strategy, doc.content,
                     )
 
@@ -268,7 +271,8 @@ def test_compile_expr_bound_on_large_atoms():
     expr = Join(Atom(parse_rgx(word, "a"), frozenset("a")),
                 Atom(parse_rgx("x{" + word + "}", "a"), frozenset("a")))
     for strategy in ("prop7", "prop8"):
-        assert list(evaluate(compile_expr(expr, strategy), Document(word))) == [
+        assert list(enumerate_stream(
+            evaluate_preprocess(compile_expr(expr, strategy), Document(word)))) == [
             mapping(x=(1, 151))
         ]
 
@@ -296,14 +300,16 @@ def test_parse_expr_text(tmp_path):
     assert isinstance(expr, Join)
     compiled = compile_expr(expr)
     doc = Document("aa")
-    assert set(evaluate(compiled, doc)) == {mapping(x=(1, 3), y=(1, 3))}
+    assert set(enumerate_stream(evaluate_preprocess(compiled, doc))) == {
+        mapping(x=(1, 3), y=(1, 3))
+    }
 
 
 def test_parse_expr_project_and_union():
     expr = parse_expr('project([x], union(rgx("x{a}b", "ab"), rgx("x{ab}", "ab")))')
     assert isinstance(expr, Project)
     compiled = compile_expr(expr)
-    assert set(evaluate(compiled, Document("ab"))) == {
+    assert set(enumerate_stream(evaluate_preprocess(compiled, Document("ab")))) == {
         mapping(x=(1, 2)), mapping(x=(1, 3)),
     }
 

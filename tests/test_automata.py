@@ -118,6 +118,18 @@ def test_loader_requires_an_object():
             load_automaton(data)
 
 
+def test_loader_reads_a_two_marker_set_as_eva():
+    # Without "kind", one label of two markers makes the file an EVA.
+    data = {"alphabet": ["a"], "states": ["q0", "q1"], "initial": "q0", "finals": ["q1"],
+            "transitions": [
+                {"from": "q0", "label": {"markers": ["open:x", "close:x"]}, "to": "q1"},
+                {"from": "q1", "label": {"markers": ["open:y"]}, "to": "q1"}]}
+    loaded = load_automaton(data)
+    assert isinstance(loaded, EVA)
+    assert ("q0", mset(open_m("x"), close_m("x")), "q1") in loaded.transitions
+    assert ("q1", mset(open_m("y")), "q1") in loaded.transitions
+
+
 def test_empty_marker_set_rejected_in_constructor():
     with pytest.raises(FormatError):
         EVA(["q0"], "q0", [], [("q0", frozenset(), "q0")], ["a"])

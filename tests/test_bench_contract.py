@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from spanex import Document, compile_spanner, dump_automaton, evaluate, parse_rgx
+from spanex import (
+    Document,
+    compile_spanner,
+    dump_automaton,
+    enumerate_stream,
+    evaluate_preprocess,
+    parse_rgx,
+)
 from spanex.fixtures import gen_fig4_automaton
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -34,7 +41,8 @@ def test_traced_jobs_on_fig4(bench, tmp_path):
     doc = tmp_path / "doc.txt"
     doc.write_text("ab")
     expected = {json.dumps(m.to_json_obj(), sort_keys=True) + "\n"
-                for m in evaluate(gen_fig4_automaton(), Document("ab"))}
+                for m in enumerate_stream(evaluate_preprocess(gen_fig4_automaton(),
+                                                              Document("ab")))}
     tracer = tracing.Tracer(adapter.clock)
 
     counter = adapter.new_counter()

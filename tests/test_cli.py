@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -539,6 +540,20 @@ def test_malformed_automaton_exits_2(runner, tmp_path, malformed):
     assert result.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("kind", [None, "eva"])
+def test_repeated_marker_exits_2(runner, tmp_path, kind):
+    data = {**_GOOD_AUTOMATON, "transitions": [
+        {"from": "q0", "label": {"markers": ["open:x", "open:x"]}, "to": "q1"}]}
+    if kind is not None:
+        data["kind"] = kind
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["count", "--automaton", str(path), "--doc-inline", "a"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: transition label repeats a marker:")
+    assert "open:x" in result.stderr
+
+
 def test_unreadable_json_exits_2(runner, tmp_path):
     path = tmp_path / "bad.json"
     for text in ("[" * 100000, '{"states": [' + "1" * 5000 + "]}"):
@@ -634,3 +649,35 @@ def test_random_rgx_and_expr_text_never_crash(rgx, expr):
             assert result.exit_code in (0, 1, 2), (source, result.output)
             assert result.exception is None or isinstance(result.exception, SystemExit), (
                 source, result.exception)
+
+
+_JOIN = 'join(rgx(".*a......x{.*}"), rgx(".*y{b.*}.*"))'
+_UNION = 'union(rgx(".*a.......x{.*}"), rgx(".*x{b.*}b....."))'
+_, _CONTACT, _, _CONTACT_ALPHABET = gen_fig1_fixture()
+
+
+@pytest.mark.parametrize("source, states, transitions, digest", [
+    (["--rgx", _CONTACT, "--alphabet", "".join(sorted(_CONTACT_ALPHABET))], 120, 1633,
+     "3b776cb2bbfe0417a886234815e59027ca7724acfc2289d0372d58ad40ee1e28"),
+    (["--rgx", ".*(x{a}|y{b}).*", "--alphabet", "ab"], 13, 28,
+     "50b91d1df17a9e0f85749990be4ad54667820672f72a8c53b4358f694ee08d36"),
+    (["--rgx", ".*x{a.*}.*", "--alphabet", "ab"], 10, 25,
+     "5787372dc5dc9142e96f15c6b7e7427736236b89226e8dc54463a67916bb66b6"),
+    (["--expr", _JOIN, "--strategy", "prop7", "--alphabet", "ab"], 735, 2710,
+     "a8a210038a9ac26747266e5eef3e087aa704204a53cec205c20b3683bacba66e"),
+    (["--expr", _JOIN, "--strategy", "prop8", "--alphabet", "ab"], 735, 2710,
+     "ba3858fa9fc02127ce8516dd64118b33935fca9b5246f839dfd986aacbc9d8d0"),
+    (["--expr", _UNION, "--strategy", "prop7", "--alphabet", "ab"], 281, 947,
+     "dd406fa1ac527902f633b0dd7cb7460b9abc67abc4a464a8e9956ff89064b4a1"),
+    (["--expr", _UNION, "--strategy", "prop8", "--alphabet", "ab"], 281, 947,
+     "4492f709d12822c180bba069116314e680b2678bcad95d323709989ecc343922"),
+], ids=["contact-general", "general", "functional", "join-prop7", "join-prop8",
+        "union-prop7", "union-prop8"])
+def test_compile_bytes_pinned(runner, source, states, transitions, digest):
+    # The bytes `spanex compile` writes are stable: a change that alters
+    # them on purpose updates these pins as a recorded decision.
+    result = runner.invoke(main, ["compile", *source])
+    assert result.exit_code == 0, result.output
+    data = json.loads(result.stdout)
+    assert (len(data["states"]), len(data["transitions"])) == (states, transitions)
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest

@@ -8,7 +8,6 @@ from spanex import (
     count_det_seva,
     enumerate_raw,
     enumerate_stream,
-    evaluate,
     evaluate_preprocess,
     measure_delay,
     rgx_to_va,
@@ -294,7 +293,7 @@ def test_oracle_equality_random_corpus():
     for seed in range(60):
         eva = random_instance(seed, RandomProfile(kind="det_seva", states=6, variables=2))
         for doc in random_documents(seed + 7, "ab", 5, 3):
-            got = list(evaluate(eva, doc))
+            got = list(enumerate_stream(evaluate_preprocess(eva, doc)))
             assert len(got) == len(set(got)), (seed, doc.content)
             assert set(got) == brute_enumerate_va(eva, doc), (seed, doc.content)
 

@@ -5,7 +5,6 @@ from spanex import (
     brute_enumerate_va,
     classify,
     count_det_seva,
-    count_oracle,
     dump_automaton,
     functional_va_to_det_seva,
     rgx_eval_reference,
@@ -105,10 +104,10 @@ def test_census_reduction_positions():
 def test_census_reduction_counts():
     all_words = Nfa(1, frozenset({(0, "a", 0), (0, "b", 0)}), frozenset({0}))
     va, doc = census_reduction(all_words, 2)
-    assert count_oracle(va, doc) == 4
+    assert len(brute_enumerate_va(va, doc)) == 4
     nothing = Nfa(1, frozenset({(0, "a", 0)}), frozenset())
     va, doc = census_reduction(nothing, 2)
-    assert count_oracle(va, doc) == 0
+    assert len(brute_enumerate_va(va, doc)) == 0
 
 
 def test_census_reduction_is_functional():

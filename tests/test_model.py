@@ -34,17 +34,19 @@ def test_span_count_formula():
 
 
 def test_document_slice_and_alphabet():
-    doc = Document("abba", alphabet="ab")
+    doc = Document("abba")
+    doc.validate_against(frozenset("ab"))
     assert doc.slice(span(2, 4)) == "bb"
     assert doc.slice(span(3, 3)) == ""
     with pytest.raises(InputError):
-        Document("abc", alphabet="ab")
+        Document("abc").validate_against(frozenset("ab"))
     with pytest.raises(InputError):
         doc.slice(span(4, 6))
 
 
 def test_multibyte_symbols_are_single_positions():
-    doc = Document("a⟨b⟩", alphabet=["a", "b", "⟨", "⟩"])
+    doc = Document("a⟨b⟩")
+    doc.validate_against(frozenset(["a", "b", "⟨", "⟩"]))
     assert len(doc) == 4
     assert doc.symbol(2) == "⟨"
     assert doc.slice(span(2, 4)) == "⟨b"

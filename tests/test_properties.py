@@ -21,7 +21,6 @@ from spanex import (
     count_det_seva,
     dump_automaton,
     enumerate_stream,
-    evaluate,
     evaluate_preprocess,
     load_automaton,
     project_eva,
@@ -66,7 +65,7 @@ DOCUMENTS = st.lists(st.text(alphabet="ab", max_size=4), min_size=1, max_size=3)
 
 
 def _outputs(automaton, text):
-    return list(evaluate(automaton, Document(text)))
+    return list(enumerate_stream(evaluate_preprocess(automaton, Document(text))))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

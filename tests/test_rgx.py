@@ -58,6 +58,22 @@ def test_parse_errors():
         parse_rgx("a}", "a")
 
 
+@pytest.mark.parametrize("text, alphabet, position", [
+    ("a", "b", 0),
+    ("x{a}", "b", 2),
+    ("\\.", "a", 0),
+    (".", "", 0),
+    ("b)", "b", 1),
+    ("\\", "a", 0),
+], ids=["undeclared-symbol", "undeclared-in-capture", "undeclared-escape", "dot-empty-alphabet",
+        "unexpected-close", "dangling-escape"])
+def test_error_position_is_the_offending_character(text, alphabet, position):
+    # 0-based; an escape's errors point at its backslash.
+    with pytest.raises(RegexSyntaxError) as info:
+        parse_rgx(text, alphabet)
+    assert info.value.position == position
+
+
 def test_nesting_limit():
     deepest = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
     assert parse_rgx(deepest, "a") == Symbol("a")
