@@ -22,6 +22,7 @@ from .automata import (
     EVA,
     VA,
     ClassificationReport,
+    automaton_json,
     brute_enumerate_va,
     classify,
     dump_automaton,

@@ -10,6 +10,7 @@ automaton files only: ``load_automaton`` removes them.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -98,10 +99,33 @@ class _AutomatonBase:
         self.finals = frozenset(finals)
         self.transitions = frozenset(transitions)
         self.alphabet = frozenset(alphabet)
-        self._validate()
-        mentioned = self._mentioned_variables()
+        if self.initial not in self.states:
+            raise FormatError("initial state is not a declared state")
+        if not self.finals <= self.states:
+            raise FormatError("final states must be declared states")
+        # The one canon_key sort: out(q), state_order() and the JSON dump
+        # all reuse this order.
+        order = sorted(self.states, key=canon_key)
+        rank = {q: i for i, q in enumerate(order)}
+        out: Dict[State, List[Tuple[Label, State]]] = {q: [] for q in order}
+        # Each distinct label is checked, keyed and read for variables once.
+        label_keys: Dict[Label, Tuple] = {}
+        mentioned: Set[str] = set()
+        for q, label, p in self.transitions:
+            if q not in rank or p not in rank:
+                raise FormatError(
+                    f"transition endpoint not declared: {state_name(q)} -> {state_name(p)}"
+                )
+            if label not in label_keys:
+                self._validate_label(label)
+                label_keys[label] = label_key(label)
+                if isinstance(label, Marker):
+                    mentioned.add(label.var)
+                elif isinstance(label, frozenset):
+                    mentioned.update(m.var for m in label)
+            out[q].append((label, p))
         if variables is None:
-            self.variables = mentioned
+            self.variables = frozenset(mentioned)
         else:
             self.variables = frozenset(variables)
             missing = mentioned - self.variables
@@ -109,43 +133,12 @@ class _AutomatonBase:
                 raise FormatError(
                     f"markers reference undeclared variables: {sorted(missing)}"
                 )
-        # The one canon_key sort: out(q), state_order() and the JSON dump
-        # all reuse this order.
-        order = sorted(self.states, key=canon_key)
-        rank = {q: i for i, q in enumerate(order)}
-        out: Dict[State, List[Tuple[Label, State]]] = {q: [] for q in order}
-        label_keys: Dict[Label, Tuple] = {}
-        for q, label, p in self.transitions:
-            out[q].append((label, p))
-            if label not in label_keys:
-                label_keys[label] = label_key(label)
         for moves in out.values():
             moves.sort(key=lambda t: (label_keys[t[0]], rank[t[1]]))
         self._order = order
         self._out = out
         self._size = len(self.states) + len(self.transitions)
         self._report: Optional[ClassificationReport] = None
-
-    def _mentioned_variables(self) -> FrozenSet[str]:
-        found: Set[str] = set()
-        for _, label, _ in self.transitions:
-            if isinstance(label, Marker):
-                found.add(label.var)
-            elif isinstance(label, frozenset):
-                found.update(m.var for m in label)
-        return frozenset(found)
-
-    def _validate(self) -> None:
-        if self.initial not in self.states:
-            raise FormatError("initial state is not a declared state")
-        if not self.finals <= self.states:
-            raise FormatError("final states must be declared states")
-        for q, label, p in self.transitions:
-            if q not in self.states or p not in self.states:
-                raise FormatError(
-                    f"transition endpoint not declared: {state_name(q)} -> {state_name(p)}"
-                )
-            self._validate_label(label)
 
     def _validate_label(self, label: Label) -> None:
         raise NotImplementedError
@@ -280,6 +273,10 @@ def _label_from_json(obj: Any) -> Optional[Label]:
     """The label of a transition entry; None stands for epsilon."""
     if not isinstance(obj, dict):
         raise FormatError(f"transition label must be an object, got {obj!r}")
+    if sum(field in obj for field in ("epsilon", "symbol", "markers")) > 1:
+        raise FormatError(
+            f"transition label holds more than one of epsilon, symbol and markers: {obj!r}"
+        )
     if obj.get("epsilon"):
         return None
     if "symbol" in obj:
@@ -294,6 +291,24 @@ def _label_from_json(obj: Any) -> Optional[Label]:
             raise FormatError(f"transition label repeats a marker: {obj!r}")
         return markers[0] if len(markers) == 1 else frozenset(markers)
     raise FormatError(f"unrecognized transition label: {obj!r}")
+
+
+def _label_memo_key(obj: Any) -> Optional[Tuple[Any, type, Any]]:
+    """The field, value type and value of a one-field label object, a list
+    value as a tuple, when the value is hashable; None for any other
+    object.  Labels with equal keys are equal values of one type, so
+    ``_label_from_json`` reads them alike."""
+    if not isinstance(obj, dict) or len(obj) != 1:
+        return None
+    ((field, value),) = obj.items()
+    kind = type(value)
+    if kind is list:
+        value = tuple(value)
+    try:
+        hash(value)
+    except TypeError:  # the value holds a list or an object
+        return None
+    return field, kind, value
 
 
 def _label_to_json(label: Label) -> Dict[str, Any]:
@@ -357,20 +372,36 @@ def load_automaton(data: Dict[str, Any]):
     if variables is not None:
         _strings_from_json(_list_from_json(variables, "variables"), "variables")
 
+    # Each distinct label is parsed and checked once; a label the checks
+    # refuse is never kept.  A string endpoint always passes the state
+    # check, and VA() or EVA() refuses it if it is not declared.
+    parsed: Dict[Tuple[Any, type, Any], Optional[Label]] = {}
+    needs_eva = False
     labels: List[Tuple[State, Label, State]] = []
     epsilons: List[Tuple[State, State]] = []
     for t in raw_transitions:
         try:
-            label = _label_from_json(t["label"])
-            q = _state_from_json(t["from"], "transition source")
-            p = _state_from_json(t["to"], "transition target")
+            obj = t["label"]
+            key = _label_memo_key(obj)
+            if key in parsed:
+                label = parsed[key]
+            else:
+                label = _label_from_json(obj)
+                needs_eva = needs_eva or label is None or isinstance(label, frozenset)
+                if key is not None:
+                    parsed[key] = label
+            q = t["from"]
+            if not isinstance(q, str):
+                q = _state_from_json(q, "transition source")
+            p = t["to"]
+            if not isinstance(p, str):
+                p = _state_from_json(p, "transition target")
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad transition entry {t!r}") from exc
         if label is None:
             epsilons.append((q, p))
         else:
             labels.append((q, label, p))
-    needs_eva = bool(epsilons) or any(isinstance(label, frozenset) for _, label, _ in labels)
 
     kind = data.get("kind")
     if kind not in (None, "va", "eva"):
@@ -401,27 +432,55 @@ def load_automaton(data: Dict[str, Any]):
     return EVA(states, initial, finals, transitions, alphabet, variables)
 
 
-def dump_automaton(automaton: _AutomatonBase) -> Dict[str, Any]:
+def _json_list(items: List[str]) -> str:
+    """The list of the JSON texts ``items`` as ``json.dumps(...,
+    indent=2)`` writes it for a field of the top-level object."""
+    if not items:
+        return "[]"
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+
+
+def automaton_json(automaton: _AutomatonBase) -> str:
+    """The automaton file: the text ``json.dumps(obj, indent=2,
+    sort_keys=True)`` writes for the format's object, made in one walk over
+    the states in order.  The transitions are listed by (source, label,
+    target), the order of ``out(q)``.  State names print as ``state_name``
+    gives them, or as ``s0, s1, ...`` in state order if two print alike."""
     order = automaton.state_order()
-    names = {q: state_name(q) for q in automaton.states}
+    names = {q: state_name(q) for q in order}
     if len(set(names.values())) != len(names):
         names = {q: f"s{i}" for i, q in enumerate(order)}
-    # out(q) is sorted by (label, target in state order), so walking the
-    # states in order lists the transitions by (source, label, target).
-    transitions = [
-        {"from": names[q], "label": _label_to_json(label), "to": names[p]}
-        for q in order
-        for label, p in automaton.out(q)
-    ]
-    return {
-        "kind": "eva" if isinstance(automaton, EVA) else "va",
-        "alphabet": sorted(automaton.alphabet),
-        "variables": sorted(automaton.variables),
-        "states": sorted(names.values()),
-        "initial": names[automaton.initial],
-        "finals": sorted(names[q] for q in automaton.finals),
-        "transitions": transitions,
-    }
+    quoted = {q: json.dumps(name) for q, name in names.items()}
+    by_name = sorted(order, key=names.__getitem__)
+    label_texts: Dict[Label, str] = {}
+    transitions = []
+    for q in order:
+        head = '{\n      "from": ' + quoted[q] + ',\n      "label": '
+        for label, p in automaton.out(q):
+            text = label_texts.get(label)
+            if text is None:
+                # The label object is nested three levels deep, so its
+                # lines after the first move six spaces in.
+                text = label_texts[label] = json.dumps(
+                    _label_to_json(label), indent=2, sort_keys=True
+                ).replace("\n", "\n      ")
+            transitions.append(f'{head}{text},\n      "to": {quoted[p]}\n    }}')
+    finals = automaton.finals
+    return "".join([
+        '{\n  "alphabet": ', _json_list([json.dumps(a) for a in sorted(automaton.alphabet)]),
+        ',\n  "finals": ', _json_list([quoted[q] for q in by_name if q in finals]),
+        ',\n  "initial": ', quoted[automaton.initial],
+        ',\n  "kind": ', '"eva"' if isinstance(automaton, EVA) else '"va"',
+        ',\n  "states": ', _json_list([quoted[q] for q in by_name]),
+        ',\n  "transitions": ', _json_list(transitions),
+        ',\n  "variables": ', _json_list([json.dumps(v) for v in sorted(automaton.variables)]),
+        "\n}",
+    ])
+
+
+def dump_automaton(automaton: _AutomatonBase) -> Dict[str, Any]:
+    """The automaton as the JSON object of the file format."""
+    return json.loads(automaton_json(automaton))
 
 
 # ---------------------------------------------------------------------------

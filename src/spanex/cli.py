@@ -18,7 +18,7 @@ from typing import List, Optional
 import click
 
 from .algebra import AlgebraExpr, Stage, compile_spanner, parse_expr
-from .automata import classify, dump_automaton, load_automaton
+from .automata import automaton_json, classify, load_automaton
 from .counting import count_det_seva
 from .engine import DelayMeter, enumerate_ndjson, evaluate_preprocess
 from .errors import FormatError, SpanexError
@@ -119,12 +119,12 @@ def cmd_compile(rgx, automaton, expr, alphabet, strategy, out) -> None:
     def run() -> None:
         result, stages = compile_spanner(*_load_spanner(rgx, automaton, expr, alphabet), strategy)
         _print_stage_report(stages)
-        payload = json.dumps(dump_automaton(result), indent=2, sort_keys=True)
+        text = automaton_json(result) + "\n"
         if out:
             with open(out, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
+                handle.write(text)
         else:
-            click.echo(payload)
+            click.echo(text, nl=False)
 
     _guard(run)
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import spanex.automata
@@ -6,6 +8,7 @@ from spanex import (
     EVA,
     Mapping,
     VA,
+    automaton_json,
     brute_enumerate_va,
     classify,
     dump_automaton,
@@ -305,10 +308,17 @@ def _structured_automata():
     clashing = VA([0, "0", "1"], 0, ["1"],
                   [(0, "a", "0"), (0, "a", "1"), ("0", open_m("x"), "1"),
                    ("0", close_m("x"), 0), ("1", "b", 0)], ["a", "b"])
-    return {"subsets": subsets, "pairs": pairs, "posts": posts, "clashing": clashing}
+    # Names JSON must escape, in an order their escaped forms do not keep.
+    escaped = EVA(['q"', "q\\", "q\n", "q\u00e9"], 'q"', ["q\u00e9"],
+                  [('q"', mset(open_m("x")), "q\\"), ("q\\", "a", "q\n"),
+                   ("q\n", mset(close_m("x")), "q\u00e9"), ("q\u00e9", "a", "q\u00e9")],
+                  ["a"])
+    empty = EVA(["q0"], "q0", [], [], [])
+    return {"subsets": subsets, "pairs": pairs, "posts": posts, "clashing": clashing,
+            "escaped": escaped, "empty": empty}
 
 
-@pytest.mark.parametrize("name", ["subsets", "pairs", "posts", "clashing"])
+@pytest.mark.parametrize("name", ["subsets", "pairs", "posts", "clashing", "escaped", "empty"])
 def test_canonical_order_kept_from_construction(name, monkeypatch):
     automaton = _structured_automata()[name]
     order = sorted(automaton.states, key=canon_key)
@@ -333,6 +343,10 @@ def test_canonical_order_kept_from_construction(name, monkeypatch):
     calls = []
     monkeypatch.setattr(spanex.automata, "canon_key", lambda obj: calls.append(obj))
     assert dump_automaton(automaton)["transitions"] == expected
+    assert dump_automaton(automaton)["states"] == sorted(names.values())
+    assert dump_automaton(automaton)["finals"] == sorted(names[q] for q in automaton.finals)
+    assert automaton_json(automaton) == json.dumps(dump_automaton(automaton), indent=2,
+                                                   sort_keys=True)
     returned = automaton.state_order()
     returned.reverse()
     assert automaton.state_order() == order

@@ -527,10 +527,23 @@ _GOOD_AUTOMATON = {
     {"finals": "q1"},
     {"transitions": {}},
     {"transitions": [{"from": "q0", "label": {"markers": "open:x"}, "to": "q1"}]},
+    # A label names one kind of step.
+    {"transitions": [{"from": "q0", "label": {"epsilon": True, "markers": ["open:x"]},
+                      "to": "q1"}]},
+    {"transitions": [{"from": "q0", "label": {"symbol": "a", "markers": ["open:x"]},
+                      "to": "q1"}]},
+    {"transitions": [{"from": "q0", "label": {"epsilon": False, "symbol": "a"}, "to": "q1"}]},
+    # Endpoints and labels read again keep every check of the first read.
+    {"states": [1, "q1"], "initial": 1, "transitions": [
+        {"from": True, "label": {"markers": ["open:x", "close:x"]}, "to": "q1"}]},
+    {"transitions": [{"from": "q0", "label": {"symbol": "a"}, "to": "q0"}] * 50
+     + [{"from": "q0", "label": {"symbol": ["a"]}, "to": "q1"}]},
 ], ids=["state", "initial", "final", "from", "to", "symbol", "marker", "transitions",
         "variables-int", "variables-mixed", "state-bool", "state-float",
         "alphabet-string", "alphabet-int", "alphabet-long-symbol", "states-string",
-        "finals-string", "transitions-object", "markers-string"])
+        "finals-string", "transitions-object", "markers-string", "label-epsilon-markers",
+        "label-symbol-markers", "label-epsilon-false-symbol", "endpoint-true",
+        "symbol-list-after-repeats"])
 def test_malformed_automaton_exits_2(runner, tmp_path, malformed):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_GOOD_AUTOMATON, **malformed}))
@@ -673,7 +686,7 @@ _, _CONTACT, _, _CONTACT_ALPHABET = gen_fig1_fixture()
      "4492f709d12822c180bba069116314e680b2678bcad95d323709989ecc343922"),
 ], ids=["contact-general", "general", "functional", "join-prop7", "join-prop8",
         "union-prop7", "union-prop8"])
-def test_compile_bytes_pinned(runner, source, states, transitions, digest):
+def test_compile_bytes_pinned(runner, tmp_path, source, states, transitions, digest):
     # The bytes `spanex compile` writes are stable: a change that alters
     # them on purpose updates these pins as a recorded decision.
     result = runner.invoke(main, ["compile", *source])
@@ -681,3 +694,8 @@ def test_compile_bytes_pinned(runner, source, states, transitions, digest):
     data = json.loads(result.stdout)
     assert (len(data["states"]), len(data["transitions"])) == (states, transitions)
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+    out = tmp_path / "compiled.json"
+    result = runner.invoke(main, ["compile", *source, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == b""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
