@@ -80,7 +80,10 @@ def format_label(label: Label) -> str:
 
 
 class _AutomatonBase:
-    """Shared structure of VA and EVA; immutable after construction."""
+    """Shared structure of VA and EVA; immutable after construction.
+
+    ``order``, when given, is the canonical state order and must list every
+    state once; without it the states are sorted by ``canon_key``."""
 
     __slots__ = ("alphabet", "states", "initial", "finals", "transitions",
                  "variables", "_order", "_out", "_size", "_report")
@@ -93,6 +96,7 @@ class _AutomatonBase:
         transitions: Iterable[Transition],
         alphabet: Iterable[str],
         variables: Optional[Iterable[str]] = None,
+        order: Optional[List[State]] = None,
     ):
         self.states = frozenset(states)
         self.initial = initial
@@ -103,9 +107,14 @@ class _AutomatonBase:
             raise FormatError("initial state is not a declared state")
         if not self.finals <= self.states:
             raise FormatError("final states must be declared states")
-        # The one canon_key sort: out(q), state_order() and the JSON dump
-        # all reuse this order.
-        order = sorted(self.states, key=canon_key)
+        # The one canon_key sort, skipped when the caller gives the order:
+        # out(q), state_order() and the JSON dump all reuse this order.
+        if order is None:
+            order = sorted(self.states, key=canon_key)
+        elif len(order) != len(self.states) or frozenset(order) != self.states:
+            raise FormatError("the state order must list every state exactly once")
+        else:
+            order = list(order)
         rank = {q: i for i, q in enumerate(order)}
         out: Dict[State, List[Tuple[Label, State]]] = {q: [] for q in order}
         # Each distinct label is checked, keyed and read for variables once.
@@ -159,7 +168,7 @@ class _AutomatonBase:
         return [(label, p) for label, p in self._out[q] if not isinstance(label, str)]
 
     def state_order(self) -> List[State]:
-        """The states sorted by ``canon_key``, as a fresh list."""
+        """The canonical state order, as a fresh list."""
         return list(self._order)
 
     def __repr__(self) -> str:
@@ -269,11 +278,17 @@ def _marker_from_string(text: str) -> Marker:
     raise FormatError(f"bad marker {text!r}; expected 'open:<var>' or 'close:<var>'")
 
 
+_LABEL_FIELDS = ("epsilon", "symbol", "markers")
+
+
 def _label_from_json(obj: Any) -> Optional[Label]:
     """The label of a transition entry; None stands for epsilon."""
     if not isinstance(obj, dict):
         raise FormatError(f"transition label must be an object, got {obj!r}")
-    if sum(field in obj for field in ("epsilon", "symbol", "markers")) > 1:
+    for field in obj:
+        if field not in _LABEL_FIELDS:
+            raise FormatError(f"transition label has an unknown field {field!r}: {obj!r}")
+    if len(obj) > 1:
         raise FormatError(
             f"transition label holds more than one of epsilon, symbol and markers: {obj!r}"
         )
@@ -341,29 +356,54 @@ def _strings_from_json(values: List[Any], field: str) -> List[str]:
     return values
 
 
-def load_automaton(data: Dict[str, Any]):
-    """Build a VA or EVA from the JSON object format.
+def _field(data: Dict[str, Any], field: str) -> Any:
+    try:
+        return data[field]
+    except KeyError:
+        raise FormatError(f"automaton object is missing field: {field!r}") from None
 
-    The optional ``kind`` field ("va" or "eva") settles the reading of
-    automata whose marker labels are all singletons, where the two run
-    semantics differ; without it, single markers load as a VA and marker
-    sets or epsilons force an EVA.  Epsilon edges are removed here: for an
-    edge q -> r, q takes r's other transitions and r's finality.  One such
-    step is exact because an epsilon step never follows another in a run,
-    so epsilon cycles need no closure.
+
+def _index(value: Any, size: int, field: str) -> int:
+    # type() refuses true and 1.0, which Python finds equal to 1.
+    if type(value) is not int or not 0 <= value < size:
+        raise FormatError(f"{field} must be an index below {size}, got {value!r}")
+    return value
+
+
+def load_automaton(data: Dict[str, Any]):
+    """Build a VA or EVA from the JSON object of an automaton file.
+
+    A ``"format": 2`` object, the one ``automaton_json`` writes, names each
+    state once in ``states`` and each distinct label once in ``labels``;
+    ``initial``, ``finals`` and the ``[source, label, target]`` transition
+    triples are indices into those lists, and ``kind`` is required.  The
+    listed state order becomes the automaton's canonical order, so a
+    loaded file dumps to the same object and evaluates with the same
+    ``DetTables`` ids as the automaton it was written from.
+
+    An object without ``format`` is format 1: states are named in every
+    transition and sorted by ``canon_key`` on loading.  Its optional
+    ``kind`` field ("va" or "eva") settles the reading of automata whose
+    marker labels are all singletons, where the two run semantics differ;
+    without it, single markers load as a VA and marker sets or epsilons
+    force an EVA.  Epsilon edges are removed here: for an edge q -> r, q
+    takes r's other transitions and r's finality.  One such step is exact
+    because an epsilon step never follows another in a run, so epsilon
+    cycles need no closure.
     """
     if not isinstance(data, dict):
         raise FormatError(f"an automaton must be a JSON object, got a {type(data).__name__}")
-    try:
-        alphabet = _strings_from_json(_list_from_json(data["alphabet"], "alphabet"), "alphabet")
-        states = [_state_from_json(q, "states entry")
-                  for q in _list_from_json(data["states"], "states")]
-        initial = _state_from_json(data["initial"], "initial")
-        finals = [_state_from_json(q, "finals entry")
-                  for q in _list_from_json(data["finals"], "finals")]
-        raw_transitions = _list_from_json(data["transitions"], "transitions")
-    except KeyError as exc:
-        raise FormatError(f"automaton object is missing field: {exc}") from exc
+    if "format" not in data:
+        return _load_format1(data)
+    version = data["format"]
+    if type(version) is not int or version != 2:
+        raise FormatError(f"unknown automaton format {version!r}; expected 2, or no format field")
+    return _load_format2(data)
+
+
+def _alphabet_and_variables(data: Dict[str, Any]) -> Tuple[List[str], Optional[List[str]]]:
+    alphabet = _strings_from_json(_list_from_json(_field(data, "alphabet"), "alphabet"),
+                                  "alphabet")
     for symbol in alphabet:
         # Documents are read one character per position.
         if len(symbol) != 1:
@@ -371,6 +411,55 @@ def load_automaton(data: Dict[str, Any]):
     variables = data.get("variables")
     if variables is not None:
         _strings_from_json(_list_from_json(variables, "variables"), "variables")
+    return alphabet, variables
+
+
+def _load_format2(data: Dict[str, Any]):
+    alphabet, variables = _alphabet_and_variables(data)
+    kind = _field(data, "kind")
+    if kind not in ("va", "eva"):
+        raise FormatError(f"unknown automaton kind {kind!r}")
+    states = _strings_from_json(_list_from_json(_field(data, "states"), "states"), "states")
+    if len(set(states)) != len(states):
+        raise FormatError("states must name each state once")
+    labels: List[Label] = []
+    for obj in _list_from_json(_field(data, "labels"), "labels"):
+        label = _label_from_json(obj)
+        if label is None:
+            raise FormatError(f"labels entry {obj!r} is an epsilon label; format 2 has none")
+        if isinstance(label, Marker) and kind == "eva":
+            label = frozenset([label])
+        elif isinstance(label, frozenset) and kind == "va":
+            raise FormatError(f"labels entry {obj!r} is a marker set, which a VA cannot carry")
+        labels.append(label)
+    n, m = len(states), len(labels)
+    initial = states[_index(_field(data, "initial"), n, "initial")]
+    finals = [states[_index(i, n, "finals entry")]
+              for i in _list_from_json(_field(data, "finals"), "finals")]
+    transitions = []
+    for t in _list_from_json(_field(data, "transitions"), "transitions"):
+        if type(t) is not list or len(t) != 3:
+            raise FormatError(f"transitions entry must be a [source, label, target] list, "
+                              f"got {t!r}")
+        q, a, p = t
+        if not (type(q) is int and type(a) is int and type(p) is int
+                and 0 <= q < n and 0 <= a < m and 0 <= p < n):
+            _index(q, n, "transition source")
+            _index(a, m, "transition label")
+            _index(p, n, "transition target")
+        transitions.append((states[q], labels[a], states[p]))
+    automaton_type = EVA if kind == "eva" else VA
+    return automaton_type(states, initial, finals, transitions, alphabet, variables, order=states)
+
+
+def _load_format1(data: Dict[str, Any]):
+    alphabet, variables = _alphabet_and_variables(data)
+    states = [_state_from_json(q, "states entry")
+              for q in _list_from_json(_field(data, "states"), "states")]
+    initial = _state_from_json(_field(data, "initial"), "initial")
+    finals = [_state_from_json(q, "finals entry")
+              for q in _list_from_json(_field(data, "finals"), "finals")]
+    raw_transitions = _list_from_json(_field(data, "transitions"), "transitions")
 
     # Each distinct label is parsed and checked once; a label the checks
     # refuse is never kept.  A string endpoint always passes the state
@@ -441,45 +530,49 @@ def _json_list(items: List[str]) -> str:
 
 
 def automaton_json(automaton: _AutomatonBase) -> str:
-    """The automaton file: the text ``json.dumps(obj, indent=2,
+    """The automaton file in format 2: the text ``json.dumps(obj, indent=2,
     sort_keys=True)`` writes for the format's object, made in one walk over
-    the states in order.  The transitions are listed by (source, label,
-    target), the order of ``out(q)``.  State names print as ``state_name``
-    gives them, or as ``s0, s1, ...`` in state order if two print alike."""
+    the states in order.  ``states`` lists the names in ``state_order()``;
+    ``labels`` lists each distinct label once, in the order of first use;
+    the transitions are index triples in ``out(q)`` order.  State names
+    print as ``state_name`` gives them, or as ``s0, s1, ...`` in state
+    order if two print alike."""
     order = automaton.state_order()
-    names = {q: state_name(q) for q in order}
-    if len(set(names.values())) != len(names):
-        names = {q: f"s{i}" for i, q in enumerate(order)}
-    quoted = {q: json.dumps(name) for q, name in names.items()}
-    by_name = sorted(order, key=names.__getitem__)
-    label_texts: Dict[Label, str] = {}
-    transitions = []
+    names = [state_name(q) for q in order]
+    if len(set(names)) != len(names):
+        names = [f"s{i}" for i in range(len(order))]
+    # The JSON text of each state's and each label's index.
+    index = {q: str(i) for i, q in enumerate(order)}
+    label_index: Dict[Label, str] = {}
+    label_texts: List[str] = []
+    triples = []
     for q in order:
-        head = '{\n      "from": ' + quoted[q] + ',\n      "label": '
+        head = "[\n      " + index[q] + ",\n      "
         for label, p in automaton.out(q):
-            text = label_texts.get(label)
-            if text is None:
-                # The label object is nested three levels deep, so its
-                # lines after the first move six spaces in.
-                text = label_texts[label] = json.dumps(
-                    _label_to_json(label), indent=2, sort_keys=True
-                ).replace("\n", "\n      ")
-            transitions.append(f'{head}{text},\n      "to": {quoted[p]}\n    }}')
-    finals = automaton.finals
+            a = label_index.get(label)
+            if a is None:
+                a = label_index[label] = str(len(label_texts))
+                # A label object is an entry of a top-level list, so its
+                # lines after the first move four spaces in.
+                label_texts.append(json.dumps(_label_to_json(label), indent=2,
+                                              sort_keys=True).replace("\n", "\n    "))
+            triples.append(f"{head}{a},\n      {index[p]}\n    ]")
     return "".join([
         '{\n  "alphabet": ', _json_list([json.dumps(a) for a in sorted(automaton.alphabet)]),
-        ',\n  "finals": ', _json_list([quoted[q] for q in by_name if q in finals]),
-        ',\n  "initial": ', quoted[automaton.initial],
+        ',\n  "finals": ', _json_list([index[q] for q in order if q in automaton.finals]),
+        ',\n  "format": 2',
+        ',\n  "initial": ', index[automaton.initial],
         ',\n  "kind": ', '"eva"' if isinstance(automaton, EVA) else '"va"',
-        ',\n  "states": ', _json_list([quoted[q] for q in by_name]),
-        ',\n  "transitions": ', _json_list(transitions),
+        ',\n  "labels": ', _json_list(label_texts),
+        ',\n  "states": ', _json_list([json.dumps(name) for name in names]),
+        ',\n  "transitions": ', _json_list(triples),
         ',\n  "variables": ', _json_list([json.dumps(v) for v in sorted(automaton.variables)]),
         "\n}",
     ])
 
 
 def dump_automaton(automaton: _AutomatonBase) -> Dict[str, Any]:
-    """The automaton as the JSON object of the file format."""
+    """The automaton as the JSON object of the file format (format 2)."""
     return json.loads(automaton_json(automaton))
 
 

@@ -4,14 +4,12 @@ generators for the test suites.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .automata import EVA, VA, classify, dump_automaton
+from .automata import EVA, VA, classify
 from .errors import InputError
 from .model import Document, Marker
 from .rgx import RegexAst, parse_rgx
@@ -458,14 +456,3 @@ def gen_growing_family(width: int) -> EVA:
         transitions.append((runner, _mset(CLOSE("x")), sink))
     finals = [f"f{i}" for i in range(width)]
     return EVA(states, "c0", finals, transitions, ["a"], ["x"])
-
-
-# ---------------------------------------------------------------------------
-# Corpus manifest support
-# ---------------------------------------------------------------------------
-
-def corpus_checksum(automata: Sequence) -> str:
-    blob = "\n".join(
-        sorted(json.dumps(dump_automaton(a), sort_keys=True) for a in automata)
-    )
-    return hashlib.md5(blob.encode()).hexdigest()

@@ -3,12 +3,14 @@ independent run-search oracle used by the engine invariants."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-from typing import Dict, Iterable, List, Tuple
+import json
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from hypothesis import strategies as st
 
-from spanex import Document, EVA, Mapping, Span
+from spanex import Document, EVA, Mapping, Span, dump_automaton
 from spanex.automata import State
 from spanex.engine import BOTTOM, NodeList
 from spanex.model import Marker, MarkerSet, marker_set_key
@@ -44,6 +46,36 @@ def close_m(var: str) -> Marker:
 
 def mset(*markers: Marker) -> MarkerSet:
     return frozenset(markers)
+
+
+# ---------------------------------------------------------------------------
+# Automaton files
+# ---------------------------------------------------------------------------
+
+def format1_of(data: Dict[str, Any]) -> Dict[str, Any]:
+    """The format-1 object of a format-2 automaton object: what the writer
+    made before format 2, with states and finals sorted by name and one
+    ``from``/``label``/``to`` object per transition, in the listed order."""
+    states, labels = data["states"], data["labels"]
+    return {
+        "alphabet": data["alphabet"],
+        "finals": sorted(states[i] for i in data["finals"]),
+        "initial": states[data["initial"]],
+        "kind": data["kind"],
+        "states": sorted(states),
+        "transitions": [{"from": states[q], "label": labels[a], "to": states[p]}
+                        for q, a, p in data["transitions"]],
+        "variables": data["variables"],
+    }
+
+
+def corpus_checksum(automata: Sequence) -> str:
+    """The checksum of a seeded corpus that ``data/corpus_manifest.json``
+    records, taken over the format-1 dumps it was first recorded from."""
+    blob = "\n".join(
+        sorted(json.dumps(format1_of(dump_automaton(a)), sort_keys=True) for a in automata)
+    )
+    return hashlib.md5(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

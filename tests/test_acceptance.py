@@ -34,7 +34,6 @@ from spanex.algebra import Atom, Join, Project, Union, compile_expr
 from spanex.fixtures import (
     RandomProfile,
     census_reduction,
-    corpus_checksum,
     enumerate_nfas,
     gen_fig1_fixture,
     gen_fig4_automaton,
@@ -48,7 +47,7 @@ from spanex.instrument import OpCounter
 from spanex.model import mapping_set_join, mapping_set_project
 from spanex.rgx import parse_rgx
 
-from helpers import event_key, mapping, partial_outputs, runs_after_capturing
+from helpers import corpus_checksum, event_key, mapping, partial_outputs, runs_after_capturing
 
 DATA = Path(__file__).parent / "data"
 

@@ -23,7 +23,7 @@ from spanex.errors import ClassificationTooLarge, FormatError
 from spanex.fixtures import gen_fig3_va, gen_fig4_automaton
 from spanex.transform import determinize_eva, va_to_eva
 
-from helpers import canon, close_m, mapping, mset, open_m
+from helpers import canon, close_m, format1_of, mapping, mset, open_m
 
 
 def test_json_round_trip_va():
@@ -106,8 +106,11 @@ def test_loader_validation():
     ("transitions", {}, "transitions must be a list"),
     ("transitions", [{"from": "q0", "label": {"markers": "open:x"}, "to": "q0"}],
      "markers must be a list"),
+    ("transitions", [{"from": "q0", "label": {"symbol": "a", "marker": ["open:x"]}, "to": "q0"}],
+     "unknown field 'marker'"),
 ], ids=["alphabet-string", "alphabet-int", "alphabet-long-symbol", "alphabet-empty-symbol",
-        "states-string", "finals-string", "transitions-object", "markers-string"])
+        "states-string", "finals-string", "transitions-object", "markers-string",
+        "label-unknown-field"])
 def test_loader_names_the_field_of_a_wrong_type(field, value, message):
     good = {"alphabet": ["a"], "states": ["q0"], "initial": "q0", "finals": ["q0"],
             "transitions": []}
@@ -131,6 +134,29 @@ def test_loader_reads_a_two_marker_set_as_eva():
     assert isinstance(loaded, EVA)
     assert ("q0", mset(open_m("x"), close_m("x")), "q1") in loaded.transitions
     assert ("q1", mset(open_m("y")), "q1") in loaded.transitions
+
+
+def test_format2_load_keeps_the_listed_order(monkeypatch):
+    # "b" is listed before "a", against the canon_key order of the names.
+    data = {"format": 2, "kind": "eva", "alphabet": ["a"], "variables": ["x"],
+            "states": ["b", "a"], "labels": [{"symbol": "a"}, {"markers": ["open:x"]}],
+            "initial": 0, "finals": [0, 1], "transitions": [[0, 1, 1], [1, 0, 0], [0, 0, 0]]}
+    calls = []
+    monkeypatch.setattr(spanex.automata, "canon_key", lambda obj: calls.append(obj))
+    loaded = load_automaton(data)
+    assert calls == []
+    assert loaded.state_order() == ["b", "a"]
+    assert loaded.tables().states == ["b", "a"]
+    assert loaded.out("b") == [("a", "b"), (mset(open_m("x")), "a")]
+    again = dump_automaton(loaded)
+    assert again["states"] == ["b", "a"]
+    assert again["transitions"] == [[0, 0, 0], [0, 1, 1], [1, 0, 0]]
+
+
+def test_constructor_refuses_an_order_that_is_not_a_permutation():
+    for order in (["q0"], ["q0", "q0"], ["q0", "q2"], ["q0", "q1", "q1"]):
+        with pytest.raises(FormatError, match="the state order must list every state"):
+            EVA(["q0", "q1"], "q0", [], [], [], order=order)
 
 
 def test_empty_marker_set_rejected_in_constructor():
@@ -342,9 +368,11 @@ def test_canonical_order_kept_from_construction(name, monkeypatch):
     # After construction nothing recomputes the order.
     calls = []
     monkeypatch.setattr(spanex.automata, "canon_key", lambda obj: calls.append(obj))
-    assert dump_automaton(automaton)["transitions"] == expected
-    assert dump_automaton(automaton)["states"] == sorted(names.values())
-    assert dump_automaton(automaton)["finals"] == sorted(names[q] for q in automaton.finals)
+    assert format1_of(dump_automaton(automaton))["transitions"] == expected
+    assert format1_of(dump_automaton(automaton))["states"] == sorted(names.values())
+    assert format1_of(dump_automaton(automaton))["finals"] == sorted(
+        names[q] for q in automaton.finals)
+    assert dump_automaton(automaton)["states"] == [names[q] for q in order]
     assert automaton_json(automaton) == json.dumps(dump_automaton(automaton), indent=2,
                                                    sort_keys=True)
     returned = automaton.state_order()

@@ -17,7 +17,8 @@ from spanex import (
 )
 from spanex.fixtures import gen_fig4_automaton
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +119,19 @@ def test_traced_expression_compile_equals_cli(bench, tmp_path, source):
     sizes = adapter.traced_compile(tracing.Tracer(adapter.clock), argv + [str(traced)])
     assert traced.read_bytes() == cli.read_bytes()
     assert sizes["det_states"] == len(json.loads(cli.read_text())["states"])
+
+
+def test_committed_bench_files_hold_every_workload_and_metric():
+    # A BENCH_<n>.json holds, per workload of BENCHMARK.json, the last
+    # line of `perfbench/run.py --trace 0`, with exactly its end-to-end
+    # metrics.
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {workload["name"] for workload in benchmark["workloads"]}
+    metrics = {metric["name"] for metric in benchmark["end_to_end"]}
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        recorded = json.loads(path.read_text())
+        assert set(recorded["workloads"]) == workloads, path.name
+        for name, result in recorded["workloads"].items():
+            assert set(result["metrics"]) == metrics, (path.name, name)

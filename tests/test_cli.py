@@ -20,11 +20,14 @@ from spanex import (
     functional_va_to_det_seva,
     load_automaton,
     measure_delay,
+    parse_expr,
     parse_rgx,
     rgx_to_va,
 )
 from spanex.cli import main
+from spanex.engine import enumerate_ndjson
 from spanex.fixtures import (
+    FIG1_TEXT,
     Nfa,
     census_reduction,
     gen_fig1_fixture,
@@ -32,6 +35,8 @@ from spanex.fixtures import (
     gen_fig4_automaton,
     gen_prop4_family,
 )
+
+from helpers import format1_of
 
 
 @pytest.fixture
@@ -83,7 +88,7 @@ def test_compile_prop4_reports_fanout(runner, tmp_path):
     data = json.loads(result.stdout)
     marker_labels = {
         tuple(t["label"]["markers"])
-        for t in data["transitions"]
+        for t in format1_of(data)["transitions"]
         if "markers" in t["label"]
     }
     assert len(marker_labels) >= 2 ** 3
@@ -533,6 +538,10 @@ _GOOD_AUTOMATON = {
     {"transitions": [{"from": "q0", "label": {"symbol": "a", "markers": ["open:x"]},
                       "to": "q1"}]},
     {"transitions": [{"from": "q0", "label": {"epsilon": False, "symbol": "a"}, "to": "q1"}]},
+    # A misspelled or unknown field is refused, not dropped.
+    {"transitions": [{"from": "q0", "label": {"symbol": "a", "marker": ["open:x"]},
+                      "to": "q1"}]},
+    {"transitions": [{"from": "q0", "label": {"symbol": "a", "extra": 1}, "to": "q1"}]},
     # Endpoints and labels read again keep every check of the first read.
     {"states": [1, "q1"], "initial": 1, "transitions": [
         {"from": True, "label": {"markers": ["open:x", "close:x"]}, "to": "q1"}]},
@@ -542,8 +551,8 @@ _GOOD_AUTOMATON = {
         "variables-int", "variables-mixed", "state-bool", "state-float",
         "alphabet-string", "alphabet-int", "alphabet-long-symbol", "states-string",
         "finals-string", "transitions-object", "markers-string", "label-epsilon-markers",
-        "label-symbol-markers", "label-epsilon-false-symbol", "endpoint-true",
-        "symbol-list-after-repeats"])
+        "label-symbol-markers", "label-epsilon-false-symbol", "label-misspelled-field",
+        "label-unknown-field", "endpoint-true", "symbol-list-after-repeats"])
 def test_malformed_automaton_exits_2(runner, tmp_path, malformed):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_GOOD_AUTOMATON, **malformed}))
@@ -551,6 +560,55 @@ def test_malformed_automaton_exits_2(runner, tmp_path, malformed):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error:")
+
+
+_GOOD_FORMAT2 = {
+    "format": 2, "kind": "eva", "alphabet": ["a"], "variables": ["x"], "states": ["q0", "q1"],
+    "labels": [{"markers": ["open:x", "close:x"]}, {"symbol": "a"}], "initial": 0,
+    "finals": [1], "transitions": [[0, 0, 1], [1, 1, 1]],
+}
+_MISSING = object()
+
+
+@pytest.mark.parametrize("malformed, field", [
+    ({"format": 3}, "format"),
+    ({"format": 2.0}, "format"),
+    ({"kind": _MISSING}, "kind"),
+    ({"labels": _MISSING}, "labels"),
+    ({"initial": 2}, "initial"),
+    ({"initial": True}, "initial"),
+    ({"finals": [-1]}, "finals"),
+    ({"transitions": [[0, 0, 2]]}, "transition target"),
+    ({"transitions": [[True, 0, 1]]}, "transition source"),
+    ({"transitions": [[0, 0]]}, "transitions entry"),
+    ({"transitions": [[0, 0, 1, 1]]}, "transitions entry"),
+    ({"transitions": [{"from": 0, "label": 0, "to": 1}]}, "transitions entry"),
+    ({"states": ["q0", "q0"]}, "states"),
+    ({"states": ["q0", 1]}, "states"),
+    ({"labels": [{"epsilon": True}, {"symbol": "a"}]}, "labels"),
+    ({"kind": "va"}, "labels"),
+    ({"transitions": [[0, 2, 1]]}, "transition label"),
+], ids=["format-3", "format-float", "kind-missing", "labels-missing", "initial-range",
+        "initial-true", "final-negative", "target-range", "source-true", "triple-short",
+        "triple-long", "transition-object", "state-repeated", "state-int", "label-epsilon",
+        "label-set-in-va", "label-range"])
+def test_malformed_format2_exits_2(runner, tmp_path, malformed, field):
+    data = {key: value for key, value in {**_GOOD_FORMAT2, **malformed}.items()
+            if value is not _MISSING}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["count", "--automaton", str(path), "--doc-inline", "a"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error:") and field in result.stderr, result.stderr
+
+
+def test_good_format2_counts(runner, tmp_path):
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(_GOOD_FORMAT2))
+    result = runner.invoke(main, ["count", "--automaton", str(path), "--doc-inline", "aa"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "1\n"
 
 
 @pytest.mark.parametrize("kind", [None, "eva"])
@@ -577,7 +635,8 @@ def test_unreadable_json_exits_2(runner, tmp_path):
 
 
 _AUTOMATON_KEYS = ["alphabet", "variables", "states", "initial", "finals", "transitions",
-                   "kind", "from", "to", "label", "symbol", "markers", "epsilon"]
+                   "kind", "from", "to", "label", "symbol", "markers", "epsilon", "format",
+                   "labels"]
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 2)
     | st.sampled_from(["q0", "q1", "a", "b", "x", "open:x", "close:x", "va", "eva"]),
@@ -599,6 +658,21 @@ _LABELS = _mostly(st.one_of(
         _mostly(st.sampled_from(["open:x", "close:x", "open:y", "close:y"])), max_size=3)}),
     st.just({"epsilon": True}),
 ))
+_INDICES = _mostly(st.integers(0, 3))
+_FORMAT2_OBJECTS = st.fixed_dictionaries(
+    {
+        "format": _mostly(st.just(2)),
+        "kind": _mostly(st.sampled_from(["va", "eva"])),
+        "alphabet": _mostly(st.just(["a", "b"])),
+        "states": _mostly(st.sampled_from([["q0"], ["q0", "q1"], ["q1", "q0", "q2"]])),
+        "labels": _mostly(st.lists(_LABELS, max_size=3)),
+        "initial": _INDICES,
+        "finals": _mostly(st.lists(_INDICES, max_size=2)),
+        "transitions": _mostly(st.lists(_mostly(st.lists(_INDICES, min_size=3, max_size=3)),
+                                        max_size=4)),
+    },
+    optional={"variables": _mostly(st.lists(st.sampled_from(["x", "y"]), max_size=2))},
+)
 _AUTOMATON_OBJECTS = st.fixed_dictionaries(
     {
         "alphabet": _mostly(st.just(["a", "b"])),
@@ -615,8 +689,8 @@ _AUTOMATON_OBJECTS = st.fixed_dictionaries(
 )
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(_AUTOMATON_OBJECTS)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(_AUTOMATON_OBJECTS, _FORMAT2_OBJECTS))
 def test_random_automaton_json_never_crashes(data):
     runner = CliRunner()
     with runner.isolated_filesystem():
@@ -669,33 +743,85 @@ _UNION = 'union(rgx(".*a.......x{.*}"), rgx(".*x{b.*}b....."))'
 _, _CONTACT, _, _CONTACT_ALPHABET = gen_fig1_fixture()
 
 
-@pytest.mark.parametrize("source, states, transitions, digest", [
+@pytest.mark.parametrize("source, states, transitions, format1_digest, digest", [
     (["--rgx", _CONTACT, "--alphabet", "".join(sorted(_CONTACT_ALPHABET))], 120, 1633,
-     "3b776cb2bbfe0417a886234815e59027ca7724acfc2289d0372d58ad40ee1e28"),
+     "3b776cb2bbfe0417a886234815e59027ca7724acfc2289d0372d58ad40ee1e28",
+     "8e86a4860b70f2bd5422c3f9c528c0f13b9e34fff851ab9cdabb8d681084efd0"),
     (["--rgx", ".*(x{a}|y{b}).*", "--alphabet", "ab"], 13, 28,
-     "50b91d1df17a9e0f85749990be4ad54667820672f72a8c53b4358f694ee08d36"),
+     "50b91d1df17a9e0f85749990be4ad54667820672f72a8c53b4358f694ee08d36",
+     "8274b4408cf55be1590d2254fc133cd2db840f92376aeb681ee7006157650e76"),
     (["--rgx", ".*x{a.*}.*", "--alphabet", "ab"], 10, 25,
-     "5787372dc5dc9142e96f15c6b7e7427736236b89226e8dc54463a67916bb66b6"),
+     "5787372dc5dc9142e96f15c6b7e7427736236b89226e8dc54463a67916bb66b6",
+     "3821fceff917989c55cf011f0380def8feb1c8e7f0867b13ea71e8df4eaf7522"),
     (["--expr", _JOIN, "--strategy", "prop7", "--alphabet", "ab"], 735, 2710,
-     "a8a210038a9ac26747266e5eef3e087aa704204a53cec205c20b3683bacba66e"),
+     "a8a210038a9ac26747266e5eef3e087aa704204a53cec205c20b3683bacba66e",
+     "d28d6436ec6e2e63237b698850cc97af14f0f5a38db4631b622371c3298c0870"),
     (["--expr", _JOIN, "--strategy", "prop8", "--alphabet", "ab"], 735, 2710,
-     "ba3858fa9fc02127ce8516dd64118b33935fca9b5246f839dfd986aacbc9d8d0"),
+     "ba3858fa9fc02127ce8516dd64118b33935fca9b5246f839dfd986aacbc9d8d0",
+     "2a8df1b75e4fa474d18e8b173002d474a93046a154c821e99d7912d800530bb8"),
     (["--expr", _UNION, "--strategy", "prop7", "--alphabet", "ab"], 281, 947,
-     "dd406fa1ac527902f633b0dd7cb7460b9abc67abc4a464a8e9956ff89064b4a1"),
+     "dd406fa1ac527902f633b0dd7cb7460b9abc67abc4a464a8e9956ff89064b4a1",
+     "b9946bc2c45ded4d3a4ed724225bf70f8a0af34f62701eb3fe31d7b8c82ba0d5"),
     (["--expr", _UNION, "--strategy", "prop8", "--alphabet", "ab"], 281, 947,
-     "4492f709d12822c180bba069116314e680b2678bcad95d323709989ecc343922"),
+     "4492f709d12822c180bba069116314e680b2678bcad95d323709989ecc343922",
+     "c04fb097751e6037badb48cb095a7de60ec6fd801cd491c1647e614aaa1e2581"),
 ], ids=["contact-general", "general", "functional", "join-prop7", "join-prop8",
         "union-prop7", "union-prop8"])
-def test_compile_bytes_pinned(runner, tmp_path, source, states, transitions, digest):
+def test_compile_bytes_pinned(runner, tmp_path, source, states, transitions, format1_digest,
+                              digest):
     # The bytes `spanex compile` writes are stable: a change that alters
-    # them on purpose updates these pins as a recorded decision.
+    # them on purpose updates these pins as a recorded decision.  Decoded
+    # to format 1, the file gives the bytes the writer made before format 2.
     result = runner.invoke(main, ["compile", *source])
     assert result.exit_code == 0, result.output
     data = json.loads(result.stdout)
     assert (len(data["states"]), len(data["transitions"])) == (states, transitions)
+    format1 = json.dumps(format1_of(data), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(format1.encode()).hexdigest() == format1_digest
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
     out = tmp_path / "compiled.json"
     result = runner.invoke(main, ["compile", *source, "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == b""
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("source", [
+    ["--rgx", ".*x{ab*a}.*b.*", "--alphabet", "ab"],
+    ["--expr", _JOIN, "--strategy", "prop8", "--alphabet", "ab"],
+], ids=["subsets", "join-prop8"])
+def test_compile_of_a_compiled_file_rewrites_it(runner, tmp_path, source):
+    # A file loads with its listed state order, so "{q10}" stays after
+    # "{q1}" and compiling the file writes it again byte for byte.
+    path = tmp_path / "c.json"
+    assert runner.invoke(main, ["compile", *source, "--out", str(path)]).exit_code == 0
+    first = path.read_bytes()
+    result = runner.invoke(main, ["compile", "--automaton", str(path), "--out", str(path)])
+    assert result.exit_code == 0, result.output
+    assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("source, text", [
+    (["--rgx", _CONTACT, "--alphabet", "".join(sorted(_CONTACT_ALPHABET))], FIG1_TEXT * 3),
+    (["--rgx", ".*x{a.*}.*", "--alphabet", "ab"], "abaabba"),
+    (["--expr", _JOIN, "--strategy", "prop7", "--alphabet", "ab"], "abbabaaabbab"),
+    (["--expr", _JOIN, "--alphabet", "ab"], "aababaab"),
+], ids=["contact", "dense", "join-prop7", "join-prop8"])
+def test_enumerate_order_kept_through_the_file(runner, tmp_path, source, text):
+    # A compiled file evaluates with the state ids of the automaton
+    # compiled in memory, so it prints the same lines in the same order.
+    path = tmp_path / "compiled.json"
+    assert runner.invoke(main, ["compile", *source, "--out", str(path)]).exit_code == 0
+    loaded = runner.invoke(main, ["enumerate", "--automaton", str(path), "--doc-inline", text])
+    assert loaded.exit_code == 0, loaded.output
+    if "--strategy" in source:
+        # `enumerate --expr` compiles a join under prop8.
+        expr = parse_expr(source[1], default_alphabet=frozenset("ab"))
+        det, _ = compile_spanner(expr, strategy=source[3])
+        expected = "".join(enumerate_ndjson(evaluate_preprocess(det, Document(text))))
+    else:
+        direct = runner.invoke(main, ["enumerate", *source, "--doc-inline", text])
+        assert direct.exit_code == 0, direct.output
+        expected = direct.stdout
+    assert len(expected.splitlines()) > 4
+    assert loaded.stdout == expected

@@ -16,7 +16,6 @@ from spanex.fixtures import (
     Nfa,
     RandomProfile,
     census_reduction,
-    corpus_checksum,
     enumerate_nfas,
     gen_fig1_fixture,
     gen_fig4_automaton,
@@ -26,7 +25,7 @@ from spanex.fixtures import (
     random_nfa,
 )
 
-from helpers import canon, mapping
+from helpers import canon, corpus_checksum, mapping
 
 
 def test_fig4_generator():
