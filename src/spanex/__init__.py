@@ -47,13 +47,7 @@ from .errors import (
     SpanexError,
 )
 from .instrument import DelayReport, OpCounter
-from .model import (
-    Document,
-    Mapping,
-    Marker,
-    Span,
-    mapping_set_join,
-)
+from .model import Document, Mapping, Marker, Span
 from .rgx import RegexAst, parse_rgx, rgx_eval_reference, rgx_to_va
 from .transform import (
     determinize_eva,

@@ -13,7 +13,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, U
 from .automata import EVA, VA, State, classify, require_det_seva, require_functional
 from .errors import FormatError, InputError
 from .model import MarkerSet, markers_of
-from .rgx import RegexAst, infer_alphabet, parse_rgx, rgx_to_va
+from .rgx import MAX_NESTING, RegexAst, infer_alphabet, parse_rgx, rgx_to_va
 from .transform import (
     _at_most_power_of_two,
     _check_bound,
@@ -394,13 +394,17 @@ class _ExprParser:
             raise self.error("trailing input after expression")
         return node
 
-    def node(self) -> AlgebraExpr:
+    def node(self, depth: int = 0) -> AlgebraExpr:
+        """One expression inside ``depth`` operators; the recursion stops at
+        the regex parser's nesting bound, well before the stack runs out."""
+        if depth > MAX_NESTING:
+            raise self.error(f"operators nest deeper than {MAX_NESTING}")
         head = self.name()
         self.expect("(")
         if head in ("join", "union"):
-            left = self.node()
+            left = self.node(depth + 1)
             self.expect(",")
-            right = self.node()
+            right = self.node(depth + 1)
             self.expect(")")
             return Join(left, right) if head == "join" else Union(left, right)
         if head == "project":
@@ -414,7 +418,7 @@ class _ExprParser:
                 self.skip_ws()
             self.expect("]")
             self.expect(",")
-            child = self.node()
+            child = self.node(depth + 1)
             self.expect(")")
             return Project(frozenset(variables), child)
         if head == "atom":

@@ -308,24 +308,6 @@ def _label_from_json(obj: Any) -> Optional[Label]:
     raise FormatError(f"unrecognized transition label: {obj!r}")
 
 
-def _label_memo_key(obj: Any) -> Optional[Tuple[Any, type, Any]]:
-    """The field, value type and value of a one-field label object, a list
-    value as a tuple, when the value is hashable; None for any other
-    object.  Labels with equal keys are equal values of one type, so
-    ``_label_from_json`` reads them alike."""
-    if not isinstance(obj, dict) or len(obj) != 1:
-        return None
-    ((field, value),) = obj.items()
-    kind = type(value)
-    if kind is list:
-        value = tuple(value)
-    try:
-        hash(value)
-    except TypeError:  # the value holds a list or an object
-        return None
-    return field, kind, value
-
-
 def _label_to_json(label: Label) -> Dict[str, Any]:
     if isinstance(label, str):
         return {"symbol": label}
@@ -461,24 +443,15 @@ def _load_format1(data: Dict[str, Any]):
               for q in _list_from_json(_field(data, "finals"), "finals")]
     raw_transitions = _list_from_json(_field(data, "transitions"), "transitions")
 
-    # Each distinct label is parsed and checked once; a label the checks
-    # refuse is never kept.  A string endpoint always passes the state
-    # check, and VA() or EVA() refuses it if it is not declared.
-    parsed: Dict[Tuple[Any, type, Any], Optional[Label]] = {}
+    # A string endpoint always passes the state check, and VA() or EVA()
+    # refuses it if it is not declared.
     needs_eva = False
     labels: List[Tuple[State, Label, State]] = []
     epsilons: List[Tuple[State, State]] = []
     for t in raw_transitions:
         try:
-            obj = t["label"]
-            key = _label_memo_key(obj)
-            if key in parsed:
-                label = parsed[key]
-            else:
-                label = _label_from_json(obj)
-                needs_eva = needs_eva or label is None or isinstance(label, frozenset)
-                if key is not None:
-                    parsed[key] = label
+            label = _label_from_json(t["label"])
+            needs_eva = needs_eva or label is None or isinstance(label, frozenset)
             q = t["from"]
             if not isinstance(q, str):
                 q = _state_from_json(q, "transition source")

@@ -148,24 +148,6 @@ class EvaluationState:
             if self.reached[q]
         }
 
-    def expand_list(self, q: State):
-        """Structural expansion of a state's list, for trace comparisons."""
-        i = self.tables.index.get(q)
-        nodelist = None if i is None else self.lists_by_id[i]
-        if nodelist is None:
-            return ()
-        return _expand(nodelist)
-
-
-def _expand(nodelist: NodeList):
-    out = []
-    for payload in nodelist.payloads():
-        if payload is BOTTOM:
-            out.append("BOTTOM")
-        else:
-            out.append((payload.markers, payload.position, _expand(payload.list)))
-    return tuple(out)
-
 
 PhaseHook = Callable[[str, int, "EvaluationState"], None]
 

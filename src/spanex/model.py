@@ -8,7 +8,7 @@ over a document, so ``start == end`` names the empty substring at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from .errors import InputError
 
@@ -23,18 +23,6 @@ class Span:
     def __post_init__(self) -> None:
         if not (1 <= self.start <= self.end):
             raise InputError(f"invalid span [{self.start},{self.end}>")
-
-    def concat(self, other: "Span") -> "Span":
-        """Join two adjacent spans; rejects non-adjacent inputs."""
-        if self.end != other.start:
-            raise InputError(
-                f"spans [{self.start},{self.end}> and "
-                f"[{other.start},{other.end}> are not adjacent"
-            )
-        return Span(self.start, other.end)
-
-    def contains(self, other: "Span") -> bool:
-        return self.start <= other.start and other.end <= self.end
 
     def __str__(self) -> str:
         return f"[{self.start},{self.end}>"
@@ -127,20 +115,6 @@ class Document:
             f"symbol {self.symbol(position)!r} at position {position} is not in the alphabet"
         )
 
-    def slice(self, span: Span) -> str:
-        """Substring named by a span; convenience only, not part of the
-        mapping semantics (which is positional)."""
-        if span.end > len(self.content) + 1:
-            raise InputError(f"{span} is not a span of a document of length {len(self)}")
-        return self.content[span.start - 1 : span.end - 1]
-
-    def spans(self) -> Iterator[Span]:
-        """All (n+1)(n+2)/2 spans of the document."""
-        n = len(self.content)
-        for i in range(1, n + 2):
-            for j in range(i, n + 2):
-                yield Span(i, j)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Document) and self.content == other.content
 
@@ -193,10 +167,6 @@ class Mapping:
         merged.update(other._bindings)
         return Mapping(merged)
 
-    def project(self, variables: Iterable[str]) -> "Mapping":
-        keep = set(variables)
-        return Mapping({v: s for v, s in self._bindings.items() if v in keep})
-
     def canonical(self) -> str:
         """`var=[i,j>` pairs sorted by variable name, comma-separated."""
         return ",".join(f"{v}={s}" for v, s in self._key)
@@ -212,24 +182,3 @@ class Mapping:
 
     def __repr__(self) -> str:
         return "Mapping{" + self.canonical() + "}"
-
-
-def mapping_set_join(set1: Iterable[Mapping], set2: Iterable[Mapping]) -> Set[Mapping]:
-    left = list(set1)
-    right = list(set2)
-    out: Set[Mapping] = set()
-    for m1 in left:
-        for m2 in right:
-            if m1.compatible(m2):
-                out.add(m1.union(m2))
-    return out
-
-
-def mapping_set_project(mappings: Iterable[Mapping], variables: Iterable[str]) -> Set[Mapping]:
-    keep = set(variables)
-    return {m.project(keep) for m in mappings}
-
-
-def serialize_mapping_set(mappings: Iterable[Mapping]) -> str:
-    """One mapping per line in canonical form, lines sorted."""
-    return "\n".join(sorted(m.canonical() for m in mappings))

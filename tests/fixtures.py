@@ -9,17 +9,13 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .automata import EVA, VA, classify
-from .errors import InputError
-from .model import Document, Marker
-from .rgx import RegexAst, parse_rgx
+from spanex.automata import EVA, VA, classify
+from spanex.errors import InputError
+from spanex.model import Document, Marker
+from spanex.rgx import RegexAst, parse_rgx
+from spanex.transform import trim, va_to_eva
 
-OPEN = Marker.open
-CLOSE = Marker.close
-
-
-def _mset(*markers: Marker) -> FrozenSet[Marker]:
-    return frozenset(markers)
+from helpers import close_m, mset, open_m
 
 
 # ---------------------------------------------------------------------------
@@ -30,13 +26,13 @@ def gen_fig3_va() -> VA:
     """Functional VA whose two opening orders produce the same mapping:
     x and y both span the whole document of a's."""
     transitions = [
-        ("q0", OPEN("x"), "q1"),
-        ("q0", OPEN("y"), "q2"),
-        ("q1", OPEN("y"), "q3"),
-        ("q2", OPEN("x"), "q3"),
+        ("q0", open_m("x"), "q1"),
+        ("q0", open_m("y"), "q2"),
+        ("q1", open_m("y"), "q3"),
+        ("q2", open_m("x"), "q3"),
         ("q3", "a", "q3"),
-        ("q3", CLOSE("x"), "q4"),
-        ("q4", CLOSE("y"), "q5"),
+        ("q3", close_m("x"), "q4"),
+        ("q4", close_m("y"), "q5"),
     ]
     return VA(
         [f"q{i}" for i in range(6)], "q0", ["q5"], transitions, ["a"], ["x", "y"]
@@ -47,19 +43,19 @@ def gen_fig4_automaton() -> EVA:
     """The 10-state deterministic functional EVA used as the golden
     example: on "ab" it outputs exactly three mappings."""
     transitions = [
-        ("q0", _mset(OPEN("x")), "q1"),
-        ("q0", _mset(OPEN("y")), "q2"),
-        ("q0", _mset(OPEN("x"), OPEN("y")), "q3"),
+        ("q0", mset(open_m("x")), "q1"),
+        ("q0", mset(open_m("y")), "q2"),
+        ("q0", mset(open_m("x"), open_m("y")), "q3"),
         ("q1", "a", "q4"),
         ("q2", "a", "q5"),
         ("q3", "a", "q3"),
         ("q3", "b", "q3"),
-        ("q3", _mset(CLOSE("x"), CLOSE("y")), "q9"),
-        ("q4", _mset(OPEN("y")), "q6"),
-        ("q5", _mset(OPEN("x")), "q7"),
+        ("q3", mset(close_m("x"), close_m("y")), "q9"),
+        ("q4", mset(open_m("y")), "q6"),
+        ("q5", mset(open_m("x")), "q7"),
         ("q6", "b", "q8"),
         ("q7", "b", "q8"),
-        ("q8", _mset(CLOSE("x"), CLOSE("y")), "q9"),
+        ("q8", mset(close_m("x"), close_m("y")), "q9"),
     ]
     return EVA(
         [f"q{i}" for i in range(10)], "q0", ["q9"], transitions, ["a", "b"], ["x", "y"]
@@ -78,8 +74,8 @@ def gen_prop4_family(levels: int) -> VA:
         for branch in ("x", "y"):
             mid = f"{branch}{i}m"
             states.append(mid)
-            transitions.append((f"s{i - 1}", OPEN(f"{branch}{i}"), mid))
-            transitions.append((mid, CLOSE(f"{branch}{i}"), f"s{i}"))
+            transitions.append((f"s{i - 1}", open_m(f"{branch}{i}"), mid))
+            transitions.append((mid, close_m(f"{branch}{i}"), f"s{i}"))
     variables = [f"{b}{i}" for i in range(1, levels + 1) for b in ("x", "y")]
     return VA(states, "s0", ["f"], transitions, ["a"], variables)
 
@@ -167,9 +163,9 @@ def census_reduction(nfa: Nfa, n: int) -> Tuple[VA, Document]:
         for i in range(1, n + 1):
             var = f"x{i}"
             if symbol == "a":
-                steps = ["#", OPEN(var), "c", CLOSE(var), "c"]
+                steps = ["#", open_m(var), "c", close_m(var), "c"]
             else:
-                steps = ["#", "c", OPEN(var), "c", CLOSE(var)]
+                steps = ["#", "c", open_m(var), "c", close_m(var)]
             hops = [("q", q, i - 1)]
             for k in range(4):
                 gadget = ("g", q, symbol, p, i, k)
@@ -240,7 +236,7 @@ def _random_va(rng: random.Random, profile: RandomProfile) -> VA:
     n = profile.states
     names = profile.variable_names()
     states = [f"q{i}" for i in range(n)]
-    markers = [OPEN(v) for v in names] + [CLOSE(v) for v in names]
+    markers = [open_m(v) for v in names] + [close_m(v) for v in names]
     transitions = set()
     for q in states:
         for _ in range(rng.randint(1, 2)):
@@ -313,7 +309,7 @@ def _random_functional_va(rng: random.Random, profile: RandomProfile) -> VA:
     for a, b in zip(spine_states, spine_states[1:]):
         before, after = statuses[a], statuses[b]
         var = next(i for i in range(n_vars) if before[i] != after[i])
-        marker = OPEN(names[var]) if after[var] == 1 else CLOSE(names[var])
+        marker = open_m(names[var]) if after[var] == 1 else close_m(names[var])
         transitions.add((states[a], marker, states[b]))
     for idx in range(n):
         peers = by_status[statuses[idx]]
@@ -330,9 +326,9 @@ def _random_functional_va(rng: random.Random, profile: RandomProfile) -> VA:
                 continue
             var = deltas[0]
             if (before[var], after[var]) == (0, 1):
-                transitions.add((states[idx], OPEN(names[var]), states[other]))
+                transitions.add((states[idx], open_m(names[var]), states[other]))
             elif (before[var], after[var]) == (1, 2):
-                transitions.add((states[idx], CLOSE(names[var]), states[other]))
+                transitions.add((states[idx], close_m(names[var]), states[other]))
     finals = [states[i] for i in range(n) if statuses[i] == (2,) * n_vars]
     return VA(states, "q0", finals, transitions, profile.alphabet, names)
 
@@ -366,12 +362,12 @@ def _random_det_seva(rng: random.Random, profile: RandomProfile) -> EVA:
                 if pair in ((0, 0), (1, 1), (2, 2)):
                     continue
                 if pair == (0, 1):
-                    step.add(OPEN(names[i]))
+                    step.add(open_m(names[i]))
                 elif pair == (1, 2):
-                    step.add(CLOSE(names[i]))
+                    step.add(close_m(names[i]))
                 elif pair == (0, 2):
-                    step.add(OPEN(names[i]))
-                    step.add(CLOSE(names[i]))
+                    step.add(open_m(names[i]))
+                    step.add(close_m(names[i]))
                 else:
                     ok = False
                     break
@@ -396,8 +392,6 @@ def random_instance(seed: int, profile: RandomProfile):
     re-checked with the classifier, and a handful of retries with
     derived seeds covers degenerate draws before giving up.
     """
-    from .transform import trim, va_to_eva
-
     for attempt in range(profile.max_retries):
         rng = random.Random(f"{profile.kind}:{seed}:{attempt}")
         if profile.kind == "va":
@@ -451,8 +445,8 @@ def gen_growing_family(width: int) -> EVA:
         states += [chain, runner, sink]
         nxt = f"c{i + 1}" if i + 1 < width else chain
         transitions.append((chain, "a", nxt))
-        transitions.append((chain, _mset(OPEN("x")), runner))
+        transitions.append((chain, mset(open_m("x")), runner))
         transitions.append((runner, "a", runner))
-        transitions.append((runner, _mset(CLOSE("x")), sink))
+        transitions.append((runner, mset(close_m("x")), sink))
     finals = [f"f{i}" for i in range(width)]
     return EVA(states, "c0", finals, transitions, ["a"], ["x"])

@@ -1,16 +1,17 @@
-"""Shared test utilities: tiny constructors, document universes, and the
-independent run-search oracle used by the engine invariants."""
+"""Shared test utilities: tiny constructors, span and mapping-set tools,
+document universes, and the independent oracles used by the engine
+invariants."""
 
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from hypothesis import strategies as st
 
-from spanex import Document, EVA, Mapping, Span, dump_automaton
+from spanex import Document, EVA, EvaluationState, InputError, Mapping, Span, dump_automaton
 from spanex.automata import State
 from spanex.engine import BOTTOM, NodeList
 from spanex.model import Marker, MarkerSet, marker_set_key
@@ -46,6 +47,50 @@ def close_m(var: str) -> Marker:
 
 def mset(*markers: Marker) -> MarkerSet:
     return frozenset(markers)
+
+
+# ---------------------------------------------------------------------------
+# Spans, documents and mapping sets
+# ---------------------------------------------------------------------------
+
+def contains(outer: Span, inner: Span) -> bool:
+    return outer.start <= inner.start and inner.end <= outer.end
+
+
+def doc_slice(doc: Document, s: Span) -> str:
+    """Substring named by a span; the mapping semantics stay positional."""
+    if s.end > len(doc) + 1:
+        raise InputError(f"{s} is not a span of a document of length {len(doc)}")
+    return doc.content[s.start - 1 : s.end - 1]
+
+
+def doc_spans(doc: Document) -> Iterator[Span]:
+    """All (n+1)(n+2)/2 spans of the document."""
+    n = len(doc)
+    for i in range(1, n + 2):
+        for j in range(i, n + 2):
+            yield Span(i, j)
+
+
+def project(m: Mapping, variables: Iterable[str]) -> Mapping:
+    keep = set(variables)
+    return Mapping({v: s for v, s in m.bindings.items() if v in keep})
+
+
+def mapping_set_join(set1: Iterable[Mapping], set2: Iterable[Mapping]) -> Set[Mapping]:
+    left = list(set1)
+    right = list(set2)
+    out: Set[Mapping] = set()
+    for m1 in left:
+        for m2 in right:
+            if m1.compatible(m2):
+                out.add(m1.union(m2))
+    return out
+
+
+def mapping_set_project(mappings: Iterable[Mapping], variables: Iterable[str]) -> Set[Mapping]:
+    keep = set(variables)
+    return {project(m, keep) for m in mappings}
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +194,25 @@ def partial_outputs(nodelist: NodeList) -> List[Tuple[Event, ...]]:
 
     walk(nodelist, [])
     return found
+
+
+def expand_list(state: EvaluationState, q: State):
+    """Structural expansion of a state's list, for trace comparisons."""
+    i = state.tables.index.get(q)
+    nodelist = None if i is None else state.lists_by_id[i]
+    if nodelist is None:
+        return ()
+    return _expand(nodelist)
+
+
+def _expand(nodelist: NodeList):
+    out = []
+    for payload in nodelist.payloads():
+        if payload is BOTTOM:
+            out.append("BOTTOM")
+        else:
+            out.append((payload.markers, payload.position, _expand(payload.list)))
+    return tuple(out)
 
 
 def event_key(events: Tuple[Event, ...]) -> Tuple:

@@ -31,7 +31,10 @@ from spanex import (
     va_to_eva,
 )
 from spanex.algebra import Atom, Join, Project, Union, compile_expr
-from spanex.fixtures import (
+from spanex.instrument import OpCounter
+from spanex.rgx import parse_rgx
+
+from fixtures import (
     RandomProfile,
     census_reduction,
     enumerate_nfas,
@@ -43,11 +46,16 @@ from spanex.fixtures import (
     random_instance,
     random_nfa,
 )
-from spanex.instrument import OpCounter
-from spanex.model import mapping_set_join, mapping_set_project
-from spanex.rgx import parse_rgx
-
-from helpers import corpus_checksum, event_key, mapping, partial_outputs, runs_after_capturing
+from helpers import (
+    corpus_checksum,
+    event_key,
+    expand_list,
+    mapping,
+    mapping_set_join,
+    mapping_set_project,
+    partial_outputs,
+    runs_after_capturing,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -124,7 +132,7 @@ def test_criterion_1_golden_example():
 
     def hook(phase, index, state):
         snapshot = {
-            q: state.expand_list(q)
+            q: expand_list(state, q)
             for q, nl in state.lists.items()
             if not nl.is_empty
         }

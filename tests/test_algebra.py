@@ -22,12 +22,19 @@ from spanex import (
 from spanex.algebra import Atom, Join, Project, Union
 from spanex.automata import dump_automaton
 from spanex.errors import InputError, PreconditionError
-from spanex.fixtures import RandomProfile, gen_fig3_va, random_documents, random_instance
-from spanex.model import mapping_set_join, mapping_set_project
 from spanex.rgx import parse_rgx, rgx_to_va
 from spanex.transform import functional_eva
 
-from helpers import all_docs, close_m, mapping, mset, open_m
+from fixtures import RandomProfile, gen_fig3_va, random_documents, random_instance
+from helpers import (
+    all_docs,
+    close_m,
+    mapping,
+    mapping_set_join,
+    mapping_set_project,
+    mset,
+    open_m,
+)
 
 
 def _whole_doc_binder(var: str) -> EVA:

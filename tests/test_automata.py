@@ -20,9 +20,9 @@ from spanex import (
 from spanex.algebra import join_eva, project_eva
 from spanex.automata import _label_to_json, canon_key, label_key, state_name
 from spanex.errors import ClassificationTooLarge, FormatError
-from spanex.fixtures import gen_fig3_va, gen_fig4_automaton
 from spanex.transform import determinize_eva, va_to_eva
 
+from fixtures import gen_fig3_va, gen_fig4_automaton
 from helpers import canon, close_m, format1_of, mapping, mset, open_m
 
 

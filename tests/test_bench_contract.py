@@ -15,7 +15,7 @@ from spanex import (
     evaluate_preprocess,
     parse_rgx,
 )
-from spanex.fixtures import gen_fig4_automaton
+from fixtures import gen_fig4_automaton
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"

@@ -26,7 +26,8 @@ from spanex import (
 )
 from spanex.cli import main
 from spanex.engine import enumerate_ndjson
-from spanex.fixtures import (
+
+from fixtures import (
     FIG1_TEXT,
     Nfa,
     census_reduction,
@@ -35,7 +36,6 @@ from spanex.fixtures import (
     gen_fig4_automaton,
     gen_prop4_family,
 )
-
 from helpers import format1_of
 
 
@@ -100,6 +100,11 @@ def test_check_fig3(runner, tmp_path):
     result = runner.invoke(main, ["check", "--automaton", str(path), "--functional"])
     assert result.exit_code == 0
     assert "functional=True" in result.stdout
+    result = runner.invoke(main, ["check", "--automaton", str(path), "--deterministic"])
+    assert result.exit_code == 1
+    assert "required properties do not hold: deterministic" in result.stderr
+    result = runner.invoke(main, ["check", "--rgx", "x{a}y{b}"])
+    assert (result.exit_code, result.stdout) == (0, "sequential=True functional=True\n")
 
 
 def test_check_fig4(runner, fig4_path):
@@ -124,6 +129,9 @@ def test_check_non_sequential_witness(runner, tmp_path):
     result = runner.invoke(main, ["check", "--automaton", str(path), "--sequential"])
     assert result.exit_code == 1
     assert "witness[sequential]" in result.stdout
+    result = runner.invoke(main, ["check", "--automaton", str(path), "--functional"])
+    assert result.exit_code == 1
+    assert "required properties do not hold: functional" in result.stderr
 
 
 def test_check_eva_with_epsilon_labels(runner, tmp_path):
@@ -183,6 +191,11 @@ def test_enumerate_limit(runner, fig4_path):
     )
     assert result.exit_code == 0
     assert len(result.stdout.splitlines()) == 1
+    result = runner.invoke(
+        main, ["enumerate", "--automaton", fig4_path, "--doc-inline", "ab", "--limit", "-1"]
+    )
+    assert result.exit_code == 2
+    assert "--limit must be nonnegative" in result.stderr
 
 
 def test_enumerate_stats(runner, fig4_path):
@@ -333,6 +346,11 @@ def test_count_expression(runner):
     )
     assert result.exit_code == 0
     assert result.stdout.strip() == "1"
+    result = runner.invoke(
+        main,
+        ["enumerate", "--expr", 'project([x, y], rgx("x{a}y{a}z{a}"))', "--doc-inline", "aaa"],
+    )
+    assert (result.exit_code, result.stdout) == (0, '{"x": [1, 2], "y": [2, 3]}\n')
 
 
 def test_boolean_projection_expression(runner):
@@ -386,6 +404,14 @@ def test_exit_codes(runner, fig4_path, tmp_path):
         main, ["count", "--rgx", "a", "--automaton", fig4_path, "--doc-inline", "a"]
     )
     assert both.exit_code == 2
+    both_docs = runner.invoke(
+        main, ["count", "--automaton", fig4_path, "--doc", fig4_path, "--doc-inline", "a"]
+    )
+    assert both_docs.exit_code == 2
+    assert "exactly one of --doc, --doc-inline" in both_docs.stderr
+    expr = runner.invoke(main, ["check", "--expr", 'rgx("x{a}")'])
+    assert expr.exit_code == 2
+    assert "not an expression" in expr.stderr
     # A symbol outside the alphabet is reported where the kernel reads it,
     # before any output is written.
     out = tmp_path / "out.ndjson"
@@ -419,6 +445,21 @@ def test_long_and_deep_regexes(runner):
                                 "--doc-inline", symbols[1234]])
     assert wide.exit_code == 0
     assert wide.stdout.strip() == "1"
+
+    # Operators nest as deep as regex groups, and no deeper.
+    def nest(op, depth):
+        expr = 'rgx("x{a}")'
+        for _ in range(depth):
+            expr = f"project([x], {expr})" if op == "project" else f'{op}({expr}, rgx("x{{a}}"))'
+        return runner.invoke(main, ["count", "--expr", expr, "--alphabet", "a",
+                                    "--doc-inline", "a"])
+
+    assert nest("project", 100).stdout.strip() == "1"
+    for op, depth in [("project", 101), ("project", 1000), ("union", 300)]:
+        deep = nest(op, depth)
+        assert deep.exit_code == 2
+        assert deep.stderr.startswith("error:")
+        assert "Traceback" not in deep.stderr
 
 
 def test_long_literal_scans_in_linear_time(runner):
@@ -588,10 +629,11 @@ _MISSING = object()
     ({"labels": [{"epsilon": True}, {"symbol": "a"}]}, "labels"),
     ({"kind": "va"}, "labels"),
     ({"transitions": [[0, 2, 1]]}, "transition label"),
+    ({"alphabet": ["b"]}, "alphabet"),
 ], ids=["format-3", "format-float", "kind-missing", "labels-missing", "initial-range",
         "initial-true", "final-negative", "target-range", "source-true", "triple-short",
         "triple-long", "transition-object", "state-repeated", "state-int", "label-epsilon",
-        "label-set-in-va", "label-range"])
+        "label-set-in-va", "label-range", "symbol-outside-alphabet"])
 def test_malformed_format2_exits_2(runner, tmp_path, malformed, field):
     data = {key: value for key, value in {**_GOOD_FORMAT2, **malformed}.items()
             if value is not _MISSING}

@@ -14,13 +14,14 @@ from spanex import (
     va_to_det_seva_general,
 )
 from spanex.errors import InputError, PreconditionError
-from spanex.fixtures import (
+from spanex.instrument import OpCounter
+
+from fixtures import (
     RandomProfile,
     gen_fig4_automaton,
     random_documents,
     random_instance,
 )
-from spanex.instrument import OpCounter
 
 
 def test_count_fig4():

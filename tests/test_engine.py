@@ -16,7 +16,9 @@ from spanex import (
 from spanex import engine
 from spanex.engine import BOTTOM, NodeList, enumerate_ndjson
 from spanex.errors import InputError, PreconditionError
-from spanex.fixtures import (
+from spanex.instrument import OpCounter
+
+from fixtures import (
     FIG1_TEXT,
     RandomProfile,
     gen_fig1_fixture,
@@ -24,12 +26,11 @@ from spanex.fixtures import (
     random_documents,
     random_instance,
 )
-from spanex.instrument import OpCounter
-
 from helpers import (
     canon,
     close_m,
     event_key,
+    expand_list,
     mapping,
     mset,
     open_m,
@@ -156,7 +157,7 @@ def test_golden_trace_matches_worked_example():
         snapshot = {}
         for q, nl in state.lists.items():
             if not nl.is_empty:
-                snapshot[q] = state.expand_list(q)
+                snapshot[q] = expand_list(state, q)
         trace.append((phase, index, snapshot))
 
     evaluate_preprocess(gen_fig4_automaton(), Document("ab"), on_phase=hook)
@@ -206,7 +207,7 @@ def test_golden_enumeration_order():
 def test_empty_document_trivial_accept():
     trivial = EVA(["q0"], "q0", ["q0"], [], ["a"])
     state = evaluate_preprocess(trivial, Document(""))
-    assert state.expand_list("q0") == BOT
+    assert expand_list(state, "q0") == BOT
     assert list(enumerate_stream(state)) == [Mapping()]
 
 

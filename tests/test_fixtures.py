@@ -11,7 +11,8 @@ from spanex import (
     va_to_eva,
 )
 from spanex.errors import InputError
-from spanex.fixtures import (
+
+from fixtures import (
     FIG1_TEXT,
     Nfa,
     RandomProfile,
@@ -24,8 +25,7 @@ from spanex.fixtures import (
     random_instance,
     random_nfa,
 )
-
-from helpers import canon, corpus_checksum, mapping
+from helpers import canon, corpus_checksum, doc_slice, mapping
 
 
 def test_fig4_generator():
@@ -87,8 +87,8 @@ def test_fig1_fixture():
         "email=[7,13>,name=[1,5>",
         "name=[16,20>,phone=[22,28>",
     ]
-    assert doc.slice(mapping(name=(1, 5))["name"]) == "John"
-    assert doc.slice(mapping(phone=(22, 28))["phone"]) == "555-12"
+    assert doc_slice(doc, mapping(name=(1, 5))["name"]) == "John"
+    assert doc_slice(doc, mapping(phone=(22, 28))["phone"]) == "555-12"
 
 
 def test_census_reduction_positions():

@@ -27,10 +27,9 @@ from spanex import (
 )
 from spanex.algebra import Atom, Join, Project, Union
 from spanex.engine import enumerate_ndjson
-from spanex.model import mapping_set_project
 from spanex.rgx import Alt, Capture, Concat, Star, Symbol, rgx_eval_reference, rgx_to_va
 
-from helpers import random_evas
+from helpers import mapping_set_project, random_evas
 
 ALPHABET = frozenset("ab")
 

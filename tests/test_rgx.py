@@ -25,7 +25,7 @@ from spanex.rgx import (
     rgx_variables,
 )
 
-from helpers import all_docs, mapping
+from helpers import all_docs, contains, doc_spans, mapping
 
 
 def test_parse_examples():
@@ -117,9 +117,9 @@ def test_reference_eval_nested_spans():
     ast = parse_rgx(".*x1{.*x2{.*}.*}.*", "ab")
     doc = Document("ab")
     expected = set()
-    for s1 in doc.spans():
-        for s2 in doc.spans():
-            if s1.contains(s2):
+    for s1 in doc_spans(doc):
+        for s2 in doc_spans(doc):
+            if contains(s1, s2):
                 expected.add(Mapping({"x1": s1, "x2": s2}))
     got = rgx_eval_reference(ast, doc)
     assert len(expected) == 15

@@ -17,7 +17,9 @@ from spanex import (
     va_to_eva,
 )
 from spanex.errors import PreconditionError
-from spanex.fixtures import (
+from spanex.transform import variable_paths_from
+
+from fixtures import (
     RandomProfile,
     gen_fig3_va,
     gen_fig4_automaton,
@@ -25,8 +27,6 @@ from spanex.fixtures import (
     random_documents,
     random_instance,
 )
-from spanex.transform import variable_paths_from
-
 from helpers import all_docs, close_m, mapping, mset, open_m
 
 
