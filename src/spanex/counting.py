@@ -6,15 +6,38 @@ through the same capturing/reading alternation as the evaluator counts
 the outputs in time proportional to |A| * |d|.  Counters are Python
 integers, hence arbitrary precision: output counts grow like |d|^l in
 the number of variables, far past any machine word.
+
+The live set after a character is a function of the live set before it
+and the letter, so the kernel caches the automaton's steps as they are
+first reached, as lazy-DFA matchers and REmatch (Riveros, Van Sint Jan,
+Vrgoč, VLDB 2023) do:
+
+- The live states are an interned, ascending tuple of ``DetTables`` ids,
+  with their counts in a list aligned to it.
+- Each (live set, symbol) maps to one *program*: the next live set's id
+  and size, one (source index, destination index) pair per path "an
+  optional marker step, then the letter" (with multiplicity), and the op
+  constant.  Running it is ``new = [0] * size`` and one
+  ``new[d] += counts[s]`` per pair.
+- A program is recorded on the second visit of its (live set, symbol).
+  The first visit runs the same step as one pass over a dict and only
+  notes the visit, so documents whose live sets never repeat pay no
+  recording.
+- The memo is per call and is cleared when its interned live sets reach
+  ``automaton.size`` (states + transitions): count memory does not grow
+  with the document.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .automata import EVA, require_det_seva
 from .instrument import OpCounter
 from .model import Document
+
+# (next live-set id, its size, (source, destination) pairs, ops)
+Program = Tuple[int, int, List[Tuple[int, int]], int]
 
 
 def count_det_seva(
@@ -25,42 +48,127 @@ def count_det_seva(
 ) -> int:
     """Count |output| of a deterministic sequential EVA on a document.
 
-    Capturing adds the pre-stage count of each state into its marker
-    successors without clearing anything; reading rebuilds the counts
-    along letter transitions.  The result is the sum over final states
-    after the last capturing stage.  Counts are keyed by interned state
-    id (see ``EVA.tables``); a symbol outside the alphabet raises
-    InputError when it is read.  ``counter.count_ops`` grows by one per
-    state visited in either stage and one per transition taken.
+    Capturing adds the pre-stage count of each live state into its
+    marker successors without clearing anything; reading moves the
+    counts along the letter transitions.  Per character both stages run
+    as one step from the live set L: a recorded program, or on the first
+    visit of (L, symbol) a direct pass over a dict (see the module
+    docstring).  The last capturing stage, at n+1, adds the counts into
+    the final states through the same marker targets.  A symbol outside
+    the alphabet raises InputError when it is read.
+
+    ``counter.count_ops`` grows by one per state visited in either stage
+    and one per transition taken.  Per character that is the program's
+    constant |L| + sum(|markers(q)| for q in L) + |L+| + #{q in L+ :
+    delta(q, a) defined}, where L+ is L with its marker targets; at n+1
+    it is |L| + sum(|markers(q)| for q in L).
     """
     if validate:
         require_det_seva(automaton)
     counter = counter if counter is not None else OpCounter()
     tables = automaton.tables()
     markers, letters = tables.markers, tables.letters
+    bound = automaton.size
 
-    counts: Dict[int, int] = {tables.initial: 1}
+    sets: List[Tuple[int, ...]] = []        # live-set id -> ascending state ids
+    intern: Dict[Tuple[int, ...], int] = {}  # its inverse
+    rows: List[Dict[str, object]] = []       # id -> symbol -> Program, or False once visited
+
+    def live_id(live: Tuple[int, ...]) -> int:
+        found = intern.get(live)
+        if found is not None:
+            return found
+        if len(sets) >= bound:
+            sets.clear()
+            intern.clear()
+            rows.clear()
+        intern[live] = len(sets)
+        sets.append(live)
+        rows.append({})
+        return len(sets) - 1
+
+    current = live_id((tables.initial,))
+    counts: List[int] = [1]
     ops = 0
-    text = document.content
-    n = len(text)
-    for i in range(1, n + 2):
-        ops += len(counts)
-        for q, amount in [(q, amount) for q, amount in counts.items() if markers[q]]:
-            for _, p in markers[q]:
-                counts[p] = counts.get(p, 0) + amount
-            ops += len(markers[q])
-        if i > n:
-            break
-        successor = letters.get(text[i - 1])
-        if successor is None:
-            raise document.alphabet_error(i)
-        ops += len(counts)
-        before, counts = counts, {}
-        for q, amount in before.items():
-            p = successor[q]
-            if p is not None:
-                counts[p] = counts.get(p, 0) + amount
-                ops += 1
-    counter.count_ops += ops
-    return sum(counts.get(q, 0) for q in tables.finals)
+    for i, symbol in enumerate(document.content, 1):
+        row = rows[current]
+        program = row.get(symbol)
+        if not program:
+            successor = letters.get(symbol)
+            if successor is None:
+                raise document.alphabet_error(i)
+            live = sets[current]
+            if program is None:
+                row[symbol] = False
+                step, after, counts = _step_once(live, counts, markers, successor)
+                ops += step
+                current = live_id(after)
+                continue
+            program = row[symbol] = _record(live, markers, successor, live_id)
+        current, size, pairs, step = program
+        new = [0] * size
+        for source, target in pairs:
+            new[target] += counts[source]
+        counts = new
+        ops += step
 
+    total = 0
+    finals = set(tables.finals)
+    for q, amount in zip(sets[current], counts):
+        out = markers[q]
+        ops += 1 + len(out)
+        if q in finals:
+            total += amount
+        for _, p in out:
+            if p in finals:
+                total += amount
+    counter.count_ops += ops
+    return total
+
+
+def _paths(live, markers, successor):
+    """The (source index, target state) pair of every "optional marker
+    step, then the letter" path from the live set ``live``, and the op
+    constant of the step."""
+    # ops: |L| capturing visits, one per marker transition, |L+| reading
+    # visits and one per letter transition taken from L+.
+    paths = []
+    ops = 2 * len(live)
+    targets = set()
+    for j, q in enumerate(live):
+        p = successor[q]
+        if p is not None:
+            paths.append((j, p))
+            ops += 1
+        out = markers[q]
+        ops += len(out)
+        for _, r in out:
+            targets.add(r)
+            p = successor[r]
+            if p is not None:
+                paths.append((j, p))
+    targets.difference_update(live)
+    for q in targets:
+        ops += 1 if successor[q] is None else 2
+    return paths, ops
+
+
+def _step_once(live, counts, markers, successor):
+    """One character from ``live`` as one pass over a dict: its ops, the
+    next live set and its counts."""
+    paths, ops = _paths(live, markers, successor)
+    after: Dict[int, int] = {}
+    for j, p in paths:
+        after[p] = after.get(p, 0) + counts[j]
+    ids = tuple(sorted(after))
+    return ops, ids, [after[p] for p in ids]
+
+
+def _record(live, markers, successor, live_id) -> Program:
+    """The program of one character from ``live``; interns the next live
+    set through ``live_id``."""
+    paths, ops = _paths(live, markers, successor)
+    after = tuple(sorted({p for _, p in paths}))
+    rank = {p: k for k, p in enumerate(after)}
+    pairs = [(j, rank[p]) for j, p in paths]
+    return live_id(after), len(after), pairs, ops

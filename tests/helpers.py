@@ -215,6 +215,39 @@ def _expand(nodelist: NodeList):
     return tuple(out)
 
 
+def count_reference(automaton: EVA, document: Document) -> Tuple[int, int]:
+    """The output count of a det-seVA and its ``count_ops``, by the plain
+    two-stage dict kernel: capturing adds each state's pre-stage count
+    into its marker successors, reading rebuilds the counts along the
+    letter transitions.  One op per state visited in either stage and
+    one per transition taken."""
+    tables = automaton.tables()
+    markers, letters = tables.markers, tables.letters
+    counts: Dict[int, int] = {tables.initial: 1}
+    ops = 0
+    text = document.content
+    n = len(text)
+    for i in range(1, n + 2):
+        ops += len(counts)
+        for q, amount in [(q, amount) for q, amount in counts.items() if markers[q]]:
+            for _, p in markers[q]:
+                counts[p] = counts.get(p, 0) + amount
+            ops += len(markers[q])
+        if i > n:
+            break
+        successor = letters.get(text[i - 1])
+        if successor is None:
+            raise document.alphabet_error(i)
+        ops += len(counts)
+        before, counts = counts, {}
+        for q, amount in before.items():
+            p = successor[q]
+            if p is not None:
+                counts[p] = counts.get(p, 0) + amount
+                ops += 1
+    return sum(counts.get(q, 0) for q in tables.finals), ops
+
+
 def event_key(events: Tuple[Event, ...]) -> Tuple:
     return tuple((marker_set_key(s), i) for s, i in events)
 

@@ -422,6 +422,24 @@ def test_exit_codes(runner, fig4_path, tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("text, position", [
+    ("aaaaaaaz", 8),  # after the 'a' step from the same live set was replayed
+    ("caaz", 4),      # after 'c' left no live state
+    ("zab", 1),       # the first symbol
+])
+def test_bad_symbol_position_count_and_enumerate(runner, tmp_path, text, position):
+    path = tmp_path / "det.json"
+    compiled = runner.invoke(main, ["compile", "--rgx", "a*x{b}a*", "--alphabet", "abc",
+                                    "--out", str(path)])
+    assert compiled.exit_code == 0
+    results = [runner.invoke(main, [command, "--automaton", str(path), "--doc-inline", text])
+               for command in ("count", "enumerate")]
+    assert [r.exit_code for r in results] == [1, 1]
+    assert [r.stdout for r in results] == ["", ""]
+    assert results[0].stderr == results[1].stderr == (
+        f"error: symbol 'z' at position {position} is not in the alphabet\n")
+
+
 def test_long_and_deep_regexes(runner):
     def count(pattern):
         return runner.invoke(main, ["count", "--rgx", pattern, "--alphabet", "a",

@@ -1,10 +1,17 @@
 import math
+import random
+import tracemalloc
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanex import (
+    EVA,
     Document,
     brute_enumerate_va,
+    compile_spanner,
     count_det_seva,
     enumerate_stream,
     evaluate_preprocess,
@@ -13,6 +20,7 @@ from spanex import (
     rgx_to_va,
     va_to_det_seva_general,
 )
+from spanex.engine import enumerate_ndjson
 from spanex.errors import InputError, PreconditionError
 from spanex.instrument import OpCounter
 
@@ -22,6 +30,7 @@ from fixtures import (
     random_documents,
     random_instance,
 )
+from helpers import close_m, count_reference, mset, open_m
 
 
 def test_count_fig4():
@@ -57,7 +66,6 @@ def test_count_rejects_bad_inputs():
     fig4 = gen_fig4_automaton()
     with pytest.raises(InputError):
         count_det_seva(fig4, Document("xyz"))
-    from spanex import EVA
     nondet = EVA(["q0", "q1", "q2"], "q0", ["q1"],
                  [("q0", "a", "q1"), ("q0", "a", "q2")], ["a"])
     with pytest.raises(PreconditionError):
@@ -96,3 +104,85 @@ def test_count_operation_bound():
         counter = OpCounter()
         count_det_seva(fig4, doc, validate=False, counter=counter)
         assert counter.count_ops <= 3 * fig4.size * (n + 1)
+
+
+def _counted(automaton, doc):
+    counter = OpCounter()
+    return count_det_seva(automaton, doc, counter=counter), counter.count_ops
+
+
+ENUMERATED = 20_000  # lines compared against the count; larger counts are checked to exceed it
+
+
+@st.composite
+def long_instances(draw):
+    """A random det-seVA and a 50-400 char document over its alphabet:
+    long enough for live sets to recur and their programs to be replayed."""
+    seed = draw(st.integers(0, 10_000))
+    profile = RandomProfile(kind="det_seva", states=draw(st.integers(2, 7)),
+                            variables=draw(st.integers(1, 2)))
+    eva = random_instance(seed, profile)
+    text = draw(st.text(alphabet=sorted(eva.alphabet), min_size=50, max_size=400))
+    return eva, Document(text)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(long_instances())
+def test_count_equals_reference_kernel(instance):
+    eva, doc = instance
+    counted, ops = _counted(eva, doc)
+    assert (counted, ops) == count_reference(eva, doc)
+    lines = sum(1 for _ in islice(enumerate_ndjson(evaluate_preprocess(eva, doc)), ENUMERATED + 1))
+    assert lines == counted if counted <= ENUMERATED else lines > ENUMERATED
+
+
+def _peak_bytes(automaton, doc):
+    count_det_seva(automaton, doc, validate=False)  # builds the tables before tracing starts
+    tracemalloc.start()
+    try:
+        count_det_seva(automaton, doc, validate=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memo_cleared_past_its_bound():
+    # `.*x{a.{k}}.*` remembers the last k + 1 letters: on 3,000 random
+    # chars its live sets outnumber the automaton's size, so the memo is
+    # cleared and refilled while counting, and count memory stays flat
+    # when the document grows 8x.  At k = 8 the live sets saturate early;
+    # at k = 12 an unbounded memo would still grow about 8x.
+    rng = random.Random(0)
+    short = Document("".join(rng.choice("ab") for _ in range(3_000)))
+    long = Document("".join(rng.choice("ab") for _ in range(24_000)))
+    for k, visits, size in ((8, 521, 72), (12, 2_524, 96)):
+        det, _ = compile_spanner(parse_rgx(".*x{a" + "." * k + "}.*", "ab"), "ab")
+        visited = {(det.tables().initial,)}
+
+        def hook(phase, index, state):
+            if phase == "reading":
+                visited.add(tuple(q for q, nl in enumerate(state.lists_by_id) if nl is not None))
+
+        evaluate_preprocess(det, short, on_phase=hook)
+        assert (len(visited), det.size) == (visits, size)
+        for doc in (short, long):
+            assert _counted(det, doc) == count_reference(det, doc)
+        assert _peak_bytes(det, long) < 2 * _peak_bytes(det, short)
+
+
+def test_program_keeps_path_multiplicity():
+    # From the live state q, the letter a reaches p directly and after the
+    # marker step q -{x}-> r, so q's program has the pair (q, p) twice.
+    # z keeps q live after every 'a' (through y1), so the program is
+    # replayed.
+    empty_y, empty_x = mset(open_m("y"), close_m("y")), mset(open_m("x"), close_m("x"))
+    eva = EVA(
+        ["z", "y1", "q", "r", "p"], "z", ["p"],
+        [("z", "a", "z"), ("z", "b", "z"), ("z", empty_y, "y1"), ("y1", "a", "q"),
+         ("q", empty_x, "r"), ("q", "a", "p"), ("r", "a", "p"), ("p", "a", "p"), ("p", "b", "p")],
+        ["a", "b"], ["x", "y"],
+    )
+    for text in ("aa", "aab", "abaaba", "ba" * 6 + "a" * 20):
+        doc = Document(text)
+        assert _counted(eva, doc) == count_reference(eva, doc)
+        assert _counted(eva, doc)[0] == len(brute_enumerate_va(eva, doc))
