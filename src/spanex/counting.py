@@ -14,18 +14,15 @@ Vrgoč, VLDB 2023) do:
 
 - The live states are an interned, ascending tuple of ``DetTables`` ids,
   with their counts in a list aligned to it.
-- Each (live set, symbol) maps to one *program*: the next live set's id
-  and size, one (source index, destination index) pair per path "an
-  optional marker step, then the letter" (with multiplicity), and the op
-  constant.  Running it is ``new = [0] * size`` and one
-  ``new[d] += counts[s]`` per pair.
-- A program is recorded on the second visit of its (live set, symbol).
-  The first visit runs the same step as one pass over a dict and only
-  notes the visit, so documents whose live sets never repeat pay no
-  recording.
-- The memo is per call and is cleared when its interned live sets reach
-  ``automaton.size`` (states + transitions): count memory does not grow
-  with the document.
+- Each (live set, symbol) maps to one *program*, recorded when the pair
+  is first reached: the next live set's id and size, one (source index,
+  destination index) pair per path "an optional marker step, then the
+  letter" (with multiplicity), and the op constant.  Running it is
+  ``new = [0] * size`` and one ``new[d] += counts[s]`` per pair.
+- The memo is per call.  It is cleared before a program is recorded once
+  the state ids of its live sets, its programs and their pairs number
+  ``MEMO_BUDGET * automaton.size`` (states + transitions): count memory
+  is O(|A|) whatever the document's length.
 """
 
 from __future__ import annotations
@@ -39,6 +36,9 @@ from .model import Document
 # (next live-set id, its size, (source, destination) pairs, ops)
 Program = Tuple[int, int, List[Tuple[int, int]], int]
 
+# The memo holds at most this many entries per unit of automaton.size.
+MEMO_BUDGET = 4
+
 
 def count_det_seva(
     automaton: EVA,
@@ -51,11 +51,11 @@ def count_det_seva(
     Capturing adds the pre-stage count of each live state into its
     marker successors without clearing anything; reading moves the
     counts along the letter transitions.  Per character both stages run
-    as one step from the live set L: a recorded program, or on the first
-    visit of (L, symbol) a direct pass over a dict (see the module
-    docstring).  The last capturing stage, at n+1, adds the counts into
-    the final states through the same marker targets.  A symbol outside
-    the alphabet raises InputError when it is read.
+    as one program from the live set L, recorded on the first visit of
+    (L, symbol) and replayed after it (see the module docstring).  The
+    last capturing stage, at n+1, adds the counts into the final states
+    through the same marker targets.  A symbol outside the alphabet
+    raises InputError when it is read.
 
     ``counter.count_ops`` grows by one per state visited in either stage
     and one per transition taken.  Per character that is the program's
@@ -68,43 +68,42 @@ def count_det_seva(
     counter = counter if counter is not None else OpCounter()
     tables = automaton.tables()
     markers, letters = tables.markers, tables.letters
-    bound = automaton.size
+    budget = MEMO_BUDGET * automaton.size
 
     sets: List[Tuple[int, ...]] = []        # live-set id -> ascending state ids
     intern: Dict[Tuple[int, ...], int] = {}  # its inverse
-    rows: List[Dict[str, object]] = []       # id -> symbol -> Program, or False once visited
+    rows: List[Dict[str, Program]] = []      # live-set id -> symbol -> Program
+    held = 0                                 # state ids, programs and pairs in the memo
 
     def live_id(live: Tuple[int, ...]) -> int:
+        nonlocal held
         found = intern.get(live)
-        if found is not None:
-            return found
-        if len(sets) >= bound:
-            sets.clear()
-            intern.clear()
-            rows.clear()
-        intern[live] = len(sets)
-        sets.append(live)
-        rows.append({})
-        return len(sets) - 1
+        if found is None:
+            found = intern[live] = len(sets)
+            sets.append(live)
+            rows.append({})
+            held += len(live)
+        return found
 
     current = live_id((tables.initial,))
     counts: List[int] = [1]
     ops = 0
     for i, symbol in enumerate(document.content, 1):
-        row = rows[current]
-        program = row.get(symbol)
-        if not program:
+        program = rows[current].get(symbol)
+        if program is None:
             successor = letters.get(symbol)
             if successor is None:
                 raise document.alphabet_error(i)
             live = sets[current]
-            if program is None:
-                row[symbol] = False
-                step, after, counts = _step_once(live, counts, markers, successor)
-                ops += step
-                current = live_id(after)
-                continue
-            program = row[symbol] = _record(live, markers, successor, live_id)
+            if held >= budget:
+                sets.clear()
+                intern.clear()
+                rows.clear()
+                held = 0
+                current = live_id(live)
+            program = _record(live, markers, successor, live_id)
+            rows[current][symbol] = program
+            held += 1 + len(program[2])
         current, size, pairs, step = program
         new = [0] * size
         for source, target in pairs:
@@ -126,10 +125,10 @@ def count_det_seva(
     return total
 
 
-def _paths(live, markers, successor):
-    """The (source index, target state) pair of every "optional marker
-    step, then the letter" path from the live set ``live``, and the op
-    constant of the step."""
+def _record(live, markers, successor, live_id) -> Program:
+    """The program of one character from ``live``: one pair per "optional
+    marker step, then the letter" path.  Interns the next live set through
+    ``live_id``."""
     # ops: |L| capturing visits, one per marker transition, |L+| reading
     # visits and one per letter transition taken from L+.
     paths = []
@@ -141,34 +140,18 @@ def _paths(live, markers, successor):
             paths.append((j, p))
             ops += 1
         out = markers[q]
-        ops += len(out)
-        for _, r in out:
-            targets.add(r)
-            p = successor[r]
-            if p is not None:
-                paths.append((j, p))
-    targets.difference_update(live)
-    for q in targets:
-        ops += 1 if successor[q] is None else 2
-    return paths, ops
-
-
-def _step_once(live, counts, markers, successor):
-    """One character from ``live`` as one pass over a dict: its ops, the
-    next live set and its counts."""
-    paths, ops = _paths(live, markers, successor)
-    after: Dict[int, int] = {}
-    for j, p in paths:
-        after[p] = after.get(p, 0) + counts[j]
-    ids = tuple(sorted(after))
-    return ops, ids, [after[p] for p in ids]
-
-
-def _record(live, markers, successor, live_id) -> Program:
-    """The program of one character from ``live``; interns the next live
-    set through ``live_id``."""
-    paths, ops = _paths(live, markers, successor)
-    after = tuple(sorted({p for _, p in paths}))
-    rank = {p: k for k, p in enumerate(after)}
+        if out:
+            ops += len(out)
+            for _, r in out:
+                targets.add(r)
+                p = successor[r]
+                if p is not None:
+                    paths.append((j, p))
+    if targets:
+        targets.difference_update(live)
+        for q in targets:
+            ops += 1 if successor[q] is None else 2
+    after = sorted({p for _, p in paths})
+    rank = dict(zip(after, range(len(after))))
     pairs = [(j, rank[p]) for j, p in paths]
-    return live_id(after), len(after), pairs, ops
+    return live_id(tuple(after)), len(after), pairs, ops

@@ -20,6 +20,8 @@ from spanex import (
     rgx_to_va,
     va_to_det_seva_general,
 )
+from spanex import counting
+from spanex.counting import MEMO_BUDGET
 from spanex.engine import enumerate_ndjson
 from spanex.errors import InputError, PreconditionError
 from spanex.instrument import OpCounter
@@ -148,7 +150,8 @@ def _peak_bytes(automaton, doc):
 
 def test_memo_cleared_past_its_bound():
     # `.*x{a.{k}}.*` remembers the last k + 1 letters: on 3,000 random
-    # chars its live sets outnumber the automaton's size, so the memo is
+    # chars its live sets outnumber the memo's budget of MEMO_BUDGET *
+    # size entries (each holds at least one state id), so the memo is
     # cleared and refilled while counting, and count memory stays flat
     # when the document grows 8x.  At k = 8 the live sets saturate early;
     # at k = 12 an unbounded memo would still grow about 8x.
@@ -165,9 +168,55 @@ def test_memo_cleared_past_its_bound():
 
         evaluate_preprocess(det, short, on_phase=hook)
         assert (len(visited), det.size) == (visits, size)
+        assert visits > MEMO_BUDGET * size
         for doc in (short, long):
             assert _counted(det, doc) == count_reference(det, doc)
         assert _peak_bytes(det, long) < 2 * _peak_bytes(det, short)
+
+
+def test_memo_entries_stay_within_budget(monkeypatch):
+    # Reads the memo through the closure of the live_id callback that
+    # count_det_seva hands to _record: when a program is recorded, the
+    # state ids of the interned live sets, the programs and their pairs
+    # number less than the budget plus the one live set and program added.
+    record, held = counting._record, []
+
+    def watched(live, markers, successor, live_id):
+        program = record(live, markers, successor, live_id)
+        memo = dict(zip(live_id.__code__.co_freevars, (c.cell_contents for c in live_id.__closure__)))
+        held.append(sum(map(len, memo["sets"])) + 1 + len(program[2])
+                    + sum(1 + len(p[2]) for row in memo["rows"] for p in row.values()))
+        return program
+
+    monkeypatch.setattr(counting, "_record", watched)
+    det, _ = compile_spanner(parse_rgx(".*x{a" + "." * 12 + "}.*", "ab"), "ab")
+    rng = random.Random(0)
+    doc = Document("".join(rng.choice("ab") for _ in range(3_000)))
+    assert _counted(det, doc) == count_reference(det, doc)
+    budget = MEMO_BUDGET * det.size
+    assert budget <= max(held) < budget + det.size
+
+
+def _multiplicity_instance():
+    empty_y, empty_x = mset(open_m("y"), close_m("y")), mset(open_m("x"), close_m("x"))
+    return EVA(
+        ["z", "y1", "q", "r", "p"], "z", ["p"],
+        [("z", "a", "z"), ("z", "b", "z"), ("z", empty_y, "y1"), ("y1", "a", "q"),
+         ("q", empty_x, "r"), ("q", "a", "p"), ("r", "a", "p"), ("p", "a", "p"), ("p", "b", "p")],
+        ["a", "b"], ["x", "y"],
+    )
+
+
+def test_count_with_memo_cleared_before_every_program(monkeypatch):
+    # A zero budget clears the memo before every recording, so each step
+    # re-interns the live set it starts from.
+    monkeypatch.setattr(counting, "MEMO_BUDGET", 0)
+    rng = random.Random(1)
+    det, _ = compile_spanner(parse_rgx(".*x{a" + "." * 8 + "}.*", "ab"), "ab")
+    for doc in (Document(""), Document("a"), Document("".join(rng.choice("ab") for _ in range(500)))):
+        assert _counted(det, doc) == count_reference(det, doc)
+    eva, doc = _multiplicity_instance(), Document("ba" * 6 + "a" * 20)
+    assert _counted(eva, doc) == count_reference(eva, doc)
 
 
 def test_program_keeps_path_multiplicity():
@@ -175,13 +224,7 @@ def test_program_keeps_path_multiplicity():
     # marker step q -{x}-> r, so q's program has the pair (q, p) twice.
     # z keeps q live after every 'a' (through y1), so the program is
     # replayed.
-    empty_y, empty_x = mset(open_m("y"), close_m("y")), mset(open_m("x"), close_m("x"))
-    eva = EVA(
-        ["z", "y1", "q", "r", "p"], "z", ["p"],
-        [("z", "a", "z"), ("z", "b", "z"), ("z", empty_y, "y1"), ("y1", "a", "q"),
-         ("q", empty_x, "r"), ("q", "a", "p"), ("r", "a", "p"), ("p", "a", "p"), ("p", "b", "p")],
-        ["a", "b"], ["x", "y"],
-    )
+    eva = _multiplicity_instance()
     for text in ("aa", "aab", "abaaba", "ba" * 6 + "a" * 20):
         doc = Document(text)
         assert _counted(eva, doc) == count_reference(eva, doc)
