@@ -7,13 +7,39 @@ builds a DAG whose nodes are marker events (S, i) and whose backward
 paths to the sink encode exactly the runs; enumeration then walks that
 DAG depth-first and emits each output mapping once, with work between
 two outputs bounded by the automaton alone.
+
+Both stages of a character depend only on the live set L (the states
+with a nonempty list) and the letter, so the pass records one *step*
+per (L, letter) when the pair is first reached and replays it after,
+as lazy-DFA matchers and REmatch (Riveros, Van Sint Jan, Vrgoč, VLDB
+2023) do, and as ``counting`` does:
+
+- The live lists sit in a Python list aligned to L, an ascending tuple
+  of ``DetTables`` ids.  A step holds the sources whose lazy copies the
+  capturing stage takes, one (copy, marker set, target) edge per node,
+  the reading moves as a first arrival per next state and the appends
+  after it, the next live set, and the paper's op constants of both
+  stages.  Replaying it takes the copies, prepends the nodes and moves
+  the lists, with no dict and no sort.
+- Looking one letter ahead: at i <= n a marker transition into a state
+  with no transition on the next letter builds a node that reading drops
+  at once, off every output path.  Steps leave such edges out unless a
+  phase hook is given; then they keep them, so the hook sees the paper's
+  lists.  The last capturing stage, at n+1, takes every edge.
+- Op counts stay the paper's per-stage amounts, not the nodes actually
+  built: ``node`` counts every marker transition of L.
+- The memo is per call and cleared before a step is recorded once its
+  steps, their slots and their edges number ``counting.MEMO_BUDGET *
+  automaton.size``: memory stays O(|A|) plus the DAG.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from . import counting
 from .automata import EVA, DetTables, State, require_det_seva
 from .errors import InputError
 from .instrument import DelayReport, OpCounter
@@ -124,7 +150,8 @@ class EvaluationState:
 
     The lists are held by interned state id (see ``EVA.tables``); a state
     whose list is empty holds None, and ``reached`` marks every state that
-    ever held a list.
+    held a list at some stage of the paper's pass, including the marker
+    targets whose nodes the lookahead left out.
     """
 
     __slots__ = ("automaton", "counter", "tables", "lists_by_id", "reached")
@@ -151,6 +178,10 @@ class EvaluationState:
 
 PhaseHook = Callable[[str, int, "EvaluationState"], None]
 
+# (sources, node edges, slot ids, first arrivals, joins, lazy copies, nodes,
+#  reading visits, appends, next live set, its row of steps)
+Step = Tuple[Any, ...]
+
 
 def evaluate_preprocess(
     automaton: EVA,
@@ -166,13 +197,22 @@ def evaluate_preprocess(
     A symbol outside the alphabet raises InputError when it is read.
     The capturing stage never clears lists (a state stays live across a
     skipped variable step); the reading stage clears and moves them.
-    Work per position is proportional to the live part of the automaton.
+    Each character replays the step recorded for its live set and letter
+    (see the module docstring), so work per position is proportional to
+    the live part of the automaton.
 
-    Operation counts are summed in locals and added to ``counter`` before
-    each ``on_phase`` call and at the end; the totals are those of one
-    ``preprocess`` step per lazy copy, per live state visited in either
-    stage, per list append and two per DAG node, plus one for the
-    initial list.
+    Without ``on_phase``, the capturing stage at i <= n builds only the
+    nodes whose target reads the next letter; with it, steps keep every
+    marker transition, so each hook sees the paper's lists.  Every output
+    path of the DAG, and so every output and its order, is the same.
+
+    Operation counts are the paper's per-stage amounts, not the nodes
+    built: one ``preprocess`` step per lazy copy (one per live state),
+    per live state visited in either stage and per list append, two per
+    DAG node of the paper's stage, plus one for the initial list.  They
+    are summed in locals and added to ``counter`` at the end and before
+    each ``on_phase`` call: the capturing constant before the "capturing"
+    call, the reading constant before the "reading" one.
     """
     if validate:
         require_det_seva(automaton)
@@ -181,12 +221,17 @@ def evaluate_preprocess(
     markers, letters = tables.markers, tables.letters
     lists: List[Optional[NodeList]] = [None] * len(tables.states)
     reached = bytearray(len(tables.states))
+    reached[tables.initial] = 1
+    state = EvaluationState(automaton, counter, tables, lists, reached)
     initial = NodeList()
     initial.add(BOTTOM)
-    lists[tables.initial] = initial
-    reached[tables.initial] = 1
-    live = [tables.initial]  # ids of the nonempty lists, ascending
-    state = EvaluationState(automaton, counter, tables, lists, reached)
+    live: Tuple[int, ...] = (tables.initial,)
+    work: List[NodeList] = [initial]  # the lists of ``live``, then this stage's new targets
+    budget = counting.MEMO_BUDGET * automaton.size
+    # live set -> symbol -> step; the symbol None is the end of the document
+    rows: Dict[Tuple[int, ...], Dict[Optional[str], Step]] = {live: {}}
+    row = rows[live]
+    held = 0  # the recorded steps and their slots and edges
     # ops: the initial list plus the live states visited by reading.
     ops, copies, nodes, appends = 1, 0, 0, 0
 
@@ -200,74 +245,151 @@ def evaluate_preprocess(
             counter.note("append", appends)
         ops = copies = nodes = appends = 0
 
-    text = document.content
-    n = len(text)
-    for i in range(1, n + 2):
-        # Capturing: every marker transition of a live state adds a node
-        # holding a lazy copy of the source's list as it was before the
-        # stage; the copies are taken before any list grows.  Only states
-        # with marker transitions need one, but the count keeps one per
-        # live state.
-        copies += len(live)
-        sources = []
-        for q in live:
-            out = markers[q]
-            if out:
-                sources.append((out, lists[q].lazycopy()))
-        arrivals = []
-        for out, source in sources:
-            for marker_set, p in out:
-                element = _Element(DagNode(marker_set, i, source), None)
-                target = lists[p]
-                if target is None:
-                    lists[p] = NodeList(element, element)
-                    reached[p] = 1
-                    arrivals.append(p)
+    def publish(ids: Sequence[int]) -> None:
+        lists[:] = [None] * len(lists)
+        for q, nodelist in zip(ids, work):
+            lists[q] = nodelist
+
+    for i, symbol in enumerate(chain(document.content, (None,)), 1):
+        step = row.get(symbol)
+        if step is None:
+            if held >= budget:
+                rows.clear()
+                row = rows[live] = {}
+                held = 0
+            step = row[symbol] = _record(live, markers, letters.get(symbol), on_phase is None,
+                                         reached, rows)
+            held += 1 + len(step[1]) + len(step[2])
+        (sources, edges, slots, firsts, joins, stage_copies, stage_nodes, stage_reads,
+         stage_appends, live, row) = step
+
+        # Capturing: each kept marker transition adds a node holding a
+        # lazy copy of its source's list; every copy is taken before the
+        # first node is prepended, so none sees this stage's nodes.
+        if edges:
+            taken = [work[j].lazycopy() for j in sources]
+            for k, marker_set, t in edges:
+                if t is None:  # the first node of a new target's list
+                    element = _Element(DagNode(marker_set, i, taken[k]), None)
+                    work.append(NodeList(element, element))
                 else:
-                    element.next = target.start
-                    target.start = element
-            nodes += len(out)
-        if arrivals:
-            live += arrivals
-            live.sort()
+                    target = work[t]
+                    target.start = _Element(DagNode(marker_set, i, taken[k]), target.start)
+        copies += stage_copies
+        nodes += stage_nodes
         if on_phase is not None:
+            publish(slots)
             flush()
             on_phase("capturing", i, state)
-        if i > n:
-            break
-
-        # Reading: each live list moves along its letter transition into
-        # an empty target or is appended to a nonempty one; the others
-        # empty.
-        successor = letters.get(text[i - 1])
-        if successor is None:
+        if firsts is None:
+            if symbol is None:
+                break
             raise document.alphabet_error(i)
-        moved: Dict[int, NodeList] = {}
-        for q in live:
-            source = lists[q]
-            lists[q] = None
-            p = successor[q]
-            if p is None:
-                continue
-            target = moved.get(p)
-            if target is None:
-                if source.consumed:
-                    raise AssertionError("append-once discipline violated: list already appended")
-                moved[p] = source
-            else:
-                target.append(source)
-            appends += 1
-        ops += len(live)
-        for p, nodelist in moved.items():
-            lists[p] = nodelist
-            reached[p] = 1
-        live = sorted(moved)
+
+        # Reading: each list moves along its letter transition into the
+        # first arrival's place, and the later arrivals are appended to
+        # it in ascending state order; the other lists empty.
+        moved = []
+        for s in firsts:
+            nodelist = work[s]
+            if nodelist.consumed:
+                raise AssertionError("append-once discipline violated: list already appended")
+            moved.append(nodelist)
+        for s, d in joins:
+            moved[d].append(work[s])
+        work = moved
+        ops += stage_reads
+        appends += stage_appends
         if on_phase is not None:
+            publish(live)
             flush()
             on_phase("reading", i, state)
 
+    publish(slots)
     flush()
     return state
+
+
+def _record(live: Tuple[int, ...], markers: List[List[Tuple[MarkerSet, int]]],
+            successor: Optional[List[Optional[int]]], lookahead: bool, reached: bytearray,
+            rows: Dict[Tuple[int, ...], Dict[Optional[str], Step]]) -> Step:
+    """The step of one character from the live set ``live``.
+
+    Capturing: ``sources`` are the slots (indexes into ``live``) whose
+    lazy copies the stage takes, and each edge (copy index, marker set,
+    target slot) adds one node; a target outside ``live`` gets the next
+    free slot, given as None on its first edge.  ``slots`` holds the state
+    id of every slot.  With ``lookahead``, only edges into a state that
+    reads the letter are kept.  ``successor`` None records the end of
+    the document (or a symbol outside the alphabet): no reading part.
+
+    Reading: ``firsts[d]`` is the slot whose list moves into the d-th
+    state of the next live set, and each join (slot, d) appends a list to
+    it, in ascending source state order.  The next live set's row is
+    taken from ``rows`` or added to it.
+
+    The op constants are the paper's: one copy per live state and one
+    node per marker transition, |L+| visits and one append per letter
+    transition taken from L+, where L+ is ``live`` with all its marker
+    targets.  Every state of L+ and of the next live set is marked in
+    ``reached``.
+    """
+    lookahead = lookahead and successor is not None
+    slots = list(live)
+    slot: Optional[Dict[int, int]] = None
+    sources: List[int] = []
+    edges: List[Tuple[int, MarkerSet, Optional[int]]] = []
+    dropped: List[int] = []
+    nodes = 0
+    for j, q in enumerate(live):
+        out = markers[q]
+        if not out:
+            continue
+        nodes += len(out)
+        k = len(sources)
+        for marker_set, p in out:
+            reached[p] = 1
+            if lookahead and successor[p] is None:
+                dropped.append(p)
+                continue
+            if slot is None:
+                slot = dict(zip(live, range(len(live))))
+            t = slot.get(p)
+            if t is None:
+                slot[p] = len(slots)
+                slots.append(p)
+            edges.append((k, marker_set, t))
+        if edges and edges[-1][0] == k:
+            sources.append(j)
+    visits = len(slots)
+    if dropped:
+        visits += len(set(dropped).difference(slot or live))
+    if successor is None:
+        return sources, edges, slots, None, [], len(live), nodes, 0, 0, live, None
+    moves: Dict[int, int] = {}  # next state -> slot of its first arrival
+    joins = []
+    grown = len(slots) > len(live)  # new targets sit after ``live``, out of state order
+    for s in sorted(range(len(slots)), key=slots.__getitem__) if grown else range(len(slots)):
+        p = successor[slots[s]]
+        if p is not None:
+            if p in moves:
+                joins.append((s, p))
+            else:
+                moves[p] = s
+    after = sorted(moves)
+    firsts = []
+    for p in after:
+        reached[p] = 1
+        firsts.append(moves[p])
+    if joins:
+        rank = dict(zip(after, range(len(after))))
+        joins = [(s, rank[p]) for s, p in joins]
+    following = tuple(after)
+    row = rows.get(following)
+    if row is None:
+        row = rows[following] = {}
+    return (sources, edges, slots, firsts, joins, len(live), nodes, visits, len(after) + len(joins),
+            following, row)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,23 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from hypothesis import strategies as st
 
-from spanex import Document, EVA, EvaluationState, InputError, Mapping, Span, dump_automaton
+from spanex import (
+    Document,
+    EVA,
+    EvaluationState,
+    InputError,
+    Mapping,
+    Span,
+    dump_automaton,
+    evaluate_preprocess,
+)
 from spanex.automata import State
-from spanex.engine import BOTTOM, NodeList
+from spanex.engine import BOTTOM, DagNode, NodeList, PhaseHook, _Element, enumerate_ndjson
+from spanex.instrument import OpCounter
 from spanex.model import Marker, MarkerSet, marker_set_key
 
 
@@ -246,6 +256,124 @@ def count_reference(automaton: EVA, document: Document) -> Tuple[int, int]:
                 counts[p] = counts.get(p, 0) + amount
                 ops += 1
     return sum(counts.get(q, 0) for q in tables.finals), ops
+
+
+def preprocess_reference(
+    automaton: EVA,
+    document: Document,
+    counter: Optional[OpCounter] = None,
+    on_phase: Optional[PhaseHook] = None,
+) -> EvaluationState:
+    """The run DAG of a det-seVA by the plain two-stage kernel: capturing
+    takes every marker transition of every live state, reading rebuilds
+    the lists in a dict keyed by target and sorts the live states.  Same
+    lists, output paths, op counts and ``reached`` as
+    ``evaluate_preprocess``; it also builds the nodes that reading drops
+    at once."""
+    counter = counter if counter is not None else OpCounter()
+    tables = automaton.tables()
+    markers, letters = tables.markers, tables.letters
+    lists: List[Optional[NodeList]] = [None] * len(tables.states)
+    reached = bytearray(len(tables.states))
+    initial = NodeList()
+    initial.add(BOTTOM)
+    lists[tables.initial] = initial
+    reached[tables.initial] = 1
+    live = [tables.initial]  # ids of the nonempty lists, ascending
+    state = EvaluationState(automaton, counter, tables, lists, reached)
+    # ops: the initial list plus the live states visited by reading.
+    ops, copies, nodes, appends = 1, 0, 0, 0
+
+    def flush() -> None:
+        nonlocal ops, copies, nodes, appends
+        counter.preprocess += ops + 2 * copies + 2 * nodes + appends
+        counter.note("lazycopy", copies)
+        if nodes:
+            counter.note("node", nodes)
+        if appends:
+            counter.note("append", appends)
+        ops = copies = nodes = appends = 0
+
+    text = document.content
+    n = len(text)
+    for i in range(1, n + 2):
+        # Capturing: every marker transition of a live state adds a node
+        # holding a lazy copy of the source's list as it was before the
+        # stage; the copies are taken before any list grows.
+        copies += len(live)
+        sources = []
+        for q in live:
+            out = markers[q]
+            if out:
+                sources.append((out, lists[q].lazycopy()))
+        arrivals = []
+        for out, source in sources:
+            for marker_set, p in out:
+                element = _Element(DagNode(marker_set, i, source), None)
+                target = lists[p]
+                if target is None:
+                    lists[p] = NodeList(element, element)
+                    reached[p] = 1
+                    arrivals.append(p)
+                else:
+                    element.next = target.start
+                    target.start = element
+            nodes += len(out)
+        if arrivals:
+            live += arrivals
+            live.sort()
+        if on_phase is not None:
+            flush()
+            on_phase("capturing", i, state)
+        if i > n:
+            break
+
+        # Reading: each live list moves along its letter transition into
+        # an empty target or is appended to a nonempty one; the others
+        # empty.
+        successor = letters.get(text[i - 1])
+        if successor is None:
+            raise document.alphabet_error(i)
+        moved: Dict[int, NodeList] = {}
+        for q in live:
+            source = lists[q]
+            lists[q] = None
+            p = successor[q]
+            if p is None:
+                continue
+            target = moved.get(p)
+            if target is None:
+                if source.consumed:
+                    raise AssertionError("append-once discipline violated: list already appended")
+                moved[p] = source
+            else:
+                target.append(source)
+            appends += 1
+        ops += len(live)
+        for p, nodelist in moved.items():
+            lists[p] = nodelist
+            reached[p] = 1
+        live = sorted(moved)
+        if on_phase is not None:
+            flush()
+            on_phase("reading", i, state)
+
+    flush()
+    return state
+
+
+def preprocessed_like_reference(automaton: EVA, document: Document) -> List[str]:
+    """The NDJSON lines of ``evaluate_preprocess``, after checking that
+    they, their order, the op counts and ``reached`` equal those of
+    ``preprocess_reference``."""
+    got, want = OpCounter(), OpCounter()
+    state = evaluate_preprocess(automaton, document, counter=got)
+    reference = preprocess_reference(automaton, document, counter=want)
+    lines = list(enumerate_ndjson(state))
+    assert lines == list(enumerate_ndjson(reference))
+    assert (got.preprocess, got.detail) == (want.preprocess, want.detail)
+    assert state.reached == reference.reached
+    return lines
 
 
 def event_key(events: Tuple[Event, ...]) -> Tuple:

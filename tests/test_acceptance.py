@@ -480,3 +480,20 @@ def test_criterion_9_list_invariant():
         instances += 1
     assert instances == 50
     return "50 instances, all phases"
+
+
+def test_hooked_and_plain_runs_build_the_same_lists():
+    # Without a hook the kernel builds only the nodes that the reading
+    # stage keeps; with one it records its steps with every marker
+    # transition, which criterion 9 checks against the run search.  Both
+    # end with the same lists, the same marks and the same op counts.
+    for seed, automaton in enumerate(corpora()["det_seva"]):
+        for doc in _docs(seed) + random_documents(seed, "ab", 24, 2)[1:]:
+            plain, hooked = OpCounter(), OpCounter()
+            state = evaluate_preprocess(automaton, doc, counter=plain)
+            shown = evaluate_preprocess(automaton, doc, counter=hooked,
+                                        on_phase=lambda phase, index, state: None)
+            assert state.reached == shown.reached, (seed, doc.content)
+            for q in automaton.states:
+                assert expand_list(state, q) == expand_list(shown, q), (seed, doc.content, q)
+            assert (plain.preprocess, plain.detail) == (hooked.preprocess, hooked.detail)

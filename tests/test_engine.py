@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 
 from spanex import (
@@ -5,16 +8,18 @@ from spanex import (
     EVA,
     Mapping,
     brute_enumerate_va,
+    compile_spanner,
     count_det_seva,
     enumerate_raw,
     enumerate_stream,
     evaluate_preprocess,
     measure_delay,
+    parse_rgx,
     rgx_to_va,
     va_to_det_seva_general,
 )
-from spanex import engine
-from spanex.engine import BOTTOM, NodeList, enumerate_ndjson
+from spanex import counting, engine
+from spanex.engine import BOTTOM, DagNode, NodeList, enumerate_ndjson
 from spanex.errors import InputError, PreconditionError
 from spanex.instrument import OpCounter
 
@@ -35,6 +40,7 @@ from helpers import (
     mset,
     open_m,
     partial_outputs,
+    preprocessed_like_reference,
     runs_after_capturing,
 )
 
@@ -268,6 +274,36 @@ def test_bad_event_sequences_raise_in_both_writers(monkeypatch, events, stream_e
         list(enumerate_ndjson(state))
 
 
+def test_copies_are_taken_before_the_stage_prepends():
+    # q1 is a marker target of q0 and a marker source of its own in every
+    # capturing stage.  Its copy must hold its list from before the stage:
+    # a copy that held this stage's open node would also close x where it
+    # opens, at [2, 2> and [3, 3>, and at [4, 4> in the last stage.
+    eva = EVA(["q0", "q1", "q2"], "q0", ["q2"],
+              [("q0", "a", "q0"), ("q1", "a", "q1"), ("q2", "a", "q2"),
+               ("q0", mset(open_m("x")), "q1"), ("q1", mset(close_m("x")), "q2")],
+              ["a"], ["x"])
+    doc = Document("aaa")
+    lines = preprocessed_like_reference(eva, doc)
+    want = brute_enumerate_va(eva, doc)
+    assert len(lines) == len(want) == 6
+    assert set(lines) == {json.dumps(m.to_json_obj(), sort_keys=True) + "\n" for m in want}
+
+
+def test_reading_appends_lists_in_ascending_state_order():
+    # On "aaaab" the b moves the lists of p2, p3 and p4 (x opened at 4, 3,
+    # and 1 or 2) into r: one first arrival and two appends, whose order
+    # is the order of the outputs.
+    ox, cx = mset(open_m("x")), mset(close_m("x"))
+    eva = EVA(["q0", "p1", "p2", "p3", "p4", "r", "f"], "q0", ["f"],
+              [("q0", "a", "q0"), ("q0", ox, "p1"), ("p1", "a", "p2"), ("p2", "a", "p3"),
+               ("p3", "a", "p4"), ("p4", "a", "p4"), ("p2", "b", "r"), ("p3", "b", "r"),
+               ("p4", "b", "r"), ("r", cx, "f")],
+              ["a", "b"], ["x"])
+    lines = preprocessed_like_reference(eva, Document("aaaab"))
+    assert lines == [f'{{"x": [{i}, 6]}}\n' for i in (4, 3, 2, 1)]
+
+
 def test_streaming_is_lazy():
     state = evaluate_preprocess(gen_fig4_automaton(), Document("ab"))
     stream = enumerate_stream(state)
@@ -461,3 +497,25 @@ def test_kernel_op_counts_pinned(build, text, ops, detail, count_ops, outputs, m
     # States whose list later went empty keep their key.
     assert len(state.lists) == reached
     assert sum(not nl.is_empty for nl in state.lists.values()) == nonempty
+
+
+def test_preprocess_with_step_memo_cleared_before_every_recording(monkeypatch):
+    # A zero budget clears the memo before every recording, so each step
+    # re-interns the live set it starts from.
+    monkeypatch.setattr(counting, "MEMO_BUDGET", 0)
+    rng = random.Random(1)
+    det, _ = compile_spanner(parse_rgx(".*x{a" + "." * 8 + "}.*", "ab"), "ab")
+    doc = Document("".join(rng.choice("ab") for _ in range(500)))
+    assert len(preprocessed_like_reference(det, doc)) == count_det_seva(det, doc) > 0
+    assert len(preprocessed_like_reference(_fig1_det_seva(), Document(FIG1_TEXT))) == 2
+
+
+def test_lookahead_builds_only_nodes_that_reading_keeps(monkeypatch):
+    # On the Fig-1 contact automaton most marker steps lead into a state
+    # that cannot read the next letter: 59 of the paper's 359 nodes are
+    # built, and the op counts still read the paper's total.
+    built = []
+    monkeypatch.setattr(engine, "DagNode", lambda *args: built.append(args) or DagNode(*args))
+    lines = preprocessed_like_reference(_fig1_det_seva(), Document((FIG1_TEXT * 8)[:200]))
+    assert len(lines) == 14
+    assert len(built) == 59 < KERNEL_CONTRACT[0][3]["node"] == 359

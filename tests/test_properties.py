@@ -3,8 +3,9 @@ det-seVA agrees with the reference semantics and the brute-force run
 search, counting agrees with enumeration, the JSON format keeps the
 semantics, and both expression strategies agree on joins and unions.
 Over random extended automata: projection agrees with projecting the
-outputs, the compiled det-seVA agrees with the brute-force search, and
-the CLI's NDJSON lines are the JSON encoding of the mapping stream."""
+outputs, the compiled det-seVA agrees with the brute-force search, the
+CLI's NDJSON lines are the JSON encoding of the mapping stream, and
+preprocessing agrees with the reference kernel."""
 
 import json
 
@@ -29,7 +30,7 @@ from spanex.algebra import Atom, Join, Project, Union
 from spanex.engine import enumerate_ndjson
 from spanex.rgx import Alt, Capture, Concat, Star, Symbol, rgx_eval_reference, rgx_to_va
 
-from helpers import mapping_set_project, random_evas
+from helpers import mapping_set_project, preprocessed_like_reference, random_evas
 
 ALPHABET = frozenset("ab")
 
@@ -150,3 +151,12 @@ def test_ndjson_lines_equal_encoded_mappings(eva, texts):
                 for m in enumerate_stream(state, streamed)]
         assert list(enumerate_ndjson(state, written)) == want
         assert written.enum_work == streamed.enum_work
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.booleans().flatmap(lambda functional: random_evas(functional=functional)),
+       st.lists(st.text(alphabet="ab", max_size=30), min_size=1, max_size=3))
+def test_preprocess_equals_reference_kernel(eva, texts):
+    det, _ = compile_spanner(eva)
+    for text in texts:
+        preprocessed_like_reference(det, Document(text))
