@@ -6,7 +6,11 @@ letter) and a reading stage (move lists along letter transitions).  It
 builds a DAG whose nodes are marker events (S, i) and whose backward
 paths to the sink encode exactly the runs; enumeration then walks that
 DAG depth-first and emits each output mapping once, with work between
-two outputs bounded by the automaton alone.
+two outputs bounded by the automaton alone.  That walk, ``enumerate_raw``,
+is the only one: its frames carry each variable's field (start, end and
+NDJSON text) for the path below them, and the two leaves,
+``enumerate_stream`` and ``enumerate_ndjson``, build a Mapping or join
+the texts of each output's fields.
 
 Both stages of a character depend only on the live set L (the states
 with a nonempty list) and the letter, so the pass records one *step*
@@ -41,7 +45,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from . import counting
 from .automata import EVA, DetTables, State, require_det_seva
-from .errors import InputError
 from .instrument import DelayReport, OpCounter
 from .model import Document, Mapping, MarkerSet, Span
 
@@ -121,8 +124,8 @@ class NodeList:
 
     def payloads(self) -> Iterator[Any]:
         """The payloads from the start handle to the end handle: the
-        traversal of the enumeration walk (which counts its steps), of
-        trace dumps and of tests."""
+        traversal of the enumeration walk (which counts its steps) and of
+        tests."""
         element = self.start
         while element is not None:
             yield element.payload
@@ -396,56 +399,66 @@ def _record(live: Tuple[int, ...], markers: List[List[Tuple[MarkerSet, int]]],
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def _mapping_from_events(events: Tuple[Tuple[MarkerSet, int], ...]) -> Mapping:
-    starts: Dict[str, int] = {}
-    bindings: Dict[str, Span] = {}
-    for markers, position in events:
-        # Opens before closes: one set may both open and close a variable.
-        for m in markers:
-            if m.is_open:
-                starts[m.var] = position
-        for m in markers:
-            if not m.is_open:
-                bindings[m.var] = Span(starts.pop(m.var), position)
-    if starts:
-        raise AssertionError(f"unclosed variables in emitted run: {sorted(starts)}")
-    return Mapping(bindings)
-
-
 def enumerate_raw(
     state: EvaluationState,
     counter: Optional[OpCounter] = None,
-) -> Iterator[Tuple[Tuple[MarkerSet, int], ...]]:
-    """Depth-first traversal of the DAG, yielding (S, i) event sequences
-    in increasing position order, one per accepting run.
+) -> Iterator[Tuple[Optional[Tuple[int, int, str]], ...]]:
+    """Depth-first traversal of the DAG, one output per accepting run.
+
+    Each output is a tuple with one entry per variable, in
+    ``tables.variables`` order: None for an unbound variable, else its
+    field ``(start, end, text)``, where ``text`` is the variable's NDJSON
+    key and value, ``"x": [start, end]``.
+
+    The walk runs backwards, so each frame holds the entries of the path
+    below it: for each variable nothing, a pending end or a field.
+    Descending into a node applies its closes, then its opens, so one
+    set may open and close a variable.  A run that closes a variable it
+    never opens, or opens one it never closes, raises AssertionError.
 
     The explicit stack mirrors the recursive traversal exactly (finals
     in canonical state order, list elements in list order), so the
     emission order is deterministic.
     """
     counter = counter if counter is not None else state.counter
-    for q in state.tables.finals:
+    tables = state.tables
+    names, ranks = tables.variables, tables.marker_ranks
+    heads = [json.dumps(v) + ": [" for v in names]
+    unbound = (None,) * len(names)
+    for q in tables.finals:
         nodelist = state.lists_by_id[q]
         counter.enum_work += 1
         if nodelist is None:
             continue
-        # Frame: (payloads, entered_via_node); partial holds events deepest-last.
-        stack: List[Tuple[Iterator[Any], bool]] = [(nodelist.payloads(), False)]
-        partial: List[Tuple[MarkerSet, int]] = []
+        # Frame: (payloads, entries of the path below, its pending ends).
+        stack: List[Tuple[Iterator[Any], Tuple[Any, ...], int]] = [
+            (nodelist.payloads(), unbound, 0)]
         while stack:
-            payloads, via_node = stack[-1]
+            payloads, entries, pending = stack[-1]
             payload = next(payloads, None)
             counter.enum_work += 1
             if payload is None:
                 stack.pop()
-                if via_node:
-                    partial.pop()
-                continue
-            if payload is BOTTOM:
-                yield tuple(reversed(partial))
+            elif payload is BOTTOM:
+                if pending:
+                    r = next(r for r, e in enumerate(entries) if type(e) is int)
+                    raise AssertionError(f"variable {names[r]!r} closed but never opened")
+                yield entries
             else:
-                partial.append((payload.markers, payload.position))
-                stack.append((payload.list.payloads(), True))
+                position = payload.position
+                opens, closes = ranks[payload.markers]
+                below = list(entries)
+                for r in closes:
+                    if below[r] is not None:
+                        raise AssertionError(f"variable {names[r]!r} closed but never opened")
+                    below[r] = position
+                for r in opens:
+                    end = below[r]
+                    if type(end) is not int:
+                        raise AssertionError(f"variable {names[r]!r} opened but never closed")
+                    below[r] = (position, end, f"{heads[r]}{position}, {end}]")
+                stack.append((payload.list.payloads(), tuple(below),
+                              pending + len(closes) - len(opens)))
                 counter.enum_work += 1
 
 
@@ -454,8 +467,9 @@ def enumerate_stream(
     counter: Optional[OpCounter] = None,
 ) -> Iterator[Mapping]:
     """All mappings of the evaluated automaton, each exactly once."""
-    for events in enumerate_raw(state, counter):
-        yield _mapping_from_events(events)
+    names = state.tables.variables
+    for fields in enumerate_raw(state, counter):
+        yield Mapping({v: Span(f[0], f[1]) for v, f in zip(names, fields) if f is not None})
 
 
 def enumerate_ndjson(
@@ -463,38 +477,10 @@ def enumerate_ndjson(
     counter: Optional[OpCounter] = None,
 ) -> Iterator[str]:
     """The NDJSON line of every mapping, in ``enumerate_stream`` order:
-    ``json.dumps(mapping.to_json_obj(), sort_keys=True) + "\\n"``, written
-    from the walk's events without building a Span or a Mapping.
-
-    The checks those make are kept: a variable closed but never opened,
-    one opened but never closed, and a span ending before its start all
-    raise.
-    """
-    tables = state.tables
-    ranks = tables.marker_ranks
-    names = tables.variables
-    heads = [json.dumps(v) + ": [" for v in names]
-    k = len(names)
-    for events in enumerate_raw(state, counter):
-        starts: List[Optional[int]] = [None] * k
-        fields: List[Optional[str]] = [None] * k
-        for markers, position in events:
-            opens, closes = ranks[markers]
-            # Opens before closes: one set may both open and close a variable.
-            for r in opens:
-                starts[r] = position
-            for r in closes:
-                start = starts[r]
-                if start is None:
-                    raise AssertionError(f"variable {names[r]!r} closed but never opened")
-                if not 1 <= start <= position:
-                    raise InputError(f"invalid span [{start},{position}>")
-                starts[r] = None
-                fields[r] = f"{heads[r]}{start}, {position}]"
-        if starts.count(None) != k:
-            unclosed = [names[r] for r in range(k) if starts[r] is not None]
-            raise AssertionError(f"unclosed variables in emitted run: {unclosed}")
-        yield "{" + ", ".join([f for f in fields if f is not None]) + "}\n"
+    ``json.dumps(mapping.to_json_obj(), sort_keys=True) + "\\n"``, joined
+    from the walk's field texts without building a Span or a Mapping."""
+    for fields in enumerate_raw(state, counter):
+        yield "{" + ", ".join([f[2] for f in fields if f is not None]) + "}\n"
 
 
 class DelayMeter:

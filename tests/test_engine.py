@@ -254,24 +254,27 @@ def test_precondition_validation():
 _OPEN, _CLOSE = mset(open_m("x")), mset(close_m("x"))
 
 
-@pytest.mark.parametrize("events, stream_error, line_error", [
-    (((_CLOSE, 1),), KeyError, AssertionError),            # closed, never opened
-    (((_OPEN, 1),), AssertionError, AssertionError),       # opened, never closed
-    (((_OPEN, 2), (_CLOSE, 1)), InputError, InputError),   # ends before it starts
-])
-def test_bad_event_sequences_raise_in_both_writers(monkeypatch, events, stream_error,
-                                                   line_error):
-    # The walk of a det-seVA never yields these; the NDJSON writer keeps
-    # the checks that building a Span and a Mapping makes.
-    eva = EVA(["q0", "q1", "q2", "q3"], "q0", ["q3"],
-              [("q0", _OPEN, "q1"), ("q1", "a", "q2"), ("q2", _CLOSE, "q3")], ["a"], ["x"])
-    state = evaluate_preprocess(eva, Document("a"))
-    assert list(enumerate_ndjson(state)) == ['{"x": [1, 2]}\n']
-    monkeypatch.setattr(engine, "enumerate_raw", lambda state, counter=None: iter([events]))
-    with pytest.raises(stream_error):
+@pytest.mark.parametrize("labels, message", [
+    ([_CLOSE, "a"], "variable 'x' closed but never opened"),
+    ([_OPEN, "a"], "variable 'x' opened but never closed"),
+    # The span would end before it starts; walking backwards, the open
+    # at 2 comes first and finds no end.
+    ([_CLOSE, "a", _OPEN], "variable 'x' opened but never closed"),
+    ([_OPEN, "a", _CLOSE, "a", _CLOSE], "variable 'x' closed but never opened"),
+], ids=["closed-never-opened", "opened-never-closed", "ends-before-start", "closed-twice"])
+def test_bad_event_sequences_raise_in_both_writers(labels, message):
+    # A det-seVA never has these runs; on a non-sequential EVA both
+    # leaves of the one walk raise the same error.
+    states = [f"q{i}" for i in range(len(labels) + 1)]
+    eva = EVA(states, "q0", [states[-1]],
+              [(states[i], label, states[i + 1]) for i, label in enumerate(labels)],
+              ["a"], ["x"])
+    state = evaluate_preprocess(eva, Document("a" * labels.count("a")), validate=False)
+    with pytest.raises(AssertionError) as streamed:
         list(enumerate_stream(state))
-    with pytest.raises(line_error):
+    with pytest.raises(AssertionError) as written:
         list(enumerate_ndjson(state))
+    assert str(streamed.value) == str(written.value) == message
 
 
 def test_copies_are_taken_before_the_stage_prepends():
@@ -316,8 +319,10 @@ def test_raw_events_increase_and_stay_disjoint():
     for seed in range(30):
         eva = random_instance(seed, RandomProfile(kind="det_seva", states=6, variables=3))
         for doc in random_documents(seed, "ab", 4, 2):
-            state = evaluate_preprocess(eva, doc, validate=False)
-            for events in enumerate_raw(state):
+            lists = evaluate_preprocess(eva, doc, validate=False).lists
+            runs = [events for q in eva.finals if q in lists
+                    for events in partial_outputs(lists[q])]
+            for events in runs:
                 positions = [i for _, i in events]
                 assert positions == sorted(set(positions))
                 seen = set()
@@ -467,22 +472,23 @@ def _fig1_det_seva():
 
 
 # (automaton, document, preprocess ops, detail, count ops, outputs,
-#  max inter-output work, states that ever got a list, nonempty at the end)
+#  max inter-output work, work of the whole walk, states that ever got a
+#  list, nonempty at the end)
 KERNEL_CONTRACT = [
     (_fig1_det_seva, (FIG1_TEXT * 8)[:200], 4067,
-     {"append": 757, "lazycopy": 746, "node": 359}, 2961, 14, 46, 85, 6),
+     {"append": 757, "lazycopy": 746, "node": 359}, 2961, 14, 46, 224, 85, 6),
     (gen_fig4_automaton, "a" * 99 + "b", 725,
-     {"append": 102, "lazycopy": 103, "node": 105}, 516, 1, 6, 9, 2),
+     {"append": 102, "lazycopy": 103, "node": 105}, 516, 1, 6, 9, 9, 2),
 ]
 
 
 @pytest.mark.parametrize(
-    "build, text, ops, detail, count_ops, outputs, max_work, reached, nonempty",
+    "build, text, ops, detail, count_ops, outputs, max_work, walk_work, reached, nonempty",
     KERNEL_CONTRACT,
     ids=["fig1-200", "fig4-a99b"],
 )
 def test_kernel_op_counts_pinned(build, text, ops, detail, count_ops, outputs, max_work,
-                                 reached, nonempty):
+                                 walk_work, reached, nonempty):
     automaton, doc = build(), Document(text)
     counter = OpCounter()
     state = evaluate_preprocess(automaton, doc, counter=counter)
@@ -494,6 +500,9 @@ def test_kernel_op_counts_pinned(build, text, ops, detail, count_ops, outputs, m
     report = measure_delay(state)
     assert report.outputs == outputs
     assert report.max_inter_output_work == max_work
+    walked = OpCounter()
+    assert sum(1 for _ in enumerate_raw(state, walked)) == outputs
+    assert walked.enum_work == walk_work
     # States whose list later went empty keep their key.
     assert len(state.lists) == reached
     assert sum(not nl.is_empty for nl in state.lists.values()) == nonempty
