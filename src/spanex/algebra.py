@@ -267,7 +267,7 @@ def compile_expr(expr: AlgebraExpr, strategy: str = "auto") -> EVA:
         combined = build(expr, determinize_leaves=False)
         logger.info(
             "root determinization input: %d states, %d transitions",
-            len(combined.states), len(combined.transitions),
+            len(combined.states), combined.size - len(combined.states),
         )
         result = determinize_eva(combined)
 
@@ -294,7 +294,9 @@ def compile_spanner(spanner: TUnion[RegexAst, VA, EVA, AlgebraExpr],
     stages: List[Stage] = []
 
     def note(name: str, automaton) -> None:
-        stages.append((name, len(automaton.states), len(automaton.transitions)))
+        # size counts states and transitions, and builds no transition set.
+        n_states = len(automaton.states)
+        stages.append((name, n_states, automaton.size - n_states))
 
     if isinstance(spanner, AlgebraExpr):
         result = compile_expr(spanner, strategy=strategy)

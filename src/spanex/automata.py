@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .errors import ClassificationTooLarge, FormatError, PreconditionError
@@ -82,11 +83,20 @@ def format_label(label: Label) -> str:
 class _AutomatonBase:
     """Shared structure of VA and EVA; immutable after construction.
 
-    ``order``, when given, is the canonical state order and must list every
-    state once; without it the states are sorted by ``canon_key``."""
+    The constructor sorts the states by ``canon_key`` into the canonical
+    state order; a format-2 file keeps its listed order instead.  The
+    transitions are kept as integer rows over that order: state ``i``
+    has the row ``_rows[i]`` of ``(label rank, target id)`` pairs, sorted,
+    without repeats.  A label's rank is its place among the automaton's
+    labels sorted by ``label_key`` (``_labels[rank]``), so symbols rank
+    below marker labels and a row lists ``out(q)`` in order.  ``out`` and
+    ``transitions`` are views of the rows, built on first use, and
+    ``_clash`` holds the first two transitions of one state on one label
+    (state id, label rank, both target ids), or None."""
 
-    __slots__ = ("alphabet", "states", "initial", "finals", "transitions",
-                 "variables", "_order", "_out", "_size", "_report")
+    __slots__ = ("alphabet", "states", "initial", "finals", "variables", "_order",
+                 "_initial_id", "_final_ids", "_labels", "_rows", "_clash", "_size",
+                 "_out", "_transitions", "_report", "_tables")
 
     def __init__(
         self,
@@ -96,43 +106,68 @@ class _AutomatonBase:
         transitions: Iterable[Transition],
         alphabet: Iterable[str],
         variables: Optional[Iterable[str]] = None,
-        order: Optional[List[State]] = None,
     ):
-        self.states = frozenset(states)
-        self.initial = initial
-        self.finals = frozenset(finals)
-        self.transitions = frozenset(transitions)
-        self.alphabet = frozenset(alphabet)
-        if self.initial not in self.states:
+        states = frozenset(states)
+        finals = frozenset(finals)
+        if initial not in states:
             raise FormatError("initial state is not a declared state")
-        if not self.finals <= self.states:
+        if not finals <= states:
             raise FormatError("final states must be declared states")
-        # The one canon_key sort, skipped when the caller gives the order:
-        # out(q), state_order() and the JSON dump all reuse this order.
-        if order is None:
-            order = sorted(self.states, key=canon_key)
-        elif len(order) != len(self.states) or frozenset(order) != self.states:
-            raise FormatError("the state order must list every state exactly once")
-        else:
-            order = list(order)
-        rank = {q: i for i, q in enumerate(order)}
-        out: Dict[State, List[Tuple[Label, State]]] = {q: [] for q in order}
-        # Each distinct label is checked, keyed and read for variables once.
-        label_keys: Dict[Label, Tuple] = {}
-        mentioned: Set[str] = set()
-        for q, label, p in self.transitions:
-            if q not in rank or p not in rank:
+        # The one canon_key sort: out(q), state_order() and the JSON dump
+        # all reuse this order.
+        order = sorted(states, key=canon_key)
+        index = {q: i for i, q in enumerate(order)}
+        label_ids: Dict[Label, int] = {}
+        triples = []
+        for q, label, p in transitions:
+            if q not in index or p not in index:
                 raise FormatError(
                     f"transition endpoint not declared: {state_name(q)} -> {state_name(p)}"
                 )
-            if label not in label_keys:
+            a = label_ids.get(label)
+            if a is None:
+                a = label_ids[label] = len(label_ids)
+            triples.append((index[q], a, index[p]))
+        self._setup(order, index[initial], [index[q] for q in finals],
+                    list(label_ids), triples, alphabet, variables)
+
+    @classmethod
+    def _from_indices(cls, order: List[State], initial: int, finals: List[int],
+                      labels: List[Label], triples: List, alphabet: Iterable[str],
+                      variables: Optional[Iterable[str]]):
+        """The automaton whose states are ``order`` and whose initial state,
+        final states and ``(source, label, target)`` triples are indices
+        into ``order`` and ``labels``, all of them in range."""
+        automaton = cls.__new__(cls)
+        automaton._setup(order, initial, finals, labels, triples, alphabet, variables)
+        return automaton
+
+    def _setup(self, order: List[State], initial: int, finals: Iterable[int],
+               labels: List[Label], triples: List, alphabet: Iterable[str],
+               variables: Optional[Iterable[str]]) -> None:
+        """The one core of every constructor and of the format-2 loader:
+        check the labels in use, rank them and fill the rows."""
+        n = len(order)
+        self.alphabet = frozenset(alphabet)
+        self.states = frozenset(order)
+        self.initial = order[initial]
+        self._final_ids = sorted(set(finals))
+        self.finals = frozenset(order[i] for i in self._final_ids)
+        self._order = order
+        self._initial_id = initial
+        # Each distinct label in use is checked, keyed and read for
+        # variables once; labels a triple repeats share one rank.
+        keys: Dict[Label, Tuple] = {}
+        mentioned: Set[str] = set()
+        for a in sorted(set(map(itemgetter(1), triples))):
+            label = labels[a]
+            if label not in keys:
                 self._validate_label(label)
-                label_keys[label] = label_key(label)
+                keys[label] = label_key(label)
                 if isinstance(label, Marker):
                     mentioned.add(label.var)
                 elif isinstance(label, frozenset):
                     mentioned.update(m.var for m in label)
-            out[q].append((label, p))
         if variables is None:
             self.variables = frozenset(mentioned)
         else:
@@ -142,12 +177,32 @@ class _AutomatonBase:
                 raise FormatError(
                     f"markers reference undeclared variables: {sorted(missing)}"
                 )
-        for moves in out.values():
-            moves.sort(key=lambda t: (label_keys[t[0]], rank[t[1]]))
-        self._order = order
-        self._out = out
-        self._size = len(self.states) + len(self.transitions)
+        self._labels = sorted(keys, key=keys.__getitem__)
+        width = len(self._labels)
+        rank = {label: r for r, label in enumerate(self._labels)}
+        rank_of = [rank.get(label) for label in labels]
+        # One integer per transition orders the triples by source, label
+        # rank and target.  Sorted, a repeated triple is a repeated integer,
+        # and two transitions of one state on one label are neighbours in
+        # its row; the first such pair is the witness of nondeterminism.
+        codes = sorted([(q * width + rank_of[a]) * n + p for q, a, p in triples])
+        rows: List[List[Tuple[int, int]]] = [[] for _ in order]
+        clash = None
+        last = last_head = -1
+        for code in codes:
+            if code != last:
+                head, p = divmod(code, n)
+                if head == last_head and clash is None:
+                    clash = (head // width, head % width, last % n, p)
+                rows[head // width].append((head % width, p))
+                last, last_head = code, head
+        self._rows = rows
+        self._clash: Optional[Tuple[int, int, int, int]] = clash
+        self._size = n + sum(map(len, rows))
+        self._out: Optional[Dict[State, List[Tuple[Label, State]]]] = None
+        self._transitions: Optional[FrozenSet[Transition]] = None
         self._report: Optional[ClassificationReport] = None
+        self._tables: Optional[DetTables] = None
 
     def _validate_label(self, label: Label) -> None:
         raise NotImplementedError
@@ -157,15 +212,29 @@ class _AutomatonBase:
         """|A| = number of states + number of transitions."""
         return self._size
 
+    @property
+    def transitions(self) -> FrozenSet[Transition]:
+        """The ``(source, label, target)`` triples, built on first use."""
+        if self._transitions is None:
+            labels, order = self._labels, self._order
+            self._transitions = frozenset(
+                (q, labels[r], order[p]) for q, row in zip(order, self._rows) for r, p in row
+            )
+        return self._transitions
+
     def out(self, q: State) -> List[Tuple[Label, State]]:
         """Transitions leaving ``q``, sorted by label, then by target in
-        state order."""
+        state order; built for every state on first use."""
+        if self._out is None:
+            labels, order = self._labels, self._order
+            self._out = {q: [(labels[r], order[p]) for r, p in row]
+                         for q, row in zip(order, self._rows)}
         return self._out[q]
 
     def marker_transitions(self, q: State) -> List[Tuple[Label, State]]:
         """Transitions leaving ``q`` on a marker (VA) or a marker set
         (EVA), in ``out`` order."""
-        return [(label, p) for label, p in self._out[q] if not isinstance(label, str)]
+        return [(label, p) for label, p in self.out(q) if not isinstance(label, str)]
 
     def state_order(self) -> List[State]:
         """The canonical state order, as a fresh list."""
@@ -174,7 +243,7 @@ class _AutomatonBase:
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(states={len(self.states)}, "
-            f"transitions={len(self.transitions)}, vars={len(self.variables)})"
+            f"transitions={self._size - len(self.states)}, vars={len(self.variables)})"
         )
 
 
@@ -194,11 +263,7 @@ class VA(_AutomatonBase):
 class EVA(_AutomatonBase):
     """Extended automaton: labels are symbols or nonempty marker sets."""
 
-    __slots__ = ("_tables",)
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._tables: Optional[DetTables] = None
+    __slots__ = ()
 
     def tables(self) -> "DetTables":
         """The interned evaluation tables, built on first use and then
@@ -222,7 +287,8 @@ class EVA(_AutomatonBase):
 
 
 class DetTables:
-    """The transition structure of an EVA over dense state ids.
+    """The transition structure of an EVA over dense state ids, built in
+    one pass over its integer rows.
 
     States are numbered ``0..k-1`` in ``state_order()`` order, so sorting
     ids sorts states canonically.  ``markers[q]`` holds the marker-set
@@ -241,29 +307,31 @@ class DetTables:
 
     def __init__(self, automaton: EVA):
         states = automaton.state_order()
-        index = {q: i for i, q in enumerate(states)}
+        labels = automaton._labels
         self.states: List[State] = states
-        self.index: Dict[State, int] = index
-        self.initial: int = index[automaton.initial]
-        self.finals: List[int] = sorted(index[q] for q in automaton.finals)
+        self.index: Dict[State, int] = {q: i for i, q in enumerate(states)}
+        self.initial: int = automaton._initial_id
+        self.finals: List[int] = list(automaton._final_ids)
         self.markers: List[List[Tuple[MarkerSet, int]]] = [[] for _ in states]
         self.letters: Dict[str, List[Optional[int]]] = {
             a: [None] * len(states) for a in automaton.alphabet
         }
         self.variables: List[str] = sorted(automaton.variables)
         rank = {v: r for r, v in enumerate(self.variables)}
-        self.marker_ranks: Dict[MarkerSet, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-        for i, q in enumerate(states):
-            for label, p in automaton.out(q):
-                if isinstance(label, str):
-                    self.letters[label][i] = index[p]
-                elif isinstance(label, frozenset):
-                    self.markers[i].append((label, index[p]))
-                    if label not in self.marker_ranks:
-                        self.marker_ranks[label] = (
-                            tuple(rank[m.var] for m in label if m.is_open),
-                            tuple(rank[m.var] for m in label if not m.is_open),
-                        )
+        self.marker_ranks: Dict[MarkerSet, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {
+            label: (tuple(rank[m.var] for m in label if m.is_open),
+                    tuple(rank[m.var] for m in label if not m.is_open))
+            for label in labels if not isinstance(label, str)
+        }
+        # The letter table of each symbol rank; marker ranks have None.
+        tables = [self.letters[label] if isinstance(label, str) else None for label in labels]
+        for i, row in enumerate(automaton._rows):
+            for r, p in row:
+                table = tables[r]
+                if table is None:
+                    self.markers[i].append((labels[r], p))
+                else:
+                    table[i] = p
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +429,10 @@ def load_automaton(data: Dict[str, Any]):
     triples are indices into those lists, and ``kind`` is required.  The
     listed state order becomes the automaton's canonical order, so a
     loaded file dumps to the same object and evaluates with the same
-    ``DetTables`` ids as the automaton it was written from.
+    ``DetTables`` ids as the automaton it was written from.  The checked
+    index triples fill the automaton's integer rows directly, in any order
+    and with repeats dropped; no state-named transition is built, and
+    ``out`` and ``transitions`` stay unbuilt until something asks for them.
 
     An object without ``format`` is format 1: states are named in every
     transition and sorted by ``canon_key`` on loading.  Its optional
@@ -415,11 +486,11 @@ def _load_format2(data: Dict[str, Any]):
             raise FormatError(f"labels entry {obj!r} is a marker set, which a VA cannot carry")
         labels.append(label)
     n, m = len(states), len(labels)
-    initial = states[_index(_field(data, "initial"), n, "initial")]
-    finals = [states[_index(i, n, "finals entry")]
+    initial = _index(_field(data, "initial"), n, "initial")
+    finals = [_index(i, n, "finals entry")
               for i in _list_from_json(_field(data, "finals"), "finals")]
-    transitions = []
-    for t in _list_from_json(_field(data, "transitions"), "transitions"):
+    triples = _list_from_json(_field(data, "transitions"), "transitions")
+    for t in triples:
         if type(t) is not list or len(t) != 3:
             raise FormatError(f"transitions entry must be a [source, label, target] list, "
                               f"got {t!r}")
@@ -429,9 +500,9 @@ def _load_format2(data: Dict[str, Any]):
             _index(q, n, "transition source")
             _index(a, m, "transition label")
             _index(p, n, "transition target")
-        transitions.append((states[q], labels[a], states[p]))
     automaton_type = EVA if kind == "eva" else VA
-    return automaton_type(states, initial, finals, transitions, alphabet, variables, order=states)
+    return automaton_type._from_indices(list(states), initial, finals, labels, triples,
+                                        alphabet, variables)
 
 
 def _load_format1(data: Dict[str, Any]):
@@ -505,36 +576,37 @@ def _json_list(items: List[str]) -> str:
 def automaton_json(automaton: _AutomatonBase) -> str:
     """The automaton file in format 2: the text ``json.dumps(obj, indent=2,
     sort_keys=True)`` writes for the format's object, made in one walk over
-    the states in order.  ``states`` lists the names in ``state_order()``;
-    ``labels`` lists each distinct label once, in the order of first use;
-    the transitions are index triples in ``out(q)`` order.  State names
-    print as ``state_name`` gives them, or as ``s0, s1, ...`` in state
-    order if two print alike."""
-    order = automaton.state_order()
+    the rows in state order.  ``states`` lists the names in
+    ``state_order()``; ``labels`` lists each distinct label once, in the
+    order of first use; the transitions are index triples in ``out(q)``
+    order.  State names print as ``state_name`` gives them, or as ``s0, s1,
+    ...`` in state order if two print alike."""
+    order = automaton._order
     names = [state_name(q) for q in order]
     if len(set(names)) != len(names):
         names = [f"s{i}" for i in range(len(order))]
-    # The JSON text of each state's and each label's index.
-    index = {q: str(i) for i, q in enumerate(order)}
-    label_index: Dict[Label, str] = {}
+    # The JSON text of each state's index and, once used, each label rank's.
+    index = [str(i) for i in range(len(order))]
+    labels = automaton._labels
+    label_index: List[Optional[str]] = [None] * len(labels)
     label_texts: List[str] = []
     triples = []
-    for q in order:
-        head = "[\n      " + index[q] + ",\n      "
-        for label, p in automaton.out(q):
-            a = label_index.get(label)
+    for i, row in enumerate(automaton._rows):
+        head = "[\n      " + index[i] + ",\n      "
+        for r, p in row:
+            a = label_index[r]
             if a is None:
-                a = label_index[label] = str(len(label_texts))
+                a = label_index[r] = str(len(label_texts))
                 # A label object is an entry of a top-level list, so its
                 # lines after the first move four spaces in.
-                label_texts.append(json.dumps(_label_to_json(label), indent=2,
+                label_texts.append(json.dumps(_label_to_json(labels[r]), indent=2,
                                               sort_keys=True).replace("\n", "\n    "))
             triples.append(f"{head}{a},\n      {index[p]}\n    ]")
     return "".join([
         '{\n  "alphabet": ', _json_list([json.dumps(a) for a in sorted(automaton.alphabet)]),
-        ',\n  "finals": ', _json_list([index[q] for q in order if q in automaton.finals]),
+        ',\n  "finals": ', _json_list([index[i] for i in automaton._final_ids]),
         ',\n  "format": 2',
-        ',\n  "initial": ', index[automaton.initial],
+        ',\n  "initial": ', index[automaton._initial_id],
         ',\n  "kind": ', '"eva"' if isinstance(automaton, EVA) else '"va"',
         ',\n  "labels": ', _json_list(label_texts),
         ',\n  "states": ', _json_list([json.dumps(name) for name in names]),
@@ -696,26 +768,15 @@ class ClassificationReport:
         return " ".join(parts)
 
 
-def _describe_path(parents, config, extra: str) -> str:
-    steps = []
-    cur = config
-    while cur is not None:
-        entry = parents[cur]
-        if entry is None:
-            break
-        prev, label = entry
-        steps.append(format_label(label))
-        cur = prev
-    path = " ".join(reversed(steps)) if steps else "(empty run)"
-    return f"run [{path}] {extra}"
-
-
 def classify(automaton) -> ClassificationReport:
     """Decide sequential / functional (and deterministic for EVA) by
-    reachability over (state, marker history) configurations.  The
-    report is kept on the automaton.  An automaton of more than
-    ``VARIABLE_CAP`` variables raises and never gets one, so a kept report
-    needs no cap check."""
+    reachability over (state, marker history) configurations, walked as
+    ints over the automaton's rows: state id, interned history id and, for
+    an EVA, whether a variable step may come next.  Determinism is read
+    from the rows, where two transitions of one state on one label sit
+    next to each other.  The report is kept on the automaton.  An
+    automaton of more than ``VARIABLE_CAP`` variables raises and never
+    gets one, so a kept report needs no cap check."""
     if automaton._report is None:
         if len(automaton.variables) > VARIABLE_CAP:
             raise ClassificationTooLarge(
@@ -732,26 +793,41 @@ def _classify(automaton) -> ClassificationReport:
     # valid; an EVA's also records whether a variable step may come next.
     # A VA may close a variable before opening it at one position, so its
     # history can hold a close without its open; such a pending close
-    # makes the run invalid at the next letter.
+    # makes the run invalid at the next letter.  Configurations are ints,
+    # (history id * n + state id) * 2 + flag, where the flag allows a
+    # variable step (always, in a VA); the walk pops the last one found
+    # and reads each row in order, so the first bad configuration and its
+    # run do not depend on hashing.
     variables = sorted(automaton.variables)
     is_eva = isinstance(automaton, EVA)
-    finals = automaton.finals
+    labels, rows = automaton._labels, automaton._rows
+    n = len(rows)
+    symbols = sum(isinstance(label, str) for label in labels)  # they rank first
+    finals = set(automaton._final_ids)
+    marker_flag = 0 if is_eva else 1
     empty: MarkerSet = frozenset()
-    start = (automaton.initial, empty, True) if is_eva else (automaton.initial, empty)
-    parents: Dict[Any, Optional[Tuple[Any, Label]]] = {start: None}
-    queue = [start]
-    seq_bad = None
-    fun_bad = None
-    # What the rule derives from each history, computed once: the history
-    # after a letter, whether accepting with it breaks sequentiality or
-    # leaves a variable unused, and the history after each marker label.
-    derived: Dict[Any, Tuple[Any, bool, bool, Dict[Label, Any]]] = {}
+    histories: List[Any] = []
+    history_ids: Dict[Any, int] = {}
+    # What the rule derives from each history id, computed once: the
+    # history after a letter, whether accepting with it breaks
+    # sequentiality or leaves a variable unused, and the history after each
+    # marker label rank.
+    derived: List[Optional[Tuple[int, bool, bool, Dict[int, int]]]] = []
 
-    def derive(history):
+    def intern(history) -> int:
+        h = history_ids.get(history)
+        if h is None:
+            h = history_ids[history] = len(histories)
+            histories.append(history)
+            derived.append(None)
+        return h
+
+    def derive(h: int):
+        history = histories[h]
         if history is _INVALID:
-            return _INVALID, True, False, {}
+            return h, True, False, {}
         valid = markers_compatible(empty, history)
-        return (history if valid else _INVALID, not (valid and all_closed(history)),
+        return (h if valid else intern(_INVALID), not (valid and all_closed(history)),
                 len({m.var for m in history}) < len(variables), {})
 
     def after_markers(history, label: Label):
@@ -761,70 +837,84 @@ def _classify(automaton) -> ClassificationReport:
             return _INVALID if label in history else history | {label}
         return history | label if markers_compatible(history, label) else _INVALID
 
-    while queue:
-        config = queue.pop()
-        state, history = config[0], config[1]
-        if history not in derived:
-            derived[history] = derive(history)
-        at_letter, bad_seq, unused, after = derived[history]
-        if state in finals:
-            if bad_seq and seq_bad is None:
+    start = ((intern(empty) * n + automaton._initial_id) << 1) | 1
+    parents: Dict[int, Optional[Tuple[int, int]]] = {start: None}
+    stack = [start]
+    seq_bad = None
+    fun_bad = None
+    while stack:
+        config = stack.pop()
+        h, q = divmod(config >> 1, n)
+        entry = derived[h]
+        if entry is None:
+            entry = derived[h] = derive(h)
+        at_letter, bad_seq, unused, after = entry
+        if q in finals:
+            if bad_seq:
+                # Not sequential, hence not functional: nothing else is needed.
                 seq_bad = config
+                break
             if unused and fun_bad is None:
                 fun_bad = config
-        for label, p in automaton.out(state):
-            if isinstance(label, str):
-                nxt = (p, at_letter, True) if is_eva else (p, at_letter)
-            else:
-                if is_eva and not config[2]:
-                    continue
-                stepped = after.get(label)
+        letter_base = ((at_letter * n) << 1) | 1
+        for r, p in rows[q]:
+            if r < symbols:
+                nxt = letter_base + (p << 1)
+            elif config & 1:
+                stepped = after.get(r)
                 if stepped is None:
-                    stepped = after[label] = after_markers(history, label)
-                nxt = (p, stepped, False) if is_eva else (p, stepped)
+                    stepped = after[r] = intern(after_markers(histories[h], labels[r]))
+                nxt = ((stepped * n + p) << 1) | marker_flag
+            else:
+                continue
             if nxt not in parents:
-                parents[nxt] = (config, label)
-                queue.append(nxt)
+                parents[nxt] = (config, r)
+                stack.append(nxt)
+
+    def describe(config: int, extra: str) -> str:
+        steps = []
+        step = parents[config]
+        while step is not None:
+            config, r = step
+            steps.append(format_label(labels[r]))
+            step = parents[config]
+        path = " ".join(reversed(steps)) if steps else "(empty run)"
+        return f"run [{path}] {extra}"
 
     sequential = seq_bad is None
     functional = sequential and fun_bad is None
     seq_witness = None
     fun_witness = None
     if not sequential:
-        history = seq_bad[1]
+        history = histories[(seq_bad >> 1) // n]
         if history is _INVALID:
             reason = "reuses or mis-nests a marker and still accepts"
         else:
             reason = "accepts with unmatched variables: " + ",".join(
                 v for v in variables if (Marker.open(v) in history) != (Marker.close(v) in history)
             )
-        seq_witness = _describe_path(parents, seq_bad, reason)
+        seq_witness = describe(seq_bad, reason)
     if not functional:
         if not sequential:
             fun_witness = "not sequential"
         else:
-            used = {m.var for m in fun_bad[1]}
+            used = {m.var for m in histories[(fun_bad >> 1) // n]}
             reason = "accepts without using: " + ",".join(v for v in variables if v not in used)
-            fun_witness = _describe_path(parents, fun_bad, reason)
+            fun_witness = describe(fun_bad, reason)
 
     deterministic: Optional[bool] = None
     det_witness = None
     if is_eva:
-        # out(q) is sorted by label, so two transitions on one label are
-        # neighbours; scanning in state order makes the witness canonical.
-        clashes = (
-            (q, label, p1, p2)
-            for q in automaton.state_order()
-            for (label, p1), (other, p2) in zip(automaton.out(q), automaton.out(q)[1:])
-            if label == other
-        )
-        clash = next(clashes, None)
-        deterministic = clash is None
-        if clash is not None:
-            q, label, p1, p2 = clash
+        # The rows found the first two transitions of one state on one
+        # label, in state order and then out(q) order.
+        deterministic = automaton._clash is None
+        if automaton._clash is not None:
+            q, r, p1, p2 = automaton._clash
+            order = automaton._order
             det_witness = (
-                f"state {state_name(q)} has two transitions on "
-                f"{format_label(label)}: to {state_name(p1)} and {state_name(p2)}"
+                f"state {state_name(order[q])} has two transitions on "
+                f"{format_label(labels[r])}: to {state_name(order[p1])} and "
+                f"{state_name(order[p2])}"
             )
 
     return ClassificationReport(

@@ -62,6 +62,9 @@ def _load_spanner(rgx: Optional[str], automaton: Optional[str], expr: Optional[s
     given = [x for x in (rgx, automaton, expr) if x is not None]
     if len(given) != 1:
         raise FormatError("exactly one of --rgx, --automaton, --expr is required")
+    if automaton is not None and alphabet is not None:
+        raise FormatError("--alphabet cannot be given with --automaton: "
+                          "an automaton file declares its own alphabet")
     if rgx is not None:
         sigma = frozenset(alphabet) if alphabet is not None else infer_alphabet(rgx)
         return parse_rgx(rgx, sigma), sigma

@@ -213,10 +213,10 @@ def va_to_det_seva_general(automaton) -> EVA:
         len(result.states) <= (2 ** n) * (3 ** n_vars),
         f"general construction exceeded 2^n*3^l states: {len(result.states)}",
     )
+    n_transitions = result.size - len(result.states)
     _check_bound(
-        len(result.transitions)
-        <= (2 ** n) * (5 ** n_vars + (3 ** n_vars) * len(automaton.alphabet)),
-        f"general construction exceeded its transition bound: {len(result.transitions)}",
+        n_transitions <= (2 ** n) * (5 ** n_vars + (3 ** n_vars) * len(automaton.alphabet)),
+        f"general construction exceeded its transition bound: {n_transitions}",
     )
     return result
 
@@ -255,8 +255,9 @@ def functional_va_to_det_seva(va: VA) -> EVA:
         _at_most_power_of_two(len(result.states), n),
         f"functional construction exceeded 2^n states: {len(result.states)} > 2^{n}",
     )
+    n_transitions = result.size - len(result.states)
     _check_bound(
-        len(result.transitions) <= (2 ** n) * (n ** 2 + len(va.alphabet)),
-        f"functional construction exceeded its transition bound: {len(result.transitions)}",
+        n_transitions <= (2 ** n) * (n ** 2 + len(va.alphabet)),
+        f"functional construction exceeded its transition bound: {n_transitions}",
     )
     return result

@@ -18,13 +18,14 @@ from spanex import (
     InputError,
     Mapping,
     Span,
+    VA,
     dump_automaton,
     evaluate_preprocess,
 )
-from spanex.automata import State
+from spanex.automata import _INVALID, ClassificationReport, Label, State, format_label, state_name
 from spanex.engine import BOTTOM, DagNode, NodeList, PhaseHook, _Element, enumerate_ndjson
 from spanex.instrument import OpCounter
-from spanex.model import Marker, MarkerSet, marker_set_key
+from spanex.model import Marker, MarkerSet, all_closed, marker_set_key, markers_compatible
 
 
 def span(i: int, j: int) -> Span:
@@ -181,6 +182,21 @@ def random_evas(draw, functional: bool) -> EVA:
                [(names[q], label, names[p]) for q, label, p in chain + extra], "ab", ["x", "y"])
 
 
+@st.composite
+def random_vas(draw) -> VA:
+    """A small VA over {a, b} and the variables x, y with arbitrary
+    transitions on letters and single markers and arbitrary final states,
+    so that it is often not sequential or not functional."""
+    n = draw(st.integers(1, 5))
+    moves = st.tuples(st.integers(0, n - 1), st.sampled_from(["a", "b"] + _MARKERS),
+                      st.integers(0, n - 1))
+    transitions = draw(st.lists(moves, max_size=3 * n))
+    finals = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    names = [f"q{i}" for i in range(n)]
+    return VA(names, "q0", [names[q] for q in finals],
+              [(names[q], label, names[p]) for q, label, p in transitions], "ab", ["x", "y"])
+
+
 # ---------------------------------------------------------------------------
 # Independent engine oracles
 # ---------------------------------------------------------------------------
@@ -223,6 +239,134 @@ def _expand(nodelist: NodeList):
         else:
             out.append((payload.markers, payload.position, _expand(payload.list)))
     return tuple(out)
+
+
+def _describe_path(parents, config, extra: str) -> str:
+    steps = []
+    cur = config
+    while cur is not None:
+        entry = parents[cur]
+        if entry is None:
+            break
+        prev, label = entry
+        steps.append(format_label(label))
+        cur = prev
+    path = " ".join(reversed(steps)) if steps else "(empty run)"
+    return f"run [{path}] {extra}"
+
+
+def classify_reference(automaton) -> ClassificationReport:
+    """The classification report by the plain configuration walk over
+    ``out(q)``: (state, marker history frozenset[, flag]) tuples in a
+    dict, the determinism clash found by scanning every ``out(q)``."""
+    # A configuration pairs a state with the run's history, the set of
+    # markers it has used, or _INVALID once the run can no longer be
+    # valid; an EVA's also records whether a variable step may come next.
+    # A VA may close a variable before opening it at one position, so its
+    # history can hold a close without its open; such a pending close
+    # makes the run invalid at the next letter.
+    variables = sorted(automaton.variables)
+    is_eva = isinstance(automaton, EVA)
+    finals = automaton.finals
+    empty: MarkerSet = frozenset()
+    start = (automaton.initial, empty, True) if is_eva else (automaton.initial, empty)
+    parents: Dict[Any, Optional[Tuple[Any, Label]]] = {start: None}
+    queue = [start]
+    seq_bad = None
+    fun_bad = None
+    # What the rule derives from each history, computed once: the history
+    # after a letter, whether accepting with it breaks sequentiality or
+    # leaves a variable unused, and the history after each marker label.
+    derived: Dict[Any, Tuple[Any, bool, bool, Dict[Label, Any]]] = {}
+
+    def derive(history):
+        if history is _INVALID:
+            return _INVALID, True, False, {}
+        valid = markers_compatible(empty, history)
+        return (history if valid else _INVALID, not (valid and all_closed(history)),
+                len({m.var for m in history}) < len(variables), {})
+
+    def after_markers(history, label: Label):
+        if history is _INVALID:
+            return _INVALID
+        if isinstance(label, Marker):
+            return _INVALID if label in history else history | {label}
+        return history | label if markers_compatible(history, label) else _INVALID
+
+    while queue:
+        config = queue.pop()
+        state, history = config[0], config[1]
+        if history not in derived:
+            derived[history] = derive(history)
+        at_letter, bad_seq, unused, after = derived[history]
+        if state in finals:
+            if bad_seq and seq_bad is None:
+                seq_bad = config
+            if unused and fun_bad is None:
+                fun_bad = config
+        for label, p in automaton.out(state):
+            if isinstance(label, str):
+                nxt = (p, at_letter, True) if is_eva else (p, at_letter)
+            else:
+                if is_eva and not config[2]:
+                    continue
+                stepped = after.get(label)
+                if stepped is None:
+                    stepped = after[label] = after_markers(history, label)
+                nxt = (p, stepped, False) if is_eva else (p, stepped)
+            if nxt not in parents:
+                parents[nxt] = (config, label)
+                queue.append(nxt)
+
+    sequential = seq_bad is None
+    functional = sequential and fun_bad is None
+    seq_witness = None
+    fun_witness = None
+    if not sequential:
+        history = seq_bad[1]
+        if history is _INVALID:
+            reason = "reuses or mis-nests a marker and still accepts"
+        else:
+            reason = "accepts with unmatched variables: " + ",".join(
+                v for v in variables if (Marker.open(v) in history) != (Marker.close(v) in history)
+            )
+        seq_witness = _describe_path(parents, seq_bad, reason)
+    if not functional:
+        if not sequential:
+            fun_witness = "not sequential"
+        else:
+            used = {m.var for m in fun_bad[1]}
+            reason = "accepts without using: " + ",".join(v for v in variables if v not in used)
+            fun_witness = _describe_path(parents, fun_bad, reason)
+
+    deterministic: Optional[bool] = None
+    det_witness = None
+    if is_eva:
+        # out(q) is sorted by label, so two transitions on one label are
+        # neighbours; scanning in state order makes the witness canonical.
+        clashes = (
+            (q, label, p1, p2)
+            for q in automaton.state_order()
+            for (label, p1), (other, p2) in zip(automaton.out(q), automaton.out(q)[1:])
+            if label == other
+        )
+        clash = next(clashes, None)
+        deterministic = clash is None
+        if clash is not None:
+            q, label, p1, p2 = clash
+            det_witness = (
+                f"state {state_name(q)} has two transitions on "
+                f"{format_label(label)}: to {state_name(p1)} and {state_name(p2)}"
+            )
+
+    return ClassificationReport(
+        sequential=sequential,
+        functional=functional,
+        deterministic=deterministic,
+        sequential_witness=seq_witness,
+        functional_witness=fun_witness,
+        deterministic_witness=det_witness,
+    )
 
 
 def count_reference(automaton: EVA, document: Document) -> Tuple[int, int]:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from spanex import (
     automaton_json,
     brute_enumerate_va,
     classify,
+    compile_spanner,
     dump_automaton,
     functional_va_to_det_seva,
     load_automaton,
@@ -18,12 +20,12 @@ from spanex import (
     rgx_to_va,
 )
 from spanex.algebra import join_eva, project_eva
-from spanex.automata import _label_to_json, canon_key, label_key, state_name
+from spanex.automata import DetTables, _label_to_json, canon_key, label_key, state_name
 from spanex.errors import ClassificationTooLarge, FormatError
 from spanex.transform import determinize_eva, va_to_eva
 
 from fixtures import gen_fig3_va, gen_fig4_automaton
-from helpers import canon, close_m, format1_of, mapping, mset, open_m
+from helpers import canon, classify_reference, close_m, format1_of, mapping, mset, open_m
 
 
 def test_json_round_trip_va():
@@ -153,10 +155,79 @@ def test_format2_load_keeps_the_listed_order(monkeypatch):
     assert again["transitions"] == [[0, 0, 0], [0, 1, 1], [1, 0, 0]]
 
 
-def test_constructor_refuses_an_order_that_is_not_a_permutation():
-    for order in (["q0"], ["q0", "q0"], ["q0", "q2"], ["q0", "q1", "q1"]):
-        with pytest.raises(FormatError, match="the state order must list every state"):
-            EVA(["q0", "q1"], "q0", [], [], [], order=order)
+def _reordered(data, seed):
+    """A format-2 object equal in meaning to ``data``: its first label
+    listed a second time and used by every other triple that had it, one
+    triple repeated through the other copy of its label, all triples
+    shuffled."""
+    labels = data["labels"] + [data["labels"][0]]
+    copy = len(labels) - 1
+    triples = [list(t) for t in data["transitions"]]
+    first = [t for t in triples if t[1] == 0]
+    for t in first[::2]:
+        t[1] = copy
+    triples.append([first[0][0], 0, first[0][2]])
+    random.Random(seed).shuffle(triples)
+    assert triples != data["transitions"]
+    return {**data, "labels": labels, "transitions": triples}
+
+
+def _dense():
+    ab = frozenset("ab")
+    return compile_spanner(parse_rgx(".*(x{a}|y{b}).*", ab), ab)[0]
+
+
+@pytest.mark.parametrize("make", [gen_fig3_va, gen_fig4_automaton, _dense],
+                         ids=["fig3-va", "fig4", "dense"])
+def test_format2_load_of_an_out_of_order_file(make, monkeypatch):
+    data = dump_automaton(make())
+    shuffled = _reordered(data, 18)
+    ordered = load_automaton(data)
+
+    def refuse(obj):
+        raise AssertionError(f"called while loading format 2 on {obj!r}")
+
+    keyed = []
+    monkeypatch.setattr(spanex.automata, "canon_key", refuse)
+    monkeypatch.setattr(spanex.automata, "state_name", refuse)
+    monkeypatch.setattr(spanex.automata, "label_key", lambda label: keyed.append(label)
+                        or label_key(label))
+    loaded = load_automaton(shuffled)
+    monkeypatch.undo()
+    assert 0 < len(keyed) <= len(shuffled["labels"])
+
+    assert type(loaded) is type(ordered)
+    assert loaded.size == ordered.size == len(data["states"]) + len(data["transitions"])
+    assert loaded.state_order() == ordered.state_order()
+    for q in ordered.state_order():
+        assert loaded.out(q) == ordered.out(q)
+    assert loaded.transitions == ordered.transitions
+    if isinstance(ordered, EVA):
+        for field in DetTables.__slots__:
+            assert getattr(loaded.tables(), field) == getattr(ordered.tables(), field), field
+    assert classify(loaded) == classify(ordered)
+    assert automaton_json(loaded) == automaton_json(ordered)
+
+
+def test_classify_equals_reference_on_the_corpus():
+    # The 510 seeded instances of the acceptance corpus, their reloads from
+    # the file format, and the extended automata of its VAs: every report
+    # field, the witness strings included.
+    from test_acceptance import corpora
+
+    pool = [automaton for items in corpora().values() for automaton in items]
+    assert len(pool) == 510
+    failed = {"sequential": 0, "functional": 0, "deterministic": 0}
+    for automaton in pool:
+        candidates = [automaton, load_automaton(dump_automaton(automaton))]
+        if isinstance(automaton, VA):
+            candidates.append(va_to_eva(automaton))
+        for candidate in candidates:
+            report = spanex.automata._classify(candidate)
+            assert report == classify_reference(candidate)
+            for name in failed:
+                failed[name] += getattr(report, name) is False
+    assert all(failed.values()), failed
 
 
 def test_empty_marker_set_rejected_in_constructor():

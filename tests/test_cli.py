@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import spanex.automata
 from spanex import (
     Document,
+    brute_enumerate_va,
     compile_spanner,
     dump_automaton,
     enumerate_stream,
@@ -422,6 +423,19 @@ def test_exit_codes(runner, fig4_path, tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["compile", "check", "enumerate", "count"])
+def test_alphabet_with_automaton_exits_2(runner, fig4_path, command):
+    # A file declares its own alphabet, so a second one is refused, not ignored.
+    argv = [command, "--automaton", fig4_path, "--alphabet", "xyz"]
+    if command in ("enumerate", "count"):
+        argv += ["--doc-inline", "ab"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: --alphabet cannot be given with --automaton: "
+                             "an automaton file declares its own alphabet\n")
+
+
 @pytest.mark.parametrize("text, position", [
     ("aaaaaaaz", 8),  # after the 'a' step from the same live set was replayed
     ("caaz", 4),      # after 'c' left no live state
@@ -669,6 +683,37 @@ def test_good_format2_counts(runner, tmp_path):
     result = runner.invoke(main, ["count", "--automaton", str(path), "--doc-inline", "aa"])
     assert result.exit_code == 0, result.output
     assert result.stdout == "1\n"
+
+
+# q1 has two transitions on 'a', to q1 and to q2.
+_NONDETERMINISTIC_FORMAT2 = {
+    "format": 2, "kind": "eva", "alphabet": ["a", "b"], "variables": ["x"],
+    "states": ["q0", "q1", "q2", "q3"],
+    "labels": [{"symbol": "a"}, {"markers": ["open:x"]}, {"symbol": "b"},
+               {"markers": ["close:x"]}],
+    "initial": 0, "finals": [3],
+    "transitions": [[0, 0, 0], [0, 2, 0], [0, 1, 1], [1, 0, 1], [1, 0, 2], [1, 2, 1],
+                    [2, 3, 3], [3, 0, 3], [3, 2, 3]],
+}
+
+
+def test_nondeterministic_format2_file(runner, tmp_path):
+    path = tmp_path / "nondeterministic.json"
+    path.write_text(json.dumps(_NONDETERMINISTIC_FORMAT2))
+    check = runner.invoke(main, ["check", "--automaton", str(path), "--deterministic"])
+    assert check.exit_code == 1
+    assert check.stdout == (
+        "sequential=True functional=True deterministic=False\n"
+        "witness[deterministic]: state q1 has two transitions on a: to q1 and q2\n")
+    assert check.stderr == "error: required properties do not hold: deterministic\n"
+    loaded = load_automaton(_NONDETERMINISTIC_FORMAT2)
+    counts = []
+    for text in ("", "a", "ab", "abaab", "aabba", "bbbb"):
+        result = runner.invoke(main, ["count", "--automaton", str(path), "--doc-inline", text])
+        assert result.exit_code == 0, result.output
+        counts.append(int(result.stdout))
+        assert counts[-1] == len(brute_enumerate_va(loaded, Document(text)))
+    assert counts[3] == 8
 
 
 @pytest.mark.parametrize("kind", [None, "eva"])

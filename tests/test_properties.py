@@ -5,11 +5,13 @@ semantics, and both expression strategies agree on joins and unions.
 Over random extended automata: projection agrees with projecting the
 outputs, the compiled det-seVA agrees with the brute-force search, the
 CLI's NDJSON lines are the JSON encoding of the mapping stream, and
-preprocessing agrees with the reference kernel."""
+preprocessing agrees with the reference kernel.  Over random VAs and
+EVAs, sequential or not, functional or not and deterministic or not, the
+classifier agrees with the reference classifier."""
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from spanex import (
@@ -30,7 +32,13 @@ from spanex.algebra import Atom, Join, Project, Union
 from spanex.engine import enumerate_ndjson
 from spanex.rgx import Alt, Capture, Concat, Star, Symbol, rgx_eval_reference, rgx_to_va
 
-from helpers import mapping_set_project, preprocessed_like_reference, random_evas
+from helpers import (
+    classify_reference,
+    mapping_set_project,
+    preprocessed_like_reference,
+    random_evas,
+    random_vas,
+)
 
 ALPHABET = frozenset("ab")
 
@@ -160,3 +168,27 @@ def test_preprocess_equals_reference_kernel(eva, texts):
     det, _ = compile_spanner(eva)
     for text in texts:
         preprocessed_like_reference(det, Document(text))
+
+
+ANY_AUTOMATON = st.one_of(random_vas(), random_evas(functional=False),
+                          random_evas(functional=True))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(ANY_AUTOMATON)
+def test_classify_equals_reference_classifier(automaton):
+    # All six report fields, the witness strings included, on the
+    # automaton and on its reload from the file format.
+    assert classify(automaton) == classify_reference(automaton)
+    loaded = load_automaton(dump_automaton(automaton))
+    assert classify(loaded) == classify_reference(loaded)
+
+
+def test_random_automata_reach_every_classification():
+    # The classifier property above meets each way a report can fail.
+    settled = settings(derandomize=True, database=None, max_examples=500)
+    for holds in (lambda r: not r.sequential,
+                  lambda r: r.sequential and not r.functional,
+                  lambda r: r.deterministic is False,
+                  lambda r: r.deterministic is False and not r.sequential):
+        find(ANY_AUTOMATON, lambda a: holds(classify_reference(a)), settings=settled)
