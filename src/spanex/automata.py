@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .errors import ClassificationTooLarge, FormatError, PreconditionError
 from .model import (
@@ -78,6 +78,19 @@ def format_label(label: Label) -> str:
     if isinstance(label, Marker):
         return str(label)
     return format_marker_set(label)
+
+
+def reachable(starts: Iterable[Any], successors: Callable[[Any], Iterable[Any]]) -> Set[Any]:
+    """Everything reachable from ``starts``, themselves included, along
+    ``successors``: one depth-first walk that expands each item once."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for p in successors(stack.pop()):
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
 
 
 class _AutomatonBase:
@@ -146,7 +159,7 @@ class _AutomatonBase:
                labels: List[Label], triples: List, alphabet: Iterable[str],
                variables: Optional[Iterable[str]]) -> None:
         """The one core of every constructor and of the format-2 loader:
-        check the labels in use, rank them and fill the rows."""
+        check every label, rank the ones in use and fill the rows."""
         n = len(order)
         self.alphabet = frozenset(alphabet)
         self.states = frozenset(order)
@@ -155,24 +168,26 @@ class _AutomatonBase:
         self.finals = frozenset(order[i] for i in self._final_ids)
         self._order = order
         self._initial_id = initial
-        # Each distinct label in use is checked, keyed and read for
-        # variables once; labels a triple repeats share one rank.
+        # Each label is checked and read for variables; each distinct
+        # label in use is keyed once, and labels a triple repeats share
+        # one rank.  An unused label adds no variable to the automaton.
+        used = set(map(itemgetter(1), triples))
         keys: Dict[Label, Tuple] = {}
-        mentioned: Set[str] = set()
-        for a in sorted(set(map(itemgetter(1), triples))):
-            label = labels[a]
-            if label not in keys:
-                self._validate_label(label)
+        mentioned: Set[str] = set()  # the variables of the labels in use
+        named: Set[str] = set()      # those of every label
+        for a, label in enumerate(labels):
+            self._validate_label(label)
+            found = ({label.var} if isinstance(label, Marker)
+                     else {m.var for m in label} if isinstance(label, frozenset) else ())
+            named.update(found)
+            if a in used and label not in keys:
                 keys[label] = label_key(label)
-                if isinstance(label, Marker):
-                    mentioned.add(label.var)
-                elif isinstance(label, frozenset):
-                    mentioned.update(m.var for m in label)
+                mentioned.update(found)
         if variables is None:
             self.variables = frozenset(mentioned)
         else:
             self.variables = frozenset(variables)
-            missing = mentioned - self.variables
+            missing = named - self.variables
             if missing:
                 raise FormatError(
                     f"markers reference undeclared variables: {sorted(missing)}"
@@ -302,14 +317,12 @@ class DetTables:
     closes.
     """
 
-    __slots__ = ("states", "index", "initial", "finals", "markers", "letters",
-                 "variables", "marker_ranks")
+    __slots__ = ("states", "initial", "finals", "markers", "letters", "variables", "marker_ranks")
 
     def __init__(self, automaton: EVA):
         states = automaton.state_order()
         labels = automaton._labels
         self.states: List[State] = states
-        self.index: Dict[State, int] = {q: i for i, q in enumerate(states)}
         self.initial: int = automaton._initial_id
         self.finals: List[int] = list(automaton._final_ids)
         self.markers: List[List[Tuple[MarkerSet, int]]] = [[] for _ in states]

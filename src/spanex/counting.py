@@ -8,33 +8,36 @@ integers, hence arbitrary precision: output counts grow like |d|^l in
 the number of variables, far past any machine word.
 
 The live set after a character is a function of the live set before it
-and the letter, so the kernel caches the automaton's steps as they are
-first reached, as lazy-DFA matchers and REmatch (Riveros, Van Sint Jan,
-Vrgoč, VLDB 2023) do:
+and the letter, so the kernel keeps the memo ``engine`` keeps, as
+lazy-DFA matchers and REmatch (Riveros, Van Sint Jan, Vrgoč, VLDB 2023)
+do: ``rows`` maps each live set, an ascending tuple of ``DetTables`` ids
+whose counts sit in a list aligned to it, to its ``{symbol: program}``
+row.  A program is recorded when its pair is first reached.  It holds
+the next live set's size, one (source index, destination index) pair per
+path "an optional marker step, then the letter" (with multiplicity), the
+op constant, and the next live set and its row; running it is
+``new = [0] * size`` and one ``new[d] += counts[s]`` per pair.  The end
+of the document is one more symbol, None, whose successor table sends
+every final state to slot 0, the one accepting slot.
 
-- The live states are an interned, ascending tuple of ``DetTables`` ids,
-  with their counts in a list aligned to it.
-- Each (live set, symbol) maps to one *program*, recorded when the pair
-  is first reached: the next live set's id and size, one (source index,
-  destination index) pair per path "an optional marker step, then the
-  letter" (with multiplicity), and the op constant.  Running it is
-  ``new = [0] * size`` and one ``new[d] += counts[s]`` per pair.
-- The memo is per call.  It is cleared before a program is recorded once
-  the state ids of its live sets, its programs and their pairs number
-  ``MEMO_BUDGET * automaton.size`` (states + transitions): count memory
-  is O(|A|) whatever the document's length.
+The memo is per call and cleared, every row emptied first, before a
+program is recorded once the programs and their pairs number
+``MEMO_BUDGET * automaton.size`` (states + transitions).  Every state of
+a next live set is some pair's destination, so count memory is O(|A|)
+whatever the document's length.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .automata import EVA, require_det_seva
 from .instrument import OpCounter
 from .model import Document
 
-# (next live-set id, its size, (source, destination) pairs, ops)
-Program = Tuple[int, int, List[Tuple[int, int]], int]
+# (next live set's size, (source, destination) pairs, ops, next live set, its row)
+Program = Tuple[int, List[Tuple[int, int]], int, Tuple[int, ...], Optional[Dict]]
 
 # The memo holds at most this many entries per unit of automaton.size.
 MEMO_BUDGET = 4
@@ -53,9 +56,10 @@ def count_det_seva(
     counts along the letter transitions.  Per character both stages run
     as one program from the live set L, recorded on the first visit of
     (L, symbol) and replayed after it (see the module docstring).  The
-    last capturing stage, at n+1, adds the counts into the final states
-    through the same marker targets.  A symbol outside the alphabet
-    raises InputError when it is read.
+    last capturing stage, at n+1, is the program of the symbol None: it
+    adds the counts of the final states, reached directly or through a
+    marker target, into the accepting slot.  A symbol outside the
+    alphabet raises InputError when it is read.
 
     ``counter.count_ops`` grows by one per state visited in either stage
     and one per transition taken.  Per character that is the program's
@@ -67,78 +71,57 @@ def count_det_seva(
         require_det_seva(automaton)
     counter = counter if counter is not None else OpCounter()
     tables = automaton.tables()
-    markers, letters = tables.markers, tables.letters
+    accepting: List[Optional[int]] = [None] * len(tables.states)
+    for q in tables.finals:
+        accepting[q] = 0
+    successors = {**tables.letters, None: accepting}
     budget = MEMO_BUDGET * automaton.size
-
-    sets: List[Tuple[int, ...]] = []        # live-set id -> ascending state ids
-    intern: Dict[Tuple[int, ...], int] = {}  # its inverse
-    rows: List[Dict[str, Program]] = []      # live-set id -> symbol -> Program
-    held = 0                                 # state ids, programs and pairs in the memo
-
-    def live_id(live: Tuple[int, ...]) -> int:
-        nonlocal held
-        found = intern.get(live)
-        if found is None:
-            found = intern[live] = len(sets)
-            sets.append(live)
-            rows.append({})
-            held += len(live)
-        return found
-
-    current = live_id((tables.initial,))
+    live: Tuple[int, ...] = (tables.initial,)
+    # live set -> symbol -> program; the symbol None is the end of the document
+    rows: Dict[Tuple[int, ...], Dict[Optional[str], Program]] = {live: {}}
+    row = rows[live]
+    held = 0  # the recorded programs and their pairs
     counts: List[int] = [1]
     ops = 0
-    for i, symbol in enumerate(document.content, 1):
-        program = rows[current].get(symbol)
+    for i, symbol in enumerate(chain(document.content, (None,)), 1):
+        program = row.get(symbol)
         if program is None:
-            successor = letters.get(symbol)
+            successor = successors.get(symbol)
             if successor is None:
                 raise document.alphabet_error(i)
-            live = sets[current]
             if held >= budget:
-                sets.clear()
-                intern.clear()
+                for cleared in rows.values():
+                    cleared.clear()
                 rows.clear()
+                row = rows[live] = {}
                 held = 0
-                current = live_id(live)
-            program = _record(live, markers, successor, live_id)
-            rows[current][symbol] = program
-            held += 1 + len(program[2])
-        current, size, pairs, step = program
+            program = row[symbol] = _record(live, tables.markers, successor, symbol is None, rows)
+            held += 1 + len(program[1])
+        size, pairs, step, live, row = program
         new = [0] * size
         for source, target in pairs:
             new[target] += counts[source]
         counts = new
         ops += step
-
-    total = 0
-    finals = set(tables.finals)
-    for q, amount in zip(sets[current], counts):
-        out = markers[q]
-        ops += 1 + len(out)
-        if q in finals:
-            total += amount
-        for _, p in out:
-            if p in finals:
-                total += amount
     counter.count_ops += ops
-    return total
+    return counts[0] if counts else 0
 
 
-def _record(live, markers, successor, live_id) -> Program:
+def _record(live, markers, successor, end, rows) -> Program:
     """The program of one character from ``live``: one pair per "optional
-    marker step, then the letter" path.  Interns the next live set through
-    ``live_id``."""
-    # ops: |L| capturing visits, one per marker transition, |L+| reading
-    # visits and one per letter transition taken from L+.
+    marker step, then the letter" path.  The next live set's row is taken
+    from ``rows`` or added to it; at the ``end`` of the document there is
+    no reading stage to charge and no next row."""
+    # ops: |L| capturing visits and one per marker transition; reads: |L+|
+    # reading visits and one per letter transition taken from L+.
     paths = []
-    ops = 2 * len(live)
+    ops = reads = len(live)
     targets = set()
     for j, q in enumerate(live):
         p = successor[q]
         if p is not None:
             paths.append((j, p))
-            ops += 1
+            reads += 1
         out = markers[q]
         if out:
             ops += len(out)
@@ -147,11 +130,14 @@ def _record(live, markers, successor, live_id) -> Program:
                 p = successor[r]
                 if p is not None:
                     paths.append((j, p))
-    if targets:
-        targets.difference_update(live)
-        for q in targets:
-            ops += 1 if successor[q] is None else 2
     after = sorted({p for _, p in paths})
     rank = dict(zip(after, range(len(after))))
     pairs = [(j, rank[p]) for j, p in paths]
-    return live_id(tuple(after)), len(after), pairs, ops
+    following = tuple(after)
+    if end:
+        return len(after), pairs, ops, following, None
+    if targets:
+        targets.difference_update(live)
+        for q in targets:
+            reads += 1 if successor[q] is None else 2
+    return len(after), pairs, ops + reads, following, rows.setdefault(following, {})

@@ -34,7 +34,9 @@ as lazy-DFA matchers and REmatch (Riveros, Van Sint Jan, Vrgoč, VLDB
   built: ``node`` counts every marker transition of L.
 - The memo is per call and cleared before a step is recorded once its
   steps, their slots and their edges number ``counting.MEMO_BUDGET *
-  automaton.size``: memory stays O(|A|) plus the DAG.
+  automaton.size``: memory stays O(|A|) plus the DAG.  Steps point at
+  rows, so clearing empties every row first and leaves no cycle for the
+  cyclic collector.
 """
 
 from __future__ import annotations
@@ -257,6 +259,8 @@ def evaluate_preprocess(
         step = row.get(symbol)
         if step is None:
             if held >= budget:
+                for cleared in rows.values():
+                    cleared.clear()
                 rows.clear()
                 row = rows[live] = {}
                 held = 0

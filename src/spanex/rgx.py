@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .automata import VA
+from .automata import VA, reachable
 from .errors import RegexSyntaxError
 from .model import Document, Mapping, Marker, Span
 
@@ -381,43 +381,24 @@ def rgx_to_va(node: RegexAst, alphabet: Optional[Iterable[str]] = None) -> VA:
         else:
             real_out.setdefault(q, []).append((label, p))
 
-    closures: Dict[int, FrozenSet[int]] = {}
+    # Each kept state's moves: the real transitions out of its closure.
+    moves: Dict[int, List[Tuple[object, int]]] = {}
+    finals: List[int] = []
 
-    def closure(q: int) -> FrozenSet[int]:
-        if q in closures:
-            return closures[q]
-        seen = {q}
-        stack = [q]
-        while stack:
-            cur = stack.pop()
-            for nxt in eps_out.get(cur, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        closures[q] = frozenset(seen)
-        return closures[q]
+    def targets(q: int) -> List[int]:
+        closure = reachable([q], lambda r: eps_out.get(r, ()))
+        if end in closure:
+            finals.append(q)
+        moves[q] = [(label, p) for via in closure for label, p in real_out.get(via, ())]
+        return [p for _, p in moves[q]]
 
-    new_transitions: Set[Tuple[int, object, int]] = set()
-    finals: Set[int] = set()
-    reachable = {start}
-    stack = [start]
-    while stack:
-        q = stack.pop()
-        if end in closure(q):
-            finals.add(q)
-        for via in closure(q):
-            for label, p in real_out.get(via, ()):
-                new_transitions.add((q, label, p))
-                if p not in reachable:
-                    reachable.add(p)
-                    stack.append(p)
-
-    names = {q: f"q{i}" for i, q in enumerate(sorted(reachable))}
+    kept = reachable([start], targets)
+    names = {q: f"q{i}" for i, q in enumerate(sorted(kept))}
     return VA(
         names.values(),
         names[start],
         [names[q] for q in finals],
-        [(names[q], label, names[p]) for q, label, p in new_transitions],
+        [(names[q], label, names[p]) for q in kept for label, p in moves[q]],
         alphabet,
         rgx_variables(node),
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from .automata import EVA, VA, Label, State, require_functional
+from .automata import EVA, VA, Label, State, reachable, require_functional
 from .model import MarkerSet, all_closed, markers_compatible
 
 logger = logging.getLogger(__name__)
@@ -36,24 +36,18 @@ def _at_most_power_of_two(count: int, exponent: int) -> bool:
 def variable_paths_from(va: VA, source: State) -> Dict[State, Set[MarkerSet]]:
     """All variable-paths out of ``source`` with pairwise-distinct markers.
 
-    Returns target -> the marker sets of the paths that reach it.
-    Exploration is memoized on (state, used markers).
+    Returns target -> the marker sets of the paths that reach it: one
+    walk over the (state, used markers) pairs reachable from ``source``.
     """
+    def moves(node: Tuple[State, MarkerSet]) -> List[Tuple[State, MarkerSet]]:
+        state, used = node
+        return [(nxt, used | {marker}) for marker, nxt in va.marker_transitions(state)
+                if marker not in used]
+
     results: Dict[State, Set[MarkerSet]] = {}
-    visited: Set[Tuple[State, MarkerSet]] = set()
-
-    def walk(state: State, used: MarkerSet) -> None:
-        if (state, used) in visited:
-            return
-        visited.add((state, used))
-        for marker, nxt in va.marker_transitions(state):
-            if marker in used:
-                continue
-            extended = used | {marker}
-            results.setdefault(nxt, set()).add(extended)
-            walk(nxt, extended)
-
-    walk(source, frozenset())
+    for state, used in reachable([(source, frozenset())], moves):
+        if used:
+            results.setdefault(state, set()).add(used)
     return results
 
 
@@ -65,30 +59,11 @@ def trim(automaton):
     """Restrict to the live states, those both reachable from the initial
     state and able to reach a final state, and the transitions between
     them; the initial state is always kept, isolated if it is not live."""
-    forward: Set[State] = set()
-    stack = [automaton.initial]
-    while stack:
-        q = stack.pop()
-        if q in forward:
-            continue
-        forward.add(q)
-        for _, p in automaton.out(q):
-            if p not in forward:
-                stack.append(p)
-
+    forward = reachable([automaton.initial], lambda q: [p for _, p in automaton.out(q)])
     incoming: Dict[State, List[State]] = {q: [] for q in automaton.states}
     for q, _, p in automaton.transitions:
         incoming[p].append(q)
-    backward: Set[State] = set()
-    stack = [q for q in automaton.finals]
-    while stack:
-        q = stack.pop()
-        if q in backward:
-            continue
-        backward.add(q)
-        stack.extend(incoming[q])
-
-    live = forward & backward
+    live = forward & reachable(automaton.finals, incoming.__getitem__)
     transitions = [(q, l, p) for q, l, p in automaton.transitions if q in live and p in live]
     cls = type(automaton)
     return cls(

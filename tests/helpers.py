@@ -224,7 +224,7 @@ def partial_outputs(nodelist: NodeList) -> List[Tuple[Event, ...]]:
 
 def expand_list(state: EvaluationState, q: State):
     """Structural expansion of a state's list, for trace comparisons."""
-    i = state.tables.index.get(q)
+    i = {p: j for j, p in enumerate(state.tables.states)}.get(q)
     nodelist = None if i is None else state.lists_by_id[i]
     if nodelist is None:
         return ()

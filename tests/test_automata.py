@@ -155,6 +155,34 @@ def test_format2_load_keeps_the_listed_order(monkeypatch):
     assert again["transitions"] == [[0, 0, 0], [0, 1, 1], [1, 0, 0]]
 
 
+_UNUSED_LABEL_FILE = {
+    "format": 2, "kind": "eva", "alphabet": ["a"], "states": ["q0", "q1"],
+    "labels": [{"markers": ["open:x", "close:x"]}, {"symbol": "a"}], "initial": 0,
+    "finals": [1], "transitions": [[0, 0, 1], [1, 1, 1]],
+}
+
+
+@pytest.mark.parametrize("unused, message", [
+    ({"symbol": "z"}, "symbol 'z' is not in the alphabet"),
+    ({"markers": ["open:y"]}, "markers reference undeclared variables: ['y']"),
+], ids=["symbol-outside-alphabet", "undeclared-variable"])
+def test_format2_checks_a_labels_entry_no_transition_uses(unused, message):
+    data = {**_UNUSED_LABEL_FILE, "variables": ["x"],
+            "labels": _UNUSED_LABEL_FILE["labels"] + [unused]}
+    with pytest.raises(FormatError) as raised:
+        load_automaton(data)
+    assert str(raised.value) == message
+
+
+def test_format2_unused_labels_entry_is_neither_ranked_nor_read_for_variables():
+    data = {**_UNUSED_LABEL_FILE,
+            "labels": [{"markers": ["open:y"]}] + _UNUSED_LABEL_FILE["labels"],
+            "transitions": [[0, 1, 1], [1, 2, 1]]}
+    loaded = load_automaton(data)
+    assert loaded.variables == {"x"}
+    assert dump_automaton(loaded) == dump_automaton(load_automaton(_UNUSED_LABEL_FILE))
+
+
 def _reordered(data, seed):
     """A format-2 object equal in meaning to ``data``: its first label
     listed a second time and used by every other triple that had it, one

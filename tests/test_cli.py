@@ -677,6 +677,18 @@ def test_malformed_format2_exits_2(runner, tmp_path, malformed, field):
     assert result.stderr.startswith("error:") and field in result.stderr, result.stderr
 
 
+@pytest.mark.parametrize("unused, message", [
+    ({"symbol": "z"}, "symbol 'z' is not in the alphabet"),
+    ({"markers": ["open:y"]}, "markers reference undeclared variables: ['y']"),
+], ids=["symbol-outside-alphabet", "undeclared-variable"])
+def test_check_refuses_a_bad_labels_entry_no_transition_uses(runner, tmp_path, unused, message):
+    path = tmp_path / "unused.json"
+    path.write_text(json.dumps({**_GOOD_FORMAT2, "labels": _GOOD_FORMAT2["labels"] + [unused]}))
+    result = runner.invoke(main, ["check", "--automaton", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_good_format2_counts(runner, tmp_path):
     path = tmp_path / "good.json"
     path.write_text(json.dumps(_GOOD_FORMAT2))

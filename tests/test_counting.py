@@ -1,7 +1,7 @@
 import math
 import random
 import tracemalloc
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 from hypothesis import given, settings
@@ -175,17 +175,15 @@ def test_memo_cleared_past_its_bound():
 
 
 def test_memo_entries_stay_within_budget(monkeypatch):
-    # Reads the memo through the closure of the live_id callback that
-    # count_det_seva hands to _record: when a program is recorded, the
-    # state ids of the interned live sets, the programs and their pairs
-    # number less than the budget plus the one live set and program added.
+    # Reads the memo through the rows count_det_seva hands to _record:
+    # when a program is recorded, the programs and their pairs number
+    # less than the budget plus the one program added.
     record, held = counting._record, []
 
-    def watched(live, markers, successor, live_id):
-        program = record(live, markers, successor, live_id)
-        memo = dict(zip(live_id.__code__.co_freevars, (c.cell_contents for c in live_id.__closure__)))
-        held.append(sum(map(len, memo["sets"])) + 1 + len(program[2])
-                    + sum(1 + len(p[2]) for row in memo["rows"] for p in row.values()))
+    def watched(live, markers, successor, end, rows):
+        program = record(live, markers, successor, end, rows)
+        held.append(sum(1 + len(p[1])
+                        for p in chain([program], *(row.values() for row in rows.values()))))
         return program
 
     monkeypatch.setattr(counting, "_record", watched)
@@ -229,3 +227,36 @@ def test_program_keeps_path_multiplicity():
         doc = Document(text)
         assert _counted(eva, doc) == count_reference(eva, doc)
         assert _counted(eva, doc)[0] == len(brute_enumerate_va(eva, doc))
+
+
+def _marker_into_final():
+    # f reads no letter, so every output is the marker step into f at n+1.
+    both = mset(open_m("x"), close_m("x"))
+    return EVA(["q", "f"], "q", ["f"], [("q", "a", "q"), ("q", both, "f")], ["a"], ["x"])
+
+
+def _final_initial():
+    # As above, and the initial state is final too: one more, empty output.
+    both = mset(open_m("x"), close_m("x"))
+    return EVA(["q", "f"], "q", ["q", "f"], [("q", "a", "q"), ("q", both, "f")], ["a"], ["x"])
+
+
+@pytest.mark.parametrize("build, text, expected", [
+    (_marker_into_final, "", 1),
+    (_marker_into_final, "aaa", 1),
+    (_final_initial, "", 2),
+    (_final_initial, "aaa", 2),
+])
+def test_count_at_the_end_of_the_document(build, text, expected):
+    eva, doc = build(), Document(text)
+    assert _counted(eva, doc) == count_reference(eva, doc)
+    assert _counted(eva, doc)[0] == expected == len(brute_enumerate_va(eva, doc))
+
+
+@pytest.mark.parametrize("text, position", [("z", 1), ("zaa", 1), ("aaz", 3)])
+def test_count_names_an_unknown_symbol_where_it_is_read(text, position):
+    message = f"symbol 'z' at position {position} is not in the alphabet"
+    for kernel in (count_det_seva, count_reference):
+        with pytest.raises(InputError) as raised:
+            kernel(_marker_into_final(), Document(text))
+        assert str(raised.value) == message

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import chain
 
 import pytest
 
@@ -436,7 +437,7 @@ def test_tables_intern_states_in_canonical_order():
     tables = fig4.tables()
     assert tables is fig4.tables()  # built once per automaton
     assert tables.states == fig4.state_order()
-    ids = tables.index
+    ids = {q: i for i, q in enumerate(tables.states)}
     assert tables.initial == ids["q0"] and tables.finals == [ids["q9"]]
     assert tables.markers[ids["q0"]] == [(m, ids[p]) for m, p in fig4.marker_transitions("q0")]
     assert len(tables.markers[ids["q0"]]) == 3
@@ -517,6 +518,27 @@ def test_preprocess_with_step_memo_cleared_before_every_recording(monkeypatch):
     doc = Document("".join(rng.choice("ab") for _ in range(500)))
     assert len(preprocessed_like_reference(det, doc)) == count_det_seva(det, doc) > 0
     assert len(preprocessed_like_reference(_fig1_det_seva(), Document(FIG1_TEXT))) == 2
+
+
+def test_step_memo_entries_stay_within_budget(monkeypatch):
+    # Reads the memo through the rows evaluate_preprocess hands to
+    # _record: when a step is recorded, the steps, their edges and their
+    # slots number less than the budget plus the one step added.
+    record, held = engine._record, []
+
+    def watched(live, markers, successor, lookahead, reached, rows):
+        step = record(live, markers, successor, lookahead, reached, rows)
+        held.append(sum(1 + len(s[1]) + len(s[2])
+                        for s in chain([step], *(row.values() for row in rows.values()))))
+        return step
+
+    monkeypatch.setattr(engine, "_record", watched)
+    det, _ = compile_spanner(parse_rgx(".*x{a" + "." * 12 + "}.*", "ab"), "ab")
+    rng = random.Random(0)
+    doc = Document("".join(rng.choice("ab") for _ in range(3_000)))
+    assert len(preprocessed_like_reference(det, doc)) == count_det_seva(det, doc) > 0
+    budget = counting.MEMO_BUDGET * det.size
+    assert budget <= max(held) < budget + det.size
 
 
 def test_lookahead_builds_only_nodes_that_reading_keeps(monkeypatch):

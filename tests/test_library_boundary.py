@@ -2,7 +2,9 @@
 module-level function and class under src/spanex is named somewhere in
 the library outside its own definition, in the README or in the
 benchmark adapter.  Re-exports in __init__.py do not count as a use, and
-the click commands in cli.py are entry points of their own."""
+the click commands in cli.py are entry points of their own.  Every
+field a library class lists in ``__slots__`` is read as an attribute in
+the library or the adapter."""
 
 import ast
 import re
@@ -52,3 +54,30 @@ def test_every_public_definition_has_a_user_outside_the_tests():
         and not any(node.name in names for _, other, names in statements if other is not node)
     ]
     assert unused == []
+
+
+def _slot_fields(tree: ast.Module):
+    """(class name, field) for every field a top-level class lists in a
+    literal ``__slots__``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for statement in node.body:
+                if (isinstance(statement, ast.Assign)
+                        and any(getattr(t, "id", None) == "__slots__" for t in statement.targets)):
+                    for field in ast.literal_eval(statement.value):
+                        yield node.name, field
+
+
+def test_every_slot_is_read_outside_the_tests():
+    # README words do not count: it says "index" and the like in prose.
+    # A store alone, such as the constructor's, is not a read.
+    library = {path.name: ast.parse(path.read_bytes()) for path in sorted(PACKAGE.glob("*.py"))}
+    adapter = ast.parse((ROOT / "perfbench" / "adapter.py").read_bytes())
+    read = {
+        node.attr for tree in [*library.values(), adapter] for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [f"{module}:{cls}.{field}"
+              for module, tree in library.items()
+              for cls, field in _slot_fields(tree) if field not in read]
+    assert unread == []
