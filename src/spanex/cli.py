@@ -16,6 +16,7 @@ from itertools import islice
 from typing import List, Optional
 
 import click
+from click.core import ParameterSource
 
 from .algebra import AlgebraExpr, Stage, compile_spanner, parse_expr
 from .automata import automaton_json, classify, load_automaton
@@ -118,8 +119,11 @@ def main() -> None:
 @click.option("--out", type=click.Path(), help="write the automaton JSON here")
 def cmd_compile(rgx, automaton, expr, alphabet, strategy, out) -> None:
     """Compile the input spanner to a deterministic sequential EVA."""
+    source = click.get_current_context().get_parameter_source("strategy")
 
     def run() -> None:
+        if expr is None and source is not ParameterSource.DEFAULT:
+            raise FormatError("--strategy applies only to --expr")
         result, stages = compile_spanner(*_load_spanner(rgx, automaton, expr, alphabet), strategy)
         _print_stage_report(stages)
         text = automaton_json(result) + "\n"

@@ -16,7 +16,12 @@ row.  A program is recorded when its pair is first reached.  It holds
 the next live set's size, one (source index, destination index) pair per
 path "an optional marker step, then the letter" (with multiplicity), the
 op constant, and the next live set and its row; running it is
-``new = [0] * size`` and one ``new[d] += counts[s]`` per pair.  The end
+``new = [0] * size`` and one ``new[d] += counts[s]`` per pair.  A
+program is *in place* when its pairs are exactly (j, j) for every slot j
+of L: each count reaches the same slot of the next live set along one
+path, so it stays where it is.  Its size is None, and running it only adds
+its op constant and takes its next live set and row; ``counts`` stays
+the same list, though the next live set may hold other states.  The end
 of the document is one more symbol, None, whose successor table sends
 every final state to slot 0, the one accepting slot.
 
@@ -36,8 +41,9 @@ from .automata import EVA, require_det_seva
 from .instrument import OpCounter
 from .model import Document
 
-# (next live set's size, (source, destination) pairs, ops, next live set, its row)
-Program = Tuple[int, List[Tuple[int, int]], int, Tuple[int, ...], Optional[Dict]]
+# (next live set's size, or None in place; (source, destination) pairs; ops;
+#  next live set; its row)
+Program = Tuple[Optional[int], List[Tuple[int, int]], int, Tuple[int, ...], Optional[Dict]]
 
 # The memo holds at most this many entries per unit of automaton.size.
 MEMO_BUDGET = 4
@@ -98,10 +104,11 @@ def count_det_seva(
             program = row[symbol] = _record(live, tables.markers, successor, symbol is None, rows)
             held += 1 + len(program[1])
         size, pairs, step, live, row = program
-        new = [0] * size
-        for source, target in pairs:
-            new[target] += counts[source]
-        counts = new
+        if size is not None:
+            new = [0] * size
+            for source, target in pairs:
+                new[target] += counts[source]
+            counts = new
         ops += step
     counter.count_ops += ops
     return counts[0] if counts else 0
@@ -109,7 +116,8 @@ def count_det_seva(
 
 def _record(live, markers, successor, end, rows) -> Program:
     """The program of one character from ``live``: one pair per "optional
-    marker step, then the letter" path.  The next live set's row is taken
+    marker step, then the letter" path, and the size None when those
+    pairs are (j, j) for every slot j.  The next live set's row is taken
     from ``rows`` or added to it; at the ``end`` of the document there is
     no reading stage to charge and no next row."""
     # ops: |L| capturing visits and one per marker transition; reads: |L+|
@@ -133,11 +141,12 @@ def _record(live, markers, successor, end, rows) -> Program:
     after = sorted({p for _, p in paths})
     rank = dict(zip(after, range(len(after))))
     pairs = [(j, rank[p]) for j, p in paths]
+    size = None if pairs == [(j, j) for j in range(len(live))] else len(after)
     following = tuple(after)
     if end:
-        return len(after), pairs, ops, following, None
+        return size, pairs, ops, following, None
     if targets:
         targets.difference_update(live)
         for q in targets:
             reads += 1 if successor[q] is None else 2
-    return len(after), pairs, ops + reads, following, rows.setdefault(following, {})
+    return size, pairs, ops + reads, following, rows.setdefault(following, {})

@@ -25,6 +25,10 @@ as lazy-DFA matchers and REmatch (Riveros, Van Sint Jan, Vrgoč, VLDB
   after it, the next live set, and the paper's op constants of both
   stages.  Replaying it takes the copies, prepends the nodes and moves
   the lists, with no dict and no sort.
+- A step is *in place* when it has no edges and no joins and sends
+  every list to its own slot: its replay only adds the op constants
+  and takes the next live set and row, and the lists stay where they
+  are (the next live set may name other states).
 - Looking one letter ahead: at i <= n a marker transition into a state
   with no transition on the next letter builds a node that reading drops
   at once, off every output path.  Steps leave such edges out unless a
@@ -183,8 +187,9 @@ class EvaluationState:
 
 PhaseHook = Callable[[str, int, "EvaluationState"], None]
 
-# (sources, node edges, slot ids, first arrivals, joins, lazy copies, nodes,
-#  reading visits, appends, next live set, its row of steps)
+# (sources, node edges, slot ids, first arrivals or None in place, joins,
+#  lazy copies, nodes, reading visits, appends, next live set, its row of
+#  steps or None without a reading part)
 Step = Tuple[Any, ...]
 
 
@@ -204,7 +209,10 @@ def evaluate_preprocess(
     skipped variable step); the reading stage clears and moves them.
     Each character replays the step recorded for its live set and letter
     (see the module docstring), so work per position is proportional to
-    the live part of the automaton.
+    the live part of the automaton; an in-place step, which builds no
+    node and moves no list, costs one row lookup and its op constants.
+    With ``on_phase``, the hooks after an in-place step still see every
+    list, under the next live set's states.
 
     Without ``on_phase``, the capturing stage at i <= n builds only the
     nodes whose target reads the next letter; with it, steps keep every
@@ -288,23 +296,28 @@ def evaluate_preprocess(
             publish(slots)
             flush()
             on_phase("capturing", i, state)
-        if firsts is None:
+        if row is None:
             if symbol is None:
                 break
             raise document.alphabet_error(i)
 
         # Reading: each list moves along its letter transition into the
         # first arrival's place, and the later arrivals are appended to
-        # it in ascending state order; the other lists empty.
-        moved = []
-        for s in firsts:
-            nodelist = work[s]
-            if nodelist.consumed:
-                raise AssertionError("append-once discipline violated: list already appended")
-            moved.append(nodelist)
-        for s, d in joins:
-            moved[d].append(work[s])
-        work = moved
+        # it in ascending state order; the other lists empty.  An in-place
+        # step (``firsts`` None) leaves every list in its slot.  It skips
+        # the append-once check: it moves and appends no list, and after
+        # any step ``work`` holds no consumed list (the appended ones
+        # leave it), so the check would find nothing.
+        if firsts is not None:
+            moved = []
+            for s in firsts:
+                nodelist = work[s]
+                if nodelist.consumed:
+                    raise AssertionError("append-once discipline violated: list already appended")
+                moved.append(nodelist)
+            for s, d in joins:
+                moved[d].append(work[s])
+            work = moved
         ops += stage_reads
         appends += stage_appends
         if on_phase is not None:
@@ -328,12 +341,14 @@ def _record(live: Tuple[int, ...], markers: List[List[Tuple[MarkerSet, int]]],
     free slot, given as None on its first edge.  ``slots`` holds the state
     id of every slot.  With ``lookahead``, only edges into a state that
     reads the letter are kept.  ``successor`` None records the end of
-    the document (or a symbol outside the alphabet): no reading part.
+    the document (or a symbol outside the alphabet): no reading part and
+    no next row.
 
     Reading: ``firsts[d]`` is the slot whose list moves into the d-th
     state of the next live set, and each join (slot, d) appends a list to
-    it, in ascending source state order.  The next live set's row is
-    taken from ``rows`` or added to it.
+    it, in ascending source state order.  ``firsts`` is None for a step
+    in place: no edge, no join and ``firsts[d] == d`` for every slot.
+    The next live set's row is taken from ``rows`` or added to it.
 
     The op constants are the paper's: one copy per live state and one
     node per marker transition, |L+| visits and one append per letter
@@ -384,10 +399,12 @@ def _record(live: Tuple[int, ...], markers: List[List[Tuple[MarkerSet, int]]],
             else:
                 moves[p] = s
     after = sorted(moves)
-    firsts = []
+    firsts: Optional[List[int]] = []
     for p in after:
         reached[p] = 1
         firsts.append(moves[p])
+    if not edges and not joins and firsts == list(range(len(live))):
+        firsts = None  # in place
     if joins:
         rank = dict(zip(after, range(len(after))))
         joins = [(s, rank[p]) for s, p in joins]

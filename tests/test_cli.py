@@ -436,6 +436,22 @@ def test_alphabet_with_automaton_exits_2(runner, fig4_path, command):
                              "an automaton file declares its own alphabet\n")
 
 
+@pytest.mark.parametrize("source", [["--rgx", "x{a}"], ["--automaton", None]],
+                         ids=["rgx", "automaton"])
+@pytest.mark.parametrize("strategy", ["prop8", "auto"])
+def test_strategy_without_expr_exits_2(runner, fig4_path, tmp_path, source, strategy):
+    # Only an expression has a strategy to choose, so one given with any
+    # other input is refused, not ignored; the default stays silent.
+    source = [fig4_path if arg is None else arg for arg in source]
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, ["compile", *source, "--strategy", strategy, "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: --strategy applies only to --expr\n"
+    assert not out.exists()
+    assert runner.invoke(main, ["compile", *source, "--out", str(out)]).exit_code == 0
+
+
 @pytest.mark.parametrize("text, position", [
     ("aaaaaaaz", 8),  # after the 'a' step from the same live set was replayed
     ("caaz", 4),      # after 'c' left no live state

@@ -1,0 +1,192 @@
+"""In-place replays: a counting program whose pairs are (j, j) for every
+slot, or a preprocessing step with no edge, no join and every list in its
+own slot, is replayed as bookkeeping only.  Each hand-built det-seVA
+below makes one such case, or one that looks like it and is not, happen
+on its document; both kernels must agree with their reference kernels on
+the outputs, their order, the counts, the op counts and ``reached``, and
+preprocessing also on the lists and counters at every phase."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spanex import EVA, Document, OpCounter, count_det_seva, evaluate_preprocess
+from spanex import counting, engine
+
+from fixtures import RandomProfile, random_instance
+from helpers import (
+    close_m,
+    count_reference,
+    expand_list,
+    mset,
+    open_m,
+    preprocess_reference,
+    preprocessed_like_reference,
+)
+
+
+def _both_open():
+    # x or y opens before each 'b' and the first 'a'; u and v read every
+    # 'a' into themselves, with no marker step, so the steps and programs
+    # of the 'a' run from (u, v) are in place.  8 outputs on bbb a^20 c.
+    return EVA(
+        ["i", "u", "v", "g", "h", "f"], "i", ["f"],
+        [("i", "b", "i"), ("i", mset(open_m("x")), "u"), ("i", mset(open_m("y")), "v"),
+         ("u", "a", "u"), ("u", "b", "u"), ("u", "c", "g"), ("g", mset(close_m("x")), "f"),
+         ("v", "a", "v"), ("v", "b", "v"), ("v", "c", "h"), ("h", mset(close_m("y")), "f")],
+        ["a", "b", "c"], ["x", "y"],
+    )
+
+
+def _swap():
+    # After bbb a, p holds 3 runs and q one; each later 'a' swaps them
+    # (p -a-> q, q -a-> p): the live set keeps its size and states, but
+    # every count and list moves to the other slot.  Only p closes x.
+    return EVA(
+        ["i", "p", "q", "f"], "i", ["f"],
+        [("i", "b", "i"), ("i", mset(open_m("x")), "p"), ("p", "b", "q"), ("q", "b", "q"),
+         ("p", "a", "q"), ("q", "a", "p"), ("p", mset(close_m("x")), "f")],
+        ["a", "b"], ["x"],
+    )
+
+
+def _marker_into_own_slot():
+    # From (i,), 'a' reaches t directly and after the marker step
+    # i -{x}-> r: both paths land in slot 0, the slot i holds, so the
+    # program has two pairs for one slot.  t then reads every 'a' in place.
+    both = mset(open_m("x"), close_m("x"))
+    return EVA(
+        ["i", "r", "t"], "i", ["t"],
+        [("i", "a", "t"), ("i", both, "r"), ("r", "a", "t"), ("t", "a", "t")],
+        ["a"], ["x"],
+    )
+
+
+def _renamed():
+    # After 'b' the one live state is u; the first 'a' moves its list to
+    # w, another state in the same slot, with no marker step: an in-place
+    # step whose live ids change.  w then reads 'a' into itself.
+    return EVA(
+        ["i", "s", "u", "w", "g", "f"], "i", ["f"],
+        [("i", mset(open_m("x")), "s"), ("s", "b", "u"), ("u", "a", "w"), ("w", "a", "w"),
+         ("w", "c", "g"), ("g", mset(close_m("x")), "f")],
+        ["a", "b", "c"], ["x"],
+    )
+
+
+def _recorded(monkeypatch):
+    """Every (live set, program, in place) counting records and every
+    (live set, step, hooked, in place) preprocessing records."""
+    programs, steps = [], []
+    count_record, step_record = counting._record, engine._record
+
+    def count_watched(live, markers, successor, end, rows):
+        program = count_record(live, markers, successor, end, rows)
+        programs.append((live, program, program[0] is None))
+        return program
+
+    def step_watched(live, markers, successor, lookahead, reached, rows):
+        step = step_record(live, markers, successor, lookahead, reached, rows)
+        steps.append((live, step, not lookahead, step[3] is None and step[10] is not None))
+        return step
+
+    monkeypatch.setattr(counting, "_record", count_watched)
+    monkeypatch.setattr(engine, "_record", step_watched)
+    return programs, steps
+
+
+def _phases(kernel, eva, doc):
+    """The counters and every state's list after each stage."""
+    counter, seen = OpCounter(), []
+
+    def hook(phase, index, state):
+        seen.append((phase, index, counter.preprocess, dict(counter.detail),
+                     {q: expand_list(state, q) for q in state.tables.states}))
+
+    kernel(eva, doc, counter=counter, on_phase=hook)
+    return seen
+
+
+def _like_references(eva, doc):
+    """The count and the NDJSON lines, after checking both kernels, plain
+    and hooked, against their reference kernels."""
+    counter = OpCounter()
+    counted = count_det_seva(eva, doc, counter=counter)
+    assert (counted, counter.count_ops) == count_reference(eva, doc)
+    lines = preprocessed_like_reference(eva, doc)
+    assert _phases(evaluate_preprocess, eva, doc) == _phases(preprocess_reference, eva, doc)
+    assert len(lines) == counted
+    return counted, lines
+
+
+def test_pure_in_place_run(monkeypatch):
+    programs, steps = _recorded(monkeypatch)
+    eva = _both_open()
+    counted, _ = _like_references(eva, Document("bbb" + "a" * 20 + "c"))
+    assert counted == 8
+    # (u, v) on 'a' into itself and on 'c' into (g, h), in counting and
+    # in the plain and the hooked pass.
+    ids = {q: k for k, q in enumerate(eva.tables().states)}
+    after = [(ids["u"], ids["v"]), (ids["g"], ids["h"])]
+    assert sorted(program[3] for _, program, in_place in programs if in_place) == sorted(after)
+    assert sorted((hooked, step[9]) for _, step, hooked, in_place in steps if in_place) == sorted(
+        (hooked, live) for hooked in (False, True) for live in after)
+    assert {live for live, *_, in_place in programs + steps if in_place} == {after[0]}
+
+
+@pytest.mark.parametrize("a_run", [2, 3, 8, 9])
+def test_swap_is_not_in_place(monkeypatch, a_run):
+    programs, steps = _recorded(monkeypatch)
+    counted, _ = _like_references(_swap(), Document("bbb" + "a" * a_run))
+    assert counted == (3 if a_run % 2 else 1)
+    swaps = [program for _, program, _ in programs if program[1] == [(0, 1), (1, 0)]]
+    assert swaps and all(size == 2 for size, *_ in swaps)
+    assert any(step[3] == [1, 0] for _, step, *_ in steps)
+    assert not any(in_place for *_, in_place in programs + steps)
+
+
+def test_marker_path_into_its_own_slot_is_not_in_place(monkeypatch):
+    programs, _ = _recorded(monkeypatch)
+    counted, _ = _like_references(_marker_into_own_slot(), Document("a" * 12))
+    assert counted == 2
+    doubled = [program for _, program, _ in programs if program[1] == [(0, 0), (0, 0)]]
+    assert doubled and all(size == 1 for size, *_ in doubled)
+    # Only t's programs, on 'a' and at the end, are in place.
+    t = _marker_into_own_slot().tables().states.index("t")
+    assert {live for live, _, in_place in programs if in_place} == {(t,)}
+
+
+def test_hooked_in_place_step_renames_its_live_state(monkeypatch):
+    _, steps = _recorded(monkeypatch)
+    _, lines = _like_references(_renamed(), Document("b" + "a" * 6 + "c"))
+    assert lines == ['{"x": [1, 9]}\n']
+    ids = {q: k for k, q in enumerate(_renamed().tables().states)}
+    renamed = [(live, step[9]) for live, step, hooked, in_place in steps if hooked and in_place]
+    assert ((ids["u"],), (ids["w"],)) in renamed
+    assert ((ids["w"],), (ids["w"],)) in renamed
+
+
+def _runs(letters):
+    """Documents of a few long single-letter runs."""
+    return st.lists(st.tuples(st.sampled_from(letters), st.integers(1, 40)),
+                    min_size=1, max_size=5).map(lambda runs: "".join(c * k for c, k in runs))
+
+
+@st.composite
+def run_heavy_instances(draw):
+    """A random det-seVA and documents of long single-letter runs over its
+    alphabet, where live sets recur unchanged and replays are in place."""
+    seed = draw(st.integers(0, 10_000))
+    profile = RandomProfile(kind="det_seva", states=draw(st.integers(2, 7)),
+                            variables=draw(st.integers(1, 2)))
+    eva = random_instance(seed, profile)
+    texts = draw(st.lists(_runs(sorted(eva.alphabet)), min_size=1, max_size=3))
+    return eva, [Document(text) for text in texts]
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(run_heavy_instances())
+def test_run_heavy_documents_equal_reference_kernels(instance):
+    eva, docs = instance
+    for doc in docs:
+        _like_references(eva, doc)
