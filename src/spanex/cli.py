@@ -9,6 +9,7 @@ error.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -206,7 +207,7 @@ def cmd_enumerate(rgx, automaton, expr, alphabet, doc, doc_inline, limit, stats,
                 sink.close()
         if meter:
             report = meter.report(state.counter.preprocess)
-            click.echo(json.dumps(report.as_dict(), sort_keys=True), err=True)
+            click.echo(json.dumps(dataclasses.asdict(report), sort_keys=True), err=True)
 
     _guard(run)
 

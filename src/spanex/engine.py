@@ -4,7 +4,7 @@ The preprocessing pass scans the document once, alternating a capturing
 stage (simulate the variable transitions that can fire before the next
 letter) and a reading stage (move lists along letter transitions).  It
 builds a DAG whose nodes are marker events (S, i) and whose backward
-paths to the sink encode exactly the runs; enumeration then walks that
+paths to the sink ⊥ encode exactly the runs; enumeration then walks that
 DAG depth-first and emits each output mapping once, with work between
 two outputs bounded by the automaton alone.  That walk, ``enumerate_raw``,
 is the only one: its frames carry each variable's field (start, end and
@@ -25,6 +25,10 @@ as lazy-DFA matchers and REmatch (Riveros, Van Sint Jan, Vrgoč, VLDB
   after it, the next live set, and the paper's op constants of both
   stages.  Replaying it takes the copies, prepends the nodes and moves
   the lists, with no dict and no sort.
+- Each DAG node is its own list cell: its ``next`` slot chains the list
+  it sits in, so a node costs one object.  The sink ⊥ is a node without
+  a predecessor list, made afresh by each call: appends may set its
+  ``next``, so it belongs to one run.
 - A step is *in place* when it has no edges and no joins and sends
   every list to its own slot: its replay only adds the op constants
   and takes the next live set and row, and the lists stay where they
@@ -55,39 +59,19 @@ from .instrument import DelayReport, OpCounter
 from .model import Document, Mapping, MarkerSet, Span
 
 
-class _Bottom:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "BOTTOM"
-
-
-BOTTOM = _Bottom()
-
-
-class _Element:
-    """Singly linked list element; write-once except that an unset next
-    pointer may be set exactly once (the append hook)."""
-
-    __slots__ = ("payload", "next")
-
-    def __init__(self, payload: Any, nxt: Optional["_Element"]):
-        self.payload = payload
-        self.next = nxt
-
-
 class NodeList:
-    """List as a (start, end) handle pair into a shared element chain.
+    """List as a (start, end) handle pair into a shared chain of DAG nodes.
 
-    Iteration is bounded by the recorded end handle, never by an unset
-    next pointer; that makes a lazy copy stable even when the copied
-    range's last element later has its next pointer set by an append to
-    the original list.  All operations are O(1).
+    Each node is its own list cell: its ``next`` slot links it to the
+    node after it.  Iteration is bounded by the recorded end handle,
+    never by an unset ``next``; that makes a lazy copy stable even when
+    the copied range's last node later has its ``next`` set by an append
+    to the original list.  All operations are O(1).
     """
 
     __slots__ = ("start", "end", "consumed")
 
-    def __init__(self, start: Optional[_Element] = None, end: Optional[_Element] = None):
+    def __init__(self, start: Optional["DagNode"] = None, end: Optional["DagNode"] = None):
         self.start = start
         self.end = end
         self.consumed = False  # set once this list was appended into another
@@ -96,12 +80,13 @@ class NodeList:
     def is_empty(self) -> bool:
         return self.start is None
 
-    def add(self, payload: Any) -> None:
-        """Prepend a payload; the end handle is unchanged."""
-        element = _Element(payload, self.start)
-        self.start = element
+    def add(self, node: "DagNode") -> None:
+        """Prepend a node that sits in no list yet; the end handle is
+        unchanged."""
+        node.next = self.start
+        self.start = node
         if self.end is None:
-            self.end = element
+            self.end = node
 
     def lazycopy(self) -> "NodeList":
         return NodeList(self.start, self.end)
@@ -124,33 +109,43 @@ class NodeList:
             self.end = other.end
             return
         if self.end.next is not None:
-            raise AssertionError("append target's end element already has a successor")
+            raise AssertionError("append target's end node already has a successor")
         self.end.next = other.start
         self.end = other.end
 
-    def payloads(self) -> Iterator[Any]:
-        """The payloads from the start handle to the end handle: the
+    def payloads(self) -> Iterator["DagNode"]:
+        """The nodes from the start handle to the end handle: the
         traversal of the enumeration walk (which counts its steps) and of
         tests."""
-        element = self.start
-        while element is not None:
-            yield element.payload
-            if element is self.end:
+        node = self.start
+        while node is not None:
+            yield node
+            if node is self.end:
                 break
-            element = element.next
+            node = node.next
 
 
 class DagNode:
-    """A marker event (S, i) plus the list of its predecessor nodes."""
+    """A marker event (S, i), the list of its predecessor nodes, and the
+    ``next`` node of the list it sits in.
 
-    __slots__ = ("markers", "position", "list")
+    The sink ⊥ is the one node whose ``list`` is None.  Each preprocessing
+    run makes its own: an append into a list that ends at ⊥ sets ⊥'s
+    ``next``, so a ⊥ shared by two runs would link their DAGs.
+    """
 
-    def __init__(self, markers: MarkerSet, position: int, predecessors: NodeList):
+    __slots__ = ("markers", "position", "list", "next")
+
+    def __init__(self, markers: MarkerSet, position: int, predecessors: Optional[NodeList],
+                 nxt: Optional["DagNode"]):
         self.markers = markers
         self.position = position
         self.list = predecessors
+        self.next = nxt
 
     def __repr__(self) -> str:
+        if self.list is None:
+            return "DagNode(⊥)"
         return f"DagNode({sorted(str(m) for m in self.markers)}, {self.position})"
 
 
@@ -236,8 +231,8 @@ def evaluate_preprocess(
     reached = bytearray(len(tables.states))
     reached[tables.initial] = 1
     state = EvaluationState(automaton, counter, tables, lists, reached)
-    initial = NodeList()
-    initial.add(BOTTOM)
+    bottom = DagNode(frozenset(), 0, None, None)  # this run's sink ⊥
+    initial = NodeList(bottom, bottom)
     live: Tuple[int, ...] = (tables.initial,)
     work: List[NodeList] = [initial]  # the lists of ``live``, then this stage's new targets
     budget = counting.MEMO_BUDGET * automaton.size
@@ -285,11 +280,11 @@ def evaluate_preprocess(
             taken = [work[j].lazycopy() for j in sources]
             for k, marker_set, t in edges:
                 if t is None:  # the first node of a new target's list
-                    element = _Element(DagNode(marker_set, i, taken[k]), None)
-                    work.append(NodeList(element, element))
+                    node = DagNode(marker_set, i, taken[k], None)
+                    work.append(NodeList(node, node))
                 else:
                     target = work[t]
-                    target.start = _Element(DagNode(marker_set, i, taken[k]), target.start)
+                    target.start = DagNode(marker_set, i, taken[k], target.start)
         copies += stage_copies
         nodes += stage_nodes
         if on_phase is not None:
@@ -438,7 +433,7 @@ def enumerate_raw(
     never opens, or opens one it never closes, raises AssertionError.
 
     The explicit stack mirrors the recursive traversal exactly (finals
-    in canonical state order, list elements in list order), so the
+    in canonical state order, list nodes in list order), so the
     emission order is deterministic.
     """
     counter = counter if counter is not None else state.counter
@@ -451,23 +446,23 @@ def enumerate_raw(
         counter.enum_work += 1
         if nodelist is None:
             continue
-        # Frame: (payloads, entries of the path below, its pending ends).
-        stack: List[Tuple[Iterator[Any], Tuple[Any, ...], int]] = [
+        # Frame: (nodes, entries of the path below, its pending ends).
+        stack: List[Tuple[Iterator[DagNode], Tuple[Any, ...], int]] = [
             (nodelist.payloads(), unbound, 0)]
         while stack:
-            payloads, entries, pending = stack[-1]
-            payload = next(payloads, None)
+            nodes, entries, pending = stack[-1]
+            node = next(nodes, None)
             counter.enum_work += 1
-            if payload is None:
+            if node is None:
                 stack.pop()
-            elif payload is BOTTOM:
+            elif node.list is None:  # the sink ⊥
                 if pending:
                     r = next(r for r, e in enumerate(entries) if type(e) is int)
                     raise AssertionError(f"variable {names[r]!r} closed but never opened")
                 yield entries
             else:
-                position = payload.position
-                opens, closes = ranks[payload.markers]
+                position = node.position
+                opens, closes = ranks[node.markers]
                 below = list(entries)
                 for r in closes:
                     if below[r] is not None:
@@ -478,7 +473,7 @@ def enumerate_raw(
                     if type(end) is not int:
                         raise AssertionError(f"variable {names[r]!r} opened but never closed")
                     below[r] = (position, end, f"{heads[r]}{position}, {end}]")
-                stack.append((payload.list.payloads(), tuple(below),
+                stack.append((node.list.payloads(), tuple(below),
                               pending + len(closes) - len(opens)))
                 counter.enum_work += 1
 

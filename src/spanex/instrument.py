@@ -28,10 +28,3 @@ class DelayReport:
     outputs: int
     max_inter_output_work: int
     preprocessing_ops: int
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "outputs": self.outputs,
-            "max_inter_output_work": self.max_inter_output_work,
-            "preprocessing_ops": self.preprocessing_ops,
-        }

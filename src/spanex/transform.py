@@ -18,11 +18,6 @@ from .model import MarkerSet, all_closed, markers_compatible
 logger = logging.getLogger(__name__)
 
 
-def _check_bound(condition: bool, message: str) -> None:
-    if not condition:
-        raise AssertionError(message)
-
-
 def _at_most_power_of_two(count: int, exponent: int) -> bool:
     """``count <= 2 ** exponent`` without building the power, which for
     large automata has more digits than Python will print or can store."""
@@ -184,15 +179,13 @@ def va_to_det_seva_general(automaton) -> EVA:
         lambda state: bool(state[0] & automaton.finals) and all_closed(state[1]),
         automaton.alphabet, automaton.variables,
     )
-    _check_bound(
-        len(result.states) <= (2 ** n) * (3 ** n_vars),
-        f"general construction exceeded 2^n*3^l states: {len(result.states)}",
-    )
+    if len(result.states) > (2 ** n) * (3 ** n_vars):
+        raise AssertionError(
+            f"general construction exceeded 2^n*3^l states: {len(result.states)}")
     n_transitions = result.size - len(result.states)
-    _check_bound(
-        n_transitions <= (2 ** n) * (5 ** n_vars + (3 ** n_vars) * len(automaton.alphabet)),
-        f"general construction exceeded its transition bound: {n_transitions}",
-    )
+    if n_transitions > (2 ** n) * (5 ** n_vars + (3 ** n_vars) * len(automaton.alphabet)):
+        raise AssertionError(
+            f"general construction exceeded its transition bound: {n_transitions}")
     return result
 
 
@@ -226,13 +219,11 @@ def functional_va_to_det_seva(va: VA) -> EVA:
         "functional pipeline: %d states -> %d deterministic states (bound 2^%d)",
         n, len(result.states), n,
     )
-    _check_bound(
-        _at_most_power_of_two(len(result.states), n),
-        f"functional construction exceeded 2^n states: {len(result.states)} > 2^{n}",
-    )
+    if not _at_most_power_of_two(len(result.states), n):
+        raise AssertionError(
+            f"functional construction exceeded 2^n states: {len(result.states)} > 2^{n}")
     n_transitions = result.size - len(result.states)
-    _check_bound(
-        n_transitions <= (2 ** n) * (n ** 2 + len(va.alphabet)),
-        f"functional construction exceeded its transition bound: {n_transitions}",
-    )
+    if n_transitions > (2 ** n) * (n ** 2 + len(va.alphabet)):
+        raise AssertionError(
+            f"functional construction exceeded its transition bound: {n_transitions}")
     return result

@@ -23,7 +23,7 @@ from spanex import (
     evaluate_preprocess,
 )
 from spanex.automata import _INVALID, ClassificationReport, Label, State, format_label, state_name
-from spanex.engine import BOTTOM, DagNode, NodeList, PhaseHook, _Element, enumerate_ndjson
+from spanex.engine import DagNode, NodeList, PhaseHook, enumerate_ndjson
 from spanex.instrument import OpCounter
 from spanex.model import Marker, MarkerSet, all_closed, marker_set_key, markers_compatible
 
@@ -210,12 +210,12 @@ def partial_outputs(nodelist: NodeList) -> List[Tuple[Event, ...]]:
     found: List[Tuple[Event, ...]] = []
 
     def walk(nl: NodeList, acc: List[Event]) -> None:
-        for payload in nl.payloads():
-            if payload is BOTTOM:
+        for node in nl.payloads():
+            if node.list is None:
                 found.append(tuple(reversed(acc)))
             else:
-                acc.append((payload.markers, payload.position))
-                walk(payload.list, acc)
+                acc.append((node.markers, node.position))
+                walk(node.list, acc)
                 acc.pop()
 
     walk(nodelist, [])
@@ -233,11 +233,11 @@ def expand_list(state: EvaluationState, q: State):
 
 def _expand(nodelist: NodeList):
     out = []
-    for payload in nodelist.payloads():
-        if payload is BOTTOM:
-            out.append("BOTTOM")
+    for node in nodelist.payloads():
+        if node.list is None:
+            out.append("⊥")
         else:
-            out.append((payload.markers, payload.position, _expand(payload.list)))
+            out.append((node.markers, node.position, _expand(node.list)))
     return tuple(out)
 
 
@@ -420,7 +420,7 @@ def preprocess_reference(
     lists: List[Optional[NodeList]] = [None] * len(tables.states)
     reached = bytearray(len(tables.states))
     initial = NodeList()
-    initial.add(BOTTOM)
+    initial.add(DagNode(frozenset(), 0, None, None))  # this run's sink
     lists[tables.initial] = initial
     reached[tables.initial] = 1
     live = [tables.initial]  # ids of the nonempty lists, ascending
@@ -453,15 +453,11 @@ def preprocess_reference(
         arrivals = []
         for out, source in sources:
             for marker_set, p in out:
-                element = _Element(DagNode(marker_set, i, source), None)
-                target = lists[p]
-                if target is None:
-                    lists[p] = NodeList(element, element)
+                if lists[p] is None:
+                    lists[p] = NodeList()
                     reached[p] = 1
                     arrivals.append(p)
-                else:
-                    element.next = target.start
-                    target.start = element
+                lists[p].add(DagNode(marker_set, i, source, None))
             nodes += len(out)
         if arrivals:
             live += arrivals

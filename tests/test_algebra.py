@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -227,6 +228,31 @@ def test_compile_single_atom_matches_functional_pipeline():
                 == brute_enumerate_va(direct, doc))
     report = classify(compiled)
     assert report.deterministic and report.sequential
+
+
+def test_compile_bound_check_prints_no_expanded_exponent():
+    # Under prop7 the state bound is 2^(n^k): with 1,100 atoms n^k = 4^1100
+    # has 663 decimal digits, more than the 640 allowed here, so the bound
+    # check must not format it.
+    a = frozenset("a")
+
+    def balanced(atoms):
+        if len(atoms) == 1:
+            return atoms[0]
+        half = len(atoms) // 2
+        return Union(balanced(atoms[:half]), balanced(atoms[half:]))
+
+    expr = Project(frozenset(["x"]), balanced([Atom(parse_rgx("x{a}", a), a)] * 1100))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        compiled = compile_expr(expr)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    report = classify(compiled)
+    assert report.deterministic and report.sequential
+    assert set(enumerate_stream(evaluate_preprocess(compiled, Document("a")))) == {
+        mapping(x=(1, 2))}
 
 
 def _semantics(expr, doc):

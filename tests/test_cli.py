@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -226,7 +227,7 @@ def test_enumerate_stats_walks_once(runner):
     sigma = frozenset("ab")
     det = functional_va_to_det_seva(rgx_to_va(parse_rgx(".*x{a.*}.*", sigma), sigma))
     expected = measure_delay(evaluate_preprocess(det, Document("abababab")))
-    assert json.loads(full.stderr.splitlines()[-1]) == expected.as_dict()
+    assert json.loads(full.stderr.splitlines()[-1]) == dataclasses.asdict(expected)
 
 
 def test_enumerate_escaped_names_and_empty_spans(runner, tmp_path):

@@ -20,7 +20,7 @@ from spanex import (
     va_to_det_seva_general,
 )
 from spanex import counting, engine
-from spanex.engine import BOTTOM, DagNode, NodeList, enumerate_ndjson
+from spanex.engine import DagNode, NodeList, enumerate_ndjson
 from spanex.errors import InputError, PreconditionError
 from spanex.instrument import OpCounter
 
@@ -50,22 +50,35 @@ from helpers import (
 # List primitive
 # ---------------------------------------------------------------------------
 
+def cells(names):
+    """One fresh DagNode per name, each its own list cell."""
+    return {name: DagNode(frozenset(), 0, NodeList(), None) for name in names.split()}
+
+
+def order(nodelist, named):
+    """The names of a list's cells, in list order."""
+    name_of = {id(node): name for name, node in named.items()}
+    return [name_of[id(node)] for node in nodelist.payloads()]
+
+
 def test_list_add_is_lifo():
+    c = cells("n1 n2")
     nl = NodeList()
     assert nl.is_empty
-    nl.add("n1")
-    nl.add("n2")
-    assert list(nl.payloads()) == ["n2", "n1"]
+    nl.add(c["n1"])
+    nl.add(c["n2"])
+    assert order(nl, c) == ["n2", "n1"]
 
 
 def test_lazycopy_stable_under_add():
+    c = cells("a b c")
     nl = NodeList()
-    nl.add("b")
-    nl.add("a")
+    nl.add(c["b"])
+    nl.add(c["a"])
     copy = nl.lazycopy()
-    nl.add("c")
-    assert list(copy.payloads()) == ["a", "b"]
-    assert list(nl.payloads()) == ["c", "a", "b"]
+    nl.add(c["c"])
+    assert order(copy, c) == ["a", "b"]
+    assert order(nl, c) == ["c", "a", "b"]
 
 
 def test_lazycopy_of_empty():
@@ -77,39 +90,43 @@ def test_lazycopy_stable_under_append_to_original():
     # The capturing/reading aliasing scenario: a node holds a lazy copy,
     # the copied list is later appended into another list; the copy must
     # keep iterating exactly the old range.
+    c = cells("s1 s2 t1")
     source = NodeList()
-    source.add("s2")
-    source.add("s1")
+    source.add(c["s2"])
+    source.add(c["s1"])
     frozen = source.lazycopy()
     target = NodeList()
-    target.add("t1")
+    target.add(c["t1"])
     target.append(source)
-    assert list(frozen.payloads()) == ["s1", "s2"]
-    assert list(target.payloads()) == ["t1", "s1", "s2"]
+    assert order(frozen, c) == ["s1", "s2"]
+    assert order(target, c) == ["t1", "s1", "s2"]
 
 
 def test_append_examples():
+    c = cells("a")
     empty = NodeList()
     single = NodeList()
-    single.add("a")
+    single.add(c["a"])
     empty.append(single)
-    assert list(empty.payloads()) == ["a"]
+    assert order(empty, c) == ["a"]
 
+    c = cells("a b")
     left = NodeList()
-    left.add("a")
+    left.add(c["a"])
     right = NodeList()
-    right.add("b")
+    right.add(c["b"])
     left.append(right)
-    assert list(left.payloads()) == ["a", "b"]
+    assert order(left, c) == ["a", "b"]
 
 
 def test_append_once_discipline():
+    c = cells("x 1 2")
     src = NodeList()
-    src.add("x")
+    src.add(c["x"])
     t1 = NodeList()
-    t1.add("1")
+    t1.add(c["1"])
     t2 = NodeList()
-    t2.add("2")
+    t2.add(c["2"])
     t1.append(src)
     with pytest.raises(AssertionError):
         t2.append(src)
@@ -125,7 +142,7 @@ OX = mset(open_m("x"))
 OY = mset(open_m("y"))
 OXY = mset(open_m("x"), open_m("y"))
 CXY = mset(close_m("x"), close_m("y"))
-BOT = ("BOTTOM",)
+BOT = ("⊥",)
 
 
 def expected_trace():
@@ -175,7 +192,7 @@ def test_golden_dag_is_shared_not_copied():
     # The final DAG of the worked example: the two closing nodes hang off
     # the very element chains of list_q8 and list_q3 (lazy copies alias,
     # they never duplicate), every descent bottoms out at one shared
-    # sink element, and exactly 7 nodes are reachable from the finals.
+    # sink node, and exactly 7 nodes are reachable from the finals.
     state = evaluate_preprocess(gen_fig4_automaton(), Document("ab"))
     via_q8, via_q3 = list(state.lists["q9"].payloads())
     q8, q3 = state.lists["q8"], state.lists["q3"]
@@ -186,14 +203,14 @@ def test_golden_dag_is_shared_not_copied():
     sinks = set()
 
     def walk(nl):
-        element = nl.start
-        while element is not None:
-            if element.payload is BOTTOM:
-                sinks.add(id(element))
-            elif id(element.payload) not in reachable:
-                reachable.add(id(element.payload))
-                walk(element.payload.list)
-            element = None if element is nl.end else element.next
+        node = nl.start
+        while node is not None:
+            if node.list is None:
+                sinks.add(id(node))
+            elif id(node) not in reachable:
+                reachable.add(id(node))
+                walk(node.list)
+            node = None if node is nl.end else node.next
 
     walk(state.lists["q9"])
     assert len(reachable) == 7
@@ -544,9 +561,12 @@ def test_step_memo_entries_stay_within_budget(monkeypatch):
 def test_lookahead_builds_only_nodes_that_reading_keeps(monkeypatch):
     # On the Fig-1 contact automaton most marker steps lead into a state
     # that cannot read the next letter: 59 of the paper's 359 nodes are
-    # built, and the op counts still read the paper's total.
+    # built, besides the run's sink, and the op counts still read the
+    # paper's total.
     built = []
     monkeypatch.setattr(engine, "DagNode", lambda *args: built.append(args) or DagNode(*args))
     lines = preprocessed_like_reference(_fig1_det_seva(), Document((FIG1_TEXT * 8)[:200]))
     assert len(lines) == 14
-    assert len(built) == 59 < KERNEL_CONTRACT[0][3]["node"] == 359
+    nodes = [args for args in built if args[2] is not None]
+    assert len(built) == len(nodes) + 1
+    assert len(nodes) == 59 < KERNEL_CONTRACT[0][3]["node"] == 359

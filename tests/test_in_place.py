@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from spanex import EVA, Document, OpCounter, count_det_seva, evaluate_preprocess
 from spanex import counting, engine
+from spanex.engine import enumerate_ndjson
 
 from fixtures import RandomProfile, random_instance
 from helpers import (
@@ -154,6 +155,22 @@ def test_marker_path_into_its_own_slot_is_not_in_place(monkeypatch):
     # Only t's programs, on 'a' and at the end, are in place.
     t = _marker_into_own_slot().tables().states.index("t")
     assert {live for live, _, in_place in programs if in_place} == {(t,)}
+
+
+def test_sink_belongs_to_one_run():
+    # At position 1 the reading stage appends r's list to the initial
+    # list, whose end cell is the sink: that sets the sink's next, so two
+    # runs over one shared sink would link their DAGs.  The second run is
+    # built before the first is walked.
+    eva, doc = _marker_into_own_slot(), Document("a" * 12)
+    counters = [OpCounter(), OpCounter()]
+    runs = [evaluate_preprocess(eva, doc, counter=counter) for counter in counters]
+    want = OpCounter()
+    lines = list(enumerate_ndjson(preprocess_reference(eva, doc, counter=want)))
+    assert len(lines) == 2
+    for state, counter in zip(runs, counters):
+        assert list(enumerate_ndjson(state)) == lines
+        assert (counter.preprocess, counter.detail) == (want.preprocess, want.detail)
 
 
 def test_hooked_in_place_step_renames_its_live_state(monkeypatch):
