@@ -10,14 +10,14 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union as TUnion
 
-from .automata import EVA, VA, State, classify, require_det_seva, require_functional
+from .automata import EVA, VA, Label, State, classify, require_det_seva, require_functional
 from .errors import FormatError, InputError
 from .model import MarkerSet, markers_of
 from .rgx import MAX_NESTING, RegexAst, infer_alphabet, parse_rgx, rgx_to_va
 from .transform import (
     _at_most_power_of_two,
-    _determinize,
     _reachable_eva,
+    _subset_moves,
     determinize_eva,
     functional_eva,
     functional_va_to_det_seva,
@@ -33,6 +33,12 @@ def _require_same_variables(a1: EVA, a2: EVA) -> None:
             f"union operands must use the same variables: "
             f"{sorted(a1.variables)} vs {sorted(a2.variables)}"
         )
+
+
+def _tagged_out(operands: Dict[str, EVA], state: Tuple[str, State]):
+    """The moves of ``(tag, q)``, ``q`` a state of ``operands[tag]``."""
+    tag, q = state
+    return [(label, (tag, p)) for label, p in operands[tag].out(q)]
 
 
 # ---------------------------------------------------------------------------
@@ -83,45 +89,43 @@ def join_eva(a1: EVA, a2: EVA) -> EVA:
 
 
 def union_eva_linear(a1: EVA, a2: EVA) -> EVA:
-    """Disjoint union behind a fresh initial state that has both initial
-    states' transitions and is final if either is.  Linear size; need not
-    be deterministic."""
+    """Disjoint union behind a fresh initial state that moves as both
+    initial states and is final if either is; the reachable part.  Linear
+    size; need not be deterministic."""
     require_functional(a1, "union operand must be functional")
     require_functional(a2, "union operand must be functional")
     _require_same_variables(a1, a2)
-    fresh = ("u", 0)
-    states = [fresh]
-    transitions: List[Tuple[State, object, State]] = []
-    finals: List[State] = []
-    for tag, automaton in (("u1", a1), ("u2", a2)):
-        states.extend((tag, q) for q in automaton.states)
-        transitions.extend(
-            ((tag, q), label, (tag, p)) for q, label, p in automaton.transitions
-        )
-        transitions.extend(
-            (fresh, label, (tag, p)) for label, p in automaton.out(automaton.initial)
-        )
-        finals.extend((tag, q) for q in automaton.finals)
-        if automaton.initial in automaton.finals:
-            finals.append(fresh)
-    result = EVA(states, fresh, finals, transitions, a1.alphabet | a2.alphabet, a1.variables)
+    operands = {"u1": a1, "u2": a2}
+    fresh, starts = ("u", 0), [("u1", a1.initial), ("u2", a2.initial)]
+
+    def members(state):  # the tagged states that ``state`` moves as
+        return starts if state == fresh else [state]
+
+    result = _reachable_eva(
+        fresh, lambda state: [move for s in members(state) for move in _tagged_out(operands, s)],
+        lambda state: any(q in operands[tag].finals for tag, q in members(state)),
+        a1.alphabet | a2.alphabet, a1.variables)
     if len(result.states) > len(a1.states) + len(a2.states) + 1:
         raise AssertionError("linear union grew beyond |Q1|+|Q2|+1 states")
     return result
 
 
 def union_eva_deterministic(a1: EVA, a2: EVA) -> EVA:
-    """Union that preserves determinism: the subset construction of
-    ``union_eva_linear``'s automaton started at both initial states.  As
-    both operands are deterministic, it runs them in lockstep and branches
-    off into a single component exactly when the other has no transition
-    for the current label.  Size at most |A1| * |A2|."""
+    """Union that preserves determinism: the subset construction over the
+    operands' tagged states, from both initial states; the reachable part.
+    As both operands are deterministic, it runs them in lockstep and
+    branches off into a single component exactly when the other has no
+    transition for the current label.  Size at most |A1| * |A2|."""
     for automaton in (a1, a2):
         require_functional(automaton, "union operand must be functional")
         require_det_seva(automaton)
     _require_same_variables(a1, a2)
-    result = _determinize(union_eva_linear(a1, a2),
-                          frozenset([("u1", a1.initial), ("u2", a2.initial)]))
+    operands = {"u1": a1, "u2": a2}
+    result = _reachable_eva(
+        frozenset([("u1", a1.initial), ("u2", a2.initial)]),
+        lambda subset: _subset_moves(subset, lambda s: _tagged_out(operands, s)),
+        lambda subset: any(q in operands[tag].finals for tag, q in subset),
+        a1.alphabet | a2.alphabet, a1.variables)
     bound = (len(a1.states) + 1) * (len(a2.states) + 1)
     if len(result.states) > bound:
         raise AssertionError(
@@ -130,7 +134,8 @@ def union_eva_deterministic(a1: EVA, a2: EVA) -> EVA:
 
 
 def project_eva(automaton: EVA, variables: Iterable[str]) -> EVA:
-    """Strip markers of variables outside the projection set.
+    """Strip markers of variables outside the projection set, over the
+    reachable part.
 
     A marker step whose set empties becomes no step: its source takes the
     letter transitions and finality of its target.  A run reads a letter
@@ -142,25 +147,31 @@ def project_eva(automaton: EVA, variables: Iterable[str]) -> EVA:
     require_functional(automaton, "projection operand must be functional")
     keep = frozenset(variables)
     dropped: MarkerSet = markers_of(automaton.variables - keep)
-    guarded = {p for _, label, p in automaton.transitions
-               if isinstance(label, frozenset) and automaton.marker_transitions(p)}
-    states = set(automaton.states) | {("post", p) for p in guarded}
-    finals = set(automaton.finals) | {("post", p) for p in guarded & automaton.finals}
-    transitions: List[Tuple[State, object, State]] = []
-    for q, label, p in automaton.transitions:
-        if isinstance(label, str):
-            transitions.append((q, label, p))
-            if q in guarded:
-                transitions.append((("post", q), label, p))
-        elif label <= dropped:
-            transitions.extend((q, letter, r) for letter, r in automaton.out(p)
-                               if isinstance(letter, str))
-            if p in automaton.finals:
-                finals.add(q)
-        else:
-            transitions.append((q, label - dropped, ("post", p) if p in guarded else p))
-    return EVA(states, automaton.initial, finals, transitions,
-               automaton.alphabet, automaton.variables & keep)
+
+    def letters(q: State) -> List[Tuple[Label, State]]:
+        return [(label, p) for label, p in automaton.out(q) if isinstance(label, str)]
+
+    def moves(state: State) -> List[Tuple[Label, State]]:
+        if state not in automaton.states:  # a ("post", p) copy
+            return letters(state[1])
+        result = letters(state)
+        for label, p in automaton.marker_transitions(state):
+            if label <= dropped:
+                result.extend(letters(p))
+            else:
+                result.append((label - dropped,
+                               ("post", p) if automaton.marker_transitions(p) else p))
+        return result
+
+    def accepting(state: State) -> bool:
+        if state not in automaton.states:
+            return state[1] in automaton.finals
+        return state in automaton.finals or any(
+            label <= dropped and p in automaton.finals
+            for label, p in automaton.marker_transitions(state))
+
+    return _reachable_eva(automaton.initial, moves, accepting,
+                          automaton.alphabet, automaton.variables & keep)
 
 
 # ---------------------------------------------------------------------------

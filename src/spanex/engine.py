@@ -80,14 +80,6 @@ class NodeList:
     def is_empty(self) -> bool:
         return self.start is None
 
-    def add(self, node: "DagNode") -> None:
-        """Prepend a node that sits in no list yet; the end handle is
-        unchanged."""
-        node.next = self.start
-        self.start = node
-        if self.end is None:
-            self.end = node
-
     def lazycopy(self) -> "NodeList":
         return NodeList(self.start, self.end)
 

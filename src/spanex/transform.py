@@ -1,10 +1,11 @@
 """Transformations from VA to EVA and into the deterministic sequential
 form the evaluation engine consumes.
 
-All subset-style constructions materialize only states reachable from
-the initial state, so the exponential worst-case bounds are not always
-paid.  Constructed state names encode their provenance (state subsets,
-(subset, seen-markers) pairs) so that tests can inspect structure.
+Every construction here and in ``algebra`` but ``trim`` builds only the
+reachable part, the states its initial state reaches, so exponential
+worst-case bounds are not always paid.  Constructed state names encode
+their provenance (state subsets, (subset, seen-markers) pairs) so that
+tests can inspect structure.
 """
 
 from __future__ import annotations
@@ -76,46 +77,39 @@ def trim(automaton):
 # ---------------------------------------------------------------------------
 
 def va_to_eva(va: VA) -> EVA:
-    """Condense every variable-path into one extended transition.
-
-    Keeps the state set; letter transitions are copied.  Preserves the
-    semantics on every document as well as sequentiality/functionality.
-    """
-    transitions: List[Tuple[State, object, State]] = [
-        (q, label, p) for q, label, p in va.transitions if isinstance(label, str)
-    ]
-    for source in va.states:
+    """The reachable part of ``va`` with every variable-path condensed
+    into one extended transition; letters and state names are kept.
+    Preserves the semantics on every document as well as
+    sequentiality/functionality."""
+    def moves(source: State) -> List[Tuple[Label, State]]:
+        result = [(label, p) for label, p in va.out(source) if isinstance(label, str)]
         for target, marker_sets in variable_paths_from(va, source).items():
-            for markers in marker_sets:
-                transitions.append((source, markers, target))
-    return EVA(va.states, va.initial, va.finals, transitions, va.alphabet, va.variables)
+            result.extend((markers, target) for markers in marker_sets)
+        return result
+
+    return _reachable_eva(va.initial, moves, va.finals.__contains__, va.alphabet, va.variables)
 
 
 # ---------------------------------------------------------------------------
-# Reachable-state builder and determinization
+# Reachable-part builder and determinization
 # ---------------------------------------------------------------------------
 
 def _reachable_eva(start: State, moves: Callable[[State], Iterable[Tuple[Label, State]]],
                    accepting: Callable[[State], bool], alphabet: Iterable[str],
                    variables: Iterable[str]) -> EVA:
-    """The EVA over the states reachable from ``start``: ``moves(state)``
+    """The EVA over the reachable part from ``start``: ``moves(state)``
     gives the ``(label, target)`` pairs of a state and ``accepting(state)``
-    whether it is final.  The worklist of every subset and product
-    construction."""
-    seen: Set[State] = {start}
-    frontier = [start]
+    whether it is final.  The one builder behind every construction but
+    ``trim``; one ``reachable`` walk records each state's moves once."""
     transitions: List[Tuple[State, Label, State]] = []
-    finals: List[State] = []
-    while frontier:
-        state = frontier.pop()
-        if accepting(state):
-            finals.append(state)
-        for label, target in moves(state):
-            transitions.append((state, label, target))
-            if target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    return EVA(seen, start, finals, transitions, alphabet, variables)
+
+    def targets(state: State) -> List[State]:
+        found = [(state, label, p) for label, p in moves(state)]
+        transitions.extend(found)
+        return [p for _, _, p in found]
+
+    states = reachable([start], targets)
+    return EVA(states, start, filter(accepting, states), transitions, alphabet, variables)
 
 
 def _subset_moves(subset: FrozenSet[State], out: Callable[[State], Iterable[Tuple[Label, State]]]
@@ -130,21 +124,17 @@ def _subset_moves(subset: FrozenSet[State], out: Callable[[State], Iterable[Tupl
     return [(label, frozenset(ps)) for label, ps in targets.items()]
 
 
-def _determinize(automaton: EVA, start: FrozenSet[State]) -> EVA:
-    """The subset construction over the subsets reachable from ``start``."""
-    return _reachable_eva(start, lambda subset: _subset_moves(subset, automaton.out),
-                          lambda subset: bool(subset & automaton.finals),
-                          automaton.alphabet, automaton.variables)
-
-
 def determinize_eva(eva: EVA) -> EVA:
-    """Classical subset construction over reachable subsets.
+    """Classical subset construction over the reachable part.
 
     The result is deterministic with the same semantics; a sequential
     input yields a sequential output.  Subset states are frozensets of
     the input states.
     """
-    return _determinize(eva, frozenset([eva.initial]))
+    return _reachable_eva(frozenset([eva.initial]),
+                          lambda subset: _subset_moves(subset, eva.out),
+                          lambda subset: bool(subset & eva.finals),
+                          eva.alphabet, eva.variables)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,15 @@ def random_vas(draw) -> VA:
 Event = Tuple[MarkerSet, int]
 
 
+def prepend(nodelist: NodeList, node: DagNode) -> None:
+    """Put ``node``, in no list yet, at the front of ``nodelist``, as the
+    kernel prepends: a first node is both ends of the list."""
+    node.next = nodelist.start
+    nodelist.start = node
+    if nodelist.end is None:
+        nodelist.end = node
+
+
 def partial_outputs(nodelist: NodeList) -> List[Tuple[Event, ...]]:
     """All event sequences reachable from a list down to the sink, via a
     plain recursive walk independent of the streaming enumerator."""
@@ -420,7 +429,7 @@ def preprocess_reference(
     lists: List[Optional[NodeList]] = [None] * len(tables.states)
     reached = bytearray(len(tables.states))
     initial = NodeList()
-    initial.add(DagNode(frozenset(), 0, None, None))  # this run's sink
+    prepend(initial, DagNode(frozenset(), 0, None, None))  # this run's sink
     lists[tables.initial] = initial
     reached[tables.initial] = 1
     live = [tables.initial]  # ids of the nonempty lists, ascending
@@ -457,7 +466,7 @@ def preprocess_reference(
                     lists[p] = NodeList()
                     reached[p] = 1
                     arrivals.append(p)
-                lists[p].add(DagNode(marker_set, i, source, None))
+                prepend(lists[p], DagNode(marker_set, i, source, None))
             nodes += len(out)
         if arrivals:
             live += arrivals

@@ -42,6 +42,7 @@ from helpers import (
     open_m,
     partial_outputs,
     preprocessed_like_reference,
+    prepend,
     runs_after_capturing,
 )
 
@@ -65,18 +66,18 @@ def test_list_add_is_lifo():
     c = cells("n1 n2")
     nl = NodeList()
     assert nl.is_empty
-    nl.add(c["n1"])
-    nl.add(c["n2"])
+    prepend(nl, c["n1"])
+    prepend(nl, c["n2"])
     assert order(nl, c) == ["n2", "n1"]
 
 
 def test_lazycopy_stable_under_add():
     c = cells("a b c")
     nl = NodeList()
-    nl.add(c["b"])
-    nl.add(c["a"])
+    prepend(nl, c["b"])
+    prepend(nl, c["a"])
     copy = nl.lazycopy()
-    nl.add(c["c"])
+    prepend(nl, c["c"])
     assert order(copy, c) == ["a", "b"]
     assert order(nl, c) == ["c", "a", "b"]
 
@@ -92,11 +93,11 @@ def test_lazycopy_stable_under_append_to_original():
     # keep iterating exactly the old range.
     c = cells("s1 s2 t1")
     source = NodeList()
-    source.add(c["s2"])
-    source.add(c["s1"])
+    prepend(source, c["s2"])
+    prepend(source, c["s1"])
     frozen = source.lazycopy()
     target = NodeList()
-    target.add(c["t1"])
+    prepend(target, c["t1"])
     target.append(source)
     assert order(frozen, c) == ["s1", "s2"]
     assert order(target, c) == ["t1", "s1", "s2"]
@@ -106,15 +107,15 @@ def test_append_examples():
     c = cells("a")
     empty = NodeList()
     single = NodeList()
-    single.add(c["a"])
+    prepend(single, c["a"])
     empty.append(single)
     assert order(empty, c) == ["a"]
 
     c = cells("a b")
     left = NodeList()
-    left.add(c["a"])
+    prepend(left, c["a"])
     right = NodeList()
-    right.add(c["b"])
+    prepend(right, c["b"])
     left.append(right)
     assert order(left, c) == ["a", "b"]
 
@@ -122,11 +123,11 @@ def test_append_examples():
 def test_append_once_discipline():
     c = cells("x 1 2")
     src = NodeList()
-    src.add(c["x"])
+    prepend(src, c["x"])
     t1 = NodeList()
-    t1.add(c["1"])
+    prepend(t1, c["1"])
     t2 = NodeList()
-    t2.add(c["2"])
+    prepend(t2, c["2"])
     t1.append(src)
     with pytest.raises(AssertionError):
         t2.append(src)

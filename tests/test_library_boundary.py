@@ -81,3 +81,28 @@ def test_every_slot_is_read_outside_the_tests():
               for module, tree in library.items()
               for cls, field in _slot_fields(tree) if field not in read]
     assert unread == []
+
+
+def _builds_an_automaton(node: ast.AST) -> bool:
+    """Whether the code calls the ``EVA`` or ``VA`` constructor, directly or
+    through one of their class methods."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func.value if isinstance(call.func, ast.Attribute) else call.func
+            if isinstance(func, ast.Name) and func.id in ("EVA", "VA"):
+                return True
+    return False
+
+
+def test_constructions_build_through_one_builder():
+    # Every construction hands its moves to _reachable_eva, so it builds
+    # only the reachable part; trim, which needs co-reachability and may
+    # return a VA, keeps its own constructor call.
+    builders = [
+        f"{name}:{getattr(node, 'name', f'line {node.lineno}')}"
+        for name in ("transform.py", "algebra.py")
+        for node in ast.parse((PACKAGE / name).read_bytes()).body
+        if _builds_an_automaton(node)
+    ]
+    allowed = {"transform.py:_reachable_eva", "transform.py:trim"}
+    assert [builder for builder in builders if builder not in allowed] == []

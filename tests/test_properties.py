@@ -3,7 +3,9 @@ det-seVA agrees with the reference semantics and the brute-force run
 search, counting agrees with enumeration, the JSON format keeps the
 semantics, and both expression strategies agree on joins and unions.
 Over random extended automata: projection agrees with projecting the
-outputs, the compiled det-seVA agrees with the brute-force search, the
+outputs, the unions, projection and (over random VAs) ``va_to_eva``
+build exactly their reachable part and keep their inputs' semantics,
+the compiled det-seVA agrees with the brute-force search, the
 CLI's NDJSON lines are the JSON encoding of the mapping stream, and
 preprocessing agrees with the reference kernel.  Over random VAs and
 EVAs, sequential or not, functional or not and deterministic or not, the
@@ -22,13 +24,18 @@ from spanex import (
     compile_expr,
     compile_spanner,
     count_det_seva,
+    determinize_eva,
     dump_automaton,
     enumerate_stream,
     evaluate_preprocess,
     load_automaton,
     project_eva,
+    union_eva_deterministic,
+    union_eva_linear,
+    va_to_eva,
 )
 from spanex.algebra import Atom, Join, Project, Union
+from spanex.automata import reachable
 from spanex.engine import enumerate_ndjson
 from spanex.rgx import Alt, Capture, Concat, Star, Symbol, rgx_eval_reference, rgx_to_va
 
@@ -133,6 +140,34 @@ def test_projection_matches_projected_outputs(eva, keep, texts):
         want = mapping_set_project(brute_enumerate_va(eva, Document(text)), keep)
         assert brute_enumerate_va(projected, Document(text)) == want
         assert set(_outputs(compiled, text)) == want
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(random_vas(), random_evas(functional=True), random_evas(functional=True), DOCUMENTS)
+def test_constructions_build_their_reachable_part(va, a1, a2, texts):
+    # Each construction builds exactly the states its initial state
+    # reaches and keeps the semantics of its inputs.
+    def brute(automaton):
+        return lambda doc: brute_enumerate_va(automaton, doc)
+
+    def union(doc):
+        return brute_enumerate_va(a1, doc) | brute_enumerate_va(a2, doc)
+
+    built = {
+        "va_to_eva": (va_to_eva(va), brute(va)),
+        "union_eva_linear": (union_eva_linear(a1, a2), union),
+        "union_eva_deterministic": (
+            union_eva_deterministic(determinize_eva(a1), determinize_eva(a2)), union),
+    }
+    for keep in [(), ("x",), ("y",), ("x", "y")]:
+        built[f"project_eva {keep}"] = (
+            project_eva(a1, keep),
+            lambda doc, keep=keep: mapping_set_project(brute_enumerate_va(a1, doc), keep))
+    for name, (automaton, oracle) in built.items():
+        reached = reachable([automaton.initial], lambda q: [p for _, p in automaton.out(q)])
+        assert automaton.states == reached, name
+        for text in texts:
+            assert brute_enumerate_va(automaton, Document(text)) == oracle(Document(text)), name
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
