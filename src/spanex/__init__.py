@@ -50,6 +50,7 @@ from .instrument import DelayReport, OpCounter
 from .model import Document, Mapping, Marker, Span
 from .rgx import RegexAst, parse_rgx, rgx_eval_reference, rgx_to_va
 from .transform import (
+    bisimulation_quotient,
     determinize_eva,
     functional_eva,
     functional_va_to_det_seva,

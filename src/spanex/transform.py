@@ -3,9 +3,12 @@ form the evaluation engine consumes.
 
 Every construction here and in ``algebra`` but ``trim`` builds only the
 reachable part, the states its initial state reaches, so exponential
-worst-case bounds are not always paid.  Constructed state names encode
-their provenance (state subsets, (subset, seen-markers) pairs) so that
-tests can inspect structure.
+worst-case bounds are not always paid.  Both pipelines determinize the
+``bisimulation_quotient`` of their condensed EVA, so the subset
+construction runs over fewer states.  Constructed state names encode
+their provenance (state subsets, (subset, seen-markers) pairs; a
+quotient block takes the name of its first member) so that tests can
+inspect structure.
 """
 
 from __future__ import annotations
@@ -138,6 +141,84 @@ def determinize_eva(eva: EVA) -> EVA:
 
 
 # ---------------------------------------------------------------------------
+# Bisimulation quotient
+# ---------------------------------------------------------------------------
+
+def bisimulation_quotient(eva: EVA) -> EVA:
+    """The reachable part of ``eva`` with its bisimilar states merged.
+
+    Two states are bisimilar in the coarsest partition in which the
+    states of a block agree on finality and on the set of ``(label,
+    target block)`` pairs they move on.  Merging them keeps the labelled
+    paths out of every state, and with them the semantics on every
+    document, sequentiality and functionality.  Each block is named after
+    its first member in ``state_order()``, so an automaton whose states
+    are all reachable and pairwise not bisimilar is returned equal to its
+    input.
+    """
+    name = _bisimulation_names(eva)
+    return _reachable_eva(name[eva.initial],
+                          lambda q: [(label, name[p]) for label, p in eva.out(q)],
+                          eva.finals.__contains__, eva.alphabet, eva.variables)
+
+
+def _bisimulation_names(eva: EVA) -> Dict[State, State]:
+    """Each state of ``eva`` mapped to the first member, in
+    ``state_order()``, of its block in the coarsest bisimulation.
+
+    Partition refinement: a state is signed again only when one of its
+    targets moved to another block, and when a block splits its largest
+    part keeps the block's id, so each state moves O(log n) times.
+    """
+    order = eva.state_order()
+    index = {q: i for i, q in enumerate(order)}
+    rows = [[(label, index[p]) for label, p in eva.out(q)] for q in order]
+    predecessors: List[Set[int]] = [set() for _ in order]
+    for i, row in enumerate(rows):
+        for _, p in row:
+            predecessors[p].add(i)
+    final = [q in eva.finals for q in order]
+    block = [0] * len(order)
+    members: List[Set[int]] = [set(range(len(order)))]
+    # The signature every member of a block had when it last split; a
+    # member none of whose targets moved since still has it.
+    signature: List[object] = [None]
+    touched: Iterable[int] = range(len(order))
+    while touched:
+        resigned: Dict[int, Dict[object, List[int]]] = {}
+        for i in touched:
+            sign = (final[i], frozenset((label, block[p]) for label, p in rows[i]))
+            resigned.setdefault(block[i], {}).setdefault(sign, []).append(i)
+        moved: List[int] = []
+        for b, groups in resigned.items():
+            groups.pop(signature[b], None)  # these members kept the block's signature
+            if not groups:
+                continue
+            kept = len(members[b]) - sum(map(len, groups.values()))
+            sign, group = max(groups.items(), key=lambda item: len(item[1]))
+            if len(group) > kept:
+                # The largest changed part keeps the id; the unchanged members leave.
+                del groups[sign]
+                rest = members[b].difference(group, *groups.values())
+                if rest:
+                    groups[signature[b]] = rest
+                signature[b] = sign
+            for sign, group in groups.items():
+                new = len(members)
+                members.append(set(group))
+                members[b].difference_update(group)
+                signature.append(sign)
+                for i in group:
+                    block[i] = new
+                moved.extend(group)
+        touched = {i for p in moved for i in predecessors[p]}
+    first: Dict[int, State] = {}
+    for q, b in zip(order, block):
+        first.setdefault(b, q)
+    return {q: first[b] for q, b in zip(order, block)}
+
+
+# ---------------------------------------------------------------------------
 # Arbitrary VA or EVA -> deterministic sequential EVA
 # ---------------------------------------------------------------------------
 
@@ -145,16 +226,18 @@ def va_to_det_seva_general(automaton) -> EVA:
     """Direct construction of a deterministic sequential EVA equivalent
     to an arbitrary (possibly non-sequential) VA or EVA.
 
-    States are pairs (subset of input states, markers used so far); a
-    variable step is taken only when ``markers_compatible`` with those
-    markers, so invalid runs of the input are pruned and the output is
-    sequential by construction.  A VA is condensed by ``va_to_eva`` first,
-    so every variable step is a marker-set transition.  Hard-asserts the
-    2^n*3^l state bound and the 2^n*(5^l + 3^l*|Sigma|) transition bound.
+    A VA is condensed by ``va_to_eva`` first, so every variable step is a
+    marker-set transition, and the EVA is replaced by its
+    ``bisimulation_quotient``.  States are pairs (subset of quotient
+    states, markers used so far); a variable step is taken only when
+    ``markers_compatible`` with those markers, so invalid runs of the
+    input are pruned and the output is sequential by construction.
+    Hard-asserts the 2^n*3^l state bound and the 2^n*(5^l + 3^l*|Sigma|)
+    transition bound, n the quotient's state count.
     """
-    n = len(automaton.states)
-    n_vars = len(automaton.variables)
-    eva = automaton if isinstance(automaton, EVA) else va_to_eva(automaton)
+    eva = bisimulation_quotient(automaton if isinstance(automaton, EVA) else va_to_eva(automaton))
+    n = len(eva.states)
+    n_vars = len(eva.variables)
 
     def moves(state: Tuple[FrozenSet[State], MarkerSet]):
         subset, used = state
@@ -165,15 +248,15 @@ def va_to_det_seva_general(automaton) -> EVA:
                 yield label, (targets, used | label)
 
     result = _reachable_eva(
-        (frozenset([automaton.initial]), frozenset()), moves,
-        lambda state: bool(state[0] & automaton.finals) and all_closed(state[1]),
-        automaton.alphabet, automaton.variables,
+        (frozenset([eva.initial]), frozenset()), moves,
+        lambda state: bool(state[0] & eva.finals) and all_closed(state[1]),
+        eva.alphabet, eva.variables,
     )
     if len(result.states) > (2 ** n) * (3 ** n_vars):
         raise AssertionError(
             f"general construction exceeded 2^n*3^l states: {len(result.states)}")
     n_transitions = result.size - len(result.states)
-    if n_transitions > (2 ** n) * (5 ** n_vars + (3 ** n_vars) * len(automaton.alphabet)):
+    if n_transitions > (2 ** n) * (5 ** n_vars + (3 ** n_vars) * len(eva.alphabet)):
         raise AssertionError(
             f"general construction exceeded its transition bound: {n_transitions}")
     return result
@@ -184,8 +267,8 @@ def va_to_det_seva_general(automaton) -> EVA:
 # ---------------------------------------------------------------------------
 
 def functional_eva(automaton, message: str = "input is not functional") -> EVA:
-    """The trimmed EVA of a functional VA or EVA; a VA's
-    variable-paths are condensed by ``va_to_eva``.
+    """The ``bisimulation_quotient`` of the trimmed EVA of a functional
+    VA or EVA; a VA's variable-paths are condensed by ``va_to_eva``.
 
     On a trimmed functional automaton all variable-paths between two
     states carry the same marker set, so each condensed transition is
@@ -194,13 +277,13 @@ def functional_eva(automaton, message: str = "input is not functional") -> EVA:
     """
     require_functional(automaton, message)
     trimmed = trim(automaton)
-    return va_to_eva(trimmed) if isinstance(trimmed, VA) else trimmed
+    return bisimulation_quotient(va_to_eva(trimmed) if isinstance(trimmed, VA) else trimmed)
 
 
 def functional_va_to_det_seva(va: VA) -> EVA:
     """Pipeline for functional input: ``functional_eva``, then
     determinize.  Hard-asserts the 2^n state and 2^n*(n^2+|Sigma|)
-    transition bounds of the result, n the trimmed state count.
+    transition bounds of the result, n the quotient's state count.
     """
     eva = functional_eva(va)
     result = determinize_eva(eva)

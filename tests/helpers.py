@@ -197,6 +197,42 @@ def random_vas(draw) -> VA:
               [(names[q], label, names[p]) for q, label, p in transitions], "ab", ["x", "y"])
 
 
+@st.composite
+def random_letter_systems(draw) -> EVA:
+    """An EVA over {a, b} without variables, of up to eight states with
+    arbitrary letter transitions and final states: sparse, so that its
+    states are often bisimilar."""
+    n = draw(st.integers(1, 8))
+    moves = st.tuples(st.integers(0, n - 1), st.sampled_from("ab"), st.integers(0, n - 1))
+    transitions = draw(st.lists(moves, max_size=2 * n))
+    finals = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    names = [f"q{i}" for i in range(n)]
+    return EVA(names, "q0", [names[q] for q in finals],
+               [(names[q], label, names[p]) for q, label, p in transitions], "ab", [])
+
+
+def bisimulation_names_reference(eva: EVA) -> Dict[State, State]:
+    """Each state of ``eva`` mapped to the first member, in state order,
+    of its class in the coarsest bisimulation, by Moore rounds: each
+    round signs every state with its finality and the (label, class of
+    target) pairs it moves on, until a round splits no class."""
+    order = eva.state_order()
+    classes = {q: 0 for q in order}
+    while True:
+        signs = {q: (q in eva.finals, frozenset((label, classes[p]) for label, p in eva.out(q)))
+                 for q in order}
+        number: Dict[Any, int] = {}
+        for q in order:
+            number.setdefault(signs[q], len(number))
+        if len(number) == len(set(classes.values())):
+            break
+        classes = {q: number[signs[q]] for q in order}
+    first: Dict[int, State] = {}
+    for q in order:
+        first.setdefault(classes[q], q)
+    return {q: first[classes[q]] for q in order}
+
+
 # ---------------------------------------------------------------------------
 # Independent engine oracles
 # ---------------------------------------------------------------------------

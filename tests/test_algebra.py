@@ -163,11 +163,11 @@ def test_union_deterministic_size():
     a1, a2 = (determinize_eva(functional_eva(rgx_to_va(parse_rgx(text, ab), ab)))
               for text in texts)
     det = union_eva_deterministic(a1, a2)
-    assert (len(det.states), len(det.transitions)) == (281, 947)
+    assert (len(det.states), len(det.transitions)) == (270, 921)
     assert classify(det).deterministic is True
     compiled = compile_expr(Union(Atom(parse_rgx(texts[0], ab), ab),
                                   Atom(parse_rgx(texts[1], ab), ab)), "prop8")
-    assert (len(compiled.states), len(compiled.transitions)) == (281, 947)
+    assert (len(compiled.states), len(compiled.transitions)) == (270, 921)
 
 
 def test_project_examples():

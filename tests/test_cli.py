@@ -541,10 +541,16 @@ def test_dead_initial_loops_count_zero(runner, tmp_path):
     assert result.stdout.strip() == "0"
 
 
+_, _CONTACT, _, _CONTACT_ALPHABET = gen_fig1_fixture()
+
 # The constructions walk sets of states; only the canonical state order
-# keeps their iteration order out of what the commands print.
+# keeps their iteration order out of what the commands print.  The
+# contact automaton merges bisimilar states into blocks named after a
+# member.
 HASH_SEED_COMMANDS = {
     "check": None,
+    "compile-general": ["compile", "--rgx", _CONTACT,
+                        "--alphabet", "".join(sorted(_CONTACT_ALPHABET))],
     "compile-prop7": ["compile", "--expr", 'project([x], join(union(rgx("x{a}b*"), '
                       'rgx("b*x{ab}")), rgx(".*y{b}.*")))', "--alphabet", "ab"],
     "compile-prop8": ["compile", "--expr", 'union(rgx(".*a..x{.*}"), rgx(".*x{b.*}b.."))',
@@ -889,31 +895,30 @@ def test_random_rgx_and_expr_text_never_crash(rgx, expr):
 
 _JOIN = 'join(rgx(".*a......x{.*}"), rgx(".*y{b.*}.*"))'
 _UNION = 'union(rgx(".*a.......x{.*}"), rgx(".*x{b.*}b....."))'
-_, _CONTACT, _, _CONTACT_ALPHABET = gen_fig1_fixture()
 
 
 @pytest.mark.parametrize("source, states, transitions, format1_digest, digest", [
-    (["--rgx", _CONTACT, "--alphabet", "".join(sorted(_CONTACT_ALPHABET))], 120, 1633,
-     "3b776cb2bbfe0417a886234815e59027ca7724acfc2289d0372d58ad40ee1e28",
-     "8e86a4860b70f2bd5422c3f9c528c0f13b9e34fff851ab9cdabb8d681084efd0"),
-    (["--rgx", ".*(x{a}|y{b}).*", "--alphabet", "ab"], 13, 28,
-     "50b91d1df17a9e0f85749990be4ad54667820672f72a8c53b4358f694ee08d36",
-     "8274b4408cf55be1590d2254fc133cd2db840f92376aeb681ee7006157650e76"),
-    (["--rgx", ".*x{a.*}.*", "--alphabet", "ab"], 10, 25,
-     "5787372dc5dc9142e96f15c6b7e7427736236b89226e8dc54463a67916bb66b6",
-     "3821fceff917989c55cf011f0380def8feb1c8e7f0867b13ea71e8df4eaf7522"),
-    (["--expr", _JOIN, "--strategy", "prop7", "--alphabet", "ab"], 735, 2710,
-     "a8a210038a9ac26747266e5eef3e087aa704204a53cec205c20b3683bacba66e",
-     "d28d6436ec6e2e63237b698850cc97af14f0f5a38db4631b622371c3298c0870"),
-    (["--expr", _JOIN, "--strategy", "prop8", "--alphabet", "ab"], 735, 2710,
-     "ba3858fa9fc02127ce8516dd64118b33935fca9b5246f839dfd986aacbc9d8d0",
-     "2a8df1b75e4fa474d18e8b173002d474a93046a154c821e99d7912d800530bb8"),
-    (["--expr", _UNION, "--strategy", "prop7", "--alphabet", "ab"], 281, 947,
-     "dd406fa1ac527902f633b0dd7cb7460b9abc67abc4a464a8e9956ff89064b4a1",
-     "b9946bc2c45ded4d3a4ed724225bf70f8a0af34f62701eb3fe31d7b8c82ba0d5"),
-    (["--expr", _UNION, "--strategy", "prop8", "--alphabet", "ab"], 281, 947,
-     "4492f709d12822c180bba069116314e680b2678bcad95d323709989ecc343922",
-     "c04fb097751e6037badb48cb095a7de60ec6fd801cd491c1647e614aaa1e2581"),
+    (["--rgx", _CONTACT, "--alphabet", "".join(sorted(_CONTACT_ALPHABET))], 16, 119,
+     "3f98850f71426febb71d50f10ca90160688a634765ac67197fcaa786e0367ed0",
+     "ca370c3ee607eea5339931a329d3e60c3dd9140ffa01b37026ee6b14a1a483ac"),
+    (["--rgx", ".*(x{a}|y{b}).*", "--alphabet", "ab"], 7, 12,
+     "e07f619516e167c565d951fa65200ab3ff680449359165a2ec42cbff95e4d41a",
+     "150d6b7a6ec6d26412fad046806766261c0d3b267f22a8bf0d0df1780e49a47f"),
+    (["--rgx", ".*x{a.*}.*", "--alphabet", "ab"], 4, 9,
+     "8be5e8e1d859efdea2b3a23d8212ca1323f94ecb2eca3d89b09d87ff720684b2",
+     "1ac6e7dd6a5312225542730e76338897c4980a3985ab0d40d0d0e542859a2c00"),
+    (["--expr", _JOIN, "--strategy", "prop7", "--alphabet", "ab"], 520, 1937,
+     "9d23e45db43e4e76530a558d23c15e150652ac371773cfe5da9f85e5f78f1783",
+     "77ee26891efeb21807b76d38cd97a1e46a3e4580bb2ab698f70689f7d107278e"),
+    (["--expr", _JOIN, "--strategy", "prop8", "--alphabet", "ab"], 520, 1937,
+     "48065db13a6208aa7295654108412aefd8bbd5f2a55019d0668be06da663ee6f",
+     "29734bd42a9eadf739dcc7c55e0763c83b3023f90bfaff46646bfc385eeafc31"),
+    (["--expr", _UNION, "--strategy", "prop7", "--alphabet", "ab"], 271, 924,
+     "90a8832df9f7e72f7ef4b5d74743ac8e4b0e15462d5f53032e7869652dbe74c5",
+     "bcebdb6293a2533dfd3768412075b7dd473bd104dca9cc285ed5f8530634c862"),
+    (["--expr", _UNION, "--strategy", "prop8", "--alphabet", "ab"], 270, 921,
+     "6f66acc24838fc8407d228431052b428ef9d2fe162a7ba8e17e8392087d268f8",
+     "01e29102a35acb004a4ad3f79663e83abdcf77a921928235b0cf72acf61454ab"),
 ], ids=["contact-general", "general", "functional", "join-prop7", "join-prop8",
         "union-prop7", "union-prop8"])
 def test_compile_bytes_pinned(runner, tmp_path, source, states, transitions, format1_digest,

@@ -158,7 +158,7 @@ def test_memo_cleared_past_its_bound():
     rng = random.Random(0)
     short = Document("".join(rng.choice("ab") for _ in range(3_000)))
     long = Document("".join(rng.choice("ab") for _ in range(24_000)))
-    for k, visits, size in ((8, 521, 72), (12, 2_524, 96)):
+    for k, visits, size in ((8, 520, 35), (12, 2_523, 47)):
         det, _ = compile_spanner(parse_rgx(".*x{a" + "." * k + "}.*", "ab"), "ab")
         visited = {(det.tables().initial,)}
 

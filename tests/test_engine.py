@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from spanex import (
     enumerate_raw,
     enumerate_stream,
     evaluate_preprocess,
+    load_automaton,
     measure_delay,
     parse_rgx,
     rgx_to_va,
@@ -485,9 +488,29 @@ def test_counters_exact_at_every_phase():
     assert empty.detail == {"lazycopy": 1, "node": 3}  # no append ever noted
 
 
+FIG1_DET_SEVA = Path(__file__).parent / "data" / "fig1_det_seva.json"
+
+
 def _fig1_det_seva():
+    # The 120-state contact det-seVA that `spanex compile` wrote before
+    # the pipelines merged bisimilar states, kept so that its op counts
+    # stay pinned.
+    return load_automaton(json.loads(FIG1_DET_SEVA.read_text(encoding="utf-8")))
+
+
+def _fig1_reduced_det_seva():
     ast, _, _, alphabet = gen_fig1_fixture()
     return va_to_det_seva_general(rgx_to_va(ast, alphabet))
+
+
+def test_fig1_det_seva_file_is_the_unreduced_compile():
+    digest = hashlib.sha256(FIG1_DET_SEVA.read_bytes()).hexdigest()
+    assert digest == "8e86a4860b70f2bd5422c3f9c528c0f13b9e34fff851ab9cdabb8d681084efd0"
+    unreduced, reduced = _fig1_det_seva(), _fig1_reduced_det_seva()
+    assert (len(unreduced.states), len(reduced.states)) == (120, 16)
+    doc = Document(FIG1_TEXT * 8)
+    assert canon(enumerate_stream(evaluate_preprocess(unreduced, doc))) == canon(
+        enumerate_stream(evaluate_preprocess(reduced, doc)))
 
 
 # (automaton, document, preprocess ops, detail, count ops, outputs,
@@ -498,13 +521,15 @@ KERNEL_CONTRACT = [
      {"append": 757, "lazycopy": 746, "node": 359}, 2961, 14, 46, 224, 85, 6),
     (gen_fig4_automaton, "a" * 99 + "b", 725,
      {"append": 102, "lazycopy": 103, "node": 105}, 516, 1, 6, 9, 9, 2),
+    (_fig1_reduced_det_seva, (FIG1_TEXT * 8)[:200], 4019,
+     {"append": 745, "lazycopy": 734, "node": 359}, 2925, 14, 15, 186, 16, 6),
 ]
 
 
 @pytest.mark.parametrize(
     "build, text, ops, detail, count_ops, outputs, max_work, walk_work, reached, nonempty",
     KERNEL_CONTRACT,
-    ids=["fig1-200", "fig4-a99b"],
+    ids=["fig1-200", "fig4-a99b", "fig1-200-reduced"],
 )
 def test_kernel_op_counts_pinned(build, text, ops, detail, count_ops, outputs, max_work,
                                  walk_work, reached, nonempty):

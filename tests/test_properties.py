@@ -9,16 +9,22 @@ the compiled det-seVA agrees with the brute-force search, the
 CLI's NDJSON lines are the JSON encoding of the mapping stream, and
 preprocessing agrees with the reference kernel.  Over random VAs and
 EVAs, sequential or not, functional or not and deterministic or not, the
-classifier agrees with the reference classifier."""
+classifier agrees with the reference classifier, the bisimulation
+quotient finds the reference partition and keeps the semantics and the
+verdicts, and both pipelines keep the outputs of their construction
+without the quotient."""
 
 import json
+from unittest import mock
 
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from spanex import (
+    EVA,
     Document,
     OpCounter,
+    bisimulation_quotient,
     brute_enumerate_va,
     classify,
     compile_expr,
@@ -28,22 +34,28 @@ from spanex import (
     dump_automaton,
     enumerate_stream,
     evaluate_preprocess,
+    functional_va_to_det_seva,
     load_automaton,
     project_eva,
     union_eva_deterministic,
     union_eva_linear,
+    va_to_det_seva_general,
     va_to_eva,
 )
+from spanex import transform
 from spanex.algebra import Atom, Join, Project, Union
 from spanex.automata import reachable
 from spanex.engine import enumerate_ndjson
 from spanex.rgx import Alt, Capture, Concat, Star, Symbol, rgx_eval_reference, rgx_to_va
 
 from helpers import (
+    all_docs,
+    bisimulation_names_reference,
     classify_reference,
     mapping_set_project,
     preprocessed_like_reference,
     random_evas,
+    random_letter_systems,
     random_vas,
 )
 
@@ -227,3 +239,40 @@ def test_random_automata_reach_every_classification():
                   lambda r: r.deterministic is False,
                   lambda r: r.deterministic is False and not r.sequential):
         find(ANY_AUTOMATON, lambda a: holds(classify_reference(a)), settings=settled)
+
+
+MERGEABLE = st.one_of(ANY_AUTOMATON, random_letter_systems())
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(MERGEABLE)
+def test_bisimulation_quotient_matches_moore_reference(automaton):
+    eva = automaton if isinstance(automaton, EVA) else va_to_eva(automaton)
+    assert transform._bisimulation_names(eva) == bisimulation_names_reference(eva)
+    quotient = bisimulation_quotient(eva)
+    assert len(quotient.states) <= len(eva.states)
+    again = bisimulation_quotient(quotient)
+    assert (again.states, again.initial, again.finals, again.transitions) == (
+        quotient.states, quotient.initial, quotient.finals, quotient.transitions)
+    report, merged = classify(eva), classify(quotient)
+    assert (merged.sequential, merged.functional) == (report.sequential, report.functional)
+    for doc in all_docs("ab", 3):
+        assert brute_enumerate_va(quotient, doc) == brute_enumerate_va(eva, doc)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(MERGEABLE, DOCUMENTS)
+def test_pipelines_keep_the_outputs_without_the_quotient(automaton, texts):
+    pipelines = [va_to_det_seva_general]
+    if classify(automaton).functional:
+        pipelines.append(functional_va_to_det_seva)
+    for pipeline in pipelines:
+        with mock.patch.object(transform, "bisimulation_quotient", lambda eva: eva):
+            unreduced = pipeline(automaton)
+        det = pipeline(automaton)
+        assert len(det.states) <= len(unreduced.states)
+        for text in texts:
+            outputs = _outputs(det, text)
+            assert set(outputs) == set(_outputs(unreduced, text))
+            assert count_det_seva(det, Document(text)) == len(outputs) == count_det_seva(
+                unreduced, Document(text))

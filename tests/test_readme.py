@@ -15,4 +15,4 @@ def test_typical_library_use_block_runs():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(block.group(1), str(README), "exec"), {})
-    assert out.getvalue().splitlines() == ["x=[1,3>", "x=[4,6>", "2"]
+    assert out.getvalue().splitlines() == ["x=[4,6>", "x=[1,3>", "2"]
