@@ -54,7 +54,6 @@ from .transform import (
     determinize_eva,
     functional_eva,
     functional_va_to_det_seva,
-    trim,
     va_to_det_seva_general,
     va_to_eva,
 )

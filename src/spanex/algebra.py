@@ -20,7 +20,6 @@ from .transform import (
     _subset_moves,
     determinize_eva,
     functional_eva,
-    functional_va_to_det_seva,
     va_to_det_seva_general,
 )
 
@@ -295,7 +294,8 @@ def compile_spanner(spanner: TUnion[RegexAst, VA, EVA, AlgebraExpr],
     """The deterministic sequential EVA of a regex AST (over ``alphabet``,
     default its literal symbols), a VA, an EVA or an algebra expression
     (compiled with ``strategy``), and one ``(stage, states, transitions)``
-    entry per automaton built on the way."""
+    entry per automaton built on the way.  A det-seVA is kept as it is;
+    any other VA or EVA goes through ``va_to_det_seva_general``."""
     stages: List[Stage] = []
 
     def note(name: str, automaton) -> None:
@@ -313,18 +313,10 @@ def compile_spanner(spanner: TUnion[RegexAst, VA, EVA, AlgebraExpr],
         note("regex to VA", automaton)
     note("input", automaton)
     report = classify(automaton)
-    if isinstance(automaton, EVA) and report.sequential:
-        if report.deterministic:
-            return automaton, stages
-        result = determinize_eva(automaton)
-        note("determinized", result)
-        return result, stages
-    if report.functional:
-        result = functional_va_to_det_seva(automaton)
-        note("functional pipeline", result)
-    else:
-        result = va_to_det_seva_general(automaton)
-        note("general pipeline", result)
+    if report.deterministic and report.sequential:  # a VA's report has deterministic=None
+        return automaton, stages
+    result = va_to_det_seva_general(automaton)
+    note("det-seVA pipeline", result)
     return result, stages
 
 

@@ -1,12 +1,14 @@
 """Transformations from VA to EVA and into the deterministic sequential
 form the evaluation engine consumes.
 
-Every construction here and in ``algebra`` but ``trim`` builds only the
-reachable part, the states its initial state reaches, so exponential
-worst-case bounds are not always paid.  Both pipelines determinize the
-``bisimulation_quotient`` of their condensed EVA, so the subset
-construction runs over fewer states.  Constructed state names encode
-their provenance (state subsets, (subset, seen-markers) pairs; a
+Every construction here and in ``algebra`` builds only the reachable
+part, the states its initial state reaches, so exponential worst-case
+bounds are not always paid.  ``va_to_det_seva_general`` is the one
+pipeline from a VA or EVA to a det-seVA: it takes the
+``bisimulation_quotient`` of the condensed EVA, which also drops the
+states that cannot reach a final state, and determinizes it, tracking
+marker histories only for non-sequential input.  Constructed state names
+encode their provenance (state subsets, (subset, seen-markers) pairs; a
 quotient block takes the name of its first member) so that tests can
 inspect structure.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 import logging
 from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from .automata import EVA, VA, Label, State, reachable, require_functional
+from .automata import EVA, VA, Label, State, classify, reachable, require_functional
 from .model import MarkerSet, all_closed, markers_compatible
 
 logger = logging.getLogger(__name__)
@@ -51,31 +53,6 @@ def variable_paths_from(va: VA, source: State) -> Dict[State, Set[MarkerSet]]:
 
 
 # ---------------------------------------------------------------------------
-# Trimming (semantics-preserving)
-# ---------------------------------------------------------------------------
-
-def trim(automaton):
-    """Restrict to the live states, those both reachable from the initial
-    state and able to reach a final state, and the transitions between
-    them; the initial state is always kept, isolated if it is not live."""
-    forward = reachable([automaton.initial], lambda q: [p for _, p in automaton.out(q)])
-    incoming: Dict[State, List[State]] = {q: [] for q in automaton.states}
-    for q, _, p in automaton.transitions:
-        incoming[p].append(q)
-    live = forward & reachable(automaton.finals, incoming.__getitem__)
-    transitions = [(q, l, p) for q, l, p in automaton.transitions if q in live and p in live]
-    cls = type(automaton)
-    return cls(
-        live | {automaton.initial},
-        automaton.initial,
-        automaton.finals & live,
-        transitions,
-        automaton.alphabet,
-        automaton.variables,
-    )
-
-
-# ---------------------------------------------------------------------------
 # VA -> EVA
 # ---------------------------------------------------------------------------
 
@@ -102,8 +79,8 @@ def _reachable_eva(start: State, moves: Callable[[State], Iterable[Tuple[Label, 
                    variables: Iterable[str]) -> EVA:
     """The EVA over the reachable part from ``start``: ``moves(state)``
     gives the ``(label, target)`` pairs of a state and ``accepting(state)``
-    whether it is final.  The one builder behind every construction but
-    ``trim``; one ``reachable`` walk records each state's moves once."""
+    whether it is final.  The one builder behind every construction; one
+    ``reachable`` walk records each state's moves once."""
     transitions: List[Tuple[State, Label, State]] = []
 
     def targets(state: State) -> List[State]:
@@ -145,26 +122,33 @@ def determinize_eva(eva: EVA) -> EVA:
 # ---------------------------------------------------------------------------
 
 def bisimulation_quotient(eva: EVA) -> EVA:
-    """The reachable part of ``eva`` with its bisimilar states merged.
+    """The live part of ``eva``, the states reachable from its initial
+    state and able to reach a final state, with its bisimilar states
+    merged; so it also does what trimming does.
 
     Two states are bisimilar in the coarsest partition in which the
     states of a block agree on finality and on the set of ``(label,
     target block)`` pairs they move on.  Merging them keeps the labelled
-    paths out of every state, and with them the semantics on every
-    document, sequentiality and functionality.  Each block is named after
-    its first member in ``state_order()``, so an automaton whose states
-    are all reachable and pairwise not bisimilar is returned equal to its
-    input.
+    paths out of every state that reach a final state, and with them the
+    semantics on every document, sequentiality and functionality.  Each
+    block is named after its first member in ``state_order()``, so an
+    automaton whose states are all live and pairwise not bisimilar is
+    returned equal to its input.  An initial state that reaches no final
+    state is returned alone, without moves.
     """
     name = _bisimulation_names(eva)
+    # The named states are live unless none is final; then only the dead
+    # initial state is named.
+    live = name if not eva.finals.isdisjoint(name) else {}
     return _reachable_eva(name[eva.initial],
-                          lambda q: [(label, name[p]) for label, p in eva.out(q)],
+                          lambda q: [(label, name[p]) for label, p in eva.out(q) if p in live],
                           eva.finals.__contains__, eva.alphabet, eva.variables)
 
 
 def _bisimulation_names(eva: EVA) -> Dict[State, State]:
-    """Each state of ``eva`` mapped to the first member, in
-    ``state_order()``, of its block in the coarsest bisimulation.
+    """Each live state of ``eva`` mapped to the first member, in
+    ``state_order()``, of its block in the coarsest bisimulation of the
+    live part; with no live state, the initial state mapped to itself.
 
     Partition refinement: a state is signed again only when one of its
     targets moved to another block, and when a block splits its largest
@@ -178,12 +162,19 @@ def _bisimulation_names(eva: EVA) -> Dict[State, State]:
         for _, p in row:
             predecessors[p].add(i)
     final = [q in eva.finals for q in order]
+    live = (reachable([index[eva.initial]], lambda i: [p for _, p in rows[i]])
+            & reachable([i for i, f in enumerate(final) if f], predecessors.__getitem__))
+    named = sorted(live) or [index[eva.initial]]
+    if len(live) < len(order):
+        for i in named:
+            rows[i] = [(label, p) for label, p in rows[i] if p in live]
+            predecessors[i] &= live
     block = [0] * len(order)
-    members: List[Set[int]] = [set(range(len(order)))]
+    members: List[Set[int]] = [set(named)]
     # The signature every member of a block had when it last split; a
     # member none of whose targets moved since still has it.
     signature: List[object] = [None]
-    touched: Iterable[int] = range(len(order))
+    touched: Iterable[int] = named
     while touched:
         resigned: Dict[int, Dict[object, List[int]]] = {}
         for i in touched:
@@ -213,90 +204,84 @@ def _bisimulation_names(eva: EVA) -> Dict[State, State]:
                 moved.extend(group)
         touched = {i for p in moved for i in predecessors[p]}
     first: Dict[int, State] = {}
-    for q, b in zip(order, block):
-        first.setdefault(b, q)
-    return {q: first[b] for q, b in zip(order, block)}
+    return {order[i]: first.setdefault(block[i], order[i]) for i in named}
 
 
 # ---------------------------------------------------------------------------
-# Arbitrary VA or EVA -> deterministic sequential EVA
+# VA or EVA -> deterministic sequential EVA
 # ---------------------------------------------------------------------------
 
 def va_to_det_seva_general(automaton) -> EVA:
-    """Direct construction of a deterministic sequential EVA equivalent
-    to an arbitrary (possibly non-sequential) VA or EVA.
+    """The one pipeline from a VA or EVA to an equivalent deterministic
+    sequential EVA.
 
-    A VA is condensed by ``va_to_eva`` first, so every variable step is a
-    marker-set transition, and the EVA is replaced by its
-    ``bisimulation_quotient``.  States are pairs (subset of quotient
-    states, markers used so far); a variable step is taken only when
-    ``markers_compatible`` with those markers, so invalid runs of the
-    input are pruned and the output is sequential by construction.
-    Hard-asserts the 2^n*3^l state bound and the 2^n*(5^l + 3^l*|Sigma|)
-    transition bound, n the quotient's state count.
+    It classifies its input (the report is kept on the automaton, so an
+    input that ``compile_spanner`` or the caller classified is not walked
+    again), condenses a VA by ``va_to_eva`` and takes the
+    ``bisimulation_quotient``.  As in the paper, a sequential input is
+    then determinized by ``determinize_eva``; only a non-sequential one
+    takes the marker-history construction, whose states pair a subset of
+    quotient states with the markers used so far and which takes a
+    variable step only when ``markers_compatible`` with them, so the
+    output is sequential by construction.
+
+    Hard-asserts, n the quotient's state count and l the variable count:
+    on sequential input 2^n states, and 2^n*(n^2+|Sigma|) transitions
+    when it is functional too; on non-sequential input 2^n*3^l states
+    and 2^n*(5^l + 3^l*|Sigma|) transitions.
     """
+    report = classify(automaton)
     eva = bisimulation_quotient(automaton if isinstance(automaton, EVA) else va_to_eva(automaton))
-    n = len(eva.states)
-    n_vars = len(eva.variables)
+    n, n_vars, n_letters = len(eva.states), len(eva.variables), len(eva.alphabet)
+    if report.sequential:
+        result = determinize_eva(eva)
+        within = _at_most_power_of_two(len(result.states), n)
+        transition_bound = (2 ** n) * (n ** 2 + n_letters) if report.functional else None
+    else:
+        def moves(state: Tuple[FrozenSet[State], MarkerSet]):
+            subset, used = state
+            for label, targets in _subset_moves(subset, eva.out):
+                if isinstance(label, str):
+                    yield label, (targets, used)
+                elif markers_compatible(used, label):
+                    yield label, (targets, used | label)
 
-    def moves(state: Tuple[FrozenSet[State], MarkerSet]):
-        subset, used = state
-        for label, targets in _subset_moves(subset, eva.out):
-            if isinstance(label, str):
-                yield label, (targets, used)
-            elif markers_compatible(used, label):
-                yield label, (targets, used | label)
-
-    result = _reachable_eva(
-        (frozenset([eva.initial]), frozenset()), moves,
-        lambda state: bool(state[0] & eva.finals) and all_closed(state[1]),
-        eva.alphabet, eva.variables,
-    )
-    if len(result.states) > (2 ** n) * (3 ** n_vars):
-        raise AssertionError(
-            f"general construction exceeded 2^n*3^l states: {len(result.states)}")
+        result = _reachable_eva(
+            (frozenset([eva.initial]), frozenset()), moves,
+            lambda state: bool(state[0] & eva.finals) and all_closed(state[1]),
+            eva.alphabet, eva.variables,
+        )
+        within = len(result.states) <= (2 ** n) * (3 ** n_vars)
+        transition_bound = (2 ** n) * (5 ** n_vars + (3 ** n_vars) * n_letters)
+    route = "subset" if report.sequential else "marker-history"
+    logger.info("det-seVA pipeline (%s): %d quotient states -> %d deterministic states",
+                route, n, len(result.states))
+    if not within:
+        raise AssertionError(f"{route} construction exceeded its state bound: "
+                             f"{len(result.states)} states from n={n}, l={n_vars}")
     n_transitions = result.size - len(result.states)
-    if n_transitions > (2 ** n) * (5 ** n_vars + (3 ** n_vars) * len(eva.alphabet)):
+    if transition_bound is not None and n_transitions > transition_bound:
         raise AssertionError(
-            f"general construction exceeded its transition bound: {n_transitions}")
+            f"{route} construction exceeded its transition bound: {n_transitions}")
     return result
 
 
-# ---------------------------------------------------------------------------
-# Functional VA -> deterministic sequential EVA
-# ---------------------------------------------------------------------------
-
 def functional_eva(automaton, message: str = "input is not functional") -> EVA:
-    """The ``bisimulation_quotient`` of the trimmed EVA of a functional
-    VA or EVA; a VA's variable-paths are condensed by ``va_to_eva``.
-
-    On a trimmed functional automaton all variable-paths between two
-    states carry the same marker set, so each condensed transition is
-    unique.  A non-functional input raises ``PreconditionError`` with
-    ``message`` and the classifier's witness.
+    """The ``bisimulation_quotient`` of the EVA of a functional VA or
+    EVA; a VA's variable-paths are condensed by ``va_to_eva``.  The
+    quotient keeps only the live part, on which all variable-paths
+    between two states carry the same marker set.  A non-functional
+    input raises ``PreconditionError`` with ``message`` and the
+    classifier's witness.
     """
     require_functional(automaton, message)
-    trimmed = trim(automaton)
-    return bisimulation_quotient(va_to_eva(trimmed) if isinstance(trimmed, VA) else trimmed)
+    return bisimulation_quotient(automaton if isinstance(automaton, EVA) else va_to_eva(automaton))
 
 
 def functional_va_to_det_seva(va: VA) -> EVA:
-    """Pipeline for functional input: ``functional_eva``, then
-    determinize.  Hard-asserts the 2^n state and 2^n*(n^2+|Sigma|)
-    transition bounds of the result, n the quotient's state count.
+    """``va_to_det_seva_general`` behind the functionality guard: a
+    non-functional VA or EVA raises ``PreconditionError`` with the
+    classifier's witness.
     """
-    eva = functional_eva(va)
-    result = determinize_eva(eva)
-    n = len(eva.states)
-    logger.info(
-        "functional pipeline: %d states -> %d deterministic states (bound 2^%d)",
-        n, len(result.states), n,
-    )
-    if not _at_most_power_of_two(len(result.states), n):
-        raise AssertionError(
-            f"functional construction exceeded 2^n states: {len(result.states)} > 2^{n}")
-    n_transitions = result.size - len(result.states)
-    if n_transitions > (2 ** n) * (n ** 2 + len(va.alphabet)):
-        raise AssertionError(
-            f"functional construction exceeded its transition bound: {n_transitions}")
-    return result
+    require_functional(va, "input is not functional")
+    return va_to_det_seva_general(va)

@@ -13,9 +13,9 @@ from spanex.automata import EVA, VA, classify
 from spanex.errors import InputError
 from spanex.model import Document, Marker
 from spanex.rgx import RegexAst, parse_rgx
-from spanex.transform import trim, va_to_eva
+from spanex.transform import va_to_eva
 
-from helpers import close_m, mset, open_m
+from helpers import close_m, mset, open_m, trim
 
 
 # ---------------------------------------------------------------------------

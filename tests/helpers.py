@@ -22,7 +22,8 @@ from spanex import (
     dump_automaton,
     evaluate_preprocess,
 )
-from spanex.automata import _INVALID, ClassificationReport, Label, State, format_label, state_name
+from spanex.automata import (
+    _INVALID, ClassificationReport, Label, State, format_label, reachable, state_name)
 from spanex.engine import DagNode, NodeList, PhaseHook, enumerate_ndjson
 from spanex.instrument import OpCounter
 from spanex.model import Marker, MarkerSet, all_closed, marker_set_key, markers_compatible
@@ -209,6 +210,27 @@ def random_letter_systems(draw) -> EVA:
     names = [f"q{i}" for i in range(n)]
     return EVA(names, "q0", [names[q] for q in finals],
                [(names[q], label, names[p]) for q, label, p in transitions], "ab", [])
+
+
+def trim(automaton):
+    """Restrict to the live states, those both reachable from the initial
+    state and able to reach a final state, and the transitions between
+    them; the initial state is always kept, isolated if it is not live."""
+    forward = reachable([automaton.initial], lambda q: [p for _, p in automaton.out(q)])
+    incoming: Dict[State, List[State]] = {q: [] for q in automaton.states}
+    for q, _, p in automaton.transitions:
+        incoming[p].append(q)
+    live = forward & reachable(automaton.finals, incoming.__getitem__)
+    transitions = [(q, l, p) for q, l, p in automaton.transitions if q in live and p in live]
+    cls = type(automaton)
+    return cls(
+        live | {automaton.initial},
+        automaton.initial,
+        automaton.finals & live,
+        transitions,
+        automaton.alphabet,
+        automaton.variables,
+    )
 
 
 def bisimulation_names_reference(eva: EVA) -> Dict[State, State]:

@@ -15,7 +15,7 @@ from spanex import (
     evaluate_preprocess,
     parse_rgx,
 )
-from fixtures import gen_fig4_automaton
+from fixtures import gen_fig1_fixture, gen_fig4_automaton
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -97,6 +97,7 @@ def test_cli_lines_equal_traced_lines(bench, tmp_path, to_file):
 
 _JOIN = 'join(rgx(".*a......x{.*}"), rgx(".*y{b.*}.*"))'
 _UNION = 'union(rgx(".*a.......x{.*}"), rgx(".*x{b.*}b....."))'
+_, _CONTACT, _, _CONTACT_ALPHABET = gen_fig1_fixture()
 
 
 @pytest.mark.parametrize("source", [
@@ -106,14 +107,17 @@ _UNION = 'union(rgx(".*a.......x{.*}"), rgx(".*x{b.*}b....."))'
     ["--expr", _UNION, "--strategy", "prop8"],
     ["--rgx", ".*x{a.*}.*"],
     ["--rgx", ".*(x{a}|y{b}).*"],
-], ids=["prop7", "prop8", "union-prop7", "union-prop8", "functional", "general"])
+    ["--rgx", _CONTACT, "--alphabet", "".join(sorted(_CONTACT_ALPHABET))],
+], ids=["prop7", "prop8", "union-prop7", "union-prop8", "functional", "general", "contact"])
 def test_traced_expression_compile_equals_cli(bench, tmp_path, source):
     # The traced run calls the compile pipelines itself; its file must be
     # the bytes `spanex compile` writes, for expressions under both
     # strategies and for regexes through the functional and the general
-    # pipeline.
+    # pipeline, the contact rule of the benchmark included.  A source
+    # without its own alphabet is over {a, b}.
     adapter, tracing = bench
-    argv = ["compile", *source, "--alphabet", "ab", "--out"]
+    alphabet = [] if "--alphabet" in source else ["--alphabet", "ab"]
+    argv = ["compile", *source, *alphabet, "--out"]
     cli, traced = tmp_path / "cli.json", tmp_path / "traced.json"
     assert adapter.run_cli(argv + [str(cli)]).code == 0
     sizes = adapter.traced_compile(tracing.Tracer(adapter.clock), argv + [str(traced)])

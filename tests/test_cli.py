@@ -898,12 +898,12 @@ _UNION = 'union(rgx(".*a.......x{.*}"), rgx(".*x{b.*}b....."))'
 
 
 @pytest.mark.parametrize("source, states, transitions, format1_digest, digest", [
-    (["--rgx", _CONTACT, "--alphabet", "".join(sorted(_CONTACT_ALPHABET))], 16, 119,
-     "3f98850f71426febb71d50f10ca90160688a634765ac67197fcaa786e0367ed0",
-     "ca370c3ee607eea5339931a329d3e60c3dd9140ffa01b37026ee6b14a1a483ac"),
-    (["--rgx", ".*(x{a}|y{b}).*", "--alphabet", "ab"], 7, 12,
-     "e07f619516e167c565d951fa65200ab3ff680449359165a2ec42cbff95e4d41a",
-     "150d6b7a6ec6d26412fad046806766261c0d3b267f22a8bf0d0df1780e49a47f"),
+    (["--rgx", _CONTACT, "--alphabet", "".join(sorted(_CONTACT_ALPHABET))], 14, 99,
+     "5e22791010622083607166f2e22af9949dc3b8d3bebe8995b89e3a23ffaeebed",
+     "de241afd548a96c6bd8670deb0c423021548c82e1c1ffd3f609fec5783d66b8b"),
+    (["--rgx", ".*(x{a}|y{b}).*", "--alphabet", "ab"], 6, 10,
+     "628c1b744ab17a5ebaee9b19e2133268a4d581fdb8dbb0f2778434dc9727d67d",
+     "ed5b33f0371f42876b7b7c177710ede653f1da2286c63d837222b8bbe0f82e3b"),
     (["--rgx", ".*x{a.*}.*", "--alphabet", "ab"], 4, 9,
      "8be5e8e1d859efdea2b3a23d8212ca1323f94ecb2eca3d89b09d87ff720684b2",
      "1ac6e7dd6a5312225542730e76338897c4980a3985ab0d40d0d0e542859a2c00"),

@@ -507,7 +507,7 @@ def test_fig1_det_seva_file_is_the_unreduced_compile():
     digest = hashlib.sha256(FIG1_DET_SEVA.read_bytes()).hexdigest()
     assert digest == "8e86a4860b70f2bd5422c3f9c528c0f13b9e34fff851ab9cdabb8d681084efd0"
     unreduced, reduced = _fig1_det_seva(), _fig1_reduced_det_seva()
-    assert (len(unreduced.states), len(reduced.states)) == (120, 16)
+    assert (len(unreduced.states), len(reduced.states)) == (120, 14)
     doc = Document(FIG1_TEXT * 8)
     assert canon(enumerate_stream(evaluate_preprocess(unreduced, doc))) == canon(
         enumerate_stream(evaluate_preprocess(reduced, doc)))
@@ -521,8 +521,8 @@ KERNEL_CONTRACT = [
      {"append": 757, "lazycopy": 746, "node": 359}, 2961, 14, 46, 224, 85, 6),
     (gen_fig4_automaton, "a" * 99 + "b", 725,
      {"append": 102, "lazycopy": 103, "node": 105}, 516, 1, 6, 9, 9, 2),
-    (_fig1_reduced_det_seva, (FIG1_TEXT * 8)[:200], 4019,
-     {"append": 745, "lazycopy": 734, "node": 359}, 2925, 14, 15, 186, 16, 6),
+    (_fig1_reduced_det_seva, (FIG1_TEXT * 8)[:200], 3329,
+     {"append": 573, "lazycopy": 561, "node": 359}, 2408, 14, 13, 184, 14, 5),
 ]
 
 

@@ -96,13 +96,12 @@ def _builds_an_automaton(node: ast.AST) -> bool:
 
 def test_constructions_build_through_one_builder():
     # Every construction hands its moves to _reachable_eva, so it builds
-    # only the reachable part; trim, which needs co-reachability and may
-    # return a VA, keeps its own constructor call.
+    # only the reachable part.
     builders = [
         f"{name}:{getattr(node, 'name', f'line {node.lineno}')}"
         for name in ("transform.py", "algebra.py")
         for node in ast.parse((PACKAGE / name).read_bytes()).body
         if _builds_an_automaton(node)
     ]
-    allowed = {"transform.py:_reachable_eva", "transform.py:trim"}
+    allowed = {"transform.py:_reachable_eva"}
     assert [builder for builder in builders if builder not in allowed] == []

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import pytest
 
 import spanex.automata
@@ -6,29 +9,37 @@ from spanex import (
     EVA,
     Mapping,
     VA,
+    automaton_json,
     bisimulation_quotient,
     brute_enumerate_va,
     classify,
+    compile_spanner,
+    count_det_seva,
     determinize_eva,
+    enumerate_stream,
+    evaluate_preprocess,
     functional_eva,
     functional_va_to_det_seva,
     load_automaton,
-    trim,
+    parse_rgx,
+    rgx_to_va,
     va_to_det_seva_general,
     va_to_eva,
 )
+from spanex import transform
 from spanex.errors import PreconditionError
 from spanex.transform import variable_paths_from
 
 from fixtures import (
     RandomProfile,
+    gen_fig1_fixture,
     gen_fig3_va,
     gen_fig4_automaton,
     gen_prop4_family,
     random_documents,
     random_instance,
 )
-from helpers import all_docs, close_m, mapping, mset, open_m
+from helpers import all_docs, close_m, mapping, mset, open_m, trim
 
 
 def test_va_to_eva_fig3_pair_transition():
@@ -263,3 +274,111 @@ def test_trim():
     assert t.finals == frozenset(["q1"])
     for doc in all_docs("a", 2):
         assert brute_enumerate_va(t, doc) == brute_enumerate_va(va, doc)
+
+
+def test_quotient_keeps_only_the_live_part():
+    # "unreach" can reach a final state and is final itself, but the
+    # initial state does not reach it; "dead" is reached but reaches no
+    # final state.  Both go, with every transition that touches them.
+    x_open, x_close = mset(open_m("x")), mset(close_m("x"))
+    eva = EVA(
+        ["q0", "q1", "q2", "q3", "dead", "unreach"],
+        "q0",
+        ["q3", "unreach"],
+        [("q0", x_open, "q1"), ("q1", "a", "q2"), ("q2", x_close, "q3"), ("q3", "a", "q3"),
+         ("q0", "a", "dead"), ("dead", "a", "dead"), ("unreach", "a", "q1")],
+        ["a"],
+        ["x"],
+    )
+    quotient = bisimulation_quotient(eva)
+    assert quotient.states == frozenset(["q0", "q1", "q2", "q3"])
+    assert quotient.transitions == frozenset(
+        [("q0", x_open, "q1"), ("q1", "a", "q2"), ("q2", x_close, "q3"), ("q3", "a", "q3")])
+    for doc in all_docs("a", 3):
+        assert brute_enumerate_va(quotient, doc) == brute_enumerate_va(eva, doc)
+    # An initial state that reaches no final state stays, alone: its
+    # self-loop and its move into a dead state go.
+    dead = EVA(["q0", "q1", "unreach"], "q0", ["unreach"],
+               [("q0", "a", "q0"), ("q0", x_open, "q1"), ("unreach", "a", "q0")], ["a"], ["x"])
+    quotient = bisimulation_quotient(dead)
+    assert (quotient.states, quotient.finals, quotient.transitions) == (
+        frozenset(["q0"]), frozenset(), frozenset())
+    for doc in all_docs("a", 3):
+        assert brute_enumerate_va(quotient, doc) == brute_enumerate_va(dead, doc) == set()
+
+
+def test_contact_rule_compiles_to_its_own_quotient(monkeypatch):
+    # Sequential, so the subset construction alone reaches the minimum.
+    ast, _, doc, alphabet = gen_fig1_fixture()
+    det, _ = compile_spanner(ast, alphabet)
+    assert (len(det.states), len(det.transitions)) == (14, 99)
+    again = bisimulation_quotient(det)
+    assert (again.states, again.initial, again.finals, again.transitions) == (
+        det.states, det.initial, det.finals, det.transitions)
+    # Tracking marker histories on it, as if it were not sequential,
+    # builds a 16-state automaton, pinned by its file's digest, which the
+    # quotient merges to 14.
+    real = transform.classify
+    monkeypatch.setattr(transform, "classify",
+                        lambda a: dataclasses.replace(real(a), sequential=False))
+    histories = va_to_det_seva_general(rgx_to_va(ast, alphabet))
+    assert len(histories.states) == 16
+    assert hashlib.sha256((automaton_json(histories) + "\n").encode()).hexdigest() == (
+        "ca370c3ee607eea5339931a329d3e60c3dd9140ffa01b37026ee6b14a1a483ac")
+    assert len(bisimulation_quotient(histories).states) == 14
+    assert set(enumerate_stream(evaluate_preprocess(histories, doc))) == set(
+        enumerate_stream(evaluate_preprocess(det, doc)))
+
+
+@pytest.mark.parametrize("build, states", [
+    (lambda: rgx_to_va(parse_rgx(".*(x{a}|y{b}).*", "ab"), "ab"), 6),
+    (lambda: gen_prop4_family(2), None),
+], ids=["alternative-captures", "prop4"])
+def test_sequential_input_is_determinized_without_marker_histories(build, states):
+    va = build()
+    report = classify(va)
+    assert report.sequential and not report.functional
+    det, _ = compile_spanner(va)
+    assert automaton_json(det) == automaton_json(
+        determinize_eva(bisimulation_quotient(va_to_eva(va))))
+    assert states is None or len(det.states) == states
+
+
+@pytest.mark.parametrize("pattern", ["x{a}x{a}", "(x{a}|b)*"])
+def test_non_sequential_input_tracks_marker_histories(pattern):
+    va = rgx_to_va(parse_rgx(pattern, "ab"), "ab")
+    assert not classify(va).sequential
+    det, _ = compile_spanner(va)
+    report = classify(det)
+    assert report.deterministic and report.sequential
+    # Each state pairs a subset of quotient states with the markers used.
+    assert all(isinstance(q, tuple) and isinstance(q[0], frozenset) for q in det.states)
+    for doc in all_docs("ab", 4):
+        outputs = list(enumerate_stream(evaluate_preprocess(det, doc)))
+        assert set(outputs) == brute_enumerate_va(va, doc)
+        assert count_det_seva(det, doc) == len(outputs)
+
+
+def test_given_sequential_eva_is_reduced_before_determinizing():
+    # The a- and b-branches out of q0 are bisimilar, and the subset
+    # construction alone keeps them apart.
+    x_open, x_close = mset(open_m("x")), mset(close_m("x"))
+    eva = EVA(
+        ["q0", "q1", "q2", "q3", "q4", "q5", "q6", "q7", "q8"],
+        "q0",
+        ["q7", "q8"],
+        [("q0", "a", "q0"), ("q0", "b", "q0"), ("q0", "a", "q1"), ("q0", "b", "q2"),
+         ("q1", x_open, "q3"), ("q2", x_open, "q4"), ("q3", "a", "q5"), ("q4", "a", "q6"),
+         ("q5", x_close, "q7"), ("q6", x_close, "q8")],
+        ["a", "b"],
+        ["x"],
+    )
+    report = classify(eva)
+    assert report.sequential and report.deterministic is False
+    det, _ = compile_spanner(eva)
+    plain = determinize_eva(eva)
+    assert len(det.states) < len(plain.states)
+    for doc in all_docs("ab", 4):
+        outputs = set(enumerate_stream(evaluate_preprocess(det, doc)))
+        assert outputs == set(enumerate_stream(evaluate_preprocess(plain, doc)))
+        assert count_det_seva(det, doc) == count_det_seva(plain, doc) == len(outputs)
