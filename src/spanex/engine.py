@@ -35,9 +35,11 @@ as lazy-DFA matchers and REmatch (Riveros, Van Sint Jan, Vrgoč, VLDB
   are (the next live set may name other states).
 - Looking one letter ahead: at i <= n a marker transition into a state
   with no transition on the next letter builds a node that reading drops
-  at once, off every output path.  Steps leave such edges out unless a
-  phase hook is given; then they keep them, so the hook sees the paper's
-  lists.  The last capturing stage, at n+1, takes every edge.
+  at once, off every output path, so steps leave such edges out.  The
+  last capturing stage, at n+1, takes every edge: a run on the prefix of
+  length i ends with the paper's lists of the capturing stage at i+1.
+  The tests check the per-stage lists on such prefix runs and on the
+  reference kernel ``preprocess_reference`` of ``tests/helpers.py``.
 - Op counts stay the paper's per-stage amounts, not the nodes actually
   built: ``node`` counts every marker transition of L.
 - The memo is per call and cleared before a step is recorded once its
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from . import counting
 from .automata import EVA, DetTables, State, require_det_seva
@@ -172,8 +174,6 @@ class EvaluationState:
         }
 
 
-PhaseHook = Callable[[str, int, "EvaluationState"], None]
-
 # (sources, node edges, slot ids, first arrivals or None in place, joins,
 #  lazy copies, nodes, reading visits, appends, next live set, its row of
 #  steps or None without a reading part)
@@ -185,7 +185,6 @@ def evaluate_preprocess(
     document: Document,
     validate: bool = True,
     counter: Optional[OpCounter] = None,
-    on_phase: Optional[PhaseHook] = None,
 ) -> EvaluationState:
     """Build the run DAG for a deterministic sequential EVA.
 
@@ -198,35 +197,25 @@ def evaluate_preprocess(
     (see the module docstring), so work per position is proportional to
     the live part of the automaton; an in-place step, which builds no
     node and moves no list, costs one row lookup and its op constants.
-    With ``on_phase``, the hooks after an in-place step still see every
-    list, under the next live set's states.
-
-    Without ``on_phase``, the capturing stage at i <= n builds only the
-    nodes whose target reads the next letter; with it, steps keep every
-    marker transition, so each hook sees the paper's lists.  Every output
-    path of the DAG, and so every output and its order, is the same.
+    The capturing stage at i <= n builds only the nodes whose target
+    reads the next letter; every output path of the DAG is the paper's.
 
     Operation counts are the paper's per-stage amounts, not the nodes
     built: one ``preprocess`` step per lazy copy (one per live state),
     per live state visited in either stage and per list append, two per
     DAG node of the paper's stage, plus one for the initial list.  They
-    are summed in locals and added to ``counter`` at the end and before
-    each ``on_phase`` call: the capturing constant before the "capturing"
-    call, the reading constant before the "reading" one.
+    are summed in locals and added to ``counter`` at the end.
     """
     if validate:
         require_det_seva(automaton)
     counter = counter if counter is not None else OpCounter()
     tables = automaton.tables()
     markers, letters = tables.markers, tables.letters
-    lists: List[Optional[NodeList]] = [None] * len(tables.states)
     reached = bytearray(len(tables.states))
     reached[tables.initial] = 1
-    state = EvaluationState(automaton, counter, tables, lists, reached)
     bottom = DagNode(frozenset(), 0, None, None)  # this run's sink ⊥
-    initial = NodeList(bottom, bottom)
     live: Tuple[int, ...] = (tables.initial,)
-    work: List[NodeList] = [initial]  # the lists of ``live``, then this stage's new targets
+    work: List[NodeList] = [NodeList(bottom, bottom)]  # the lists of ``live``, then new targets
     budget = counting.MEMO_BUDGET * automaton.size
     # live set -> symbol -> step; the symbol None is the end of the document
     rows: Dict[Tuple[int, ...], Dict[Optional[str], Step]] = {live: {}}
@@ -234,21 +223,6 @@ def evaluate_preprocess(
     held = 0  # the recorded steps and their slots and edges
     # ops: the initial list plus the live states visited by reading.
     ops, copies, nodes, appends = 1, 0, 0, 0
-
-    def flush() -> None:
-        nonlocal ops, copies, nodes, appends
-        counter.preprocess += ops + 2 * copies + 2 * nodes + appends
-        counter.note("lazycopy", copies)
-        if nodes:
-            counter.note("node", nodes)
-        if appends:
-            counter.note("append", appends)
-        ops = copies = nodes = appends = 0
-
-    def publish(ids: Sequence[int]) -> None:
-        lists[:] = [None] * len(lists)
-        for q, nodelist in zip(ids, work):
-            lists[q] = nodelist
 
     for i, symbol in enumerate(chain(document.content, (None,)), 1):
         step = row.get(symbol)
@@ -259,8 +233,7 @@ def evaluate_preprocess(
                 rows.clear()
                 row = rows[live] = {}
                 held = 0
-            step = row[symbol] = _record(live, markers, letters.get(symbol), on_phase is None,
-                                         reached, rows)
+            step = row[symbol] = _record(live, markers, letters.get(symbol), reached, rows)
             held += 1 + len(step[1]) + len(step[2])
         (sources, edges, slots, firsts, joins, stage_copies, stage_nodes, stage_reads,
          stage_appends, live, row) = step
@@ -279,10 +252,6 @@ def evaluate_preprocess(
                     target.start = DagNode(marker_set, i, taken[k], target.start)
         copies += stage_copies
         nodes += stage_nodes
-        if on_phase is not None:
-            publish(slots)
-            flush()
-            on_phase("capturing", i, state)
         if row is None:
             if symbol is None:
                 break
@@ -307,18 +276,21 @@ def evaluate_preprocess(
             work = moved
         ops += stage_reads
         appends += stage_appends
-        if on_phase is not None:
-            publish(live)
-            flush()
-            on_phase("reading", i, state)
 
-    publish(slots)
-    flush()
-    return state
+    counter.preprocess += ops + 2 * copies + 2 * nodes + appends
+    counter.note("lazycopy", copies)
+    if nodes:
+        counter.note("node", nodes)
+    if appends:
+        counter.note("append", appends)
+    lists: List[Optional[NodeList]] = [None] * len(tables.states)
+    for q, nodelist in zip(slots, work):
+        lists[q] = nodelist
+    return EvaluationState(automaton, counter, tables, lists, reached)
 
 
 def _record(live: Tuple[int, ...], markers: List[List[Tuple[MarkerSet, int]]],
-            successor: Optional[List[Optional[int]]], lookahead: bool, reached: bytearray,
+            successor: Optional[List[Optional[int]]], reached: bytearray,
             rows: Dict[Tuple[int, ...], Dict[Optional[str], Step]]) -> Step:
     """The step of one character from the live set ``live``.
 
@@ -326,10 +298,10 @@ def _record(live: Tuple[int, ...], markers: List[List[Tuple[MarkerSet, int]]],
     lazy copies the stage takes, and each edge (copy index, marker set,
     target slot) adds one node; a target outside ``live`` gets the next
     free slot, given as None on its first edge.  ``slots`` holds the state
-    id of every slot.  With ``lookahead``, only edges into a state that
-    reads the letter are kept.  ``successor`` None records the end of
-    the document (or a symbol outside the alphabet): no reading part and
-    no next row.
+    id of every slot.  Only edges into a state that reads the letter are
+    kept.  ``successor`` None records the end of the document (or a
+    symbol outside the alphabet): every edge, no reading part and no next
+    row.
 
     Reading: ``firsts[d]`` is the slot whose list moves into the d-th
     state of the next live set, and each join (slot, d) appends a list to
@@ -343,7 +315,6 @@ def _record(live: Tuple[int, ...], markers: List[List[Tuple[MarkerSet, int]]],
     targets.  Every state of L+ and of the next live set is marked in
     ``reached``.
     """
-    lookahead = lookahead and successor is not None
     slots = list(live)
     slot: Optional[Dict[int, int]] = None
     sources: List[int] = []
@@ -358,7 +329,7 @@ def _record(live: Tuple[int, ...], markers: List[List[Tuple[MarkerSet, int]]],
         k = len(sources)
         for marker_set, p in out:
             reached[p] = 1
-            if lookahead and successor[p] is None:
+            if successor is not None and successor[p] is None:
                 dropped.append(p)
                 continue
             if slot is None:
@@ -470,13 +441,11 @@ def enumerate_raw(
                 counter.enum_work += 1
 
 
-def enumerate_stream(
-    state: EvaluationState,
-    counter: Optional[OpCounter] = None,
-) -> Iterator[Mapping]:
-    """All mappings of the evaluated automaton, each exactly once."""
+def enumerate_stream(state: EvaluationState) -> Iterator[Mapping]:
+    """All mappings of the evaluated automaton, each exactly once; the
+    walk's work counts into ``state.counter``."""
     names = state.tables.variables
-    for fields in enumerate_raw(state, counter):
+    for fields in enumerate_raw(state):
         yield Mapping({v: Span(f[0], f[1]) for v, f in zip(names, fields) if f is not None})
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from hypothesis import strategies as st
 
@@ -24,7 +24,7 @@ from spanex import (
 )
 from spanex.automata import (
     _INVALID, ClassificationReport, Label, State, format_label, reachable, state_name)
-from spanex.engine import DagNode, NodeList, PhaseHook, enumerate_ndjson
+from spanex.engine import DagNode, NodeList, enumerate_ndjson
 from spanex.instrument import OpCounter
 from spanex.model import Marker, MarkerSet, all_closed, marker_set_key, markers_compatible
 
@@ -469,6 +469,11 @@ def count_reference(automaton: EVA, document: Document) -> Tuple[int, int]:
     return sum(counts.get(q, 0) for q in tables.finals), ops
 
 
+# Called after each stage of ``preprocess_reference`` with "capturing" or
+# "reading", the position and the state, whose lists are that stage's.
+PhaseHook = Callable[[str, int, EvaluationState], None]
+
+
 def preprocess_reference(
     automaton: EVA,
     document: Document,
@@ -480,7 +485,9 @@ def preprocess_reference(
     the lists in a dict keyed by target and sorts the live states.  Same
     lists, output paths, op counts and ``reached`` as
     ``evaluate_preprocess``; it also builds the nodes that reading drops
-    at once."""
+    at once.  ``on_phase`` sees the lists and op counts after every
+    stage; the kernel shows its capturing stages through runs on the
+    prefixes (``prefix_run_like_reference``)."""
     counter = counter if counter is not None else OpCounter()
     tables = automaton.tables()
     markers, letters = tables.markers, tables.letters
@@ -583,6 +590,20 @@ def preprocessed_like_reference(automaton: EVA, document: Document) -> List[str]
     return lines
 
 
+def prefix_run_like_reference(automaton: EVA, prefix: str) -> EvaluationState:
+    """``evaluate_preprocess`` on ``prefix``, which ends with the capturing
+    stage at len(prefix) + 1, after checking that every state's list, the
+    op counts and ``reached`` equal those of ``preprocess_reference``."""
+    got, want = OpCounter(), OpCounter()
+    state = evaluate_preprocess(automaton, Document(prefix), validate=False, counter=got)
+    reference = preprocess_reference(automaton, Document(prefix), counter=want)
+    for q in state.tables.states:
+        assert expand_list(state, q) == expand_list(reference, q), (prefix, q)
+    assert (got.preprocess, got.detail) == (want.preprocess, want.detail), prefix
+    assert state.reached == reference.reached, prefix
+    return state
+
+
 def event_key(events: Tuple[Event, ...]) -> Tuple:
     return tuple((marker_set_key(s), i) for s, i in events)
 
@@ -611,3 +632,16 @@ def runs_after_capturing(automaton: EVA, prefix: str) -> Dict[State, List[Tuple[
             if label == symbol
         ]
     raise AssertionError("unreachable")
+
+
+def list_outputs(state: EvaluationState) -> Dict[State, List[Tuple]]:
+    """The sorted partial outputs of every nonempty list."""
+    return {q: sorted(event_key(events) for events in partial_outputs(nodelist))
+            for q, nodelist in state.lists.items() if not nodelist.is_empty}
+
+
+def run_outputs(automaton: EVA, prefix: str) -> Dict[State, List[Tuple]]:
+    """The sorted partial outputs that ``runs_after_capturing`` finds,
+    per end state."""
+    return {q: sorted(event_key(out) for out in outs)
+            for q, outs in runs_after_capturing(automaton, prefix).items()}

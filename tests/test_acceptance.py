@@ -48,13 +48,13 @@ from fixtures import (
 )
 from helpers import (
     corpus_checksum,
-    event_key,
     expand_list,
+    list_outputs,
     mapping,
     mapping_set_join,
     mapping_set_project,
-    partial_outputs,
-    runs_after_capturing,
+    preprocess_reference,
+    run_outputs,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -123,26 +123,18 @@ FIG4_EXPECTED = [
 
 @criterion(1, "golden example: three mappings, exact per-stage trace, < 1 ms")
 def test_criterion_1_golden_example():
-    from test_engine import expected_trace
+    from test_engine import expected_trace, golden_traces
 
     fig4 = gen_fig4_automaton()
     doc = Document("ab")
 
-    trace = []
-
-    def hook(phase, index, state):
-        snapshot = {
-            q: expand_list(state, q)
-            for q, nl in state.lists.items()
-            if not nl.is_empty
-        }
-        trace.append((phase, index, snapshot))
-
-    state = evaluate_preprocess(fig4, doc, on_phase=hook)
+    state = evaluate_preprocess(fig4, doc)
     outputs = list(enumerate_stream(state))
     assert outputs == FIG4_EXPECTED
     assert len(set(outputs)) == 3
+    trace, capturing = golden_traces()
     assert trace == expected_trace()
+    assert capturing == [row for row in expected_trace() if row[0] == "capturing"]
 
     # The deterministic+sequential precondition is validated once at
     # fixture construction; the timed region is evaluation itself.
@@ -452,48 +444,32 @@ def test_criterion_8_census_parsimony():
 
 @criterion(9, "live lists match the independent run search at every phase")
 def test_criterion_9_list_invariant():
+    # The run on the first i letters ends with capturing stage i + 1.
     instances = 0
     for seed in range(50):
         automaton = random_instance(
             seed + 7000, RandomProfile(kind="det_seva", states=5, variables=2)
         )
         for doc in random_documents(seed, "ab", 4, 2):
-            observed = {}
-
-            def hook(phase, index, state):
-                if phase != "capturing":
-                    return
-                observed[index] = {
-                    q: sorted(event_key(events) for events in partial_outputs(nl))
-                    for q, nl in state.lists.items()
-                    if not nl.is_empty
-                }
-
-            evaluate_preprocess(automaton, doc, validate=False, on_phase=hook)
             for i in range(len(doc) + 1):
-                runs = runs_after_capturing(automaton, doc.content[:i])
-                expected = {
-                    q: sorted(event_key(out) for out in outs)
-                    for q, outs in runs.items()
-                }
-                assert observed[i + 1] == expected, (seed, doc.content, i)
+                prefix = doc.content[:i]
+                state = evaluate_preprocess(automaton, Document(prefix), validate=False)
+                assert list_outputs(state) == run_outputs(automaton, prefix), (seed, doc.content, i)
         instances += 1
     assert instances == 50
     return "50 instances, all phases"
 
 
-def test_hooked_and_plain_runs_build_the_same_lists():
-    # Without a hook the kernel builds only the nodes that the reading
-    # stage keeps; with one it records its steps with every marker
-    # transition, which criterion 9 checks against the run search.  Both
-    # end with the same lists, the same marks and the same op counts.
+def test_kernel_and_reference_runs_build_the_same_lists():
+    # The kernel builds only the nodes that the reading stage keeps; the
+    # reference kernel builds one per marker transition.  Both end with
+    # the same lists, the same marks and the same op counts.
     for seed, automaton in enumerate(corpora()["det_seva"]):
         for doc in _docs(seed) + random_documents(seed, "ab", 24, 2)[1:]:
-            plain, hooked = OpCounter(), OpCounter()
-            state = evaluate_preprocess(automaton, doc, counter=plain)
-            shown = evaluate_preprocess(automaton, doc, counter=hooked,
-                                        on_phase=lambda phase, index, state: None)
-            assert state.reached == shown.reached, (seed, doc.content)
+            got, want = OpCounter(), OpCounter()
+            state = evaluate_preprocess(automaton, doc, counter=got)
+            reference = preprocess_reference(automaton, doc, counter=want)
+            assert state.reached == reference.reached, (seed, doc.content)
             for q in automaton.states:
-                assert expand_list(state, q) == expand_list(shown, q), (seed, doc.content, q)
-            assert (plain.preprocess, plain.detail) == (hooked.preprocess, hooked.detail)
+                assert expand_list(state, q) == expand_list(reference, q), (seed, doc.content, q)
+            assert (got.preprocess, got.detail) == (want.preprocess, want.detail)

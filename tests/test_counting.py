@@ -32,7 +32,7 @@ from fixtures import (
     random_documents,
     random_instance,
 )
-from helpers import close_m, count_reference, mset, open_m
+from helpers import close_m, count_reference, mset, open_m, preprocess_reference
 
 
 def test_count_fig4():
@@ -166,7 +166,7 @@ def test_memo_cleared_past_its_bound():
             if phase == "reading":
                 visited.add(tuple(q for q, nl in enumerate(state.lists_by_id) if nl is not None))
 
-        evaluate_preprocess(det, short, on_phase=hook)
+        preprocess_reference(det, short, on_phase=hook)
         assert (len(visited), det.size) == (visits, size)
         assert visits > MEMO_BUDGET * size
         for doc in (short, long):

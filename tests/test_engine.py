@@ -38,15 +38,16 @@ from fixtures import (
 from helpers import (
     canon,
     close_m,
-    event_key,
     expand_list,
+    list_outputs,
     mapping,
     mset,
     open_m,
     partial_outputs,
+    preprocess_reference,
     preprocessed_like_reference,
     prepend,
-    runs_after_capturing,
+    run_outputs,
 )
 
 
@@ -178,18 +179,28 @@ def expected_trace():
     ]
 
 
-def test_golden_trace_matches_worked_example():
+def _stage_lists(state):
+    return {q: expand_list(state, q) for q, nl in state.lists.items() if not nl.is_empty}
+
+
+def golden_traces():
+    """The worked example's trace as the reference kernel's hook shows it,
+    and the kernel's capturing rows, from its runs on the prefixes of
+    "ab": the run on the first i letters ends with capturing stage i + 1."""
     trace = []
+    preprocess_reference(
+        gen_fig4_automaton(), Document("ab"),
+        on_phase=lambda phase, index, state: trace.append((phase, index, _stage_lists(state))))
+    capturing = [("capturing", i + 1,
+                  _stage_lists(evaluate_preprocess(gen_fig4_automaton(), Document("ab"[:i]))))
+                 for i in range(3)]
+    return trace, capturing
 
-    def hook(phase, index, state):
-        snapshot = {}
-        for q, nl in state.lists.items():
-            if not nl.is_empty:
-                snapshot[q] = expand_list(state, q)
-        trace.append((phase, index, snapshot))
 
-    evaluate_preprocess(gen_fig4_automaton(), Document("ab"), on_phase=hook)
+def test_golden_trace_matches_worked_example():
+    trace, capturing = golden_traces()
     assert trace == expected_trace()
+    assert capturing == [row for row in expected_trace() if row[0] == "capturing"]
 
 
 def test_golden_dag_is_shared_not_copied():
@@ -363,29 +374,15 @@ def test_oracle_equality_random_corpus():
 
 
 def test_lemma_invariant_small():
-    # Live lists match the independent run search at every phase.
+    # Live lists match the independent run search at every capturing
+    # stage: the run on the first i letters ends with stage i + 1.
     for seed in (0, 1, 2):
         eva = random_instance(seed, RandomProfile(kind="det_seva", states=5, variables=2))
         for doc in random_documents(seed + 3, "ab", 3, 2):
-            observed = {}
-
-            def hook(phase, index, state):
-                if phase != "capturing":
-                    return
-                observed[index] = {
-                    q: sorted(event_key(e) for e in partial_outputs(nl))
-                    for q, nl in state.lists.items()
-                    if not nl.is_empty
-                }
-
-            evaluate_preprocess(eva, doc, validate=False, on_phase=hook)
             for i in range(len(doc) + 1):
-                runs = runs_after_capturing(eva, doc.content[:i])
-                expected = {
-                    q: sorted(event_key(out) for out in outs)
-                    for q, outs in runs.items()
-                }
-                assert observed[i + 1] == expected, (seed, doc.content, i)
+                prefix = doc.content[:i]
+                state = evaluate_preprocess(eva, Document(prefix), validate=False)
+                assert list_outputs(state) == run_outputs(eva, prefix), (seed, doc.content, i)
 
 
 def test_every_descent_reaches_bottom():
@@ -468,15 +465,21 @@ def test_tables_intern_states_in_canonical_order():
 
 
 def test_counters_exact_at_every_phase():
-    # Counts are batched inside the kernel but flushed before each hook.
-    counter = OpCounter()
+    # The kernel's capturing rows come from its runs on the prefixes of
+    # "ab", the reading rows from the reference kernel's hook.
     seen = []
+    for i in range(3):
+        counter = OpCounter()
+        evaluate_preprocess(gen_fig4_automaton(), Document("ab"[:i]), counter=counter)
+        seen.append(("capturing", i + 1, counter.preprocess, dict(counter.detail)))
+    counter = OpCounter()
 
     def hook(phase, index, state):
-        seen.append((phase, index, counter.preprocess, dict(counter.detail)))
+        if phase == "reading":
+            seen.append((phase, index, counter.preprocess, dict(counter.detail)))
 
-    evaluate_preprocess(gen_fig4_automaton(), Document("ab"), counter=counter, on_phase=hook)
-    assert seen == [
+    preprocess_reference(gen_fig4_automaton(), Document("ab"), counter=counter, on_phase=hook)
+    assert sorted(seen, key=lambda row: (row[1], row[0])) == [
         ("capturing", 1, 9, {"lazycopy": 1, "node": 3}),
         ("reading", 1, 16, {"lazycopy": 1, "node": 3, "append": 3}),
         ("capturing", 2, 28, {"lazycopy": 4, "node": 6, "append": 3}),
@@ -569,8 +572,8 @@ def test_step_memo_entries_stay_within_budget(monkeypatch):
     # slots number less than the budget plus the one step added.
     record, held = engine._record, []
 
-    def watched(live, markers, successor, lookahead, reached, rows):
-        step = record(live, markers, successor, lookahead, reached, rows)
+    def watched(live, markers, successor, reached, rows):
+        step = record(live, markers, successor, reached, rows)
         held.append(sum(1 + len(s[1]) + len(s[2])
                         for s in chain([step], *(row.values() for row in rows.values()))))
         return step

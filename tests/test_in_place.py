@@ -3,8 +3,10 @@ slot, or a preprocessing step with no edge, no join and every list in its
 own slot, is replayed as bookkeeping only.  Each hand-built det-seVA
 below makes one such case, or one that looks like it and is not, happen
 on its document; both kernels must agree with their reference kernels on
-the outputs, their order, the counts, the op counts and ``reached``, and
-preprocessing also on the lists and counters at every phase."""
+the outputs, their order, the counts, the op counts and ``reached``.
+Preprocessing must also agree on every state's list after each
+capturing stage: the run on the first i letters ends with capturing
+stage i + 1, so runs on every prefix show the per-stage lists."""
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,9 @@ from fixtures import RandomProfile, random_instance
 from helpers import (
     close_m,
     count_reference,
-    expand_list,
     mset,
     open_m,
+    prefix_run_like_reference,
     preprocess_reference,
     preprocessed_like_reference,
 )
@@ -75,9 +77,10 @@ def _renamed():
     )
 
 
-def _recorded(monkeypatch):
-    """Every (live set, program, in place) counting records and every
-    (live set, step, hooked, in place) preprocessing records."""
+def _recorded(monkeypatch, eva, doc):
+    """Every (live set, program, in place) that counting records on the
+    document and every (live set, step, in place) that preprocessing
+    records."""
     programs, steps = [], []
     count_record, step_record = counting._record, engine._record
 
@@ -86,70 +89,62 @@ def _recorded(monkeypatch):
         programs.append((live, program, program[0] is None))
         return program
 
-    def step_watched(live, markers, successor, lookahead, reached, rows):
-        step = step_record(live, markers, successor, lookahead, reached, rows)
-        steps.append((live, step, not lookahead, step[3] is None and step[10] is not None))
+    def step_watched(live, markers, successor, reached, rows):
+        step = step_record(live, markers, successor, reached, rows)
+        steps.append((live, step, step[3] is None and step[10] is not None))
         return step
 
     monkeypatch.setattr(counting, "_record", count_watched)
     monkeypatch.setattr(engine, "_record", step_watched)
+    count_det_seva(eva, doc)
+    evaluate_preprocess(eva, doc)
     return programs, steps
 
 
-def _phases(kernel, eva, doc):
-    """The counters and every state's list after each stage."""
-    counter, seen = OpCounter(), []
-
-    def hook(phase, index, state):
-        seen.append((phase, index, counter.preprocess, dict(counter.detail),
-                     {q: expand_list(state, q) for q in state.tables.states}))
-
-    kernel(eva, doc, counter=counter, on_phase=hook)
-    return seen
-
-
 def _like_references(eva, doc):
-    """The count and the NDJSON lines, after checking both kernels, plain
-    and hooked, against their reference kernels."""
+    """The count and the NDJSON lines, after checking both kernels against
+    their reference kernels, and preprocessing also on every prefix."""
     counter = OpCounter()
     counted = count_det_seva(eva, doc, counter=counter)
     assert (counted, counter.count_ops) == count_reference(eva, doc)
     lines = preprocessed_like_reference(eva, doc)
-    assert _phases(evaluate_preprocess, eva, doc) == _phases(preprocess_reference, eva, doc)
+    for i in range(len(doc) + 1):
+        prefix_run_like_reference(eva, doc.content[:i])
     assert len(lines) == counted
     return counted, lines
 
 
 def test_pure_in_place_run(monkeypatch):
-    programs, steps = _recorded(monkeypatch)
-    eva = _both_open()
-    counted, _ = _like_references(eva, Document("bbb" + "a" * 20 + "c"))
+    eva, doc = _both_open(), Document("bbb" + "a" * 20 + "c")
+    counted, _ = _like_references(eva, doc)
     assert counted == 8
+    programs, steps = _recorded(monkeypatch, eva, doc)
     # (u, v) on 'a' into itself and on 'c' into (g, h), in counting and
-    # in the plain and the hooked pass.
+    # in preprocessing.
     ids = {q: k for k, q in enumerate(eva.tables().states)}
     after = [(ids["u"], ids["v"]), (ids["g"], ids["h"])]
     assert sorted(program[3] for _, program, in_place in programs if in_place) == sorted(after)
-    assert sorted((hooked, step[9]) for _, step, hooked, in_place in steps if in_place) == sorted(
-        (hooked, live) for hooked in (False, True) for live in after)
-    assert {live for live, *_, in_place in programs + steps if in_place} == {after[0]}
+    assert sorted(step[9] for _, step, in_place in steps if in_place) == sorted(after)
+    assert {live for live, _, in_place in programs + steps if in_place} == {after[0]}
 
 
 @pytest.mark.parametrize("a_run", [2, 3, 8, 9])
 def test_swap_is_not_in_place(monkeypatch, a_run):
-    programs, steps = _recorded(monkeypatch)
-    counted, _ = _like_references(_swap(), Document("bbb" + "a" * a_run))
+    eva, doc = _swap(), Document("bbb" + "a" * a_run)
+    counted, _ = _like_references(eva, doc)
     assert counted == (3 if a_run % 2 else 1)
+    programs, steps = _recorded(monkeypatch, eva, doc)
     swaps = [program for _, program, _ in programs if program[1] == [(0, 1), (1, 0)]]
     assert swaps and all(size == 2 for size, *_ in swaps)
-    assert any(step[3] == [1, 0] for _, step, *_ in steps)
+    assert any(step[3] == [1, 0] for _, step, _ in steps)
     assert not any(in_place for *_, in_place in programs + steps)
 
 
 def test_marker_path_into_its_own_slot_is_not_in_place(monkeypatch):
-    programs, _ = _recorded(monkeypatch)
-    counted, _ = _like_references(_marker_into_own_slot(), Document("a" * 12))
+    eva, doc = _marker_into_own_slot(), Document("a" * 12)
+    counted, _ = _like_references(eva, doc)
     assert counted == 2
+    programs, _ = _recorded(monkeypatch, eva, doc)
     doubled = [program for _, program, _ in programs if program[1] == [(0, 0), (0, 0)]]
     assert doubled and all(size == 1 for size, *_ in doubled)
     # Only t's programs, on 'a' and at the end, are in place.
@@ -173,12 +168,13 @@ def test_sink_belongs_to_one_run():
         assert (counter.preprocess, counter.detail) == (want.preprocess, want.detail)
 
 
-def test_hooked_in_place_step_renames_its_live_state(monkeypatch):
-    _, steps = _recorded(monkeypatch)
-    _, lines = _like_references(_renamed(), Document("b" + "a" * 6 + "c"))
+def test_in_place_step_renames_its_live_state(monkeypatch):
+    eva, doc = _renamed(), Document("b" + "a" * 6 + "c")
+    _, lines = _like_references(eva, doc)
     assert lines == ['{"x": [1, 9]}\n']
-    ids = {q: k for k, q in enumerate(_renamed().tables().states)}
-    renamed = [(live, step[9]) for live, step, hooked, in_place in steps if hooked and in_place]
+    _, steps = _recorded(monkeypatch, eva, doc)
+    ids = {q: k for k, q in enumerate(eva.tables().states)}
+    renamed = [(live, step[9]) for live, step, in_place in steps if in_place]
     assert ((ids["u"],), (ids["w"],)) in renamed
     assert ((ids["w"],), (ids["w"],)) in renamed
 

@@ -4,7 +4,8 @@ the library outside its own definition, in the README or in the
 benchmark adapter.  Re-exports in __init__.py do not count as a use, and
 the click commands in cli.py are entry points of their own.  Every
 field a library class lists in ``__slots__`` is read as an attribute in
-the library or the adapter."""
+the library or the adapter, and every parameter with a default of a
+public function, method or constructor is passed by some call there."""
 
 import ast
 import re
@@ -105,3 +106,58 @@ def test_constructions_build_through_one_builder():
     ]
     allowed = {"transform.py:_reachable_eva"}
     assert [builder for builder in builders if builder not in allowed] == []
+
+
+def _optional_parameters(tree: ast.Module):
+    """(name a call uses, position or None, parameter) for every parameter
+    with a default of a public module-level function, or of a public
+    method or ``__init__`` of a public class; a method's positions leave
+    out ``self``, and a keyword-only parameter has None.  A constructor is
+    called by its class's name."""
+    def optional(name, function, skip):
+        arguments = function.args
+        positional = arguments.posonlyargs + arguments.args
+        for k in range(len(positional) - len(arguments.defaults), len(positional)):
+            yield name, k - skip, positional[k].arg
+        for parameter, default in zip(arguments.kwonlyargs, arguments.kw_defaults):
+            if default is not None:
+                yield name, None, parameter.arg
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if not _is_click_command(node):
+                yield from optional(node.name, node, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and (
+                        method.name == "__init__" or not method.name.startswith("_")):
+                    yield from optional(node.name if method.name == "__init__" else method.name,
+                                        method, 1)
+
+
+def _sets(call: ast.Call, position, parameter: str) -> bool:
+    """Whether a call passes the parameter: by keyword, by position, or
+    through ``*args``, which may fill every position."""
+    if any(keyword.arg == parameter for keyword in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_optional_parameter_is_set_outside_the_tests():
+    # A default that no library or benchmark caller overrides is a knob
+    # that only the tests turn.
+    library = [ast.parse(path.read_bytes()) for path in sorted(PACKAGE.glob("*.py"))]
+    calls = {}
+    for tree in [*library, ast.parse((ROOT / "perfbench" / "adapter.py").read_bytes())]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+    unset = [f"{name}({parameter})"
+             for tree in library
+             for name, position, parameter in _optional_parameters(tree)
+             if not any(_sets(call, position, parameter) for call in calls.get(name, []))]
+    assert unset == []

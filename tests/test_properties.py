@@ -7,12 +7,13 @@ outputs, the unions, projection and (over random VAs) ``va_to_eva``
 build exactly their reachable part and keep their inputs' semantics,
 the compiled det-seVA agrees with the brute-force search, the
 CLI's NDJSON lines are the JSON encoding of the mapping stream, and
-preprocessing agrees with the reference kernel.  Over random VAs and
-EVAs, sequential or not, functional or not and deterministic or not, the
-classifier agrees with the reference classifier, the bisimulation
-quotient finds the reference partition and keeps the semantics and the
-verdicts, and both pipelines keep the outputs of their construction
-without the quotient."""
+preprocessing agrees with the reference kernel, also on every prefix,
+where it ends with the capturing stage that the run search predicts.
+Over random VAs and EVAs, sequential or not, functional or not and
+deterministic or not, the classifier agrees with the reference
+classifier, the bisimulation quotient finds the reference partition and
+keeps the semantics and the verdicts, and both pipelines keep the
+outputs of their construction without the quotient."""
 
 import json
 from unittest import mock
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 from spanex import (
     EVA,
     Document,
-    OpCounter,
     bisimulation_quotient,
     brute_enumerate_va,
     classify,
@@ -52,11 +52,14 @@ from helpers import (
     all_docs,
     bisimulation_names_reference,
     classify_reference,
+    list_outputs,
     mapping_set_project,
+    prefix_run_like_reference,
     preprocessed_like_reference,
     random_evas,
     random_letter_systems,
     random_vas,
+    run_outputs,
     trim,
 )
 
@@ -202,11 +205,14 @@ def test_ndjson_lines_equal_encoded_mappings(eva, texts):
     det, _ = compile_spanner(eva)
     for text in texts:
         state = evaluate_preprocess(det, Document(text))
-        streamed, written = OpCounter(), OpCounter()
+        # Both leaves count the walk's work into the state's counter.
+        counter = state.counter
+        start = counter.enum_work
         want = [json.dumps(m.to_json_obj(), sort_keys=True) + "\n"
-                for m in enumerate_stream(state, streamed)]
-        assert list(enumerate_ndjson(state, written)) == want
-        assert written.enum_work == streamed.enum_work
+                for m in enumerate_stream(state)]
+        streamed = counter.enum_work
+        assert list(enumerate_ndjson(state)) == want
+        assert counter.enum_work - streamed == streamed - start
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -216,6 +222,20 @@ def test_preprocess_equals_reference_kernel(eva, texts):
     det, _ = compile_spanner(eva)
     for text in texts:
         preprocessed_like_reference(det, Document(text))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.booleans().flatmap(lambda functional: random_evas(functional=functional)),
+       st.lists(st.text(alphabet="ab", max_size=6), min_size=1, max_size=3))
+def test_prefix_runs_are_the_papers_capturing_stage(eva, texts):
+    # The run on the first i letters ends with capturing stage i + 1: its
+    # lists are the reference kernel's, and its nonempty lists hold the
+    # partial outputs of the runs that the exhaustive search ends there.
+    det, _ = compile_spanner(eva)
+    for text in texts:
+        for i in range(len(text) + 1):
+            state = prefix_run_like_reference(det, text[:i])
+            assert list_outputs(state) == run_outputs(det, text[:i]), (text, i)
 
 
 ANY_AUTOMATON = st.one_of(random_vas(), random_evas(functional=False),
