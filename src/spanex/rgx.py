@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .automata import VA, reachable
+from .automata import VA
 from .errors import RegexSyntaxError
 from .model import Document, Mapping, Marker, Span
 
@@ -88,8 +88,9 @@ def rgx_literal_symbols(node: RegexAst) -> FrozenSet[str]:
 
 def _balanced(parts: List[RegexAst], node: Callable[[RegexAst, RegexAst], RegexAst]) -> RegexAst:
     """Join ``parts`` left to right with the binary ``node`` as a tree of
-    logarithmic depth, so long chains do not nest deeply (rgx_to_va numbers
-    states left to right, so the VA is the same for any association)."""
+    logarithmic depth, so long chains do not nest deeply.  The VA is the
+    same for any association: rgx_to_va numbers positions left to right
+    and flattens nested alternations before it builds them."""
     while len(parts) > 1:
         pairs = [node(left, right) for left, right in zip(parts[::2], parts[1::2])]
         parts = pairs + parts[-1:] if len(parts) % 2 else pairs
@@ -314,91 +315,80 @@ def rgx_eval_reference(node: RegexAst, doc: Document) -> Set[Mapping]:
 # ---------------------------------------------------------------------------
 
 def rgx_to_va(node: RegexAst, alphabet: Optional[Iterable[str]] = None) -> VA:
-    """Thompson-style construction, then epsilon elimination, over
-    ``alphabet`` (default: the regex's literal symbols).
+    """The position automaton of ``node`` (Glushkov 1961; Berry and Sethi
+    1986) over ``alphabet`` (default: the regex's literal symbols).
 
-    Capture(x, child) becomes an open-x transition into the child
-    fragment and a close-x transition out of it.  The result has O(|g|)
+    Each position is one state: a lone symbol, each marker of a capture
+    (``Capture(x, g)`` is open-x, then g, then close-x), and the symbol
+    alternatives of one flattened alternation together, so ``.`` is one
+    state.  A position is entered on each of its labels from ``q0`` when
+    it can come first and from every position it can follow; there are no
+    empty-word moves.  Positions are numbered left to right after ``q0``,
+    so the VA does not depend on how concatenations and alternations
+    associate.  The finals are the positions that can come last, and
+    ``q0`` when the regex matches the empty word.  The result has O(|g|)
     states and the same semantics as the reference evaluation on every
     document.
     """
     alphabet = rgx_literal_symbols(node) if alphabet is None else frozenset(alphabet)
-    epsilon = object()  # the empty-word label of the fragments
-    counter = 0
-    transitions: List[Tuple[int, object, int]] = []
+    labels: List[Tuple[object, ...]] = [()]  # what enters each position; q0 is 0
+    follow: Set[Tuple[int, int]] = set()
+    # build() returns (nullable, first positions, last positions).
+    Part = Tuple[bool, List[int], List[int]]
 
-    def fresh() -> int:
-        nonlocal counter
-        counter += 1
-        return counter - 1
+    def position(*entered: object) -> Part:
+        labels.append(entered)
+        return False, [len(labels) - 1], [len(labels) - 1]
 
-    def build(node: RegexAst) -> Tuple[int, int]:
+    def concat(left: Part, right: Part) -> Part:
+        (nullable1, first1, last1), (nullable2, first2, last2) = left, right
+        follow.update((q, p) for q in last1 for p in first2)
+        return (nullable1 and nullable2,
+                first1 + first2 if nullable1 else first1,
+                last2 + last1 if nullable2 else last2)
+
+    def build(node: RegexAst) -> Part:
         if isinstance(node, Epsilon):
-            s, e = fresh(), fresh()
-            transitions.append((s, epsilon, e))
-            return s, e
+            return True, [], []
         if isinstance(node, Symbol):
-            s, e = fresh(), fresh()
-            transitions.append((s, node.symbol, e))
-            return s, e
+            return position(node.symbol)
         if isinstance(node, Capture):
-            cs, ce = build(node.child)
-            s, e = fresh(), fresh()
-            transitions.append((s, Marker.open(node.var), cs))
-            transitions.append((ce, Marker.close(node.var), e))
-            return s, e
+            opened = position(Marker.open(node.var))
+            return concat(concat(opened, build(node.child)), position(Marker.close(node.var)))
         if isinstance(node, Concat):
-            ls, le = build(node.left)
-            rs, re = build(node.right)
-            transitions.append((le, epsilon, rs))
-            return ls, re
+            return concat(build(node.left), build(node.right))
         if isinstance(node, Alt):
-            ls, le = build(node.left)
-            rs, re = build(node.right)
-            s, e = fresh(), fresh()
-            transitions.extend(
-                [(s, epsilon, ls), (s, epsilon, rs), (le, epsilon, e), (re, epsilon, e)]
-            )
-            return s, e
+            alternatives, stack = [], [node]
+            while stack:
+                top = stack.pop()
+                if isinstance(top, Alt):
+                    stack += [top.right, top.left]
+                else:
+                    alternatives.append(top)
+            letters = [a.symbol for a in alternatives if isinstance(a, Symbol)]
+            parts = []
+            for alternative in alternatives:
+                if not isinstance(alternative, Symbol):
+                    parts.append(build(alternative))
+                elif letters:  # the first symbol alternative numbers them all
+                    parts.append(position(*letters))
+                    letters = []
+            return (any(nullable for nullable, _, _ in parts),
+                    [p for _, first, _ in parts for p in first],
+                    [p for _, _, last in parts for p in last])
         if isinstance(node, Star):
-            cs, ce = build(node.child)
-            s, e = fresh(), fresh()
-            transitions.extend(
-                [(s, epsilon, e), (s, epsilon, cs), (ce, epsilon, e), (ce, epsilon, cs)]
-            )
-            return s, e
+            _, first, last = build(node.child)
+            follow.update((q, p) for q in last for p in first)
+            return True, first, last
         raise TypeError(f"not a regex node: {node!r}")
 
-    start, end = build(node)
-
-    # Full epsilon closure: a VA run has no alternation discipline, so
-    # markers eliminate exactly like NFA letters.
-    eps_out: Dict[int, List[int]] = {}
-    real_out: Dict[int, List[Tuple[object, int]]] = {}
-    for q, label, p in transitions:
-        if label is epsilon:
-            eps_out.setdefault(q, []).append(p)
-        else:
-            real_out.setdefault(q, []).append((label, p))
-
-    # Each kept state's moves: the real transitions out of its closure.
-    moves: Dict[int, List[Tuple[object, int]]] = {}
-    finals: List[int] = []
-
-    def targets(q: int) -> List[int]:
-        closure = reachable([q], lambda r: eps_out.get(r, ()))
-        if end in closure:
-            finals.append(q)
-        moves[q] = [(label, p) for via in closure for label, p in real_out.get(via, ())]
-        return [p for _, p in moves[q]]
-
-    kept = reachable([start], targets)
-    names = {q: f"q{i}" for i, q in enumerate(sorted(kept))}
+    _, _, finals = concat((False, [0], [0]), build(node))
+    names = [f"q{i}" for i in range(len(labels))]
     return VA(
-        names.values(),
-        names[start],
+        names,
+        names[0],
         [names[q] for q in finals],
-        [(names[q], label, names[p]) for q in kept for label, p in moves[q]],
+        [(names[q], label, names[p]) for q, p in follow for label in labels[p]],
         alphabet,
         rgx_variables(node),
     )

@@ -4,6 +4,7 @@ invariants."""
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
@@ -23,7 +24,8 @@ from spanex import (
     evaluate_preprocess,
 )
 from spanex.automata import (
-    _INVALID, ClassificationReport, Label, State, format_label, reachable, state_name)
+    _INVALID, ClassificationReport, Label, State, format_label, label_key, reachable,
+    state_name)
 from spanex.engine import DagNode, NodeList, enumerate_ndjson
 from spanex.instrument import OpCounter
 from spanex.model import Marker, MarkerSet, all_closed, marker_set_key, markers_compatible
@@ -253,6 +255,98 @@ def bisimulation_names_reference(eva: EVA) -> Dict[State, State]:
     for q in order:
         first.setdefault(classes[q], q)
     return {q: first[classes[q]] for q in order}
+
+
+Configuration = Optional[Tuple[int, State, bool]]  # None is the dead configuration
+
+
+def spanner_difference(first: EVA, second: EVA) -> Optional[Tuple[Document, Mapping]]:
+    """None when the det-seVAs ``first`` and ``second`` output the same
+    mappings on every document, else a witness: a document and a mapping
+    that exactly one of them outputs on it.
+
+    A run takes at most one marker set before each letter and at the end,
+    so each automaton is read as a DFA over extended words whose
+    configurations are (automaton, state, may take a marker step).  A
+    missing move, and every configuration that reaches no accepting one,
+    is the dead configuration None.  Hopcroft and Karp's union-find check
+    decides; a breadth-first search of the configuration pairs then finds
+    a shortest extended word that one of them accepts and the other does
+    not, whose letters are the document and whose marker sets the mapping.
+    """
+    moves: Dict[Configuration, Dict[Label, Configuration]] = {None: {}}
+    accepting = set()
+    for k, automaton in enumerate((first, second)):
+        out = {(k, q, may_mark): [(label, (k, p, isinstance(label, str)))
+                                  for label, p in automaton.out(q)
+                                  if may_mark or isinstance(label, str)]
+               for q in automaton.states for may_mark in (True, False)}
+        back: Dict[Configuration, List[Configuration]] = {c: [] for c in out}
+        for c, steps in out.items():
+            for _, d in steps:
+                back[d].append(c)
+        finals = [c for c in out if c[1] in automaton.finals]
+        live = reachable(finals, back.__getitem__)
+        accepting.update(finals)
+        moves.update((c, {label: d for label, d in steps if d in live})
+                     for c, steps in out.items() if c in live)
+
+    def step(pair, label):
+        return tuple(moves[c].get(label) for c in pair)
+
+    def labels(pair):
+        return sorted({label for c in pair for label in moves[c]}, key=label_key)
+
+    start = tuple(c if c in moves else None
+                  for c in ((0, first.initial, True), (1, second.initial, True)))
+    parent: Dict[Configuration, Configuration] = {}
+
+    def find(c):
+        while parent.get(c, c) != c:
+            c = parent[c]
+        return c
+
+    todo = [start]
+    parent[find(start[0])] = find(start[1])
+    while todo:
+        pair = todo.pop()
+        if (pair[0] in accepting) != (pair[1] in accepting):
+            break
+        for label in labels(pair):
+            a, b = step(pair, label)
+            if find(a) != find(b):
+                parent[find(a)] = find(b)
+                todo.append((a, b))
+    else:
+        return None
+
+    previous = {start: None}
+    queue = collections.deque([start])
+    while (queue[0][0] in accepting) == (queue[0][1] in accepting):
+        pair = queue.popleft()
+        for label in labels(pair):
+            after = step(pair, label)
+            if after not in previous:
+                previous[after] = (pair, label)
+                queue.append(after)
+    word: List[Label] = []
+    pair = queue[0]
+    while previous[pair] is not None:
+        pair, label = previous[pair]
+        word.append(label)
+    text: List[str] = []
+    opened: Dict[str, int] = {}
+    spans: Dict[str, Span] = {}
+    for label in reversed(word):
+        if isinstance(label, str):
+            text.append(label)
+            continue
+        for m in sorted(label, key=lambda m: not m.is_open):
+            if m.is_open:
+                opened[m.var] = len(text) + 1
+            else:
+                spans[m.var] = Span(opened.pop(m.var), len(text) + 1)
+    return Document("".join(text)), Mapping(spans)
 
 
 # ---------------------------------------------------------------------------

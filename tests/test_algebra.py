@@ -35,6 +35,7 @@ from helpers import (
     mapping_set_project,
     mset,
     open_m,
+    spanner_difference,
 )
 
 
@@ -286,6 +287,17 @@ def test_compile_expr_strategies_agree_with_semantics():
                         evaluate_preprocess(compiled, doc))) == _semantics(expr, doc), (
                         seed, strategy, doc.content,
                     )
+
+
+@pytest.mark.parametrize("text, sizes", [
+    ('join(rgx(".*a......x{.*}"), rgx(".*y{b.*}.*"))', [(520, 1937), (520, 1937)]),
+    ('union(rgx(".*a.......x{.*}"), rgx(".*x{b.*}b....."))', [(271, 924), (270, 921)]),
+], ids=["join", "union"])
+def test_strategies_compile_the_join_and_union_rules_to_one_spanner(text, sizes):
+    expr = parse_expr(text, default_alphabet=frozenset("ab"))
+    prop7, prop8 = compile_expr(expr, "prop7"), compile_expr(expr, "prop8")
+    assert [(len(det.states), len(det.transitions)) for det in (prop7, prop8)] == sizes
+    assert spanner_difference(prop7, prop8) is None
 
 
 def test_compile_expr_strategy_guards():

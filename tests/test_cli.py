@@ -899,26 +899,26 @@ _UNION = 'union(rgx(".*a.......x{.*}"), rgx(".*x{b.*}b....."))'
 
 @pytest.mark.parametrize("source, states, transitions, format1_digest, digest", [
     (["--rgx", _CONTACT, "--alphabet", "".join(sorted(_CONTACT_ALPHABET))], 14, 99,
-     "5e22791010622083607166f2e22af9949dc3b8d3bebe8995b89e3a23ffaeebed",
-     "de241afd548a96c6bd8670deb0c423021548c82e1c1ffd3f609fec5783d66b8b"),
+     "9d03338e2e29e51c0061898c09a84580d4bc8712445902e6b39eb7ecccd61a1e",
+     "6d9d2e8a13875386376d82a8f61c93d96281bad96beeb035cf9bd19f486761ab"),
     (["--rgx", ".*(x{a}|y{b}).*", "--alphabet", "ab"], 6, 10,
-     "628c1b744ab17a5ebaee9b19e2133268a4d581fdb8dbb0f2778434dc9727d67d",
-     "ed5b33f0371f42876b7b7c177710ede653f1da2286c63d837222b8bbe0f82e3b"),
+     "49bf2e8ae5745cf735b7d979f552049c77316392f461e4071345c4237136d2e7",
+     "2693524ef26ff1036f0bccf74f712a612628f08245d773beb7705893ac91cebf"),
     (["--rgx", ".*x{a.*}.*", "--alphabet", "ab"], 4, 9,
-     "8be5e8e1d859efdea2b3a23d8212ca1323f94ecb2eca3d89b09d87ff720684b2",
-     "1ac6e7dd6a5312225542730e76338897c4980a3985ab0d40d0d0e542859a2c00"),
+     "f9806d1925a9f93a3a2d25a9846ded8478c73dbca6b8e0a1a150069126d18304",
+     "0250ae09f2907dfdb09e9fdfdc29d0aacc235875c72a098f25a670d60fda1fbc"),
     (["--expr", _JOIN, "--strategy", "prop7", "--alphabet", "ab"], 520, 1937,
-     "9d23e45db43e4e76530a558d23c15e150652ac371773cfe5da9f85e5f78f1783",
-     "77ee26891efeb21807b76d38cd97a1e46a3e4580bb2ab698f70689f7d107278e"),
+     "8d9b47218d0b4db31e776d337faa0a25132e82caefb4c68529010ea825f6bfdd",
+     "8e2f82e1f1a41a28701bb4bc3d5ee9a21676f019539d57187c949b0e4b7969a7"),
     (["--expr", _JOIN, "--strategy", "prop8", "--alphabet", "ab"], 520, 1937,
-     "48065db13a6208aa7295654108412aefd8bbd5f2a55019d0668be06da663ee6f",
-     "29734bd42a9eadf739dcc7c55e0763c83b3023f90bfaff46646bfc385eeafc31"),
+     "74d6f78c3878ac2bbf1e427b6ac955d401dd92052df18acf54cc1e332a1ee1fa",
+     "f4a0d18d1ea6565bb238d7ca6c6659f3f8f255e3ff81587bd8430c9596aafe2f"),
     (["--expr", _UNION, "--strategy", "prop7", "--alphabet", "ab"], 271, 924,
-     "90a8832df9f7e72f7ef4b5d74743ac8e4b0e15462d5f53032e7869652dbe74c5",
-     "bcebdb6293a2533dfd3768412075b7dd473bd104dca9cc285ed5f8530634c862"),
+     "31e5cab94c0ad9d401debef514615e1104e6155f4eec9ddaf16b366536262fc6",
+     "1f166d1e7684706d6345f1fca98b7721fc758e9d906b83dc38b34ada175d745c"),
     (["--expr", _UNION, "--strategy", "prop8", "--alphabet", "ab"], 270, 921,
-     "6f66acc24838fc8407d228431052b428ef9d2fe162a7ba8e17e8392087d268f8",
-     "01e29102a35acb004a4ad3f79663e83abdcf77a921928235b0cf72acf61454ab"),
+     "9e32ef65d70c8b589afdb3b55149f3b7d64d5169a3549325661faa88558d9458",
+     "a9c65e432e3170cd7b45d0f72097be2ccd087b093618388ca20d198a01b8a97c"),
 ], ids=["contact-general", "general", "functional", "join-prop7", "join-prop8",
         "union-prop7", "union-prop8"])
 def test_compile_bytes_pinned(runner, tmp_path, source, states, transitions, format1_digest,

@@ -48,6 +48,7 @@ from helpers import (
     preprocessed_like_reference,
     prepend,
     run_outputs,
+    spanner_difference,
 )
 
 
@@ -506,14 +507,61 @@ def _fig1_reduced_det_seva():
     return va_to_det_seva_general(rgx_to_va(ast, alphabet))
 
 
-def test_fig1_det_seva_file_is_the_unreduced_compile():
+def test_fig1_det_seva_file_is_equivalent_to_the_contact_compile():
     digest = hashlib.sha256(FIG1_DET_SEVA.read_bytes()).hexdigest()
     assert digest == "8e86a4860b70f2bd5422c3f9c528c0f13b9e34fff851ab9cdabb8d681084efd0"
     unreduced, reduced = _fig1_det_seva(), _fig1_reduced_det_seva()
     assert (len(unreduced.states), len(reduced.states)) == (120, 14)
-    doc = Document(FIG1_TEXT * 8)
-    assert canon(enumerate_stream(evaluate_preprocess(unreduced, doc))) == canon(
-        enumerate_stream(evaluate_preprocess(reduced, doc)))
+    assert spanner_difference(unreduced, reduced) is None
+    assert spanner_difference(reduced, unreduced) is None
+
+
+def _outputs(automaton, doc):
+    return set(enumerate_stream(evaluate_preprocess(automaton, doc)))
+
+
+def _without(automaton, finals=(), transitions=(), states=()):
+    return EVA(automaton.states - set(states), automaton.initial,
+               automaton.finals - set(finals) - set(states),
+               [(q, label, p) for q, label, p in automaton.transitions
+                if (q, label, p) not in transitions and q not in states and p not in states],
+               automaton.alphabet, automaton.variables)
+
+
+def _nested_det_seva():
+    # .*x{y{a}}.* opens x and y on one marker set, and also through a
+    # state between {open:x} and {open:y} that no run can use.
+    return compile_spanner(parse_rgx(".*x{y{a}}.*", "ab"), "ab")[0]
+
+
+@pytest.mark.parametrize("build, mutate", [
+    # The contact det-seVA has one final state.
+    (_fig1_reduced_det_seva, lambda det: _without(det, finals=det.finals)),
+    (_fig1_reduced_det_seva,
+     lambda det: _without(det, transitions=[(det.initial, *det.marker_transitions(det.initial)[0])])),
+    (_nested_det_seva, lambda det: _without(det, transitions=[
+        (det.initial, label, p) for label, p in det.marker_transitions(det.initial)
+        if len(label) == 2])),
+], ids=["flipped-final", "dropped-transition", "two-marker-sets-in-a-row"])
+def test_spanner_difference_finds_a_witness_for_each_mutant(build, mutate):
+    det = build()
+    mutant = mutate(det)
+    for first, second in ((det, mutant), (mutant, det)):
+        doc, witness = spanner_difference(first, second)
+        assert (witness in _outputs(first, doc)) != (witness in _outputs(second, doc))
+        assert _outputs(first, doc) != _outputs(second, doc)
+
+
+def test_spanner_difference_reads_one_marker_set_per_position():
+    # The states entered and left only on marker sets lie on paths with
+    # two marker sets in a row, which no run takes: without them the
+    # spanner is the same.
+    det = _nested_det_seva()
+    unused = [q for q in det.states
+              if not any(isinstance(label, str) for label, _ in det.out(q))
+              and not any(isinstance(label, str) for _, label, p in det.transitions if p == q)]
+    assert len(unused) == 2
+    assert spanner_difference(det, _without(det, states=unused)) is None
 
 
 # (automaton, document, preprocess ops, detail, count ops, outputs,

@@ -60,6 +60,7 @@ from helpers import (
     random_letter_systems,
     random_vas,
     run_outputs,
+    spanner_difference,
     trim,
 )
 
@@ -116,6 +117,7 @@ def test_compiled_atom_matches_reference_and_count(ast, texts):
 def test_compiled_atom_matches_brute_va_oracle(ast, texts):
     va = rgx_to_va(ast, ALPHABET)
     det, _ = compile_spanner(ast, ALPHABET)
+    assert spanner_difference(det, determinize_eva(va_to_eva(va))) is None
     for text in texts:
         assert set(_outputs(det, text)) == brute_enumerate_va(va, Document(text))
 
@@ -129,6 +131,7 @@ def test_json_round_trip_keeps_semantics(ast, texts):
     again = dump_automaton(loaded)
     assert again == data
     assert dump_automaton(load_automaton(again)) == again
+    assert spanner_difference(det, loaded) is None
     for text in texts:
         outputs = set(_outputs(det, text))
         assert set(_outputs(loaded, text)) == outputs
@@ -142,6 +145,7 @@ def test_strategies_agree_on_join_and_union(pair, other, texts):
     left, right = (Atom(ast, ALPHABET) for ast in pair)
     for expr in (Union(left, right), Join(left, Atom(other, ALPHABET))):
         prop7, prop8 = compile_expr(expr, "prop7"), compile_expr(expr, "prop8")
+        assert spanner_difference(prop7, prop8) is None
         for text in texts:
             assert set(_outputs(prop7, text)) == set(_outputs(prop8, text))
 
@@ -292,8 +296,31 @@ def test_pipelines_keep_the_outputs_without_the_quotient(automaton, texts):
             unreduced = pipeline(automaton)
         det = pipeline(automaton)
         assert len(det.states) <= len(unreduced.states)
+        assert spanner_difference(det, unreduced) is None
         for text in texts:
             outputs = _outputs(det, text)
             assert set(outputs) == set(_outputs(unreduced, text))
             assert count_det_seva(det, Document(text)) == len(outputs) == count_det_seva(
                 unreduced, Document(text))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.booleans().flatmap(lambda functional: st.tuples(
+    random_evas(functional), random_evas(functional))))
+def test_spanner_difference_verdicts_hold_on_small_documents(pair):
+    # Functional pairs are also checked against their union, which is the
+    # same spanner as the first exactly when the second adds no output.
+    first, _ = compile_spanner(pair[0])
+    others = [pair[1]]
+    if all(classify(eva).functional for eva in pair):
+        others.append(union_eva_linear(*pair))
+    for other in others:
+        second, _ = compile_spanner(other)
+        witness = spanner_difference(first, second)
+        if witness is None:
+            for doc in all_docs("ab", 4):
+                assert set(_outputs(first, doc.content)) == set(_outputs(second, doc.content))
+        else:
+            doc, mapping = witness
+            assert (mapping in _outputs(first, doc.content)) != (
+                mapping in _outputs(second, doc.content))

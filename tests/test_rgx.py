@@ -25,6 +25,7 @@ from spanex.rgx import (
     rgx_variables,
 )
 
+from fixtures import gen_fig1_fixture
 from helpers import all_docs, contains, doc_spans, mapping
 
 
@@ -142,19 +143,19 @@ def test_capture_reuse_is_dropped():
     assert rgx_eval_reference(star, Document("a")) == {mapping(x=(1, 2))}
 
 
-def _random_ast(rng, size, variables):
+def _random_ast(rng, size, variables, letters="ab"):
     if size <= 1:
-        return rng.choice([Symbol(rng.choice("ab")), Epsilon()])
+        return rng.choice([Symbol(rng.choice(letters)), Epsilon()])
     kind = rng.choice(["concat", "alt", "star", "capture", "symbol"])
     if kind == "symbol":
-        return Symbol(rng.choice("ab"))
+        return Symbol(rng.choice(letters))
     if kind == "star":
-        return Star(_random_ast(rng, size - 1, variables))
+        return Star(_random_ast(rng, size - 1, variables, letters))
     if kind == "capture" and variables:
-        return Capture(rng.choice(variables), _random_ast(rng, size - 1, variables))
+        return Capture(rng.choice(variables), _random_ast(rng, size - 1, variables, letters))
     split = rng.randint(1, size - 1)
-    left = _random_ast(rng, split, variables)
-    right = _random_ast(rng, size - split, variables)
+    left = _random_ast(rng, split, variables, letters)
+    right = _random_ast(rng, size - split, variables, letters)
     return Concat(left, right) if kind in ("concat", "capture") else Alt(left, right)
 
 
@@ -210,6 +211,31 @@ def test_compile_matches_reference_on_random_formulas():
         va = rgx_to_va(ast, "ab")
         for doc in docs:
             assert brute_enumerate_va(va, doc) == rgx_eval_reference(ast, doc), (ast, doc)
+    # Over three letters, alternations that mix letters, which share one
+    # position, with captures, stars and the empty word.
+    docs = all_docs("abc", 3)
+    for _ in range(60):
+        alternatives = [Symbol(rng.choice("abc")) for _ in range(rng.randint(1, 3))]
+        alternatives += [_random_ast(rng, rng.randint(1, 4), ["x", "y"], "abc")
+                         for _ in range(rng.randint(1, 2))]
+        rng.shuffle(alternatives)
+        ast = alternatives.pop()
+        while alternatives:
+            ast = Alt(ast, alternatives.pop()) if rng.random() < 0.5 else Alt(alternatives.pop(), ast)
+        ast = rng.choice([ast, Star(ast), Concat(ast, _random_ast(rng, 3, ["x", "y"], "abc"))])
+        va = rgx_to_va(ast, "abc")
+        for doc in docs:
+            assert brute_enumerate_va(va, doc) == rgx_eval_reference(ast, doc), (ast, doc)
+
+
+def test_va_has_one_state_per_position():
+    # `.` is one position entered on each of its letters, so the contact
+    # rule's letter classes are one state each.
+    ast, _, _, alphabet = gen_fig1_fixture()
+    dot = rgx_to_va(parse_rgx(".", alphabet), alphabet)
+    assert (len(dot.states), len(dot.transitions)) == (2, len(alphabet)) == (2, 19)
+    assert len(rgx_to_va(ast, alphabet).states) == 21
+    assert len(rgx_to_va(parse_rgx(".*x{a.*}.*", "ab"), "ab").states) == 7
 
 
 def test_compile_exhaustive_small_formulas():
