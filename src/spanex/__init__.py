@@ -52,7 +52,6 @@ from .rgx import RegexAst, parse_rgx, rgx_eval_reference, rgx_to_va
 from .transform import (
     bisimulation_quotient,
     determinize_eva,
-    functional_eva,
     functional_va_to_det_seva,
     va_to_det_seva_general,
     va_to_eva,

@@ -18,9 +18,10 @@ from .transform import (
     _at_most_power_of_two,
     _reachable_eva,
     _subset_moves,
+    bisimulation_quotient,
     determinize_eva,
-    functional_eva,
     va_to_det_seva_general,
+    va_to_eva,
 )
 
 logger = logging.getLogger(__name__)
@@ -215,13 +216,23 @@ def expr_has_project(expr: AlgebraExpr) -> bool:
     return expr_has_project(expr.left) or expr_has_project(expr.right)
 
 
+def _regex_va(ast: RegexAst, alphabet: Optional[Iterable[str]]) -> VA:
+    if alphabet is None:
+        raise InputError("a regex AST compiles only over the alphabet it was parsed against")
+    return rgx_to_va(ast, alphabet)
+
+
 def _atom_to_feva(atom: Atom) -> EVA:
+    """The ``bisimulation_quotient`` of a functional atom's EVA (a VA is
+    condensed by ``va_to_eva``); a non-functional atom raises
+    ``PreconditionError`` with the classifier's witness."""
     value = atom.value
     if isinstance(value, RegexAst):
-        value = rgx_to_va(value, atom.alphabet)
+        value = _regex_va(value, atom.alphabet)
     elif not isinstance(value, (VA, EVA)):
         raise TypeError(f"unsupported atom value: {value!r}")
-    return functional_eva(value, "algebra atoms must be functional")
+    require_functional(value, "algebra atoms must be functional")
+    return bisimulation_quotient(value if isinstance(value, EVA) else va_to_eva(value))
 
 
 def compile_expr(expr: AlgebraExpr, strategy: str = "auto") -> EVA:
@@ -292,10 +303,11 @@ def compile_spanner(spanner: TUnion[RegexAst, VA, EVA, AlgebraExpr],
                     alphabet: Optional[Iterable[str]] = None,
                     strategy: str = "auto") -> Tuple[EVA, List[Stage]]:
     """The deterministic sequential EVA of a regex AST (over ``alphabet``,
-    default its literal symbols), a VA, an EVA or an algebra expression
-    (compiled with ``strategy``), and one ``(stage, states, transitions)``
-    entry per automaton built on the way.  A det-seVA is kept as it is;
-    any other VA or EVA goes through ``va_to_det_seva_general``."""
+    the one it was parsed against; without it ``InputError``), a VA, an
+    EVA or an algebra expression (compiled with ``strategy``), and one
+    ``(stage, states, transitions)`` entry per automaton built on the way.
+    A det-seVA is kept as it is; any other VA or EVA goes through
+    ``va_to_det_seva_general``."""
     stages: List[Stage] = []
 
     def note(name: str, automaton) -> None:
@@ -309,7 +321,7 @@ def compile_spanner(spanner: TUnion[RegexAst, VA, EVA, AlgebraExpr],
         return result, stages
     automaton = spanner
     if isinstance(spanner, RegexAst):
-        automaton = rgx_to_va(spanner, alphabet)
+        automaton = _regex_va(spanner, alphabet)
         note("regex to VA", automaton)
     note("input", automaton)
     report = classify(automaton)

@@ -398,10 +398,9 @@ def _label_to_json(label: Label) -> Dict[str, Any]:
 
 
 def _state_from_json(value: Any, field: str) -> State:
-    # JSON arrays and objects are unhashable, so they cannot name a state;
-    # Python finds true equal to 1 and 1.0 equal to 1, which would merge
-    # states the file keeps apart.
-    if isinstance(value, (list, dict, bool, float)):
+    # A state name is a string or an integer.  Python finds true equal to
+    # 1 and 1.0 equal to 1, which would merge states the file keeps apart.
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise FormatError(f"{field} must be a state name, got {value!r}")
     return value
 

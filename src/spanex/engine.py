@@ -227,13 +227,16 @@ def evaluate_preprocess(
     for i, symbol in enumerate(chain(document.content, (None,)), 1):
         step = row.get(symbol)
         if step is None:
+            successor = letters.get(symbol)
+            if successor is None and symbol is not None:
+                raise document.alphabet_error(i)
             if held >= budget:
                 for cleared in rows.values():
                     cleared.clear()
                 rows.clear()
                 row = rows[live] = {}
                 held = 0
-            step = row[symbol] = _record(live, markers, letters.get(symbol), reached, rows)
+            step = row[symbol] = _record(live, markers, successor, reached, rows)
             held += 1 + len(step[1]) + len(step[2])
         (sources, edges, slots, firsts, joins, stage_copies, stage_nodes, stage_reads,
          stage_appends, live, row) = step
@@ -252,10 +255,8 @@ def evaluate_preprocess(
                     target.start = DagNode(marker_set, i, taken[k], target.start)
         copies += stage_copies
         nodes += stage_nodes
-        if row is None:
-            if symbol is None:
-                break
-            raise document.alphabet_error(i)
+        if row is None:  # the end of the document
+            break
 
         # Reading: each list moves along its letter transition into the
         # first arrival's place, and the later arrivals are appended to
@@ -299,9 +300,8 @@ def _record(live: Tuple[int, ...], markers: List[List[Tuple[MarkerSet, int]]],
     target slot) adds one node; a target outside ``live`` gets the next
     free slot, given as None on its first edge.  ``slots`` holds the state
     id of every slot.  Only edges into a state that reads the letter are
-    kept.  ``successor`` None records the end of the document (or a
-    symbol outside the alphabet): every edge, no reading part and no next
-    row.
+    kept.  ``successor`` None records the end of the document: every
+    edge, no reading part and no next row.
 
     Reading: ``firsts[d]`` is the slot whose list moves into the d-th
     state of the next live set, and each join (slot, d) appends a list to

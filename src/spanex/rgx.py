@@ -72,16 +72,6 @@ def rgx_variables(node: RegexAst) -> FrozenSet[str]:
     return frozenset()
 
 
-def rgx_literal_symbols(node: RegexAst) -> FrozenSet[str]:
-    if isinstance(node, Symbol):
-        return frozenset([node.symbol])
-    if isinstance(node, (Concat, Alt)):
-        return rgx_literal_symbols(node.left) | rgx_literal_symbols(node.right)
-    if isinstance(node, (Star, Capture)):
-        return rgx_literal_symbols(node.child)
-    return frozenset()
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -173,9 +163,7 @@ class _Parser:
     def parse_atom(self) -> RegexAst:
         # A symbol atom is built before it is consumed, so its errors point
         # at its first character (an escape's backslash).
-        c = self.peek()
-        if c is None:
-            raise self.error("unexpected end of input")
+        c = self.peek()  # parse_concat stops at the end of the input
         if c == "(":
             self.i += 1
             node = self.parse_alt()
@@ -314,9 +302,9 @@ def rgx_eval_reference(node: RegexAst, doc: Document) -> Set[Mapping]:
 # Compilation to VA
 # ---------------------------------------------------------------------------
 
-def rgx_to_va(node: RegexAst, alphabet: Optional[Iterable[str]] = None) -> VA:
+def rgx_to_va(node: RegexAst, alphabet: Iterable[str]) -> VA:
     """The position automaton of ``node`` (Glushkov 1961; Berry and Sethi
-    1986) over ``alphabet`` (default: the regex's literal symbols).
+    1986) over ``alphabet``, the one the regex was parsed against.
 
     Each position is one state: a lone symbol, each marker of a capture
     (``Capture(x, g)`` is open-x, then g, then close-x), and the symbol
@@ -330,7 +318,6 @@ def rgx_to_va(node: RegexAst, alphabet: Optional[Iterable[str]] = None) -> VA:
     states and the same semantics as the reference evaluation on every
     document.
     """
-    alphabet = rgx_literal_symbols(node) if alphabet is None else frozenset(alphabet)
     labels: List[Tuple[object, ...]] = [()]  # what enters each position; q0 is 0
     follow: Set[Tuple[int, int]] = set()
     # build() returns (nullable, first positions, last positions).

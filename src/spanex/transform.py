@@ -59,8 +59,10 @@ def variable_paths_from(va: VA, source: State) -> Dict[State, Set[MarkerSet]]:
 def va_to_eva(va: VA) -> EVA:
     """The reachable part of ``va`` with every variable-path condensed
     into one extended transition; letters and state names are kept.
-    Preserves the semantics on every document as well as
-    sequentiality/functionality."""
+    The outputs on every document are kept.  Variable paths never repeat
+    a marker, so where every invalid accepting run of ``va`` repeats one
+    inside a position, the EVA can classify as sequential or functional
+    and ``va`` not; otherwise the two classify alike."""
     def moves(source: State) -> List[Tuple[Label, State]]:
         result = [(label, p) for label, p in va.out(source) if isinstance(label, str)]
         for target, marker_sets in variable_paths_from(va, source).items():
@@ -150,9 +152,13 @@ def _bisimulation_names(eva: EVA) -> Dict[State, State]:
     ``state_order()``, of its block in the coarsest bisimulation of the
     live part; with no live state, the initial state mapped to itself.
 
-    Partition refinement: a state is signed again only when one of its
-    targets moved to another block, and when a block splits its largest
-    part keeps the block's id, so each state moves O(log n) times.
+    Partition refinement: a state's sign is its finality and its set of
+    ``(label, target block)`` pairs.  A state is signed again only when
+    one of its targets moved to a fresh block id, so its new sign differs
+    from that of every member of its block that was not signed again.  A
+    touched block splits into its re-signed groups and those other
+    members, and the largest part keeps the block's id, so each state
+    moves O(log n) times.
     """
     order = eva.state_order()
     index = {q: i for i, q in enumerate(order)}
@@ -171,9 +177,6 @@ def _bisimulation_names(eva: EVA) -> Dict[State, State]:
             predecessors[i] &= live
     block = [0] * len(order)
     members: List[Set[int]] = [set(named)]
-    # The signature every member of a block had when it last split; a
-    # member none of whose targets moved since still has it.
-    signature: List[object] = [None]
     touched: Iterable[int] = named
     while touched:
         resigned: Dict[int, Dict[object, List[int]]] = {}
@@ -182,23 +185,19 @@ def _bisimulation_names(eva: EVA) -> Dict[State, State]:
             resigned.setdefault(block[i], {}).setdefault(sign, []).append(i)
         moved: List[int] = []
         for b, groups in resigned.items():
-            groups.pop(signature[b], None)  # these members kept the block's signature
-            if not groups:
-                continue
-            kept = len(members[b]) - sum(map(len, groups.values()))
-            sign, group = max(groups.items(), key=lambda item: len(item[1]))
-            if len(group) > kept:
-                # The largest changed part keeps the id; the unchanged members leave.
-                del groups[sign]
-                rest = members[b].difference(group, *groups.values())
+            parts: List[Iterable[int]] = list(groups.values())
+            largest = max(parts, key=len)
+            if len(largest) > len(members[b]) - sum(map(len, parts)):
+                # The largest re-signed group keeps the id; the members not
+                # signed again leave.
+                rest = members[b].difference(*parts)
+                parts.remove(largest)
                 if rest:
-                    groups[signature[b]] = rest
-                signature[b] = sign
-            for sign, group in groups.items():
+                    parts.append(rest)
+            for group in parts:
                 new = len(members)
                 members.append(set(group))
                 members[b].difference_update(group)
-                signature.append(sign)
                 for i in group:
                     block[i] = new
                 moved.extend(group)
@@ -264,18 +263,6 @@ def va_to_det_seva_general(automaton) -> EVA:
         raise AssertionError(
             f"{route} construction exceeded its transition bound: {n_transitions}")
     return result
-
-
-def functional_eva(automaton, message: str = "input is not functional") -> EVA:
-    """The ``bisimulation_quotient`` of the EVA of a functional VA or
-    EVA; a VA's variable-paths are condensed by ``va_to_eva``.  The
-    quotient keeps only the live part, on which all variable-paths
-    between two states carry the same marker set.  A non-functional
-    input raises ``PreconditionError`` with ``message`` and the
-    classifier's witness.
-    """
-    require_functional(automaton, message)
-    return bisimulation_quotient(automaton if isinstance(automaton, EVA) else va_to_eva(automaton))
 
 
 def functional_va_to_det_seva(va: VA) -> EVA:

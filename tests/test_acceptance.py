@@ -11,6 +11,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 from spanex import (
     Document,
@@ -30,6 +31,7 @@ from spanex import (
     va_to_det_seva_general,
     va_to_eva,
 )
+from spanex import transform
 from spanex.algebra import Atom, Join, Project, Union, compile_expr
 from spanex.instrument import OpCounter
 from spanex.rgx import parse_rgx
@@ -55,6 +57,7 @@ from helpers import (
     mapping_set_project,
     preprocess_reference,
     run_outputs,
+    spanner_difference,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -251,6 +254,20 @@ def test_criterion_3_oracle_equivalence():
     assert checked >= 500
     assert elapsed < 60
     return f"{checked} pipeline instances in {elapsed:.1f} s"
+
+
+def test_the_quotient_keeps_every_corpus_spanner():
+    # On every seeded VA and EVA, the pipeline's det-seVA and the one it
+    # builds without bisimulation_quotient define the same spanner on all
+    # documents (outside criterion 3's timed body).
+    pool = corpora()
+    checked = 0
+    for automaton in (a for instances in pool.values() for a in instances):
+        with mock.patch.object(transform, "bisimulation_quotient", lambda eva: eva):
+            unreduced = va_to_det_seva_general(automaton)
+        assert spanner_difference(va_to_det_seva_general(automaton), unreduced) is None
+        checked += 1
+    assert checked == 510
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import spanex.automata
 from spanex import (
     Document,
     EVA,
@@ -10,6 +11,8 @@ from spanex import (
     brute_enumerate_va,
     classify,
     compile_expr,
+    compile_spanner,
+    count_det_seva,
     determinize_eva,
     enumerate_stream,
     evaluate_preprocess,
@@ -20,13 +23,20 @@ from spanex import (
     union_eva_deterministic,
     union_eva_linear,
 )
-from spanex.algebra import Atom, Join, Project, Union
+from spanex.algebra import Atom, Join, Project, Union, _atom_to_feva
 from spanex.automata import dump_automaton
 from spanex.errors import InputError, PreconditionError
-from spanex.rgx import parse_rgx, rgx_to_va
-from spanex.transform import functional_eva
+from spanex.rgx import parse_rgx
+from spanex.transform import bisimulation_quotient, va_to_eva
 
-from fixtures import RandomProfile, gen_fig3_va, random_documents, random_instance
+from fixtures import (
+    RandomProfile,
+    gen_fig3_va,
+    gen_fig4_automaton,
+    gen_prop4_family,
+    random_documents,
+    random_instance,
+)
 from helpers import (
     all_docs,
     close_m,
@@ -36,6 +46,7 @@ from helpers import (
     mset,
     open_m,
     spanner_difference,
+    trim,
 )
 
 
@@ -161,8 +172,7 @@ def test_union_deterministic_size():
     # built directly and by compile_expr's prop8 strategy.
     ab = frozenset("ab")
     texts = (".*a.......x{.*}", ".*x{b.*}b.....")
-    a1, a2 = (determinize_eva(functional_eva(rgx_to_va(parse_rgx(text, ab), ab)))
-              for text in texts)
+    a1, a2 = (determinize_eva(_atom_to_feva(Atom(parse_rgx(text, ab), ab))) for text in texts)
     det = union_eva_deterministic(a1, a2)
     assert (len(det.states), len(det.transitions)) == (270, 921)
     assert classify(det).deterministic is True
@@ -326,6 +336,38 @@ def test_compile_expr_union_variable_mismatch():
     expr = Union(Atom(_whole_doc_binder("x")), Atom(_whole_doc_binder("y")))
     with pytest.raises(InputError):
         compile_expr(expr)
+
+
+def test_atom_front_end_guards_the_untrimmed_input(monkeypatch):
+    va = gen_prop4_family(1)
+    witness = classify(va).functional_witness
+    calls = []
+    real = spanex.automata._classify
+    monkeypatch.setattr(spanex.automata, "_classify", lambda a: calls.append(a) or real(a))
+    with pytest.raises(PreconditionError) as err:
+        _atom_to_feva(Atom(va))
+    assert str(err.value) == f"algebra atoms must be functional: {witness}"
+    assert err.value.witness == witness
+    assert calls == []  # the report kept on the input is reused
+    fig3 = gen_fig3_va()
+    quotient = bisimulation_quotient(va_to_eva(trim(fig3)))
+    assert _atom_to_feva(Atom(fig3)).transitions == quotient.transitions
+    fig4 = gen_fig4_automaton()
+    assert _atom_to_feva(Atom(fig4)).transitions == bisimulation_quotient(trim(fig4)).transitions
+
+
+def test_a_regex_compiles_only_over_a_given_alphabet():
+    # The AST of x{a} parsed over ab holds no b; compiled over ab it reads
+    # "b" and outputs nothing there, and without an alphabet it is refused
+    # rather than compiled over the symbols it happens to hold.
+    ast = parse_rgx("x{a}", "ab")
+    with pytest.raises(InputError, match="alphabet it was parsed against"):
+        compile_spanner(ast)
+    with pytest.raises(InputError, match="alphabet it was parsed against"):
+        compile_expr(Atom(ast))
+    det, _ = compile_spanner(ast, "ab")
+    assert det.alphabet == frozenset("ab")
+    assert count_det_seva(det, Document("b")) == 0
 
 
 def test_compile_expr_rejects_non_functional_rgx_atom():

@@ -673,6 +673,28 @@ def test_malformed_automaton_exits_2(runner, tmp_path, malformed):
     assert result.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("malformed, field", [
+    ({"states": [None, "q1"], "initial": None, "transitions": [
+        {"from": None, "label": {"markers": ["open:x", "close:x"]}, "to": "q1"}]}, "states entry"),
+    ({"initial": None}, "initial"),
+    ({"finals": [None]}, "finals entry"),
+    ({"transitions": [{"from": None, "label": {"symbol": "a"}, "to": "q1"}]},
+     "transition source"),
+    ({"transitions": [{"from": "q0", "label": {"symbol": "a"}, "to": None}]},
+     "transition target"),
+], ids=["states", "initial", "finals", "from", "to"])
+def test_format1_refuses_a_null_state_name(runner, tmp_path, malformed, field):
+    # State names are strings or integers; null used to load and be
+    # written back as the string "None".
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps({**_GOOD_AUTOMATON, **malformed}))
+    result = runner.invoke(main, ["compile", "--automaton", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: {field} must be a state name, got None\n"
+    assert result.stdout == ""
+
+
 _GOOD_FORMAT2 = {
     "format": 2, "kind": "eva", "alphabet": ["a"], "variables": ["x"], "states": ["q0", "q1"],
     "labels": [{"markers": ["open:x", "close:x"]}, {"symbol": "a"}], "initial": 0,

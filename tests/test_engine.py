@@ -264,6 +264,22 @@ def test_document_outside_alphabet_rejected():
         evaluate_preprocess(gen_fig4_automaton(), Document("abc"))
 
 
+def test_unknown_symbol_is_refused_before_a_step_is_recorded(monkeypatch):
+    # As count_det_seva does, the symbol is checked on a memo miss: no step
+    # is recorded under it and no node is built besides the run's sink.
+    built, recorded = [], []
+    record = engine._record
+    monkeypatch.setattr(engine, "DagNode", lambda *args: built.append(args) or DagNode(*args))
+    monkeypatch.setattr(engine, "_record", lambda *args: recorded.append(args) or record(*args))
+    fig4 = gen_fig4_automaton()
+    for kernel in (evaluate_preprocess, count_det_seva):
+        with pytest.raises(InputError) as raised:
+            kernel(fig4, Document("c"))
+        assert str(raised.value) == "symbol 'c' at position 1 is not in the alphabet"
+    assert [args[2] for args in built] == [None]
+    assert recorded == []
+
+
 def test_precondition_validation():
     nondet = EVA(
         ["q0", "q1", "q2"],

@@ -21,7 +21,6 @@ from spanex.rgx import (
     Symbol,
     MAX_NESTING,
     parse_rgx,
-    rgx_literal_symbols,
     rgx_variables,
 )
 
@@ -103,7 +102,6 @@ def test_balanced_concat_compiles_like_left_deep_chain():
 def test_variables_and_json_round_trip():
     ast = parse_rgx("x{a}(y{b}|c)*", "abc")
     assert rgx_variables(ast) == {"x", "y"}
-    assert rgx_literal_symbols(ast) == {"a", "b", "c"}
 
 
 def test_reference_eval_examples():

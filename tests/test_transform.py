@@ -3,7 +3,6 @@ import hashlib
 
 import pytest
 
-import spanex.automata
 from spanex import (
     Document,
     EVA,
@@ -18,7 +17,6 @@ from spanex import (
     determinize_eva,
     enumerate_stream,
     evaluate_preprocess,
-    functional_eva,
     functional_va_to_det_seva,
     load_automaton,
     parse_rgx,
@@ -70,6 +68,22 @@ def test_va_to_eva_preserves_flags():
         after = classify(va_to_eva(va))
         assert before.sequential == after.sequential
         assert before.functional == after.functional
+
+
+def test_va_to_eva_keeps_the_outputs_not_always_the_classification():
+    # Every accepting run of this VA opens x twice inside one position, so
+    # the VA is not sequential.  Variable paths never repeat a marker, so
+    # its EVA keeps no such run and classifies as sequential and
+    # functional.  Both output nothing.
+    va = VA(["q0", "q1", "q2", "q3"], "q0", ["q3"],
+            [("q0", open_m("x"), "q1"), ("q1", open_m("x"), "q2"), ("q2", close_m("x"), "q3")],
+            ["a"], ["x"])
+    eva = va_to_eva(va)
+    assert not classify(va).sequential
+    report = classify(eva)
+    assert report.sequential and report.functional
+    for doc in all_docs("a", 3):
+        assert brute_enumerate_va(eva, doc) == brute_enumerate_va(va, doc) == set()
 
 
 def test_va_to_eva_preserves_semantics():
@@ -232,24 +246,6 @@ def test_functional_pipeline_rejects_skipping_runs():
     )
     with pytest.raises(PreconditionError, match="not functional"):
         functional_va_to_det_seva(va)
-
-
-def test_functional_eva_guards_the_untrimmed_input(monkeypatch):
-    va = gen_prop4_family(1)
-    witness = classify(va).functional_witness
-    calls = []
-    real = spanex.automata._classify
-    monkeypatch.setattr(spanex.automata, "_classify", lambda a: calls.append(a) or real(a))
-    with pytest.raises(PreconditionError) as err:
-        functional_eva(va, "atoms must be functional")
-    assert str(err.value) == f"atoms must be functional: {witness}"
-    assert err.value.witness == witness
-    assert calls == []  # the report kept on the input is reused
-    fig3 = gen_fig3_va()
-    quotient = bisimulation_quotient(va_to_eva(trim(fig3)))
-    assert functional_eva(fig3).transitions == quotient.transitions
-    fig4 = gen_fig4_automaton()
-    assert functional_eva(fig4).transitions == bisimulation_quotient(trim(fig4)).transitions
 
 
 def test_functional_marker_set_lemma_on_random_instances():
