@@ -64,7 +64,11 @@ def state_name(state: State) -> str:
     if isinstance(state, str):
         return state
     if isinstance(state, frozenset):
-        return "{" + "|".join(sorted(state_name(e) for e in state)) + "}"
+        try:
+            # A string member is its own name; join refuses any other.
+            return "{" + "|".join(sorted(state)) + "}"
+        except TypeError:
+            return "{" + "|".join(sorted(map(state_name, state))) + "}"
     if isinstance(state, tuple):
         return "(" + ",".join(state_name(e) for e in state) + ")"
     if isinstance(state, Marker):

@@ -7,10 +7,12 @@ bounds are not always paid.  ``va_to_det_seva_general`` is the one
 pipeline from a VA or EVA to a det-seVA: it takes the
 ``bisimulation_quotient`` of the condensed EVA, which also drops the
 states that cannot reach a final state, and determinizes it, tracking
-marker histories only for non-sequential input.  Constructed state names
-encode their provenance (state subsets, (subset, seen-markers) pairs; a
-quotient block takes the name of its first member) so that tests can
-inspect structure.
+marker histories only for non-sequential input.  The plain subset
+construction, ``determinize_eva``, walks integer subsets of the input's
+rows; every other construction goes through ``_reachable_eva``.
+Constructed state names encode their provenance (state subsets, (subset,
+seen-markers) pairs; a quotient block takes the name of its first
+member) so that tests can inspect structure.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 import logging
 from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from .automata import EVA, VA, Label, State, classify, reachable, require_functional
+from .automata import (EVA, VA, Label, State, canon_key, classify, reachable,
+                       require_functional)
 from .model import MarkerSet, all_closed, markers_compatible
 
 logger = logging.getLogger(__name__)
@@ -81,8 +84,9 @@ def _reachable_eva(start: State, moves: Callable[[State], Iterable[Tuple[Label, 
                    variables: Iterable[str]) -> EVA:
     """The EVA over the reachable part from ``start``: ``moves(state)``
     gives the ``(label, target)`` pairs of a state and ``accepting(state)``
-    whether it is final.  The one builder behind every construction; one
-    ``reachable`` walk records each state's moves once."""
+    whether it is final.  The builder behind every construction but
+    ``determinize_eva``; one ``reachable`` walk records each state's moves
+    once."""
     transitions: List[Tuple[State, Label, State]] = []
 
     def targets(state: State) -> List[State]:
@@ -111,12 +115,52 @@ def determinize_eva(eva: EVA) -> EVA:
 
     The result is deterministic with the same semantics; a sequential
     input yields a sequential output.  Subset states are frozensets of
-    the input states.
+    the input states, in the canonical order, so the result is the
+    automaton ``EVA()`` builds from those frozensets and their moves.
+
+    The construction walks the input's integer rows.  Each input state is
+    ranked by ``canon_key`` once, and a subset is the bitset of its
+    members' ranks, so its members in ascending bit order are the sorted
+    member keys that ``canon_key`` compares frozensets by: sorting the
+    subsets by those rank tuples gives the canonical order.
     """
-    return _reachable_eva(frozenset([eva.initial]),
-                          lambda subset: _subset_moves(subset, eva.out),
-                          lambda subset: bool(subset & eva.finals),
-                          eva.alphabet, eva.variables)
+    order = eva._order
+    ranked = sorted(range(len(order)), key=lambda i: canon_key(order[i]))
+    bit = {i: b for b, i in enumerate(ranked)}
+    # moves[b]: the (label rank, target bitset) pairs of the state of rank b.
+    moves = [[(r, 1 << bit[p]) for r, p in eva._rows[i]] for i in ranked]
+    start = bit[eva._initial_id]
+    ids = {1 << start: 0}
+    members: List[Tuple[int, ...]] = [(start,)]
+    triples: List[Tuple[int, int, int]] = []
+    # The walk appends each subset found to ``members`` and reaches it in turn.
+    for q, subset in enumerate(members):
+        image = [0] * len(eva._labels)
+        for b in subset:
+            for r, mask in moves[b]:
+                image[r] |= mask
+        for r, mask in enumerate(image):
+            if mask:
+                p = ids.get(mask)
+                if p is None:
+                    p = ids[mask] = len(members)
+                    found = []
+                    while mask:
+                        low = mask & -mask
+                        found.append(low.bit_length() - 1)
+                        mask ^= low
+                    members.append(tuple(found))
+                triples.append((q, r, p))
+    canonical = sorted(range(len(members)), key=members.__getitem__)
+    new = [0] * len(members)
+    for position, q in enumerate(canonical):
+        new[q] = position
+    by_rank = [order[i] for i in ranked]
+    final = {bit[i] for i in eva._final_ids}
+    return EVA._from_indices(
+        [frozenset(map(by_rank.__getitem__, members[q])) for q in canonical], new[0],
+        [new[q] for q, subset in enumerate(members) if not final.isdisjoint(subset)],
+        eva._labels, [(new[q], r, new[p]) for q, r, p in triples], eva.alphabet, eva.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -152,28 +196,27 @@ def _bisimulation_names(eva: EVA) -> Dict[State, State]:
     ``state_order()``, of its block in the coarsest bisimulation of the
     live part; with no live state, the initial state mapped to itself.
 
-    Partition refinement: a state's sign is its finality and its set of
-    ``(label, target block)`` pairs.  A state is signed again only when
-    one of its targets moved to a fresh block id, so its new sign differs
-    from that of every member of its block that was not signed again.  A
-    touched block splits into its re-signed groups and those other
-    members, and the largest part keeps the block's id, so each state
-    moves O(log n) times.
+    Partition refinement over the integer rows: a state's sign is its
+    finality and its set of ``(label rank, target block)`` pairs.  A state
+    is signed again only when one of its targets moved to a fresh block
+    id, so its new sign differs from that of every member of its block
+    that was not signed again.  A touched block splits into its re-signed
+    groups and those other members, and the largest part keeps the
+    block's id, so each state moves O(log n) times.
     """
-    order = eva.state_order()
-    index = {q: i for i, q in enumerate(order)}
-    rows = [[(label, index[p]) for label, p in eva.out(q)] for q in order]
+    order, initial = eva._order, eva._initial_id
+    rows = list(eva._rows)
     predecessors: List[Set[int]] = [set() for _ in order]
     for i, row in enumerate(rows):
         for _, p in row:
             predecessors[p].add(i)
-    final = [q in eva.finals for q in order]
-    live = (reachable([index[eva.initial]], lambda i: [p for _, p in rows[i]])
-            & reachable([i for i, f in enumerate(final) if f], predecessors.__getitem__))
-    named = sorted(live) or [index[eva.initial]]
+    final = set(eva._final_ids)
+    live = (reachable([initial], lambda i: [p for _, p in rows[i]])
+            & reachable(final, predecessors.__getitem__))
+    named = sorted(live) or [initial]
     if len(live) < len(order):
         for i in named:
-            rows[i] = [(label, p) for label, p in rows[i] if p in live]
+            rows[i] = [(r, p) for r, p in rows[i] if p in live]
             predecessors[i] &= live
     block = [0] * len(order)
     members: List[Set[int]] = [set(named)]
@@ -181,7 +224,7 @@ def _bisimulation_names(eva: EVA) -> Dict[State, State]:
     while touched:
         resigned: Dict[int, Dict[object, List[int]]] = {}
         for i in touched:
-            sign = (final[i], frozenset((label, block[p]) for label, p in rows[i]))
+            sign = (i in final, frozenset((r, block[p]) for r, p in rows[i]))
             resigned.setdefault(block[i], {}).setdefault(sign, []).append(i)
         moved: List[int] = []
         for b, groups in resigned.items():

@@ -20,6 +20,7 @@ from spanex import (
     Mapping,
     Span,
     VA,
+    automaton_json,
     dump_automaton,
     evaluate_preprocess,
 )
@@ -29,6 +30,7 @@ from spanex.automata import (
 from spanex.engine import DagNode, NodeList, enumerate_ndjson
 from spanex.instrument import OpCounter
 from spanex.model import Marker, MarkerSet, all_closed, marker_set_key, markers_compatible
+from spanex.transform import _reachable_eva, _subset_moves
 
 
 def span(i: int, j: int) -> Span:
@@ -233,6 +235,23 @@ def trim(automaton):
         automaton.alphabet,
         automaton.variables,
     )
+
+
+def determinize_reference(eva: EVA) -> EVA:
+    """The subset construction over named states: a ``reachable`` walk
+    whose states are frozensets of ``eva``'s states, built by ``EVA()``,
+    which sorts them by ``canon_key``."""
+    return _reachable_eva(frozenset([eva.initial]),
+                          lambda subset: _subset_moves(subset, eva.out),
+                          lambda subset: bool(subset & eva.finals),
+                          eva.alphabet, eva.variables)
+
+
+def same_automaton(first: EVA, second: EVA) -> bool:
+    """Whether the two write the same file and hold the same states in
+    the same order, with the same finals."""
+    return (automaton_json(first), first.state_order(), first.finals) == (
+        automaton_json(second), second.state_order(), second.finals)
 
 
 def bisimulation_names_reference(eva: EVA) -> Dict[State, State]:

@@ -15,6 +15,7 @@ from unittest import mock
 
 from spanex import (
     Document,
+    VA,
     brute_enumerate_va,
     count_det_seva,
     determinize_eva,
@@ -50,6 +51,7 @@ from fixtures import (
 )
 from helpers import (
     corpus_checksum,
+    determinize_reference,
     expand_list,
     list_outputs,
     mapping,
@@ -57,6 +59,7 @@ from helpers import (
     mapping_set_project,
     preprocess_reference,
     run_outputs,
+    same_automaton,
     spanner_difference,
 )
 
@@ -266,6 +269,20 @@ def test_the_quotient_keeps_every_corpus_spanner():
         with mock.patch.object(transform, "bisimulation_quotient", lambda eva: eva):
             unreduced = va_to_det_seva_general(automaton)
         assert spanner_difference(va_to_det_seva_general(automaton), unreduced) is None
+        checked += 1
+    assert checked == 510
+
+
+def test_determinize_equals_the_named_subset_construction_on_the_corpus():
+    # On the condensed EVA of every seeded VA and EVA and on its quotient,
+    # the walk over integer subsets builds the automaton that the subset
+    # construction over frozenset states builds, state order and file
+    # included.
+    checked = 0
+    for automaton in (a for instances in corpora().values() for a in instances):
+        eva = va_to_eva(automaton) if isinstance(automaton, VA) else automaton
+        for given in (eva, transform.bisimulation_quotient(eva)):
+            assert same_automaton(determinize_eva(given), determinize_reference(given))
         checked += 1
     assert checked == 510
 

@@ -13,7 +13,9 @@ Over random VAs and EVAs, sequential or not, functional or not and
 deterministic or not, the classifier agrees with the reference
 classifier, the bisimulation quotient finds the reference partition and
 keeps the semantics and the verdicts, and both pipelines keep the
-outputs of their construction without the quotient."""
+outputs of their construction without the quotient.  Over random EVAs
+and their quotients, ``determinize_eva`` builds what the subset
+construction over named states builds."""
 
 import json
 from unittest import mock
@@ -61,6 +63,7 @@ from helpers import (
     all_docs,
     bisimulation_names_reference,
     classify_reference,
+    determinize_reference,
     list_outputs,
     mapping_set_project,
     prefix_run_like_reference,
@@ -69,6 +72,7 @@ from helpers import (
     random_letter_systems,
     random_vas,
     run_outputs,
+    same_automaton,
     spanner_difference,
     trim,
 )
@@ -292,6 +296,16 @@ def test_bisimulation_quotient_matches_moore_reference(automaton):
     assert (merged.sequential, merged.functional) == (report.sequential, report.functional)
     for doc in all_docs("ab", 3):
         assert brute_enumerate_va(quotient, doc) == brute_enumerate_va(eva, doc)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.one_of(random_evas(functional=False), random_evas(functional=True)))
+def test_determinize_equals_the_named_subset_construction(eva):
+    # The walk over integer subsets builds the automaton the construction
+    # over frozenset states builds: the same states in the same order,
+    # the same finals and the same file, on the EVA and on its quotient.
+    for automaton in (eva, bisimulation_quotient(eva)):
+        assert same_automaton(determinize_eva(automaton), determinize_reference(automaton))
 
 
 REGEXES = st.recursive(

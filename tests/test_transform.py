@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,8 @@ from spanex import (
     va_to_det_seva_general,
     va_to_eva,
 )
-from spanex import transform
+from spanex import algebra, automata, transform
+from spanex.algebra import parse_expr
 from spanex.errors import PreconditionError
 from spanex.transform import variable_paths_from
 
@@ -37,7 +40,8 @@ from fixtures import (
     random_documents,
     random_instance,
 )
-from helpers import all_docs, close_m, mapping, mset, open_m, trim
+from helpers import (all_docs, close_m, determinize_reference, mapping, mset, open_m,
+                     same_automaton, trim)
 
 
 def test_va_to_eva_fig3_pair_transition():
@@ -378,3 +382,99 @@ def test_given_sequential_eva_is_reduced_before_determinizing():
         outputs = set(enumerate_stream(evaluate_preprocess(det, doc)))
         assert outputs == set(enumerate_stream(evaluate_preprocess(plain, doc)))
         assert count_det_seva(det, doc) == count_det_seva(plain, doc) == len(outputs)
+
+
+def _k_quotient(k):
+    # The quotient that `.*a.{k}x{.*}` over ab is determinized from.
+    va = rgx_to_va(parse_rgx(".*a" + "." * k + "x{.*}", "ab"), "ab")
+    return bisimulation_quotient(va_to_eva(va))
+
+
+def test_determinize_keys_each_input_state_once(monkeypatch):
+    # The subsets are bitsets over the input's canon_key ranks: no subset
+    # is keyed or stepped as a frozenset of named states.
+    eva = _k_quotient(12)
+    real_key, real_moves = automata.canon_key, transform._subset_moves
+    keyed, stepped = [], []
+
+    def counting_key(obj):
+        keyed.append(obj)
+        return real_key(obj)
+
+    monkeypatch.setattr(automata, "canon_key", counting_key)
+    monkeypatch.setattr(transform, "canon_key", counting_key)
+    monkeypatch.setattr(transform, "_subset_moves",
+                        lambda *args: stepped.append(args) or real_moves(*args))
+    det = determinize_eva(eva)
+    assert len(det.states) == 2 ** 13 + 2
+    assert len(keyed) <= len(eva.states)
+    assert stepped == []
+
+
+# A file that lists its states against their canon_key order, and one
+# whose state names mix integers and strings.
+_UNSORTED_FILE = {
+    "format": 2, "kind": "eva", "alphabet": ["a", "b"], "variables": ["x"],
+    "states": ["q2", "q10", "q1", "q0"],
+    "labels": [{"symbol": "a"}, {"symbol": "b"}, {"markers": ["open:x"]}],
+    "initial": 3, "finals": [0],
+    "transitions": [[3, 0, 3], [3, 0, 1], [3, 1, 2], [3, 2, 0], [1, 0, 0], [1, 0, 2],
+                    [2, 1, 1], [2, 1, 3], [0, 0, 1], [0, 2, 2]],
+}
+_MIXED_NAMES_FILE = {
+    "kind": "eva", "alphabet": ["a", "b"], "variables": ["x"], "states": [0, "p", 10, 2, "q"],
+    "initial": 0, "finals": ["q", 2],
+    "transitions": [
+        {"from": q, "label": {"markers": [label]} if ":" in label else {"symbol": label}, "to": p}
+        for q, label, p in [(0, "a", 10), (0, "a", "p"), (0, "a", 0), ("p", "open:x", 2),
+                            (10, "open:x", "q"), (2, "b", 2), (2, "b", "q"), ("q", "b", 0),
+                            ("q", "b", 10)]],
+}
+
+
+@pytest.mark.parametrize("data, subsets", [(_UNSORTED_FILE, 8), (_MIXED_NAMES_FILE, 6)],
+                         ids=["format2-against-canon-order", "format1-mixed-names"])
+def test_determinize_equals_the_named_subset_construction_on_hand_made_files(data, subsets):
+    eva = load_automaton(data)
+    det = determinize_eva(eva)
+    assert len(det.states) == subsets
+    assert same_automaton(det, determinize_reference(eva))
+
+
+def _perfbench_workloads():
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    writes_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        import workloads
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+        sys.path.remove(perfbench)
+    return workloads
+
+
+def test_determinize_equals_the_named_subset_construction_on_every_workload_rule(monkeypatch):
+    # Every automaton the benchmark's rules determinize: the quotient of
+    # each regex rule, the atoms of each prop8 expression and the
+    # combined automaton of each prop7 one.
+    workloads = _perfbench_workloads()
+    given = []
+
+    def spy(eva):
+        given.append(eva)
+        return determinize_eva(eva)
+
+    monkeypatch.setattr(transform, "determinize_eva", spy)
+    monkeypatch.setattr(algebra, "determinize_eva", spy)
+    for workload in workloads.WORKLOADS.values():
+        for rule in workloads.rule_book(workload, 47):
+            before = len(given)
+            if rule.kind == "rgx":
+                compile_spanner(parse_rgx(rule.text, rule.alphabet), rule.alphabet)
+            else:
+                compile_spanner(parse_expr(rule.text, default_alphabet=rule.alphabet),
+                                strategy=rule.strategy)
+            assert len(given) > before, rule.name
+    for eva in given:
+        assert same_automaton(determinize_eva(eva), determinize_reference(eva))
