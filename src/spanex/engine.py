@@ -7,10 +7,10 @@ builds a DAG whose nodes are marker events (S, i) and whose backward
 paths to the sink ⊥ encode exactly the runs; enumeration then walks that
 DAG depth-first and emits each output mapping once, with work between
 two outputs bounded by the automaton alone.  That walk, ``enumerate_raw``,
-is the only one: its frames carry each variable's field (start, end and
-NDJSON text) for the path below them, and the two leaves,
-``enumerate_stream`` and ``enumerate_ndjson``, build a Mapping or join
-the texts of each output's fields.
+is the only one: it steps along each list to its end handle, its frames
+carry each variable's field (start, end and NDJSON text) for the path
+below them, and the leaves ``enumerate_stream`` and ``enumerate_ndjson``
+build a Mapping or join the texts of each output's fields.
 
 Both stages of a character depend only on the live set L (the states
 with a nonempty list) and the letter, so the pass records one *step*
@@ -106,17 +106,6 @@ class NodeList:
             raise AssertionError("append target's end node already has a successor")
         self.end.next = other.start
         self.end = other.end
-
-    def payloads(self) -> Iterator["DagNode"]:
-        """The nodes from the start handle to the end handle: the
-        traversal of the enumeration walk (which counts its steps) and of
-        tests."""
-        node = self.start
-        while node is not None:
-            yield node
-            if node is self.end:
-                break
-            node = node.next
 
 
 class DagNode:
@@ -389,15 +378,18 @@ def enumerate_raw(
     field ``(start, end, text)``, where ``text`` is the variable's NDJSON
     key and value, ``"x": [start, end]``.
 
-    The walk runs backwards, so each frame holds the entries of the path
-    below it: for each variable nothing, a pending end or a field.
-    Descending into a node applies its closes, then its opens, so one
-    set may open and close a variable.  A run that closes a variable it
-    never opens, or opens one it never closes, raises AssertionError.
-
-    The explicit stack mirrors the recursive traversal exactly (finals
-    in canonical state order, list nodes in list order), so the
-    emission order is deterministic.
+    The walk runs backwards: a frame is (next node or None, end handle,
+    entries of the path below, pending ends), an entry being nothing, a
+    pending end or a field per variable.  Descending into a node applies
+    its closes, then its opens (one set may open and close a variable),
+    pushes the rest of the list and goes on along the node's list; a run
+    that closes a variable it never opens, or opens one it never closes,
+    raises AssertionError.  One loop follows ``next`` and stops at the end
+    handle, where a lazy copy ends even once an append set its ``next``.
+    A node whose list is ⊥ alone, with no end pending, yields at once.
+    Finals go in state order, nodes in list order.  Work is one per final,
+    per node or list end visited and per descent, summed in a local and
+    added to ``counter`` before each yield and after each final's list.
     """
     counter = counter if counter is not None else state.counter
     tables = state.tables
@@ -405,40 +397,47 @@ def enumerate_raw(
     heads = [json.dumps(v) + ": [" for v in names]
     unbound = (None,) * len(names)
     for q in tables.finals:
-        nodelist = state.lists_by_id[q]
-        counter.enum_work += 1
-        if nodelist is None:
-            continue
-        # Frame: (nodes, entries of the path below, its pending ends).
-        stack: List[Tuple[Iterator[DagNode], Tuple[Any, ...], int]] = [
-            (nodelist.payloads(), unbound, 0)]
+        work, nodelist = 1, state.lists_by_id[q]
+        stack = [] if nodelist is None else [(nodelist.start, nodelist.end, unbound, 0)]
         while stack:
-            nodes, entries, pending = stack[-1]
-            node = next(nodes, None)
-            counter.enum_work += 1
-            if node is None:
-                stack.pop()
-            elif node.list is None:  # the sink ⊥
-                if pending:
-                    r = next(r for r, e in enumerate(entries) if type(e) is int)
-                    raise AssertionError(f"variable {names[r]!r} closed but never opened")
-                yield entries
-            else:
+            node, end, entries, pending = stack.pop()
+            while node is not None:
+                work += 1
+                below = node.list
+                if below is None:  # the sink ⊥
+                    if pending:
+                        r = next(r for r, e in enumerate(entries) if type(e) is int)
+                        raise AssertionError(f"variable {names[r]!r} closed but never opened")
+                    counter.enum_work += work
+                    yield entries
+                    work = 0
+                    node = None if node is end else node.next
+                    continue
                 position = node.position
                 opens, closes = ranks[node.markers]
-                below = list(entries)
+                fields = list(entries)
                 for r in closes:
-                    if below[r] is not None:
+                    if fields[r] is not None:
                         raise AssertionError(f"variable {names[r]!r} closed but never opened")
-                    below[r] = position
+                    fields[r] = position
                 for r in opens:
-                    end = below[r]
-                    if type(end) is not int:
+                    close = fields[r]
+                    if type(close) is not int:
                         raise AssertionError(f"variable {names[r]!r} opened but never closed")
-                    below[r] = (position, end, f"{heads[r]}{position}, {end}]")
-                stack.append((node.list.payloads(), tuple(below),
-                              pending + len(closes) - len(opens)))
-                counter.enum_work += 1
+                    fields[r] = (position, close, f"{heads[r]}{position}, {close}]")
+                left = pending + len(closes) - len(opens)
+                first = below.start
+                if not left and first is below.end and first.list is None:
+                    counter.enum_work += work + 2  # the descent and ⊥
+                    yield tuple(fields)
+                    work = 1  # the end of the list [⊥]
+                    node = None if node is end else node.next
+                else:
+                    work += 1  # the descent
+                    stack.append((None if node is end else node.next, end, entries, pending))
+                    node, end, entries, pending = first, below.end, tuple(fields), left
+            work += 1  # the list's end
+        counter.enum_work += work
 
 
 def enumerate_stream(state: EvaluationState) -> Iterator[Mapping]:

@@ -27,7 +27,7 @@ from spanex import (
 from spanex.automata import (
     _INVALID, ClassificationReport, Label, State, format_label, label_key, reachable,
     state_name)
-from spanex.engine import DagNode, NodeList, enumerate_ndjson
+from spanex.engine import DagNode, NodeList, enumerate_ndjson, enumerate_raw
 from spanex.instrument import OpCounter
 from spanex.model import Marker, MarkerSet, all_closed, marker_set_key, markers_compatible
 from spanex.transform import _reachable_eva, _subset_moves
@@ -384,13 +384,97 @@ def prepend(nodelist: NodeList, node: DagNode) -> None:
         nodelist.end = node
 
 
+def payloads(nodelist: NodeList) -> Iterator[DagNode]:
+    """The nodes from the start handle to the end handle: never past
+    it, even once an append has set the end node's ``next``."""
+    node = nodelist.start
+    while node is not None:
+        yield node
+        if node is nodelist.end:
+            break
+        node = node.next
+
+
+def enumerate_reference(
+    state: EvaluationState,
+    counter: Optional[OpCounter] = None,
+) -> Iterator[Tuple[Optional[Tuple[int, int, str]], ...]]:
+    """The enumeration walk with one ``payloads`` generator per frame:
+    the same outputs in the same order as ``enumerate_raw``, and the same
+    ``enum_work`` after each output and at the end, charged one step at
+    a time (one per final, per node or list end visited, per descent)."""
+    counter = counter if counter is not None else state.counter
+    tables = state.tables
+    names, ranks = tables.variables, tables.marker_ranks
+    heads = [json.dumps(v) + ": [" for v in names]
+    unbound = (None,) * len(names)
+    for q in tables.finals:
+        nodelist = state.lists_by_id[q]
+        counter.enum_work += 1
+        if nodelist is None:
+            continue
+        # Frame: (nodes, entries of the path below, its pending ends).
+        stack: List[Tuple[Iterator[DagNode], Tuple[Any, ...], int]] = [
+            (payloads(nodelist), unbound, 0)]
+        while stack:
+            nodes, entries, pending = stack[-1]
+            node = next(nodes, None)
+            counter.enum_work += 1
+            if node is None:
+                stack.pop()
+            elif node.list is None:  # the sink ⊥
+                if pending:
+                    r = next(r for r, e in enumerate(entries) if type(e) is int)
+                    raise AssertionError(f"variable {names[r]!r} closed but never opened")
+                yield entries
+            else:
+                position = node.position
+                opens, closes = ranks[node.markers]
+                below = list(entries)
+                for r in closes:
+                    if below[r] is not None:
+                        raise AssertionError(f"variable {names[r]!r} closed but never opened")
+                    below[r] = position
+                for r in opens:
+                    end = below[r]
+                    if type(end) is not int:
+                        raise AssertionError(f"variable {names[r]!r} opened but never closed")
+                    below[r] = (position, end, f"{heads[r]}{position}, {end}]")
+                stack.append((payloads(node.list), tuple(below),
+                              pending + len(closes) - len(opens)))
+                counter.enum_work += 1
+
+
+def walk_trace(walk, state: EvaluationState, limit: Optional[int] = None):
+    """The outputs of an enumeration walk, each with the ``enum_work`` its
+    counter reads right after it, and the count it reads at the end: once
+    the walk is exhausted or, with ``limit``, once the first ``limit``
+    outputs are taken and the walk is dropped, as ``--limit`` does."""
+    counter = OpCounter()
+    outputs = [(fields, counter.enum_work)
+               for fields in itertools.islice(walk(state, counter), limit)]
+    return outputs, counter.enum_work
+
+
+def walks_agree(state: EvaluationState) -> int:
+    """Assert that ``enumerate_raw`` and ``enumerate_reference`` give the
+    same outputs in the same order and the same work counts, walked out
+    and stopped after one output and after half of them; return the
+    number of outputs."""
+    outputs, work = walk_trace(enumerate_raw, state)
+    assert (outputs, work) == walk_trace(enumerate_reference, state)
+    for limit in {1, len(outputs) // 2}:
+        assert walk_trace(enumerate_raw, state, limit) == walk_trace(enumerate_reference, state, limit)
+    return len(outputs)
+
+
 def partial_outputs(nodelist: NodeList) -> List[Tuple[Event, ...]]:
     """All event sequences reachable from a list down to the sink, via a
     plain recursive walk independent of the streaming enumerator."""
     found: List[Tuple[Event, ...]] = []
 
     def walk(nl: NodeList, acc: List[Event]) -> None:
-        for node in nl.payloads():
+        for node in payloads(nl):
             if node.list is None:
                 found.append(tuple(reversed(acc)))
             else:
@@ -413,7 +497,7 @@ def expand_list(state: EvaluationState, q: State):
 
 def _expand(nodelist: NodeList):
     out = []
-    for node in nodelist.payloads():
+    for node in payloads(nodelist):
         if node.list is None:
             out.append("⊥")
         else:

@@ -17,6 +17,7 @@ from spanex import (
     Document,
     VA,
     brute_enumerate_va,
+    compile_spanner,
     count_det_seva,
     determinize_eva,
     enumerate_stream,
@@ -61,6 +62,7 @@ from helpers import (
     run_outputs,
     same_automaton,
     spanner_difference,
+    walks_agree,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -283,6 +285,19 @@ def test_determinize_equals_the_named_subset_construction_on_the_corpus():
         eva = va_to_eva(automaton) if isinstance(automaton, VA) else automaton
         for given in (eva, transform.bisimulation_quotient(eva)):
             assert same_automaton(determinize_eva(given), determinize_reference(given))
+        checked += 1
+    assert checked == 510
+
+
+def test_the_walk_equals_the_reference_walk_on_the_corpus():
+    # On every seeded VA and EVA, compiled to its det-seVA, enumerate_raw
+    # and the generator walk of tests/helpers.py give the same outputs in
+    # the same order and the same enum_work after each.
+    checked = 0
+    for seed, automaton in enumerate(a for instances in corpora().values() for a in instances):
+        det, _ = compile_spanner(automaton)
+        for doc in _docs(seed):
+            walks_agree(evaluate_preprocess(det, doc))
         checked += 1
     assert checked == 510
 

@@ -1,8 +1,9 @@
 import hashlib
 import json
 import random
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +24,7 @@ from spanex import (
     va_to_det_seva_general,
 )
 from spanex import counting, engine
+from spanex.algebra import parse_expr
 from spanex.engine import DagNode, NodeList, enumerate_ndjson
 from spanex.errors import InputError, PreconditionError
 from spanex.instrument import OpCounter
@@ -38,17 +40,20 @@ from fixtures import (
 from helpers import (
     canon,
     close_m,
+    enumerate_reference,
     expand_list,
     list_outputs,
     mapping,
     mset,
     open_m,
     partial_outputs,
+    payloads,
     preprocess_reference,
     preprocessed_like_reference,
     prepend,
     run_outputs,
     spanner_difference,
+    walks_agree,
 )
 
 
@@ -64,7 +69,7 @@ def cells(names):
 def order(nodelist, named):
     """The names of a list's cells, in list order."""
     name_of = {id(node): name for name, node in named.items()}
-    return [name_of[id(node)] for node in nodelist.payloads()]
+    return [name_of[id(node)] for node in payloads(nodelist)]
 
 
 def test_list_add_is_lifo():
@@ -89,7 +94,7 @@ def test_lazycopy_stable_under_add():
 
 def test_lazycopy_of_empty():
     nl = NodeList()
-    assert list(nl.lazycopy().payloads()) == []
+    assert list(payloads(nl.lazycopy())) == []
 
 
 def test_lazycopy_stable_under_append_to_original():
@@ -210,7 +215,7 @@ def test_golden_dag_is_shared_not_copied():
     # they never duplicate), every descent bottoms out at one shared
     # sink node, and exactly 7 nodes are reachable from the finals.
     state = evaluate_preprocess(gen_fig4_automaton(), Document("ab"))
-    via_q8, via_q3 = list(state.lists["q9"].payloads())
+    via_q8, via_q3 = list(payloads(state.lists["q9"]))
     q8, q3 = state.lists["q8"], state.lists["q3"]
     assert via_q8.list.start is q8.start and via_q8.list.end is q8.end
     assert via_q3.list.start is q3.start and via_q3.list.end is q3.end
@@ -461,6 +466,107 @@ def test_preprocessing_scales_linearly():
         evaluate_preprocess(fig4, Document("a" * (n - 1) + "b"), validate=False, counter=counter)
         ratios.append(counter.preprocess / n)
     assert max(ratios) / min(ratios) - 1 < 0.05
+
+
+# ---------------------------------------------------------------------------
+# The walk against the generator walk of tests/helpers.py
+# ---------------------------------------------------------------------------
+
+def test_walk_equals_reference_walk_on_dense_spans():
+    dense, _ = compile_spanner(parse_rgx(".*x{a.*}.*", frozenset("ab")), frozenset("ab"))
+    rng = random.Random(320)
+    doc = Document("".join(rng.choice("ab") for _ in range(320)))
+    assert walks_agree(evaluate_preprocess(dense, doc)) > 10_000
+
+
+def test_walk_equals_reference_walk_on_the_rule_book_join():
+    join, _ = compile_spanner(
+        parse_expr('join(rgx(".*a......x{.*}"), rgx(".*y{b.*}.*"))', default_alphabet="ab"),
+        frozenset("ab"), "prop7")
+    rng = random.Random(80)
+    doc = Document("".join(rng.choice("ab") for _ in range(80)))
+    assert walks_agree(evaluate_preprocess(join, doc)) > 1000
+
+
+_XY = ("x", "y")
+_MARKERS = [open_m("x"), close_m("x"), open_m("y"), close_m("y")]
+
+
+def hand_state(*final_lists):
+    """A stand-in evaluation state over the variables x and y with one
+    final per hand-built list, for the walk alone."""
+    ranks = {}
+    for k in range(1, len(_MARKERS) + 1):
+        for label in combinations(_MARKERS, k):
+            ranks[frozenset(label)] = (tuple(_XY.index(m.var) for m in label if m.is_open),
+                                       tuple(_XY.index(m.var) for m in label if not m.is_open))
+    tables = SimpleNamespace(variables=_XY, marker_ranks=ranks,
+                             finals=tuple(range(len(final_lists))))
+    return SimpleNamespace(tables=tables, lists_by_id=list(final_lists), counter=OpCounter())
+
+
+def listed(*nodes):
+    """A list of fresh nodes in the given order, built by prepending."""
+    nodelist = NodeList()
+    for node in reversed(nodes):
+        prepend(nodelist, node)
+    return nodelist
+
+
+def spans_of(state):
+    """The walk's outputs as {variable: (start, end)}, with the reference
+    walk's outputs and work counts checked equal on the way."""
+    walks_agree(state)
+    return [{v: f[:2] for v, f in zip(_XY, fields) if f is not None}
+            for fields in enumerate_raw(state)]
+
+
+def sink():
+    return DagNode(frozenset(), 0, None, None)
+
+
+def test_walk_stops_at_the_end_handle_of_a_lazy_copy():
+    # Both ox1's list, the copy [⊥], and cx3's list, the copy [ox1], end
+    # at a node that a later append gave a ``next``.
+    bottom = sink()
+    base = NodeList(bottom, bottom)
+    ox1 = DagNode(mset(open_m("x")), 1, base.lazycopy(), None)
+    ox2 = DagNode(mset(open_m("x")), 2, base.lazycopy(), None)
+    base.append(listed(DagNode(mset(open_m("y")), 7, NodeList(bottom, bottom), None)))
+    grown = listed(ox1)
+    frozen = grown.lazycopy()
+    grown.append(listed(ox2))
+    assert bottom.next is not None and ox1.next is ox2
+    final = listed(DagNode(mset(close_m("x")), 3, frozen, None),
+                   DagNode(mset(close_m("x")), 4, grown, None))
+    assert spans_of(hand_state(final)) == [{"x": (1, 3)}, {"x": (1, 4)}, {"x": (2, 4)}]
+
+
+@pytest.mark.parametrize("bottom_first", [True, False], ids=["[⊥, n]", "[n, ⊥]"])
+def test_walk_visits_both_cells_of_a_list_with_bottom(bottom_first):
+    # ox2's list holds ⊥ and cy2, a list the ⊥-only shortcut must not
+    # take; the final list holds ⊥ and cx3 in the same order.
+    oy1 = DagNode(mset(open_m("y")), 1, listed(sink()), None)
+    cy2 = DagNode(mset(close_m("y")), 2, listed(oy1), None)
+    inner = (sink(), cy2) if bottom_first else (cy2, sink())
+    ox2 = DagNode(mset(open_m("x")), 2, listed(*inner), None)
+    cx3 = DagNode(mset(close_m("x")), 3, listed(ox2), None)
+    final = listed(*((sink(), cx3) if bottom_first else (cx3, sink())))
+    alone, both = {"x": (2, 3)}, {"x": (2, 3), "y": (1, 2)}
+    assert spans_of(hand_state(final)) == (
+        [{}, alone, both] if bottom_first else [both, alone, {}])
+
+
+def test_walk_raises_on_a_bottom_only_list_with_a_pending_close():
+    cx3 = DagNode(mset(close_m("x")), 3, listed(sink()), None)
+    ox1 = DagNode(mset(open_m("x")), 1, listed(sink()), None)
+    cx2 = DagNode(mset(close_m("x")), 2, listed(ox1), None)
+    state = hand_state(listed(cx2, cx3))
+    for walk in (enumerate_raw, enumerate_reference):
+        stream = walk(state, OpCounter())
+        assert next(stream) == ((1, 2, '"x": [1, 2]'), None)
+        with pytest.raises(AssertionError, match="variable 'x' closed but never opened"):
+            next(stream)
 
 
 # ---------------------------------------------------------------------------

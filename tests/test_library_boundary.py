@@ -4,10 +4,13 @@ the library outside its own definition, in the README or in the
 benchmark adapter.  Re-exports in __init__.py do not count as a use, and
 the click commands in cli.py are entry points of their own.  Every
 field a library class lists in ``__slots__`` is read as an attribute in
-the library or the adapter, and every parameter with a default of a
+the library or the adapter, every public method and property of a
+public library class is read as an attribute there outside its own
+body, and every parameter with a default of a
 public function, method or constructor is passed by some call there."""
 
 import ast
+import collections
 import re
 from pathlib import Path
 
@@ -163,3 +166,26 @@ def test_every_optional_parameter_is_set_outside_the_tests():
              for name, position, parameter in _optional_parameters(tree)
              if not any(_sets(call, position, parameter) for call in calls.get(name, []))]
     assert unset == []
+
+
+def test_every_public_method_has_a_user_outside_the_tests():
+    # A method or property is used when its name is read as an attribute
+    # in the library outside its own body or in the adapter; README words
+    # do not count, as for the slots.
+    trees = [ast.parse(path.read_bytes()) for path in sorted(PACKAGE.glob("*.py"))]
+    adapter = ast.parse((ROOT / "perfbench" / "adapter.py").read_bytes())
+
+    def reads(tree):
+        return [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+
+    read = collections.Counter(name for tree in [*trees, adapter] for name in reads(tree))
+    unused = [
+        f"{cls.name}.{method.name}"
+        for tree in trees for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+        and read[method.name] == reads(method).count(method.name)
+    ]
+    assert unused == []

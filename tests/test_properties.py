@@ -6,7 +6,8 @@ Over random extended automata: projection agrees with projecting the
 outputs, the unions, projection and (over random VAs) ``va_to_eva``
 build exactly their reachable part and keep their inputs' semantics,
 the compiled det-seVA agrees with the brute-force search, the
-CLI's NDJSON lines are the JSON encoding of the mapping stream, and
+CLI's NDJSON lines are the JSON encoding of the mapping stream, the
+enumeration walk gives the generator walk's outputs and work counts, and
 preprocessing agrees with the reference kernel, also on every prefix,
 where it ends with the capturing stage that the run search predicts.
 Over random VAs and EVAs, sequential or not, functional or not and
@@ -75,6 +76,7 @@ from helpers import (
     same_automaton,
     spanner_difference,
     trim,
+    walks_agree,
 )
 
 ALPHABET = frozenset("ab")
@@ -230,6 +232,15 @@ def test_ndjson_lines_equal_encoded_mappings(eva, texts):
         streamed = counter.enum_work
         assert list(enumerate_ndjson(state)) == want
         assert counter.enum_work - streamed == streamed - start
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.booleans().flatmap(lambda functional: random_evas(functional=functional)),
+       st.lists(st.text(alphabet="ab", max_size=12), min_size=1, max_size=3))
+def test_walk_equals_reference_walk(eva, texts):
+    det, _ = compile_spanner(eva)
+    for text in texts:
+        walks_agree(evaluate_preprocess(det, Document(text)))
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
