@@ -97,6 +97,99 @@ def reachable(starts: Iterable[Any], successors: Callable[[Any], Iterable[Any]])
     return seen
 
 
+def _rows_in_order(n: int, labels: List[Label], keys: Dict[Label, Tuple], triples: List,
+                   letters: Optional[Dict[str, List[Optional[int]]]]) -> Optional[Tuple]:
+    """The labels ranked by ``keys``, the rows, and the ``DetTables``
+    markers and ``letters`` (given empty, or None for no tables), filled
+    in one pass over ``triples``; or None unless each triple is a
+    ``[source, label, target]`` list of indices below ``n`` and
+    ``len(labels)``, they come in strictly ascending (source, label rank)
+    order and every label is in use."""
+    ranked = sorted(keys, key=keys.__getitem__)
+    rank = {label: r for r, label in enumerate(ranked)}
+    width = len(ranked)
+    rows: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    markers = None if letters is None else [[] for _ in range(n)]
+    # Per label index: its rank, the table its moves fill (a letter table,
+    # or None for ``markers``) and the label object the ranking kept.
+    # Without tables, one scratch table takes every move.
+    scratch = [None] * n if letters is None else None
+    info = {}
+    for a, label in enumerate(labels):
+        r = rank[label]
+        table = (scratch if letters is None
+                 else letters.get(label) if isinstance(label, str) else None)
+        info[a] = (r, table, ranked[r])
+    seen = bytearray(len(labels))
+    last = -1
+    try:
+        for t in triples:
+            if type(t) is not list:
+                return None
+            q, a, p = t
+            # type() refuses true and 1.0, which Python finds equal to 1.
+            if type(q) is not int or type(a) is not int or type(p) is not int or not 0 <= p < n:
+                return None
+            r, table, label = info[a]
+            # Ascending codes keep the source at least 0; rows[q] refuses
+            # one past the last state.
+            code = q * width + r
+            if code <= last:
+                return None
+            last = code
+            rows[q].append((r, p))
+            seen[a] = 1
+            if table is None:
+                markers[q].append((label, p))
+            else:
+                table[q] = p
+    except (ValueError, KeyError, IndexError):  # a short or long triple, an index out of range
+        return None
+    if 0 in seen:
+        return None
+    return ranked, rows, markers, letters
+
+
+def _check_triples(triples: List, n: int, m: int) -> None:
+    """Raise ``FormatError`` for the first of ``triples`` that is not a
+    ``[source, label, target]`` list of indices below ``n``, ``m`` and
+    ``n``."""
+    for t in triples:
+        if type(t) is not list or len(t) != 3:
+            raise FormatError(f"transitions entry must be a [source, label, target] list, "
+                              f"got {t!r}")
+        q, a, p = t
+        if not (type(q) is int and type(a) is int and type(p) is int
+                and 0 <= q < n and 0 <= a < m and 0 <= p < n):
+            _index(q, n, "transition source")
+            _index(a, m, "transition label")
+            _index(p, n, "transition target")
+
+
+def _rows_by_sort(n: int, width: int, rank_of: List[Optional[int]], triples: List
+                  ) -> Tuple[List[List[Tuple[int, int]]], Optional[Tuple[int, int, int, int]]]:
+    """The rows of ``triples``, in range, in any order and with repeats,
+    whose label indices ``rank_of`` maps to ranks below ``width``; and the
+    first two transitions of one state on one label (state id, label
+    rank, both target ids), or None."""
+    # One integer per transition orders the triples by source, label
+    # rank and target.  Sorted, a repeated triple is a repeated integer,
+    # and two transitions of one state on one label are neighbours in
+    # its row; the first such pair is the witness of nondeterminism.
+    codes = sorted([(q * width + rank_of[a]) * n + p for q, a, p in triples])
+    rows: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    clash = None
+    last = last_head = -1
+    for code in codes:
+        if code != last:
+            head, p = divmod(code, n)
+            if head == last_head and clash is None:
+                clash = (head // width, head % width, last % n, p)
+            rows[head // width].append((head % width, p))
+            last, last_head = code, head
+    return rows, clash
+
+
 class _AutomatonBase:
     """Shared structure of VA and EVA; immutable after construction.
 
@@ -109,7 +202,10 @@ class _AutomatonBase:
     below marker labels and a row lists ``out(q)`` in order.  ``out`` and
     ``transitions`` are views of the rows, built on first use, and
     ``_clash`` holds the first two transitions of one state on one label
-    (state id, label rank, both target ids), or None."""
+    (state id, label rank, both target ids), or None.  Triples that come
+    in row order, as a written file and ``determinize_eva`` give them,
+    fill the rows in one pass and have no clash; any others are sorted,
+    and the sort finds the clash."""
 
     __slots__ = ("alphabet", "states", "initial", "finals", "variables", "_order",
                  "_initial_id", "_final_ids", "_labels", "_rows", "_clash", "_size",
@@ -151,19 +247,33 @@ class _AutomatonBase:
     @classmethod
     def _from_indices(cls, order: List[State], initial: int, finals: List[int],
                       labels: List[Label], triples: List, alphabet: Iterable[str],
-                      variables: Optional[Iterable[str]]):
-        """The automaton whose states are ``order`` and whose initial state,
-        final states and ``(source, label, target)`` triples are indices
-        into ``order`` and ``labels``, all of them in range."""
+                      variables: Optional[Iterable[str]], *, tables: bool):
+        """The automaton whose states are ``order`` and whose initial state
+        and final states are indices into ``order``; each of ``triples`` is
+        a ``[source, label, target]`` list of indices into ``order`` and
+        ``labels``, and the first one that is not raises ``FormatError``.
+        Triples in row order fill the rows, and with ``tables`` an EVA's
+        ``DetTables``, in ``_rows_in_order``'s one pass; any others are
+        checked and sorted by ``_rows_by_sort``."""
         automaton = cls.__new__(cls)
-        automaton._setup(order, initial, finals, labels, triples, alphabet, variables)
+        n = len(order)
+        keys = {label: label_key(label) for label in labels}
+        letters = {a: [None] * n for a in alphabet} if tables and cls is EVA else None
+        filled = _rows_in_order(n, labels, keys, triples, letters)
+        if filled is None:
+            _check_triples(triples, n, len(labels))
+        automaton._setup(order, initial, finals, labels, triples, alphabet, variables,
+                         keys, filled)
         return automaton
 
     def _setup(self, order: List[State], initial: int, finals: Iterable[int],
                labels: List[Label], triples: List, alphabet: Iterable[str],
-               variables: Optional[Iterable[str]]) -> None:
+               variables: Optional[Iterable[str]], keys: Optional[Dict[Label, Tuple]] = None,
+               filled: Optional[Tuple] = None) -> None:
         """The one core of every constructor and of the format-2 loader:
-        check every label, rank the ones in use and fill the rows."""
+        check every label, then take the rows ``_rows_in_order`` filled or
+        rank the labels in use by their ``label_key`` (``keys``, computed
+        here if None) and sort the triples into rows."""
         n = len(order)
         self.alphabet = frozenset(alphabet)
         self.states = frozenset(order)
@@ -172,56 +282,44 @@ class _AutomatonBase:
         self.finals = frozenset(order[i] for i in self._final_ids)
         self._order = order
         self._initial_id = initial
-        # Each label is checked and read for variables; each distinct
-        # label in use is keyed once, and labels a triple repeats share
-        # one rank.  An unused label adds no variable to the automaton.
-        used = set(map(itemgetter(1), triples))
-        keys: Dict[Label, Tuple] = {}
-        mentioned: Set[str] = set()  # the variables of the labels in use
-        named: Set[str] = set()      # those of every label
-        for a, label in enumerate(labels):
+        # Each label is checked and read for variables.
+        found: List[Iterable[str]] = []
+        for label in labels:
             self._validate_label(label)
-            found = ({label.var} if isinstance(label, Marker)
-                     else {m.var for m in label} if isinstance(label, frozenset) else ())
-            named.update(found)
-            if a in used and label not in keys:
-                keys[label] = label_key(label)
-                mentioned.update(found)
-        if variables is None:
-            self.variables = frozenset(mentioned)
-        else:
-            self.variables = frozenset(variables)
-            missing = named - self.variables
+            found.append({label.var} if isinstance(label, Marker)
+                         else {m.var for m in label} if isinstance(label, frozenset) else ())
+        named: Set[str] = set().union(*found)  # the variables of every label
+        if variables is not None:
+            missing = named - frozenset(variables)
             if missing:
                 raise FormatError(
                     f"markers reference undeclared variables: {sorted(missing)}"
                 )
-        self._labels = sorted(keys, key=keys.__getitem__)
-        width = len(self._labels)
-        rank = {label: r for r, label in enumerate(self._labels)}
-        rank_of = [rank.get(label) for label in labels]
-        # One integer per transition orders the triples by source, label
-        # rank and target.  Sorted, a repeated triple is a repeated integer,
-        # and two transitions of one state on one label are neighbours in
-        # its row; the first such pair is the witness of nondeterminism.
-        codes = sorted([(q * width + rank_of[a]) * n + p for q, a, p in triples])
-        rows: List[List[Tuple[int, int]]] = [[] for _ in order]
-        clash = None
-        last = last_head = -1
-        for code in codes:
-            if code != last:
-                head, p = divmod(code, n)
-                if head == last_head and clash is None:
-                    clash = (head // width, head % width, last % n, p)
-                rows[head // width].append((head % width, p))
-                last, last_head = code, head
-        self._rows = rows
-        self._clash: Optional[Tuple[int, int, int, int]] = clash
-        self._size = n + sum(map(len, rows))
         self._out: Optional[Dict[State, List[Tuple[Label, State]]]] = None
         self._transitions: Optional[FrozenSet[Transition]] = None
         self._report: Optional[ClassificationReport] = None
         self._tables: Optional[DetTables] = None
+        if filled is not None:
+            # Every label is in use.
+            self.variables = frozenset(named if variables is None else variables)
+            self._labels, self._rows, markers, letters = filled
+            self._clash: Optional[Tuple[int, int, int, int]] = None
+            if letters is not None:
+                self._tables = DetTables(self, markers, letters)
+        else:
+            # Labels a triple repeats share one rank; an unused label has
+            # none and adds no variable.
+            used = set(map(itemgetter(1), triples))
+            in_use = {labels[a] for a in used}
+            if keys is None:
+                keys = {label: label_key(label) for label in in_use}
+            mentioned = set().union(*(found[a] for a in used))
+            self.variables = frozenset(mentioned if variables is None else variables)
+            self._labels = sorted(in_use, key=keys.__getitem__)
+            rank = {label: r for r, label in enumerate(self._labels)}
+            self._rows, self._clash = _rows_by_sort(
+                n, len(self._labels), [rank.get(label) for label in labels], triples)
+        self._size = n + sum(map(len, self._rows))
 
     def _validate_label(self, label: Label) -> None:
         raise NotImplementedError
@@ -307,7 +405,8 @@ class EVA(_AutomatonBase):
 
 class DetTables:
     """The transition structure of an EVA over dense state ids, built in
-    one pass over its integer rows.
+    one pass over its integer rows, or handed the ``markers`` and
+    ``letters`` that loading a file filled in its pass over the triples.
 
     States are numbered ``0..k-1`` in ``state_order()`` order, so sorting
     ids sorts states canonically.  ``markers[q]`` holds the marker-set
@@ -323,16 +422,14 @@ class DetTables:
 
     __slots__ = ("states", "initial", "finals", "markers", "letters", "variables", "marker_ranks")
 
-    def __init__(self, automaton: EVA):
+    def __init__(self, automaton: EVA,
+                 markers: Optional[List[List[Tuple[MarkerSet, int]]]] = None,
+                 letters: Optional[Dict[str, List[Optional[int]]]] = None):
         states = automaton.state_order()
         labels = automaton._labels
         self.states: List[State] = states
         self.initial: int = automaton._initial_id
         self.finals: List[int] = list(automaton._final_ids)
-        self.markers: List[List[Tuple[MarkerSet, int]]] = [[] for _ in states]
-        self.letters: Dict[str, List[Optional[int]]] = {
-            a: [None] * len(states) for a in automaton.alphabet
-        }
         self.variables: List[str] = sorted(automaton.variables)
         rank = {v: r for r, v in enumerate(self.variables)}
         self.marker_ranks: Dict[MarkerSet, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {
@@ -340,15 +437,20 @@ class DetTables:
                     tuple(rank[m.var] for m in label if not m.is_open))
             for label in labels if not isinstance(label, str)
         }
-        # The letter table of each symbol rank; marker ranks have None.
-        tables = [self.letters[label] if isinstance(label, str) else None for label in labels]
-        for i, row in enumerate(automaton._rows):
-            for r, p in row:
-                table = tables[r]
-                if table is None:
-                    self.markers[i].append((labels[r], p))
-                else:
-                    table[i] = p
+        if markers is None:
+            markers = [[] for _ in states]
+            letters = {a: [None] * len(states) for a in automaton.alphabet}
+            # The letter table of each symbol rank; marker ranks have None.
+            tables = [letters[label] if isinstance(label, str) else None for label in labels]
+            for i, row in enumerate(automaton._rows):
+                for r, p in row:
+                    table = tables[r]
+                    if table is None:
+                        markers[i].append((labels[r], p))
+                    else:
+                        table[i] = p
+        self.markers: List[List[Tuple[MarkerSet, int]]] = markers
+        self.letters: Dict[str, List[Optional[int]]] = letters
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +547,14 @@ def load_automaton(data: Dict[str, Any]):
     triples are indices into those lists, and ``kind`` is required.  The
     listed state order becomes the automaton's canonical order, so a
     loaded file dumps to the same object and evaluates with the same
-    ``DetTables`` ids as the automaton it was written from.  The checked
-    index triples fill the automaton's integer rows directly, in any order
-    and with repeats dropped; no state-named transition is built, and
-    ``out`` and ``transitions`` stay unbuilt until something asks for them.
+    ``DetTables`` ids as the automaton it was written from.  The index
+    triples fill the automaton's integer rows directly, and no state-named
+    transition is built: ``out`` and ``transitions`` stay unbuilt until
+    something asks for them.  Triples in the order ``automaton_json``
+    writes them, which use every label, are checked and fill the rows and
+    an EVA's ``DetTables`` in one pass, so ``tables()`` then costs
+    nothing; triples in any other order, with repeats, or with two moves
+    of one state on one label are checked, then sorted into rows.
 
     An object without ``format`` is format 1: states are named in every
     transition and sorted by ``canon_key`` on loading.  Its optional
@@ -501,24 +607,14 @@ def _load_format2(data: Dict[str, Any]):
         elif isinstance(label, frozenset) and kind == "va":
             raise FormatError(f"labels entry {obj!r} is a marker set, which a VA cannot carry")
         labels.append(label)
-    n, m = len(states), len(labels)
+    n = len(states)
     initial = _index(_field(data, "initial"), n, "initial")
     finals = [_index(i, n, "finals entry")
               for i in _list_from_json(_field(data, "finals"), "finals")]
     triples = _list_from_json(_field(data, "transitions"), "transitions")
-    for t in triples:
-        if type(t) is not list or len(t) != 3:
-            raise FormatError(f"transitions entry must be a [source, label, target] list, "
-                              f"got {t!r}")
-        q, a, p = t
-        if not (type(q) is int and type(a) is int and type(p) is int
-                and 0 <= q < n and 0 <= a < m and 0 <= p < n):
-            _index(q, n, "transition source")
-            _index(a, m, "transition label")
-            _index(p, n, "transition target")
     automaton_type = EVA if kind == "eva" else VA
     return automaton_type._from_indices(list(states), initial, finals, labels, triples,
-                                        alphabet, variables)
+                                        alphabet, variables, tables=True)
 
 
 def _load_format1(data: Dict[str, Any]):
@@ -785,14 +881,18 @@ class ClassificationReport:
 
 
 def classify(automaton) -> ClassificationReport:
-    """Decide sequential / functional (and deterministic for EVA) by
-    reachability over (state, marker history) configurations, walked as
-    ints over the automaton's rows: state id, interned history id and, for
-    an EVA, whether a variable step may come next.  Determinism is read
-    from the rows, where two transitions of one state on one label sit
-    next to each other.  The report is kept on the automaton.  An
-    automaton of more than ``VARIABLE_CAP`` variables raises and never
-    gets one, so a kept report needs no cap check."""
+    """Decide sequential / functional (and deterministic for EVA).
+
+    An EVA is first certified by labelling (``_one_history_per_pair``):
+    when each (state, marker-step flag) pair it reaches has one marker
+    history, every marker step is compatible and every final pair has
+    used every marker, it is sequential and functional.  Any other
+    automaton takes the reachability walk over (state, marker history)
+    configurations, walked as ints over the automaton's rows, which alone
+    writes witnesses.  Determinism is the rows' ``_clash``: an automaton
+    whose rows were filled in order has none.  The report is kept on the
+    automaton.  An automaton of more than ``VARIABLE_CAP`` variables
+    raises and never gets one, so a kept report needs no cap check."""
     if automaton._report is None:
         if len(automaton.variables) > VARIABLE_CAP:
             raise ClassificationTooLarge(
@@ -804,6 +904,107 @@ def classify(automaton) -> ClassificationReport:
 
 
 def _classify(automaton) -> ClassificationReport:
+    labels = automaton._labels
+    if isinstance(automaton, EVA) and _one_history_per_pair(automaton):
+        sequential, functional, seq_witness, fun_witness = True, True, None, None
+    else:
+        sequential, functional, seq_witness, fun_witness = _walk_configurations(automaton)
+
+    deterministic: Optional[bool] = None
+    det_witness = None
+    if isinstance(automaton, EVA):
+        # Sorting the rows found the first two transitions of one state on
+        # one label, in state order and then out(q) order.
+        deterministic = automaton._clash is None
+        if automaton._clash is not None:
+            q, r, p1, p2 = automaton._clash
+            order = automaton._order
+            det_witness = (
+                f"state {state_name(order[q])} has two transitions on "
+                f"{format_label(labels[r])}: to {state_name(order[p1])} and "
+                f"{state_name(order[p2])}"
+            )
+
+    return ClassificationReport(
+        sequential=sequential,
+        functional=functional,
+        deterministic=deterministic,
+        sequential_witness=seq_witness,
+        functional_witness=fun_witness,
+        deterministic_witness=det_witness,
+    )
+
+
+def _one_history_per_pair(eva: EVA) -> bool:
+    """Whether labelling certifies ``eva`` sequential and functional.
+
+    Each (state, flag) pair the runs reach, the flag allowing a variable
+    step, is labelled with the marker history of the first run found to
+    reach it, as a bitmask: bit 2i opens and bit 2i+1 closes the i-th
+    variable in sorted order.  It holds when every marker step is
+    compatible with its history, every step yields the history its
+    target pair already holds and every final pair reached holds every
+    bit.  Then the configurations ``_walk_configurations`` reaches are
+    these pairs with their histories, and none of them is bad."""
+    variables = sorted(eva.variables)
+    labels, rows = eva._labels, eva._rows
+    symbols = sum(isinstance(label, str) for label in labels)  # they rank first
+    bit = {v: 1 << (2 * i) for i, v in enumerate(variables)}
+    # Per marker label rank: its bits, and the open bits its closes need.
+    masks = [0] * symbols
+    needs = [0] * symbols
+    for label in labels[symbols:]:
+        masks.append(sum(bit[m.var] << (not m.is_open) for m in label))
+        needs.append(sum(bit[m.var] for m in label if not m.is_open))
+    full = (1 << (2 * len(variables))) - 1
+    final = bytearray(len(rows))
+    for q in eva._final_ids:
+        final[q] = 1
+    # The histories of the pairs that allow a variable step (the initial
+    # one and those a letter reaches) and of those a marker step reaches,
+    # -1 until reached.  The stack holds the state ids of newly reached
+    # pairs of the first kind and the complements of the second.
+    at_letter = [-1] * len(rows)
+    at_marker = [-1] * len(rows)
+    at_letter[eva._initial_id] = 0
+    stack = [eva._initial_id]
+    while stack:
+        q = stack.pop()
+        may_step = q >= 0
+        if may_step:
+            h = at_letter[q]
+        else:
+            q = ~q
+            h = at_marker[q]
+        if final[q] and h != full:
+            return False
+        for r, p in rows[q]:
+            if r < symbols:
+                seen = at_letter[p]
+                if seen < 0:
+                    at_letter[p] = h
+                    stack.append(p)
+                elif seen != h:
+                    return False
+            elif not may_step:
+                break  # marker ranks follow the symbols in a row
+            else:
+                m = masks[r]
+                g = h | m
+                if h & m or needs[r] & ~g:
+                    return False
+                seen = at_marker[p]
+                if seen < 0:
+                    at_marker[p] = g
+                    stack.append(~p)
+                elif seen != g:
+                    return False
+    return True
+
+
+def _walk_configurations(automaton) -> Tuple[bool, bool, Optional[str], Optional[str]]:
+    """Sequential, functional and their witnesses, by the reachability
+    walk over (state, marker history) configurations."""
     # A configuration pairs a state with the run's history, the set of
     # markers it has used, or _INVALID once the run can no longer be
     # valid; an EVA's also records whether a variable step may come next.
@@ -917,30 +1118,7 @@ def _classify(automaton) -> ClassificationReport:
             used = {m.var for m in histories[(fun_bad >> 1) // n]}
             reason = "accepts without using: " + ",".join(v for v in variables if v not in used)
             fun_witness = describe(fun_bad, reason)
-
-    deterministic: Optional[bool] = None
-    det_witness = None
-    if is_eva:
-        # The rows found the first two transitions of one state on one
-        # label, in state order and then out(q) order.
-        deterministic = automaton._clash is None
-        if automaton._clash is not None:
-            q, r, p1, p2 = automaton._clash
-            order = automaton._order
-            det_witness = (
-                f"state {state_name(order[q])} has two transitions on "
-                f"{format_label(labels[r])}: to {state_name(order[p1])} and "
-                f"{state_name(order[p2])}"
-            )
-
-    return ClassificationReport(
-        sequential=sequential,
-        functional=functional,
-        deterministic=deterministic,
-        sequential_witness=seq_witness,
-        functional_witness=fun_witness,
-        deterministic_witness=det_witness,
-    )
+    return sequential, functional, seq_witness, fun_witness
 
 
 def require_functional(automaton, message: str) -> None:

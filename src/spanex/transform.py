@@ -132,9 +132,13 @@ def determinize_eva(eva: EVA) -> EVA:
     start = bit[eva._initial_id]
     ids = {1 << start: 0}
     members: List[Tuple[int, ...]] = [(start,)]
-    triples: List[Tuple[int, int, int]] = []
+    # Every subset's (label rank, target) moves, in walk order and then
+    # rank order; the moves of subset q are moved[starts[q]:starts[q + 1]].
+    moved: List[Tuple[int, int]] = []
+    starts = []
     # The walk appends each subset found to ``members`` and reaches it in turn.
-    for q, subset in enumerate(members):
+    for subset in members:
+        starts.append(len(moved))
         image = [0] * len(eva._labels)
         for b in subset:
             for r, mask in moves[b]:
@@ -150,17 +154,22 @@ def determinize_eva(eva: EVA) -> EVA:
                         found.append(low.bit_length() - 1)
                         mask ^= low
                     members.append(tuple(found))
-                triples.append((q, r, p))
+                moved.append((r, p))
+    starts.append(len(moved))
     canonical = sorted(range(len(members)), key=members.__getitem__)
     new = [0] * len(members)
     for position, q in enumerate(canonical):
         new[q] = position
     by_rank = [order[i] for i in ranked]
     final = {bit[i] for i in eva._final_ids}
+    # The triples in row order, which EVA._from_indices takes in one pass
+    # without sorting them.
     return EVA._from_indices(
         [frozenset(map(by_rank.__getitem__, members[q])) for q in canonical], new[0],
         [new[q] for q, subset in enumerate(members) if not final.isdisjoint(subset)],
-        eva._labels, [(new[q], r, new[p]) for q, r, p in triples], eva.alphabet, eva.variables)
+        eva._labels, [[i, r, new[p]] for i, q in enumerate(canonical)
+                        for r, p in moved[starts[q]:starts[q + 1]]],
+        eva.alphabet, eva.variables, tables=False)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ import itertools
 import json
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+import pytest
 from hypothesis import strategies as st
 
+import spanex.automata
 from spanex import (
     Document,
     EVA,
@@ -21,11 +23,13 @@ from spanex import (
     Span,
     VA,
     automaton_json,
+    classify,
     dump_automaton,
     evaluate_preprocess,
+    load_automaton,
 )
 from spanex.automata import (
-    _INVALID, ClassificationReport, Label, State, format_label, label_key, reachable,
+    _INVALID, ClassificationReport, DetTables, Label, State, format_label, label_key, reachable,
     state_name)
 from spanex.engine import DagNode, NodeList, enumerate_ndjson, enumerate_raw
 from spanex.instrument import OpCounter
@@ -128,6 +132,35 @@ def format1_of(data: Dict[str, Any]) -> Dict[str, Any]:
                         for q, a, p in data["transitions"]],
         "variables": data["variables"],
     }
+
+
+def loads_like_the_sort_path(data: Dict[str, Any]) -> bool:
+    """Load the format-2 object ``data`` as ``load_automaton`` does and
+    again with the in-order pass turned off, so that its triples are
+    sorted, and assert the two agree on the rows, the clash, the labels,
+    the variables, the size, every ``DetTables`` slot, the report and the
+    file bytes.  Returns whether the first load sorted the triples."""
+    sorts = []
+    real = spanex.automata._rows_by_sort
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spanex.automata, "_rows_by_sort",
+                      lambda *args: sorts.append(args) or real(*args))
+        loaded = load_automaton(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spanex.automata, "_rows_in_order", lambda *args: None)
+        reference = load_automaton(data)
+    assert type(loaded) is type(reference)
+    assert loaded._rows == reference._rows
+    assert loaded._clash == reference._clash
+    assert loaded._labels == reference._labels
+    assert loaded.variables == reference.variables
+    assert loaded.size == reference.size
+    if isinstance(reference, EVA):
+        for field in DetTables.__slots__:
+            assert getattr(loaded.tables(), field) == getattr(reference.tables(), field), field
+    assert classify(loaded) == classify(reference)
+    assert automaton_json(loaded) == automaton_json(reference)
+    return bool(sorts)
 
 
 def corpus_checksum(automata: Sequence) -> str:

@@ -19,13 +19,15 @@ from spanex import (
     parse_rgx,
     rgx_to_va,
 )
-from spanex.algebra import join_eva, project_eva
-from spanex.automata import DetTables, _label_to_json, canon_key, label_key, state_name
+from spanex.algebra import join_eva, parse_expr, project_eva
+from spanex.automata import (ClassificationReport, DetTables, _label_to_json,
+                             _one_history_per_pair, canon_key, label_key, state_name)
 from spanex.errors import ClassificationTooLarge, FormatError
 from spanex.transform import determinize_eva, va_to_eva
 
-from fixtures import gen_fig3_va, gen_fig4_automaton
-from helpers import canon, classify_reference, close_m, format1_of, mapping, mset, open_m
+from fixtures import gen_fig1_fixture, gen_fig3_va, gen_fig4_automaton
+from helpers import (canon, classify_reference, close_m, format1_of, loads_like_the_sort_path,
+                     mapping, mset, open_m)
 
 
 def test_json_round_trip_va():
@@ -235,6 +237,131 @@ def test_format2_load_of_an_out_of_order_file(make, monkeypatch):
             assert getattr(loaded.tables(), field) == getattr(ordered.tables(), field), field
     assert classify(loaded) == classify(ordered)
     assert automaton_json(loaded) == automaton_json(ordered)
+
+
+_IN_ORDER_FILE = {**_UNUSED_LABEL_FILE, "variables": ["x"]}
+
+
+@pytest.mark.parametrize("data, sorted_", [
+    (_IN_ORDER_FILE, False),
+    ({**_IN_ORDER_FILE, "labels": [{"markers": ["open:y"]}] + _IN_ORDER_FILE["labels"],
+      "variables": ["x", "y"], "transitions": [[0, 1, 1], [1, 2, 1]]}, True),
+    ({**_IN_ORDER_FILE, "transitions": [[0, 0, 1], [1, 1, 1], [1, 1, 1]]}, True),
+    ({**_IN_ORDER_FILE, "states": ["q0", "q1", "q2"],
+      "transitions": [[0, 0, 1], [1, 1, 1], [1, 1, 2]]}, True),
+    ({**_IN_ORDER_FILE, "transitions": [[1, 1, 1], [0, 0, 1]]}, True),
+    ({**_IN_ORDER_FILE, "transitions": [[0, 0, 1], [1, 1, 1]],
+      "labels": _IN_ORDER_FILE["labels"] + [{"symbol": "a"}]}, True),
+], ids=["in-order", "unused-label", "repeated-triple", "clash", "descending", "label-listed-twice"])
+def test_format2_in_order_pass_loads_like_the_sort_path(data, sorted_):
+    # The in-order pass takes only strictly ascending (source, label rank)
+    # triples that use every label; any other file is sorted, and either
+    # way the automaton is the one the sort path builds.
+    assert loads_like_the_sort_path(data) is sorted_
+
+
+@pytest.mark.parametrize("second, message", [
+    ([True, 1, 1], "transition source must be an index below 2, got True"),
+    ([1.0, 1, 1], "transition source must be an index below 2, got 1.0"),
+    ([1, True, 1], "transition label must be an index below 2, got True"),
+    ([1, 1, 1.0], "transition target must be an index below 2, got 1.0"),
+    ([1, 1, -1], "transition target must be an index below 2, got -1"),
+    ([1, -1, 1], "transition label must be an index below 2, got -1"),
+    ([2, 1, 1], "transition source must be an index below 2, got 2"),
+    ((1, 1, 1), "transitions entry must be a [source, label, target] list, got (1, 1, 1)"),
+], ids=["source-true", "source-float", "label-true", "target-float", "target-negative",
+        "label-negative", "source-range", "tuple"])
+def test_format2_in_order_file_with_a_bad_index_is_refused(second, message):
+    # Every label in use and the triples in row order, but for one bad
+    # index: the one pass refuses it as the check of every triple does.
+    with pytest.raises(FormatError) as raised:
+        load_automaton({**_IN_ORDER_FILE, "transitions": [[0, 0, 1], second]})
+    assert str(raised.value) == message
+
+
+def test_format2_clash_is_found_only_by_sorting():
+    data = {**_IN_ORDER_FILE, "states": ["q0", "q1", "q2"],
+            "transitions": [[0, 0, 1], [1, 1, 1], [1, 1, 2]]}
+    report = classify(load_automaton(data))
+    assert report.deterministic is False
+    assert report.deterministic_witness == "state q1 has two transitions on a: to q1 and q2"
+
+
+def _rule_book_compiles():
+    ab = frozenset("ab")
+    ast, _, _, contact_alphabet = gen_fig1_fixture()
+    join = 'join(rgx(".*a......x{.*}"), rgx(".*y{b.*}.*"))'
+    union = 'union(rgx(".*a.......x{.*}"), rgx(".*x{b.*}b....."))'
+    return {
+        "contact": lambda: compile_spanner(ast, contact_alphabet),
+        "dense": lambda: compile_spanner(parse_rgx(".*x{a.*}.*", ab), ab),
+        "k10": lambda: compile_spanner(parse_rgx(".*a" + "." * 10 + "x{.*}", ab), ab),
+        "join": lambda: compile_spanner(parse_expr(join, default_alphabet=ab), strategy="prop7"),
+        "union": lambda: compile_spanner(parse_expr(union, default_alphabet=ab), strategy="prop8"),
+        "project": lambda: compile_spanner(parse_expr(f"project([x], {join})",
+                                                      default_alphabet=ab), strategy="prop7"),
+    }
+
+
+@pytest.mark.parametrize("name", ["contact", "dense", "k10", "join", "union", "project"])
+def test_compiled_files_load_in_order_and_certify_by_labelling(name, monkeypatch):
+    # The benchmark's automata keep the fast paths: their files fill the
+    # rows in order, and every one but contact, which reaches a state
+    # with two marker histories, is certified without the walk.
+    det, _ = _rule_book_compiles()[name]()
+    data = json.loads(automaton_json(det))
+
+    def refuse(*args):
+        raise AssertionError(f"slow path taken on {name}")
+
+    monkeypatch.setattr(spanex.automata, "_rows_by_sort", refuse)
+    loaded = load_automaton(data)
+    assert loaded._tables is not None
+    if name == "contact":
+        assert not _one_history_per_pair(loaded)
+        assert classify(loaded) == classify_reference(loaded)
+    else:
+        monkeypatch.setattr(spanex.automata, "_walk_configurations", refuse)
+        assert classify(loaded) == ClassificationReport(True, True, True)
+
+
+def _labelled_eva(extra=(), finals=("s3",)):
+    """``.*x{a.*}.*`` over abc as a det-seVA whose (state, flag) pairs
+    each have one marker history, with ``extra`` transitions added."""
+    x_open, x_close = mset(open_m("x")), mset(close_m("x"))
+    transitions = [("s0", "a", "s0"), ("s0", "b", "s0"), ("s0", x_open, "s1"),
+                   ("s1", "a", "s2"), ("s2", "a", "s2"), ("s2", "b", "s2"),
+                   ("s2", x_close, "s3"), ("s3", "a", "s3"), ("s3", "b", "s3")]
+    return EVA(["s0", "s1", "s2", "s3", "dead"], "s0", finals,
+               transitions + list(extra), "abc", ["x"])
+
+
+def test_labelling_certifies_one_history_per_pair(monkeypatch):
+    eva = _labelled_eva()
+    assert _one_history_per_pair(eva)
+    monkeypatch.setattr(spanex.automata, "_walk_configurations", None)
+    assert classify(eva) == ClassificationReport(True, True, True) == classify_reference(eva)
+
+
+@pytest.mark.parametrize("extra, finals", [
+    # "dead" is reached on c with no history and with open:x.
+    ([("s0", "c", "dead"), ("s1", "c", "dead")], ("s3",)),
+    # s1 after a marker step is reached with open:x and with open:x,close:x.
+    ([("s0", mset(open_m("x"), close_m("x")), "s1")], ("s3",)),
+    ([("s0", mset(close_m("x")), "dead")], ("s3",)),
+    ([], ("s2", "s3")),
+    ([], ("s0", "s3")),
+], ids=["two-histories", "two-histories-after-markers", "incompatible-markers",
+        "final-with-open-variable", "final-with-unused-variable"])
+def test_labelling_mutants_take_the_walk(extra, finals, monkeypatch):
+    mutant = _labelled_eva(extra, finals)
+    assert not _one_history_per_pair(mutant)
+    walked = []
+    real = spanex.automata._walk_configurations
+    monkeypatch.setattr(spanex.automata, "_walk_configurations",
+                        lambda automaton: walked.append(automaton) or real(automaton))
+    assert classify(mutant) == classify_reference(mutant)
+    assert walked == [mutant]
 
 
 def test_classify_equals_reference_on_the_corpus():

@@ -12,7 +12,8 @@ preprocessing agrees with the reference kernel, also on every prefix,
 where it ends with the capturing stage that the run search predicts.
 Over random VAs and EVAs, sequential or not, functional or not and
 deterministic or not, the classifier agrees with the reference
-classifier, the bisimulation quotient finds the reference partition and
+classifier, a file loads as the sorting loader loads it, shuffled or
+not, the bisimulation quotient finds the reference partition and
 keeps the semantics and the verdicts, and both pipelines keep the
 outputs of their construction without the quotient.  Over random EVAs
 and their quotients, ``determinize_eva`` builds what the subset
@@ -66,6 +67,7 @@ from helpers import (
     classify_reference,
     determinize_reference,
     list_outputs,
+    loads_like_the_sort_path,
     mapping_set_project,
     prefix_run_like_reference,
     preprocessed_like_reference,
@@ -78,6 +80,7 @@ from helpers import (
     trim,
     walks_agree,
 )
+from test_automata import _reordered
 
 ALPHABET = frozenset("ab")
 
@@ -278,6 +281,19 @@ def test_classify_equals_reference_classifier(automaton):
     assert classify(automaton) == classify_reference(automaton)
     loaded = load_automaton(dump_automaton(automaton))
     assert classify(loaded) == classify_reference(loaded)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(ANY_AUTOMATON)
+def test_format2_in_order_pass_loads_like_the_sort_path(automaton):
+    # A written file takes the in-order pass unless a state moves twice on
+    # one label; its shuffled copy, with a repeated triple, is sorted.
+    # Both load as the sort path loads them.
+    data = dump_automaton(automaton)
+    moves = {(q, a) for q, a, _ in data["transitions"]}
+    assert loads_like_the_sort_path(data) is (len(moves) < len(data["transitions"]))
+    if data["transitions"]:
+        assert loads_like_the_sort_path(_reordered(data, 7)) is True
 
 
 def test_random_automata_reach_every_classification():

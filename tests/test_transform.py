@@ -411,6 +411,21 @@ def test_determinize_keys_each_input_state_once(monkeypatch):
     assert stepped == []
 
 
+def test_determinize_hands_its_triples_over_in_row_order(monkeypatch):
+    # The subsets' moves reach EVA._from_indices in canonical row order,
+    # so the result's rows are filled in one pass, without a sort.
+    eva = _k_quotient(8)
+
+    def refuse(*args):
+        raise AssertionError("determinize_eva's triples were sorted")
+
+    monkeypatch.setattr(automata, "_rows_by_sort", refuse)
+    det = determinize_eva(eva)
+    monkeypatch.undo()
+    assert len(det.states) == 2 ** 9 + 2
+    assert same_automaton(det, determinize_reference(eva))
+
+
 # A file that lists its states against their canon_key order, and one
 # whose state names mix integers and strings.
 _UNSORTED_FILE = {
