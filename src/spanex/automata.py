@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -97,75 +98,6 @@ def reachable(starts: Iterable[Any], successors: Callable[[Any], Iterable[Any]])
     return seen
 
 
-def _rows_in_order(n: int, labels: List[Label], keys: Dict[Label, Tuple], triples: List,
-                   letters: Optional[Dict[str, List[Optional[int]]]]) -> Optional[Tuple]:
-    """The labels ranked by ``keys``, the rows, and the ``DetTables``
-    markers and ``letters`` (given empty, or None for no tables), filled
-    in one pass over ``triples``; or None unless each triple is a
-    ``[source, label, target]`` list of indices below ``n`` and
-    ``len(labels)``, they come in strictly ascending (source, label rank)
-    order and every label is in use."""
-    ranked = sorted(keys, key=keys.__getitem__)
-    rank = {label: r for r, label in enumerate(ranked)}
-    width = len(ranked)
-    rows: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    markers = None if letters is None else [[] for _ in range(n)]
-    # Per label index: its rank, the table its moves fill (a letter table,
-    # or None for ``markers``) and the label object the ranking kept.
-    # Without tables, one scratch table takes every move.
-    scratch = [None] * n if letters is None else None
-    info = {}
-    for a, label in enumerate(labels):
-        r = rank[label]
-        table = (scratch if letters is None
-                 else letters.get(label) if isinstance(label, str) else None)
-        info[a] = (r, table, ranked[r])
-    seen = bytearray(len(labels))
-    last = -1
-    try:
-        for t in triples:
-            if type(t) is not list:
-                return None
-            q, a, p = t
-            # type() refuses true and 1.0, which Python finds equal to 1.
-            if type(q) is not int or type(a) is not int or type(p) is not int or not 0 <= p < n:
-                return None
-            r, table, label = info[a]
-            # Ascending codes keep the source at least 0; rows[q] refuses
-            # one past the last state.
-            code = q * width + r
-            if code <= last:
-                return None
-            last = code
-            rows[q].append((r, p))
-            seen[a] = 1
-            if table is None:
-                markers[q].append((label, p))
-            else:
-                table[q] = p
-    except (ValueError, KeyError, IndexError):  # a short or long triple, an index out of range
-        return None
-    if 0 in seen:
-        return None
-    return ranked, rows, markers, letters
-
-
-def _check_triples(triples: List, n: int, m: int) -> None:
-    """Raise ``FormatError`` for the first of ``triples`` that is not a
-    ``[source, label, target]`` list of indices below ``n``, ``m`` and
-    ``n``."""
-    for t in triples:
-        if type(t) is not list or len(t) != 3:
-            raise FormatError(f"transitions entry must be a [source, label, target] list, "
-                              f"got {t!r}")
-        q, a, p = t
-        if not (type(q) is int and type(a) is int and type(p) is int
-                and 0 <= q < n and 0 <= a < m and 0 <= p < n):
-            _index(q, n, "transition source")
-            _index(a, m, "transition label")
-            _index(p, n, "transition target")
-
-
 def _rows_by_sort(n: int, width: int, rank_of: List[Optional[int]], triples: List
                   ) -> Tuple[List[List[Tuple[int, int]]], Optional[Tuple[int, int, int, int]]]:
     """The rows of ``triples``, in range, in any order and with repeats,
@@ -194,18 +126,19 @@ class _AutomatonBase:
     """Shared structure of VA and EVA; immutable after construction.
 
     The constructor sorts the states by ``canon_key`` into the canonical
-    state order; a format-2 file keeps its listed order instead.  The
-    transitions are kept as integer rows over that order: state ``i``
-    has the row ``_rows[i]`` of ``(label rank, target id)`` pairs, sorted,
-    without repeats.  A label's rank is its place among the automaton's
-    labels sorted by ``label_key`` (``_labels[rank]``), so symbols rank
-    below marker labels and a row lists ``out(q)`` in order.  ``out`` and
-    ``transitions`` are views of the rows, built on first use, and
+    state order; a format-2 file and ``determinize_eva`` give theirs
+    instead.  The transitions are kept as integer rows over that order:
+    state ``i`` has the row ``_rows[i]`` of ``(label rank, target id)``
+    pairs, sorted, without repeats.  A label's rank is its place among the
+    labels in use sorted by ``label_key`` (``_labels[rank]``), so symbols
+    rank below marker labels and a row lists ``out(q)`` in order.  ``out``
+    and ``transitions`` are views of the rows, built on first use, and
     ``_clash`` holds the first two transitions of one state on one label
-    (state id, label rank, both target ids), or None.  Triples that come
-    in row order, as a written file and ``determinize_eva`` give them,
-    fill the rows in one pass and have no clash; any others are sorted,
-    and the sort finds the clash."""
+    (state id, label rank, both target ids), or None.  Each producer
+    finishes its rows and hands them to ``_setup``: the constructor sorts
+    its triples with ``_rows_by_sort``, a format-2 file fills them in its
+    checking pass (``_file_rows``) and ``determinize_eva`` from its
+    subsets' moves."""
 
     __slots__ = ("alphabet", "states", "initial", "finals", "variables", "_order",
                  "_initial_id", "_final_ids", "_labels", "_rows", "_clash", "_size",
@@ -241,40 +174,27 @@ class _AutomatonBase:
             if a is None:
                 a = label_ids[label] = len(label_ids)
             triples.append((index[q], a, index[p]))
-        self._setup(order, index[initial], [index[q] for q in finals],
-                    list(label_ids), triples, alphabet, variables)
-
-    @classmethod
-    def _from_indices(cls, order: List[State], initial: int, finals: List[int],
-                      labels: List[Label], triples: List, alphabet: Iterable[str],
-                      variables: Optional[Iterable[str]], *, tables: bool):
-        """The automaton whose states are ``order`` and whose initial state
-        and final states are indices into ``order``; each of ``triples`` is
-        a ``[source, label, target]`` list of indices into ``order`` and
-        ``labels``, and the first one that is not raises ``FormatError``.
-        Triples in row order fill the rows, and with ``tables`` an EVA's
-        ``DetTables``, in ``_rows_in_order``'s one pass; any others are
-        checked and sorted by ``_rows_by_sort``."""
-        automaton = cls.__new__(cls)
-        n = len(order)
-        keys = {label: label_key(label) for label in labels}
-        letters = {a: [None] * n for a in alphabet} if tables and cls is EVA else None
-        filled = _rows_in_order(n, labels, keys, triples, letters)
-        if filled is None:
-            _check_triples(triples, n, len(labels))
-        automaton._setup(order, initial, finals, labels, triples, alphabet, variables,
-                         keys, filled)
-        return automaton
+        labels = list(label_ids)
+        try:
+            ranked = sorted(labels, key=label_key)
+        except (TypeError, AttributeError):
+            ranked = labels  # a label label_key cannot read, which _setup refuses
+        rank = {label: r for r, label in enumerate(ranked)}
+        rows, clash = _rows_by_sort(len(order), len(ranked),
+                                    [rank[label] for label in labels], triples)
+        self._setup(order, index[initial], [index[q] for q in finals], labels, ranked,
+                    rows, clash, alphabet, variables)
 
     def _setup(self, order: List[State], initial: int, finals: Iterable[int],
-               labels: List[Label], triples: List, alphabet: Iterable[str],
-               variables: Optional[Iterable[str]], keys: Optional[Dict[Label, Tuple]] = None,
-               filled: Optional[Tuple] = None) -> None:
-        """The one core of every constructor and of the format-2 loader:
-        check every label, then take the rows ``_rows_in_order`` filled or
-        rank the labels in use by their ``label_key`` (``keys``, computed
-        here if None) and sort the triples into rows."""
-        n = len(order)
+               labels: List[Label], ranked: List[Label], rows: List[List[Tuple[int, int]]],
+               clash: Optional[Tuple[int, int, int, int]], alphabet: Iterable[str],
+               variables: Optional[Iterable[str]], lists: Optional[Tuple] = None) -> None:
+        """The one core of every automaton: the states ``order``, the ids of
+        the initial and final states, every listed label, each checked, the
+        labels in use ``ranked`` by ``label_key``, their finished ``rows``
+        and ``clash``, and for a loaded EVA the ``DetTables`` markers and
+        letters its load pass filled (``lists``).  A listed label no row
+        uses adds no variable."""
         self.alphabet = frozenset(alphabet)
         self.states = frozenset(order)
         self.initial = order[initial]
@@ -283,43 +203,26 @@ class _AutomatonBase:
         self._order = order
         self._initial_id = initial
         # Each label is checked and read for variables.
-        found: List[Iterable[str]] = []
+        found: Dict[Label, Iterable[str]] = {}
         for label in labels:
             self._validate_label(label)
-            found.append({label.var} if isinstance(label, Marker)
-                         else {m.var for m in label} if isinstance(label, frozenset) else ())
-        named: Set[str] = set().union(*found)  # the variables of every label
-        if variables is not None:
-            missing = named - frozenset(variables)
+            found[label] = ({label.var} if isinstance(label, Marker)
+                            else {m.var for m in label} if isinstance(label, frozenset) else ())
+        if variables is None:
+            variables = set().union(*map(found.__getitem__, ranked))
+        else:
+            missing = set().union(*found.values()) - frozenset(variables)
             if missing:
                 raise FormatError(
                     f"markers reference undeclared variables: {sorted(missing)}"
                 )
+        self.variables = frozenset(variables)
+        self._labels, self._rows, self._clash = ranked, rows, clash
+        self._size = len(order) + sum(map(len, rows))
         self._out: Optional[Dict[State, List[Tuple[Label, State]]]] = None
         self._transitions: Optional[FrozenSet[Transition]] = None
         self._report: Optional[ClassificationReport] = None
-        self._tables: Optional[DetTables] = None
-        if filled is not None:
-            # Every label is in use.
-            self.variables = frozenset(named if variables is None else variables)
-            self._labels, self._rows, markers, letters = filled
-            self._clash: Optional[Tuple[int, int, int, int]] = None
-            if letters is not None:
-                self._tables = DetTables(self, markers, letters)
-        else:
-            # Labels a triple repeats share one rank; an unused label has
-            # none and adds no variable.
-            used = set(map(itemgetter(1), triples))
-            in_use = {labels[a] for a in used}
-            if keys is None:
-                keys = {label: label_key(label) for label in in_use}
-            mentioned = set().union(*(found[a] for a in used))
-            self.variables = frozenset(mentioned if variables is None else variables)
-            self._labels = sorted(in_use, key=keys.__getitem__)
-            rank = {label: r for r, label in enumerate(self._labels)}
-            self._rows, self._clash = _rows_by_sort(
-                n, len(self._labels), [rank.get(label) for label in labels], triples)
-        self._size = n + sum(map(len, self._rows))
+        self._tables: Optional[DetTables] = None if lists is None else DetTables(self, *lists)
 
     def _validate_label(self, label: Label) -> None:
         raise NotImplementedError
@@ -405,8 +308,9 @@ class EVA(_AutomatonBase):
 
 class DetTables:
     """The transition structure of an EVA over dense state ids, built in
-    one pass over its integer rows, or handed the ``markers`` and
-    ``letters`` that loading a file filled in its pass over the triples.
+    one pass over its integer rows on first use, or handed by
+    ``_AutomatonBase._setup`` the ``markers`` and ``letters`` that loading
+    a file filled in its checking pass over the triples.
 
     States are numbered ``0..k-1`` in ``state_order()`` order, so sorting
     ids sorts states canonically.  ``markers[q]`` holds the marker-set
@@ -550,11 +454,12 @@ def load_automaton(data: Dict[str, Any]):
     ``DetTables`` ids as the automaton it was written from.  The index
     triples fill the automaton's integer rows directly, and no state-named
     transition is built: ``out`` and ``transitions`` stay unbuilt until
-    something asks for them.  Triples in the order ``automaton_json``
-    writes them, which use every label, are checked and fill the rows and
-    an EVA's ``DetTables`` in one pass, so ``tables()`` then costs
-    nothing; triples in any other order, with repeats, or with two moves
-    of one state on one label are checked, then sorted into rows.
+    something asks for them.  One pass checks the triples in file order
+    (``_file_rows``); triples in the order ``automaton_json`` writes them,
+    which use every label, fill the rows and an EVA's ``DetTables`` as
+    they are checked, so ``tables()`` then costs nothing, and triples in
+    any other order, with repeats, or with two moves of one state on one
+    label are sorted into rows once checked.
 
     An object without ``format`` is format 1: states are named in every
     transition and sorted by ``canon_key`` on loading.  Its optional
@@ -612,9 +517,78 @@ def _load_format2(data: Dict[str, Any]):
     finals = [_index(i, n, "finals entry")
               for i in _list_from_json(_field(data, "finals"), "finals")]
     triples = _list_from_json(_field(data, "transitions"), "transitions")
-    automaton_type = EVA if kind == "eva" else VA
-    return automaton_type._from_indices(list(states), initial, finals, labels, triples,
-                                        alphabet, variables, tables=True)
+    ranked, rows, clash, lists = _file_rows(triples, n, labels, alphabet)
+    automaton = EVA.__new__(EVA) if kind == "eva" else VA.__new__(VA)
+    automaton._setup(list(states), initial, finals, labels, ranked, rows, clash, alphabet,
+                     variables, lists if kind == "eva" else None)
+    return automaton
+
+
+def _file_rows(triples: List, n: int, labels: List[Label], alphabet: List[str]) -> Tuple:
+    """The labels in use ranked by ``label_key``, the rows, the clash and
+    the ``DetTables`` markers and letters (or None) of a format-2 file's
+    ``triples``.  One pass checks them in file order: the first that is
+    not a ``[source, label, target]`` list of indices below ``n``,
+    ``len(labels)`` and ``n`` raises ``FormatError``.  While they come in
+    strictly ascending (source, label rank) order, as ``automaton_json``
+    writes them, each is appended to its row and table as it is checked;
+    if they leave that order, or a listed label goes unused, the checked
+    triples are sorted by ``_rows_by_sort`` instead, and the tables are
+    left to ``EVA.tables()``."""
+    m = len(labels)
+    keys = {label: label_key(label) for label in labels}
+    ranked = sorted(keys, key=keys.__getitem__)
+    rank = {label: r for r, label in enumerate(ranked)}
+    width = len(ranked)
+    rows: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    markers: List[List[Tuple[MarkerSet, int]]] = [[] for _ in range(n)]
+    letters: Dict[str, List[Optional[int]]] = {a: [None] * n for a in alphabet}
+    # Per label index: its rank, its letter table (None for a marker
+    # label) and the label object the ranking kept.
+    info = {a: (rank[label], letters.get(label), ranked[rank[label]])
+            for a, label in enumerate(labels)}
+    seen = bytearray(m)
+    last = -1
+    try:
+        for t in triples:
+            if type(t) is not list:
+                break
+            q, a, p = t
+            # type() refuses true and 1.0, which Python finds equal to 1.
+            if type(q) is not int or type(a) is not int or type(p) is not int or not 0 <= p < n:
+                break
+            r, table, label = info[a]
+            # Ascending codes keep the source at least 0; rows[q] refuses
+            # one past the last state.
+            code = q * width + r
+            if code <= last:
+                break
+            last = code
+            rows[q].append((r, p))
+            seen[a] = 1
+            if table is None:
+                markers[q].append((label, p))
+            else:
+                table[q] = p
+    except (ValueError, KeyError, IndexError):  # a short or long triple, an index out of range
+        pass
+    # Each triple the pass took added one row entry; the first it did not
+    # take is malformed or out of order.
+    done = sum(map(len, rows))
+    if done == len(triples) and 0 not in seen:
+        return ranked, rows, None, (markers, letters)
+    for t in islice(triples, done, None):
+        if type(t) is not list or len(t) != 3:
+            raise FormatError(f"transitions entry must be a [source, label, target] list, "
+                              f"got {t!r}")
+        _index(t[0], n, "transition source")
+        _index(t[1], m, "transition label")
+        _index(t[2], n, "transition target")
+    # Labels a triple repeats share one rank; an unused label has none.
+    ranked = sorted({labels[a] for a in set(map(itemgetter(1), triples))}, key=keys.__getitem__)
+    rank = {label: r for r, label in enumerate(ranked)}
+    rows, clash = _rows_by_sort(n, len(ranked), [rank.get(label) for label in labels], triples)
+    return ranked, rows, clash, None
 
 
 def _load_format1(data: Dict[str, Any]):

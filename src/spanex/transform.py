@@ -18,6 +18,7 @@ member) so that tests can inspect structure.
 from __future__ import annotations
 
 import logging
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .automata import (EVA, VA, Label, State, canon_key, classify, reachable,
@@ -122,7 +123,9 @@ def determinize_eva(eva: EVA) -> EVA:
     ranked by ``canon_key`` once, and a subset is the bitset of its
     members' ranks, so its members in ascending bit order are the sorted
     member keys that ``canon_key`` compares frozensets by: sorting the
-    subsets by those rank tuples gives the canonical order.
+    subsets by those rank tuples gives the canonical order.  Each
+    subset's moves, one target per label in label rank order, become its
+    row, which ``EVA``'s core takes as it is, without a check or a sort.
     """
     order = eva._order
     ranked = sorted(range(len(order)), key=lambda i: canon_key(order[i]))
@@ -162,14 +165,20 @@ def determinize_eva(eva: EVA) -> EVA:
         new[q] = position
     by_rank = [order[i] for i in ranked]
     final = {bit[i] for i in eva._final_ids}
-    # The triples in row order, which EVA._from_indices takes in one pass
-    # without sorting them.
-    return EVA._from_indices(
-        [frozenset(map(by_rank.__getitem__, members[q])) for q in canonical], new[0],
-        [new[q] for q, subset in enumerate(members) if not final.isdisjoint(subset)],
-        eva._labels, [[i, r, new[p]] for i, q in enumerate(canonical)
-                        for r, p in moved[starts[q]:starts[q + 1]]],
-        eva.alphabet, eva.variables, tables=False)
+    # The labels some subset moves on, in their input order: a label that
+    # only unreachable input states move on is left out.
+    labels = eva._labels
+    kept = sorted(set(map(itemgetter(0), moved)))
+    rank = [0] * len(labels)
+    for position, r in enumerate(kept):
+        rank[r] = position
+    det = EVA.__new__(EVA)
+    det._setup([frozenset(map(by_rank.__getitem__, members[q])) for q in canonical], new[0],
+               [new[q] for q, subset in enumerate(members) if not final.isdisjoint(subset)],
+               labels, [labels[r] for r in kept],
+               [[(rank[r], new[p]) for r, p in moved[starts[q]:starts[q + 1]]]
+                for q in canonical], None, eva.alphabet, eva.variables)
+    return det
 
 
 # ---------------------------------------------------------------------------

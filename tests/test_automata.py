@@ -260,22 +260,30 @@ def test_format2_in_order_pass_loads_like_the_sort_path(data, sorted_):
     assert loads_like_the_sort_path(data) is sorted_
 
 
-@pytest.mark.parametrize("second, message", [
-    ([True, 1, 1], "transition source must be an index below 2, got True"),
-    ([1.0, 1, 1], "transition source must be an index below 2, got 1.0"),
-    ([1, True, 1], "transition label must be an index below 2, got True"),
-    ([1, 1, 1.0], "transition target must be an index below 2, got 1.0"),
-    ([1, 1, -1], "transition target must be an index below 2, got -1"),
-    ([1, -1, 1], "transition label must be an index below 2, got -1"),
-    ([2, 1, 1], "transition source must be an index below 2, got 2"),
-    ((1, 1, 1), "transitions entry must be a [source, label, target] list, got (1, 1, 1)"),
-], ids=["source-true", "source-float", "label-true", "target-float", "target-negative",
-        "label-negative", "source-range", "tuple"])
-def test_format2_in_order_file_with_a_bad_index_is_refused(second, message):
-    # Every label in use and the triples in row order, but for one bad
-    # index: the one pass refuses it as the check of every triple does.
+_BAD_ENTRIES = [
+    ("source-true", [True, 1, 1], "transition source must be an index below 2, got True"),
+    ("source-float", [1.0, 1, 1], "transition source must be an index below 2, got 1.0"),
+    ("label-true", [1, True, 1], "transition label must be an index below 2, got True"),
+    ("target-float", [1, 1, 1.0], "transition target must be an index below 2, got 1.0"),
+    ("target-negative", [1, 1, -1], "transition target must be an index below 2, got -1"),
+    ("label-negative", [1, -1, 1], "transition label must be an index below 2, got -1"),
+    ("source-range", [2, 1, 1], "transition source must be an index below 2, got 2"),
+    ("tuple", (1, 1, 1),
+     "transitions entry must be a [source, label, target] list, got (1, 1, 1)"),
+]
+
+
+@pytest.mark.parametrize("prefix, second, message", [
+    pytest.param(prefix, second, message, id=head + name)
+    for head, prefix in [("", [[0, 0, 1]]), ("after-descent-", [[1, 1, 1], [0, 0, 1]])]
+    for name, second, message in _BAD_ENTRIES
+])
+def test_format2_in_order_file_with_a_bad_index_is_refused(prefix, second, message):
+    # Every label in use and one bad entry, after triples in row order or
+    # after triples that have left it: the one pass reports the first
+    # malformed entry in file order, whichever path the file takes.
     with pytest.raises(FormatError) as raised:
-        load_automaton({**_IN_ORDER_FILE, "transitions": [[0, 0, 1], second]})
+        load_automaton({**_IN_ORDER_FILE, "transitions": prefix + [second]})
     assert str(raised.value) == message
 
 
@@ -388,6 +396,19 @@ def test_classify_equals_reference_on_the_corpus():
 def test_empty_marker_set_rejected_in_constructor():
     with pytest.raises(FormatError):
         EVA(["q0"], "q0", [], [("q0", frozenset(), "q0")], ["a"])
+
+
+@pytest.mark.parametrize("automaton_type, label, message", [
+    (EVA, 5, "EVA labels must be symbols or nonempty marker sets, got 5"),
+    (EVA, frozenset(["a"]), "marker set contains a non-marker: 'a'"),
+    (VA, ("a", "b"), "VA labels must be symbols or single markers, got ('a', 'b')"),
+], ids=["eva-int", "eva-set-of-symbols", "va-tuple"])
+def test_constructor_refuses_a_label_it_cannot_rank(automaton_type, label, message):
+    # label_key cannot read these labels, and the label check still
+    # names them.
+    with pytest.raises(FormatError) as raised:
+        automaton_type(["q0"], "q0", [], [("q0", "a", "q0"), ("q0", label, "q0")], ["a"])
+    assert str(raised.value) == message
 
 
 def test_brute_oracle_fig4():

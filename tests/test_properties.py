@@ -330,7 +330,8 @@ def test_bisimulation_quotient_matches_moore_reference(automaton):
 def test_determinize_equals_the_named_subset_construction(eva):
     # The walk over integer subsets builds the automaton the construction
     # over frozenset states builds: the same states in the same order,
-    # the same finals and the same file, on the EVA and on its quotient.
+    # the same finals, the same file and the same labels, rows, clash,
+    # variables, size and report, on the EVA and on its quotient.
     for automaton in (eva, bisimulation_quotient(eva)):
         assert same_automaton(determinize_eva(automaton), determinize_reference(automaton))
 

@@ -411,15 +411,17 @@ def test_determinize_keys_each_input_state_once(monkeypatch):
     assert stepped == []
 
 
-def test_determinize_hands_its_triples_over_in_row_order(monkeypatch):
-    # The subsets' moves reach EVA._from_indices in canonical row order,
-    # so the result's rows are filled in one pass, without a sort.
+def test_determinize_hands_its_rows_over_in_rank_order(monkeypatch):
+    # The subsets' moves become the result's rows in canonical state order
+    # and label rank order, which the core takes as they are: nothing is
+    # sorted or checked like a file's triples.
     eva = _k_quotient(8)
 
     def refuse(*args):
-        raise AssertionError("determinize_eva's triples were sorted")
+        raise AssertionError("determinize_eva's rows were sorted or checked")
 
-    monkeypatch.setattr(automata, "_rows_by_sort", refuse)
+    for name in ("_rows_by_sort", "_file_rows", "_index"):
+        monkeypatch.setattr(automata, name, refuse)
     det = determinize_eva(eva)
     monkeypatch.undo()
     assert len(det.states) == 2 ** 9 + 2
@@ -447,12 +449,26 @@ _MIXED_NAMES_FILE = {
 }
 
 
-@pytest.mark.parametrize("data, subsets", [(_UNSORTED_FILE, 8), (_MIXED_NAMES_FILE, 6)],
-                         ids=["format2-against-canon-order", "format1-mixed-names"])
-def test_determinize_equals_the_named_subset_construction_on_hand_made_files(data, subsets):
+# The only move on open:x leaves a state the initial state cannot reach.
+_UNREACHABLE_LABEL_FILE = {
+    "format": 2, "kind": "eva", "alphabet": ["a", "b"], "variables": ["x"],
+    "states": ["q0", "q1", "lost"],
+    "labels": [{"symbol": "a"}, {"symbol": "b"}, {"markers": ["open:x"]}],
+    "initial": 0, "finals": [1],
+    "transitions": [[0, 0, 0], [0, 1, 1], [1, 1, 1], [2, 2, 0]],
+}
+
+
+@pytest.mark.parametrize("data, subsets, dropped", [
+    (_UNSORTED_FILE, 8, []), (_MIXED_NAMES_FILE, 6, []),
+    (_UNREACHABLE_LABEL_FILE, 2, [mset(open_m("x"))]),
+], ids=["format2-against-canon-order", "format1-mixed-names", "format2-unreachable-label"])
+def test_determinize_equals_the_named_subset_construction_on_hand_made_files(data, subsets,
+                                                                              dropped):
     eva = load_automaton(data)
     det = determinize_eva(eva)
     assert len(det.states) == subsets
+    assert [label for label in eva._labels if label not in det._labels] == dropped
     assert same_automaton(det, determinize_reference(eva))
 
 
