@@ -23,10 +23,8 @@ from .model import (
     Marker,
     MarkerSet,
     Span,
-    all_closed,
     format_marker_set,
     marker_set_key,
-    markers_compatible,
 )
 
 
@@ -832,8 +830,6 @@ def brute_enumerate_va(automaton, doc: Document) -> Set[Mapping]:
 # Classification
 # ---------------------------------------------------------------------------
 
-_INVALID = "INVALID"
-
 #: Refuse classification beyond this many variables (up to 4^l marker histories).
 VARIABLE_CAP = 16
 
@@ -857,14 +853,16 @@ class ClassificationReport:
 def classify(automaton) -> ClassificationReport:
     """Decide sequential / functional (and deterministic for EVA).
 
-    An EVA is first certified by labelling (``_one_history_per_pair``):
-    when each (state, marker-step flag) pair it reaches has one marker
-    history, every marker step is compatible and every final pair has
-    used every marker, it is sequential and functional.  Any other
-    automaton takes the reachability walk over (state, marker history)
-    configurations, walked as ints over the automaton's rows, which alone
-    writes witnesses.  Determinism is the rows' ``_clash``: an automaton
-    whose rows were filled in order has none.  The report is kept on the
+    Both passes keep a run's marker history as a bitmask over the one
+    table ``_marker_masks`` builds.  An EVA is first certified by
+    labelling (``_one_history_per_pair``): when each (state, marker-step
+    flag) pair it reaches has one history, every marker step is
+    compatible and every final pair has used every marker, it is
+    sequential and functional.  Any other automaton takes the
+    reachability walk over (state, history) configurations
+    (``_walk_configurations``), which alone writes witnesses.
+    Determinism is the rows' ``_clash``: an automaton whose rows were
+    filled in order has none.  The report is kept on the
     automaton.  An automaton of more than ``VARIABLE_CAP`` variables
     raises and never gets one, so a kept report needs no cap check."""
     if automaton._report is None:
@@ -909,28 +907,47 @@ def _classify(automaton) -> ClassificationReport:
     )
 
 
+def _marker_masks(automaton) -> Tuple[List[str], int, List[int], List[int], int]:
+    """The bit layout of a marker history, the one encoding of the
+    classifier: bit 2i opens and bit 2i+1 closes the i-th variable in
+    ``str`` order, so a history is the union of the markers a run has used.
+
+    Returns the variables in that order, the number of symbol label ranks
+    (they rank first), per label rank the bits of its markers (0 for a
+    symbol) and the open bits its closes need in the history it steps
+    from, and the mask of every open bit.  Only an EVA's closes need
+    their opens: a VA may close a variable before opening it at one
+    position, and the walk refuses that close only if it is still
+    pending at the next letter."""
+    variables = sorted(automaton.variables)
+    bit = {v: 1 << (2 * i) for i, v in enumerate(variables)}
+    labels = automaton._labels
+    symbols = sum(isinstance(label, str) for label in labels)
+    masks = [0] * symbols
+    needs = [0] * symbols
+    for label in labels[symbols:]:
+        if isinstance(label, Marker):
+            masks.append(bit[label.var] << (not label.is_open))
+            needs.append(0)
+        else:
+            masks.append(sum(bit[m.var] << (not m.is_open) for m in label))
+            needs.append(sum(bit[m.var] for m in label if not m.is_open))
+    return variables, symbols, masks, needs, ((1 << (2 * len(variables))) - 1) // 3
+
+
 def _one_history_per_pair(eva: EVA) -> bool:
     """Whether labelling certifies ``eva`` sequential and functional.
 
     Each (state, flag) pair the runs reach, the flag allowing a variable
-    step, is labelled with the marker history of the first run found to
-    reach it, as a bitmask: bit 2i opens and bit 2i+1 closes the i-th
-    variable in sorted order.  It holds when every marker step is
+    step, is labelled with the marker history (``_marker_masks``) of the
+    first run found to reach it.  It holds when every marker step is
     compatible with its history, every step yields the history its
     target pair already holds and every final pair reached holds every
     bit.  Then the configurations ``_walk_configurations`` reaches are
     these pairs with their histories, and none of them is bad."""
-    variables = sorted(eva.variables)
-    labels, rows = eva._labels, eva._rows
-    symbols = sum(isinstance(label, str) for label in labels)  # they rank first
-    bit = {v: 1 << (2 * i) for i, v in enumerate(variables)}
-    # Per marker label rank: its bits, and the open bits its closes need.
-    masks = [0] * symbols
-    needs = [0] * symbols
-    for label in labels[symbols:]:
-        masks.append(sum(bit[m.var] << (not m.is_open) for m in label))
-        needs.append(sum(bit[m.var] for m in label if not m.is_open))
-    full = (1 << (2 * len(variables))) - 1
+    rows = eva._rows
+    _, symbols, masks, needs, opens = _marker_masks(eva)
+    full = opens | opens << 1
     final = bytearray(len(rows))
     for q in eva._final_ids:
         final[q] = 1
@@ -978,57 +995,24 @@ def _one_history_per_pair(eva: EVA) -> bool:
 
 def _walk_configurations(automaton) -> Tuple[bool, bool, Optional[str], Optional[str]]:
     """Sequential, functional and their witnesses, by the reachability
-    walk over (state, marker history) configurations."""
-    # A configuration pairs a state with the run's history, the set of
-    # markers it has used, or _INVALID once the run can no longer be
-    # valid; an EVA's also records whether a variable step may come next.
-    # A VA may close a variable before opening it at one position, so its
-    # history can hold a close without its open; such a pending close
-    # makes the run invalid at the next letter.  Configurations are ints,
-    # (history id * n + state id) * 2 + flag, where the flag allows a
-    # variable step (always, in a VA); the walk pops the last one found
-    # and reads each row in order, so the first bad configuration and its
-    # run do not depend on hashing.
-    variables = sorted(automaton.variables)
-    is_eva = isinstance(automaton, EVA)
+    walk over (state, marker history) configurations.
+
+    A history is a bitmask in the layout of ``_marker_masks``, or -1 once
+    the run reuses a marker, in an EVA closes a variable it has not
+    opened, or in a VA reaches a letter with a close still pending; -1
+    absorbs every later step.  A configuration is the int
+    ``(history * n + state id) * 2 + flag``, where the flag allows a
+    variable step (always, in a VA).  The walk pops the last one found
+    and reads each row in rank order, so the first bad configuration and
+    its run do not depend on hashing."""
     labels, rows = automaton._labels, automaton._rows
     n = len(rows)
-    symbols = sum(isinstance(label, str) for label in labels)  # they rank first
-    finals = set(automaton._final_ids)
-    marker_flag = 0 if is_eva else 1
-    empty: MarkerSet = frozenset()
-    histories: List[Any] = []
-    history_ids: Dict[Any, int] = {}
-    # What the rule derives from each history id, computed once: the
-    # history after a letter, whether accepting with it breaks
-    # sequentiality or leaves a variable unused, and the history after each
-    # marker label rank.
-    derived: List[Optional[Tuple[int, bool, bool, Dict[int, int]]]] = []
-
-    def intern(history) -> int:
-        h = history_ids.get(history)
-        if h is None:
-            h = history_ids[history] = len(histories)
-            histories.append(history)
-            derived.append(None)
-        return h
-
-    def derive(h: int):
-        history = histories[h]
-        if history is _INVALID:
-            return h, True, False, {}
-        valid = markers_compatible(empty, history)
-        return (h if valid else intern(_INVALID), not (valid and all_closed(history)),
-                len({m.var for m in history}) < len(variables), {})
-
-    def after_markers(history, label: Label):
-        if history is _INVALID:
-            return _INVALID
-        if isinstance(label, Marker):
-            return _INVALID if label in history else history | {label}
-        return history | label if markers_compatible(history, label) else _INVALID
-
-    start = ((intern(empty) * n + automaton._initial_id) << 1) | 1
+    variables, symbols, masks, needs, opens = _marker_masks(automaton)
+    final = bytearray(n)
+    for q in automaton._final_ids:
+        final[q] = 1
+    marker_flag = 0 if isinstance(automaton, EVA) else 1
+    start = (automaton._initial_id << 1) | 1
     parents: Dict[int, Optional[Tuple[int, int]]] = {start: None}
     stack = [start]
     seq_bad = None
@@ -1036,28 +1020,26 @@ def _walk_configurations(automaton) -> Tuple[bool, bool, Optional[str], Optional
     while stack:
         config = stack.pop()
         h, q = divmod(config >> 1, n)
-        entry = derived[h]
-        if entry is None:
-            entry = derived[h] = derive(h)
-        at_letter, bad_seq, unused, after = entry
-        if q in finals:
-            if bad_seq:
+        if final[q]:
+            if h < 0 or (h ^ h >> 1) & opens:
                 # Not sequential, hence not functional: nothing else is needed.
                 seq_bad = config
                 break
-            if unused and fun_bad is None:
+            if fun_bad is None and ~(h | h >> 1) & opens:
                 fun_bad = config
-        letter_base = ((at_letter * n) << 1) | 1
+        letter_base = (((-1 if h >> 1 & ~h & opens else h) * n) << 1) | 1
+        may_step = config & 1
         for r, p in rows[q]:
             if r < symbols:
                 nxt = letter_base + (p << 1)
-            elif config & 1:
-                stepped = after.get(r)
-                if stepped is None:
-                    stepped = after[r] = intern(after_markers(histories[h], labels[r]))
-                nxt = ((stepped * n + p) << 1) | marker_flag
+            elif not may_step:
+                break  # marker ranks follow the symbols in a row
             else:
-                continue
+                m = masks[r]
+                g = h | m
+                if h & m or needs[r] & ~g:
+                    g = -1
+                nxt = ((g * n + p) << 1) | marker_flag
             if nxt not in parents:
                 parents[nxt] = (config, r)
                 stack.append(nxt)
@@ -1072,27 +1054,21 @@ def _walk_configurations(automaton) -> Tuple[bool, bool, Optional[str], Optional
         path = " ".join(reversed(steps)) if steps else "(empty run)"
         return f"run [{path}] {extra}"
 
-    sequential = seq_bad is None
-    functional = sequential and fun_bad is None
-    seq_witness = None
-    fun_witness = None
-    if not sequential:
-        history = histories[(seq_bad >> 1) // n]
-        if history is _INVALID:
+    def named(bits: int) -> str:
+        return ",".join(v for i, v in enumerate(variables) if bits >> (2 * i) & 1)
+
+    if seq_bad is not None:
+        h = (seq_bad >> 1) // n
+        if h < 0:
             reason = "reuses or mis-nests a marker and still accepts"
         else:
-            reason = "accepts with unmatched variables: " + ",".join(
-                v for v in variables if (Marker.open(v) in history) != (Marker.close(v) in history)
-            )
-        seq_witness = describe(seq_bad, reason)
-    if not functional:
-        if not sequential:
-            fun_witness = "not sequential"
-        else:
-            used = {m.var for m in histories[(fun_bad >> 1) // n]}
-            reason = "accepts without using: " + ",".join(v for v in variables if v not in used)
-            fun_witness = describe(fun_bad, reason)
-    return sequential, functional, seq_witness, fun_witness
+            reason = "accepts with unmatched variables: " + named(h ^ h >> 1)
+        return False, False, describe(seq_bad, reason), "not sequential"
+    if fun_bad is not None:
+        h = (fun_bad >> 1) // n
+        reason = "accepts without using: " + named(~(h | h >> 1))
+        return True, False, None, describe(fun_bad, reason)
+    return True, True, None, None
 
 
 def require_functional(automaton, message: str) -> None:

@@ -29,8 +29,7 @@ from spanex import (
     load_automaton,
 )
 from spanex.automata import (
-    _INVALID, ClassificationReport, DetTables, Label, State, format_label, label_key, reachable,
-    state_name)
+    ClassificationReport, DetTables, Label, State, format_label, label_key, reachable, state_name)
 from spanex.engine import DagNode, NodeList, enumerate_ndjson, enumerate_raw
 from spanex.instrument import OpCounter
 from spanex.model import Marker, MarkerSet, all_closed, marker_set_key, markers_compatible
@@ -220,6 +219,23 @@ def random_evas(draw, functional: bool) -> EVA:
     names = [f"q{i}" for i in range(n)]
     return EVA(names, "q0", [names[q] for q in finals],
                [(names[q], label, names[p]) for q, label, p in chain + extra], "ab", ["x", "y"])
+
+
+@st.composite
+def with_unreachable_moves(draw, evas) -> EVA:
+    """An EVA drawn from ``evas`` plus one or two states that no move
+    reaches, which move on labels that no drawn state moves on; every drawn
+    state is reachable, so a determinization must drop these labels."""
+    eva = draw(evas)
+    used = {label for _, label, _ in eva.transitions}
+    unused = [label for label in ["a", "b"] + _MARKER_SETS if label not in used]
+    names = [f"u{i}" for i in range(draw(st.integers(1, 2)))]
+    moves = st.tuples(st.sampled_from(names), st.sampled_from(unused),
+                      st.sampled_from(names + eva.state_order()))
+    transitions = draw(st.lists(moves, min_size=1, max_size=3))
+    finals = draw(st.lists(st.sampled_from(names), max_size=1))
+    return EVA(eva.states | set(names), eva.initial, eva.finals | set(finals),
+               eva.transitions | set(transitions), "ab", ["x", "y"])
 
 
 @st.composite
@@ -558,6 +574,10 @@ def _describe_path(parents, config, extra: str) -> str:
         cur = prev
     path = " ".join(reversed(steps)) if steps else "(empty run)"
     return f"run [{path}] {extra}"
+
+
+# The history of a run that can no longer be valid.
+_INVALID = "INVALID"
 
 
 def classify_reference(automaton) -> ClassificationReport:

@@ -20,7 +20,7 @@ from spanex import (
     rgx_to_va,
 )
 from spanex.algebra import join_eva, parse_expr, project_eva
-from spanex.automata import (ClassificationReport, DetTables, _label_to_json,
+from spanex.automata import (VARIABLE_CAP, ClassificationReport, DetTables, _label_to_json,
                              _one_history_per_pair, canon_key, label_key, state_name)
 from spanex.errors import ClassificationTooLarge, FormatError
 from spanex.transform import determinize_eva, va_to_eva
@@ -551,6 +551,65 @@ def test_classification_cap():
     va = VA(["q0"], "q0", ["q0"], [], ["a"], names)
     with pytest.raises(ClassificationTooLarge):
         classify(va)
+
+
+# str order puts v10..v15 between v1 and v2, so it numbers history bits
+# otherwise than creation order does.
+_CAPPED = [f"v{i}" for i in range(VARIABLE_CAP)]
+
+
+def _but(markers, *names):
+    return [m for m in markers if m.var not in names]
+
+
+def _capped_chain(kind, steps):
+    """A VA or EVA over ab and the variables ``_CAPPED`` whose one run
+    takes ``steps`` in turn and accepts: each step a letter, or a list of
+    markers, taken one marker per transition in a VA and as one marker set
+    in an EVA."""
+    labels = []
+    for step in steps:
+        if isinstance(step, str):
+            labels.append(step)
+        elif kind == "va":
+            labels.extend(step)
+        else:
+            labels.append(frozenset(step))
+    names = [f"s{i:02d}" for i in range(len(labels) + 1)]
+    transitions = [(names[i], label, names[i + 1]) for i, label in enumerate(labels)]
+    build = VA if kind == "va" else EVA
+    return build(names, names[0], [names[-1]], transitions, "ab", _CAPPED)
+
+
+_OPENS = [open_m(v) for v in _CAPPED]
+_CLOSES = [close_m(v) for v in _CAPPED]
+_REUSED = "reuses or mis-nests a marker and still accepts"
+
+
+@pytest.mark.parametrize("kind", ["va", "eva"])
+@pytest.mark.parametrize("steps, sequential, functional, ending", [
+    ([_OPENS, "a", _CLOSES], True, True, None),
+    ([_but(_OPENS, "v2"), "a", _but(_CLOSES, "v2")], True, False, "accepts without using: v2"),
+    ([_OPENS, "a", _CLOSES, "b", [close_m("v10")]], False, False, _REUSED),
+    ([_OPENS, "a", _but(_CLOSES, "v2", "v10")], False, False,
+     "accepts with unmatched variables: v10,v2"),
+    # A close before its open at one position is kept; one still pending
+    # at the next letter makes the run invalid (an EVA refuses it at once).
+    ([_but(_OPENS, "v3") + [close_m("v3"), open_m("v3")], "a", _but(_CLOSES, "v3")],
+     True, True, None),
+    ([_but(_OPENS, "v3") + [close_m("v3")], "a", [open_m("v3")], "b", _but(_CLOSES, "v3")],
+     False, False, _REUSED),
+], ids=["functional", "v2-unused", "v10-closed-twice", "v2-v10-unmatched",
+        "close-before-open", "pending-close"])
+def test_classify_at_the_variable_cap_numbers_bits_in_str_order(
+        kind, steps, sequential, functional, ending):
+    automaton = _capped_chain(kind, steps)
+    assert len(automaton.variables) == VARIABLE_CAP
+    report = classify(automaton)
+    assert report == classify_reference(automaton)
+    assert (report.sequential, report.functional) == (sequential, functional)
+    witness = report.functional_witness if sequential else report.sequential_witness
+    assert witness is None if ending is None else witness.endswith(ending)
 
 
 def test_classify_report_kept_on_automaton():
