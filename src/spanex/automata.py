@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -124,19 +124,21 @@ class _AutomatonBase:
     """Shared structure of VA and EVA; immutable after construction.
 
     The constructor sorts the states by ``canon_key`` into the canonical
-    state order; a format-2 file and ``determinize_eva`` give theirs
-    instead.  The transitions are kept as integer rows over that order:
-    state ``i`` has the row ``_rows[i]`` of ``(label rank, target id)``
-    pairs, sorted, without repeats.  A label's rank is its place among the
-    labels in use sorted by ``label_key`` (``_labels[rank]``), so symbols
-    rank below marker labels and a row lists ``out(q)`` in order.  ``out``
+    state order; an indexed file (format 2 or 3) and ``determinize_eva``
+    give theirs instead.  The transitions are kept as integer rows over
+    that order: state ``i`` has the row ``_rows[i]`` of ``(label rank,
+    target id)`` pairs, sorted, without repeats.  A label's rank is its
+    place among the labels in use sorted by ``label_key``
+    (``_labels[rank]``), so symbols rank below marker labels and a row
+    lists ``out(q)`` in order.  ``out``
     and ``transitions`` are views of the rows, built on first use, and
     ``_clash`` holds the first two transitions of one state on one label
     (state id, label rank, both target ids), or None.  Each producer
     finishes its rows and hands them to ``_setup``: the constructor sorts
-    its triples with ``_rows_by_sort``, a format-2 file fills them in its
-    checking pass (``_file_rows``) and ``determinize_eva`` from its
-    subsets' moves."""
+    its triples with ``_rows_by_sort``, a format-3 file of one target per
+    state and label fills them column by column (``_column_rows``), any
+    other indexed file sorts its checked triples (``_sorted_rows``) and
+    ``determinize_eva`` hands over its subsets' moves."""
 
     __slots__ = ("alphabet", "states", "initial", "finals", "variables", "_order",
                  "_initial_id", "_final_ids", "_labels", "_rows", "_clash", "_size",
@@ -191,7 +193,7 @@ class _AutomatonBase:
         the initial and final states, every listed label, each checked, the
         labels in use ``ranked`` by ``label_key``, their finished ``rows``
         and ``clash``, and for a loaded EVA the ``DetTables`` markers and
-        letters its load pass filled (``lists``).  A listed label no row
+        letters its file's columns filled (``lists``).  A listed label no row
         uses adds no variable."""
         self.alphabet = frozenset(alphabet)
         self.states = frozenset(order)
@@ -307,8 +309,9 @@ class EVA(_AutomatonBase):
 class DetTables:
     """The transition structure of an EVA over dense state ids, built in
     one pass over its integer rows on first use, or handed by
-    ``_AutomatonBase._setup`` the ``markers`` and ``letters`` that loading
-    a file filled in its checking pass over the triples.
+    ``_AutomatonBase._setup`` the ``markers`` and ``letters`` that a
+    format-3 file's columns filled, where each symbol's column is its
+    letter table.
 
     States are numbered ``0..k-1`` in ``state_order()`` order, so sorting
     ids sorts states canonically.  ``markers[q]`` holds the marker-set
@@ -443,21 +446,28 @@ def _index(value: Any, size: int, field: str) -> int:
 def load_automaton(data: Dict[str, Any]):
     """Build a VA or EVA from the JSON object of an automaton file.
 
-    A ``"format": 2`` object, the one ``automaton_json`` writes, names each
-    state once in ``states`` and each distinct label once in ``labels``;
-    ``initial``, ``finals`` and the ``[source, label, target]`` transition
-    triples are indices into those lists, and ``kind`` is required.  The
-    listed state order becomes the automaton's canonical order, so a
-    loaded file dumps to the same object and evaluates with the same
-    ``DetTables`` ids as the automaton it was written from.  The index
-    triples fill the automaton's integer rows directly, and no state-named
-    transition is built: ``out`` and ``transitions`` stay unbuilt until
-    something asks for them.  One pass checks the triples in file order
-    (``_file_rows``); triples in the order ``automaton_json`` writes them,
-    which use every label, fill the rows and an EVA's ``DetTables`` as
-    they are checked, so ``tables()`` then costs nothing, and triples in
-    any other order, with repeats, or with two moves of one state on one
-    label are sorted into rows once checked.
+    A ``"format": 3`` object, the one ``automaton_json`` writes, names each
+    state once in ``states`` and each label in use once in ``labels``, in
+    rank order; ``initial`` and ``finals`` are indices into ``states``, and
+    ``kind`` is required.  ``columns[a]`` holds one entry per state for
+    ``labels[a]``: null, the index of the one target, or the list of
+    targets of a state with two or more moves on that label.  The listed
+    state order becomes the automaton's canonical order, so a loaded file
+    dumps to the same object and evaluates with the same ``DetTables`` ids
+    as the automaton it was written from.  A file of null and index
+    entries only, the file of every deterministic EVA, is checked column
+    by column with built-ins and fills the rows and an EVA's ``DetTables``
+    in one pass per column, so ``tables()`` then costs nothing; its symbol
+    columns become the letter tables as they are, so ``data`` must not be
+    changed afterwards.  Any other file is expanded to index triples and
+    sorted (``_column_rows``).  No
+    state-named transition is built: ``out`` and ``transitions`` stay
+    unbuilt until something asks for them.
+
+    A ``"format": 2`` object, which older versions wrote, has the same
+    header, lists its labels in any order and holds ``[source, label,
+    target]`` index triples in ``transitions`` in any order, with repeats;
+    they are checked in file order and sorted into rows (``_file_rows``).
 
     An object without ``format`` is format 1: states are named in every
     transition and sorted by ``canon_key`` on loading.  Its optional
@@ -474,9 +484,10 @@ def load_automaton(data: Dict[str, Any]):
     if "format" not in data:
         return _load_format1(data)
     version = data["format"]
-    if type(version) is not int or version != 2:
-        raise FormatError(f"unknown automaton format {version!r}; expected 2, or no format field")
-    return _load_format2(data)
+    if type(version) is not int or version not in (2, 3):
+        raise FormatError(
+            f"unknown automaton format {version!r}; expected 3, 2, or no format field")
+    return _load_indexed(data, version)
 
 
 def _alphabet_and_variables(data: Dict[str, Any]) -> Tuple[List[str], Optional[List[str]]]:
@@ -492,7 +503,9 @@ def _alphabet_and_variables(data: Dict[str, Any]) -> Tuple[List[str], Optional[L
     return alphabet, variables
 
 
-def _load_format2(data: Dict[str, Any]):
+def _load_indexed(data: Dict[str, Any], version: int):
+    """A format-2 or format-3 object: one check of the header they share,
+    then the format's transitions."""
     alphabet, variables = _alphabet_and_variables(data)
     kind = _field(data, "kind")
     if kind not in ("va", "eva"):
@@ -504,7 +517,8 @@ def _load_format2(data: Dict[str, Any]):
     for obj in _list_from_json(_field(data, "labels"), "labels"):
         label = _label_from_json(obj)
         if label is None:
-            raise FormatError(f"labels entry {obj!r} is an epsilon label; format 2 has none")
+            raise FormatError(f"labels entry {obj!r} is an epsilon label; format {version} "
+                              f"has none")
         if isinstance(label, Marker) and kind == "eva":
             label = frozenset([label])
         elif isinstance(label, frozenset) and kind == "va":
@@ -514,79 +528,116 @@ def _load_format2(data: Dict[str, Any]):
     initial = _index(_field(data, "initial"), n, "initial")
     finals = [_index(i, n, "finals entry")
               for i in _list_from_json(_field(data, "finals"), "finals")]
-    triples = _list_from_json(_field(data, "transitions"), "transitions")
-    ranked, rows, clash, lists = _file_rows(triples, n, labels, alphabet)
+    if version == 2:
+        triples = _list_from_json(_field(data, "transitions"), "transitions")
+        ranked, rows, clash = _file_rows(triples, n, labels)
+        lists = None
+    else:
+        ranked, rows, clash, lists = _column_rows(_field(data, "columns"), n, labels, alphabet)
     automaton = EVA.__new__(EVA) if kind == "eva" else VA.__new__(VA)
     automaton._setup(list(states), initial, finals, labels, ranked, rows, clash, alphabet,
                      variables, lists if kind == "eva" else None)
     return automaton
 
 
-def _file_rows(triples: List, n: int, labels: List[Label], alphabet: List[str]) -> Tuple:
-    """The labels in use ranked by ``label_key``, the rows, the clash and
-    the ``DetTables`` markers and letters (or None) of a format-2 file's
-    ``triples``.  One pass checks them in file order: the first that is
-    not a ``[source, label, target]`` list of indices below ``n``,
-    ``len(labels)`` and ``n`` raises ``FormatError``.  While they come in
-    strictly ascending (source, label rank) order, as ``automaton_json``
-    writes them, each is appended to its row and table as it is checked;
-    if they leave that order, or a listed label goes unused, the checked
-    triples are sorted by ``_rows_by_sort`` instead, and the tables are
-    left to ``EVA.tables()``."""
+def _file_rows(triples: List, n: int, labels: List[Label]) -> Tuple:
+    """The labels in use ranked by ``label_key``, the rows and the clash
+    of a format-2 file's ``triples``, in any order and with repeats.  They
+    are checked in file order: the first that is not a ``[source, label,
+    target]`` list of indices below ``n``, ``len(labels)`` and ``n``
+    raises ``FormatError``."""
     m = len(labels)
-    keys = {label: label_key(label) for label in labels}
-    ranked = sorted(keys, key=keys.__getitem__)
-    rank = {label: r for r, label in enumerate(ranked)}
-    width = len(ranked)
-    rows: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    markers: List[List[Tuple[MarkerSet, int]]] = [[] for _ in range(n)]
-    letters: Dict[str, List[Optional[int]]] = {a: [None] * n for a in alphabet}
-    # Per label index: its rank, its letter table (None for a marker
-    # label) and the label object the ranking kept.
-    info = {a: (rank[label], letters.get(label), ranked[rank[label]])
-            for a, label in enumerate(labels)}
-    seen = bytearray(m)
-    last = -1
-    try:
-        for t in triples:
-            if type(t) is not list:
-                break
-            q, a, p = t
-            # type() refuses true and 1.0, which Python finds equal to 1.
-            if type(q) is not int or type(a) is not int or type(p) is not int or not 0 <= p < n:
-                break
-            r, table, label = info[a]
-            # Ascending codes keep the source at least 0; rows[q] refuses
-            # one past the last state.
-            code = q * width + r
-            if code <= last:
-                break
-            last = code
-            rows[q].append((r, p))
-            seen[a] = 1
-            if table is None:
-                markers[q].append((label, p))
-            else:
-                table[q] = p
-    except (ValueError, KeyError, IndexError):  # a short or long triple, an index out of range
-        pass
-    # Each triple the pass took added one row entry; the first it did not
-    # take is malformed or out of order.
-    done = sum(map(len, rows))
-    if done == len(triples) and 0 not in seen:
-        return ranked, rows, None, (markers, letters)
-    for t in islice(triples, done, None):
+    for t in triples:
         if type(t) is not list or len(t) != 3:
             raise FormatError(f"transitions entry must be a [source, label, target] list, "
                               f"got {t!r}")
         _index(t[0], n, "transition source")
         _index(t[1], m, "transition label")
         _index(t[2], n, "transition target")
-    # Labels a triple repeats share one rank; an unused label has none.
+    return _sorted_rows(n, labels, triples)
+
+
+def _sorted_rows(n: int, labels: List[Label], triples: List) -> Tuple:
+    """The labels checked index ``triples`` use, ranked by ``label_key``,
+    with the rows and the clash ``_rows_by_sort`` finds.  A label listed
+    twice has one rank; an unused label has none."""
+    keys = {label: label_key(label) for label in labels}
     ranked = sorted({labels[a] for a in set(map(itemgetter(1), triples))}, key=keys.__getitem__)
     rank = {label: r for r, label in enumerate(ranked)}
     rows, clash = _rows_by_sort(n, len(ranked), [rank.get(label) for label in labels], triples)
-    return ranked, rows, clash, None
+    return ranked, rows, clash
+
+
+def _column_rows(columns: Any, n: int, labels: List[Label], alphabet: List[str]) -> Tuple:
+    """The labels in use ranked by ``label_key``, the rows, the clash and
+    the ``DetTables`` markers and letters (or None) of a format-3 file's
+    ``columns``, one list of ``n`` entries per label.
+
+    When every entry is null or an index, the common case, built-ins
+    check the entries: their types, then the ``min`` and ``max`` of their
+    set of indices.  An all-null column is an unused label.  The used
+    columns, taken in rank order, fill the rows and the tables in one
+    ``zip`` pass each: a symbol's column is its letter table, and a marker
+    label's targets are appended to ``markers`` in ``out`` order.  No
+    state moves twice on one label, so there is no clash.  A file that
+    fails these checks, such as one with a list of targets, goes to
+    ``_expanded_rows``."""
+    if len(set(labels)) != len(labels):
+        raise FormatError("labels must list each label once")
+    columns = _list_from_json(columns, "columns")
+    if len(columns) != len(labels):
+        raise FormatError(f"columns must hold one column per labels entry: expected "
+                          f"{len(labels)}, got {len(columns)}")
+    for a, column in enumerate(columns):
+        if type(column) is not list or len(column) != n:
+            raise FormatError(f"columns entry {a} must be a list of {n} entries, one per state")
+    # type() refuses true and 1.0, which a set of indices merges with 1.
+    if not set(map(type, chain.from_iterable(columns))) <= {int, type(None)}:
+        return _expanded_rows(columns, n, labels)
+    ids = set(chain.from_iterable(columns))
+    ids.discard(None)
+    if ids and (min(ids) < 0 or max(ids) >= n):
+        return _expanded_rows(columns, n, labels)
+    # A column of nulls is an unused label; any() stops at a used column's
+    # first target other than 0.
+    used = [(label_key(labels[a]), a) for a, column in enumerate(columns)
+            if any(column) or 0 in column]
+    used.sort()
+    rows: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    markers: List[List[Tuple[MarkerSet, int]]] = [[] for _ in range(n)]
+    letters: Dict[str, List[Optional[int]]] = {}
+    for r, (_, a) in enumerate(used):
+        column, label = columns[a], labels[a]
+        if isinstance(label, str):
+            letters[label] = column
+            for row, p in zip(rows, column):
+                if p is not None:
+                    row.append((r, p))
+        else:
+            for row, moves, p in zip(rows, markers, column):
+                if p is not None:
+                    row.append((r, p))
+                    moves.append((label, p))
+    for a in alphabet:
+        if a not in letters:
+            letters[a] = [None] * n
+    return [labels[a] for _, a in used], rows, None, (markers, letters)
+
+
+def _expanded_rows(columns: List[List[Any]], n: int, labels: List[Label]) -> Tuple:
+    """``_column_rows`` of a file with an entry other than null or an
+    index: its columns as index triples, each entry checked in file
+    order, sorted by ``_sorted_rows``, which finds the clash; the tables
+    are left to ``EVA.tables()``."""
+    triples = []
+    for a, column in enumerate(columns):
+        for q, entry in enumerate(column):
+            for p in entry if type(entry) is list else () if entry is None else (entry,):
+                if type(p) is not int or not 0 <= p < n:
+                    raise FormatError(f"columns entries must be null, a state index below {n} "
+                                      f"or a list of them, got {entry!r}")
+                triples.append([q, a, p])
+    return (*_sorted_rows(n, labels, triples), None)
 
 
 def _load_format1(data: Dict[str, Any]):
@@ -658,50 +709,55 @@ def _json_list(items: List[str]) -> str:
 
 
 def automaton_json(automaton: _AutomatonBase) -> str:
-    """The automaton file in format 2: the text ``json.dumps(obj, indent=2,
+    """The automaton file in format 3: the text ``json.dumps(obj, indent=2,
     sort_keys=True)`` writes for the format's object, made in one walk over
     the rows in state order.  ``states`` lists the names in
-    ``state_order()``; ``labels`` lists each distinct label once, in the
-    order of first use; the transitions are index triples in ``out(q)``
-    order.  State names print as ``state_name`` gives them, or as ``s0, s1,
-    ...`` in state order if two print alike."""
+    ``state_order()`` and ``labels`` the labels in use in rank order;
+    ``columns[r]`` holds, for each state, its target on label rank ``r``,
+    null, or the ascending list of its targets if it has two or more.
+    State names print as ``state_name`` gives them, or as ``s0, s1, ...``
+    in state order if two print alike."""
     order = automaton._order
     names = [state_name(q) for q in order]
     if len(set(names)) != len(names):
         names = [f"s{i}" for i in range(len(order))]
-    # The JSON text of each state's index and, once used, each label rank's.
+    # The JSON text of each state's index.
     index = [str(i) for i in range(len(order))]
     labels = automaton._labels
-    label_index: List[Optional[str]] = [None] * len(labels)
-    label_texts: List[str] = []
-    triples = []
+    columns = [["null"] * len(order) for _ in labels]
+    # The target texts of each (label rank, state id) with two or more.
+    lists: Dict[Tuple[int, int], List[str]] = {}
     for i, row in enumerate(automaton._rows):
-        head = "[\n      " + index[i] + ",\n      "
+        last = -1
         for r, p in row:
-            a = label_index[r]
-            if a is None:
-                a = label_index[r] = str(len(label_texts))
-                # A label object is an entry of a top-level list, so its
-                # lines after the first move four spaces in.
-                label_texts.append(json.dumps(_label_to_json(labels[r]), indent=2,
-                                              sort_keys=True).replace("\n", "\n    "))
-            triples.append(f"{head}{a},\n      {index[p]}\n    ]")
+            if r != last:
+                columns[r][i] = index[p]
+                last = r
+            else:  # a row lists one label's targets in ascending order
+                lists.setdefault((r, i), [columns[r][i]]).append(index[p])
+    for (r, i), targets in lists.items():
+        columns[r][i] = "[\n        " + ",\n        ".join(targets) + "\n      ]"
     return "".join([
         '{\n  "alphabet": ', _json_list([json.dumps(a) for a in sorted(automaton.alphabet)]),
+        ',\n  "columns": ', _json_list(["[\n      " + ",\n      ".join(column) + "\n    ]"
+                                        for column in columns]),
         ',\n  "finals": ', _json_list([index[i] for i in automaton._final_ids]),
-        ',\n  "format": 2',
+        ',\n  "format": 3',
         ',\n  "initial": ', index[automaton._initial_id],
         ',\n  "kind": ', '"eva"' if isinstance(automaton, EVA) else '"va"',
-        ',\n  "labels": ', _json_list(label_texts),
+        # A label object is an entry of a top-level list, so its lines
+        # after the first move four spaces in.
+        ',\n  "labels": ', _json_list([json.dumps(_label_to_json(label), indent=2,
+                                                  sort_keys=True).replace("\n", "\n    ")
+                                       for label in labels]),
         ',\n  "states": ', _json_list([json.dumps(name) for name in names]),
-        ',\n  "transitions": ', _json_list(triples),
         ',\n  "variables": ', _json_list([json.dumps(v) for v in sorted(automaton.variables)]),
         "\n}",
     ])
 
 
 def dump_automaton(automaton: _AutomatonBase) -> Dict[str, Any]:
-    """The automaton as the JSON object of the file format (format 2)."""
+    """The automaton as the JSON object of the file format (format 3)."""
     return json.loads(automaton_json(automaton))
 
 

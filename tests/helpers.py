@@ -10,10 +10,8 @@ import itertools
 import json
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-import pytest
 from hypothesis import strategies as st
 
-import spanex.automata
 from spanex import (
     Document,
     EVA,
@@ -116,10 +114,24 @@ def mapping_set_project(mappings: Iterable[Mapping], variables: Iterable[str]) -
 # Automaton files
 # ---------------------------------------------------------------------------
 
+def file_moves(data: Dict[str, Any]) -> List[List[int]]:
+    """The ``[source, label, target]`` index triples of a format-3
+    automaton object, in ``out(q)`` order: by source, label rank and
+    target."""
+    columns = data["columns"]
+    triples = []
+    for q in range(len(data["states"])):
+        for r, column in enumerate(columns):
+            entry = column[q]
+            for p in entry if isinstance(entry, list) else () if entry is None else (entry,):
+                triples.append([q, r, p])
+    return triples
+
+
 def format1_of(data: Dict[str, Any]) -> Dict[str, Any]:
-    """The format-1 object of a format-2 automaton object: what the writer
+    """The format-1 object of a format-3 automaton object: what the writer
     made before format 2, with states and finals sorted by name and one
-    ``from``/``label``/``to`` object per transition, in the listed order."""
+    ``from``/``label``/``to`` object per transition, in ``out(q)`` order."""
     states, labels = data["states"], data["labels"]
     return {
         "alphabet": data["alphabet"],
@@ -128,40 +140,34 @@ def format1_of(data: Dict[str, Any]) -> Dict[str, Any]:
         "kind": data["kind"],
         "states": sorted(states),
         "transitions": [{"from": states[q], "label": labels[a], "to": states[p]}
-                        for q, a, p in data["transitions"]],
+                        for q, a, p in file_moves(data)],
         "variables": data["variables"],
     }
 
 
-def loads_like_the_sort_path(data: Dict[str, Any]) -> bool:
-    """Load the format-2 object ``data`` as ``load_automaton`` does and
-    again with its first triple repeated after the last, which leaves row
-    order, so that its triples are sorted, and assert the two agree on the
-    rows, the clash, the labels, the variables, the size, every
-    ``DetTables`` slot, the report and the file bytes.  Returns whether
-    the first load sorted the triples."""
-    sorts = []
-    real = spanex.automata._rows_by_sort
-    triples = data["transitions"]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spanex.automata, "_rows_by_sort",
-                      lambda *args: sorts.append(args) or real(*args))
-        loaded = load_automaton(data)
-        sorted_first = bool(sorts)
-        reference = load_automaton({**data, "transitions": triples + triples[:1]})
-        assert len(sorts) == sorted_first + 1 or not triples
-    assert type(loaded) is type(reference)
-    assert loaded._rows == reference._rows
-    assert loaded._clash == reference._clash
-    assert loaded._labels == reference._labels
-    assert loaded.variables == reference.variables
-    assert loaded.size == reference.size
-    if isinstance(reference, EVA):
+def format2_of(data: Dict[str, Any]) -> Dict[str, Any]:
+    """The format-2 object of a format-3 automaton object: the same header
+    and labels, with the columns as index triples in ``out(q)`` order."""
+    header = {key: value for key, value in data.items() if key != "columns"}
+    return {**header, "format": 2, "transitions": file_moves(data)}
+
+
+def loads_alike(first: Dict[str, Any], second: Dict[str, Any]) -> None:
+    """Assert that the automaton objects ``first`` and ``second`` load to
+    equal rows, clash, labels, variables, size, ``DetTables`` slots,
+    report and file text."""
+    one, other = load_automaton(first), load_automaton(second)
+    assert type(one) is type(other)
+    assert one._rows == other._rows
+    assert one._clash == other._clash
+    assert one._labels == other._labels
+    assert one.variables == other.variables
+    assert one.size == other.size
+    if isinstance(one, EVA):
         for field in DetTables.__slots__:
-            assert getattr(loaded.tables(), field) == getattr(reference.tables(), field), field
-    assert classify(loaded) == classify(reference)
-    assert automaton_json(loaded) == automaton_json(reference)
-    return sorted_first
+            assert getattr(one.tables(), field) == getattr(other.tables(), field), field
+    assert classify(one) == classify(other)
+    assert automaton_json(one) == automaton_json(other)
 
 
 def corpus_checksum(automata: Sequence) -> str:

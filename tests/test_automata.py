@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,7 @@ from spanex.errors import ClassificationTooLarge, FormatError
 from spanex.transform import determinize_eva, va_to_eva
 
 from fixtures import gen_fig1_fixture, gen_fig3_va, gen_fig4_automaton
-from helpers import (canon, classify_reference, close_m, format1_of, loads_like_the_sort_path,
+from helpers import (canon, classify_reference, close_m, format1_of, format2_of, loads_alike,
                      mapping, mset, open_m)
 
 
@@ -154,7 +156,7 @@ def test_format2_load_keeps_the_listed_order(monkeypatch):
     assert loaded.out("b") == [("a", "b"), (mset(open_m("x")), "a")]
     again = dump_automaton(loaded)
     assert again["states"] == ["b", "a"]
-    assert again["transitions"] == [[0, 0, 0], [0, 1, 1], [1, 0, 0]]
+    assert format2_of(again)["transitions"] == [[0, 0, 0], [0, 1, 1], [1, 0, 0]]
 
 
 _UNUSED_LABEL_FILE = {
@@ -210,7 +212,7 @@ def _dense():
 @pytest.mark.parametrize("make", [gen_fig3_va, gen_fig4_automaton, _dense],
                          ids=["fig3-va", "fig4", "dense"])
 def test_format2_load_of_an_out_of_order_file(make, monkeypatch):
-    data = dump_automaton(make())
+    data = format2_of(dump_automaton(make()))
     shuffled = _reordered(data, 18)
     ordered = load_automaton(data)
 
@@ -242,24 +244,6 @@ def test_format2_load_of_an_out_of_order_file(make, monkeypatch):
 _IN_ORDER_FILE = {**_UNUSED_LABEL_FILE, "variables": ["x"]}
 
 
-@pytest.mark.parametrize("data, sorted_", [
-    (_IN_ORDER_FILE, False),
-    ({**_IN_ORDER_FILE, "labels": [{"markers": ["open:y"]}] + _IN_ORDER_FILE["labels"],
-      "variables": ["x", "y"], "transitions": [[0, 1, 1], [1, 2, 1]]}, True),
-    ({**_IN_ORDER_FILE, "transitions": [[0, 0, 1], [1, 1, 1], [1, 1, 1]]}, True),
-    ({**_IN_ORDER_FILE, "states": ["q0", "q1", "q2"],
-      "transitions": [[0, 0, 1], [1, 1, 1], [1, 1, 2]]}, True),
-    ({**_IN_ORDER_FILE, "transitions": [[1, 1, 1], [0, 0, 1]]}, True),
-    ({**_IN_ORDER_FILE, "transitions": [[0, 0, 1], [1, 1, 1]],
-      "labels": _IN_ORDER_FILE["labels"] + [{"symbol": "a"}]}, True),
-], ids=["in-order", "unused-label", "repeated-triple", "clash", "descending", "label-listed-twice"])
-def test_format2_in_order_pass_loads_like_the_sort_path(data, sorted_):
-    # The in-order pass takes only strictly ascending (source, label rank)
-    # triples that use every label; any other file is sorted, and either
-    # way the automaton is the one the sort path builds.
-    assert loads_like_the_sort_path(data) is sorted_
-
-
 _BAD_ENTRIES = [
     ("source-true", [True, 1, 1], "transition source must be an index below 2, got True"),
     ("source-float", [1.0, 1, 1], "transition source must be an index below 2, got 1.0"),
@@ -280,8 +264,8 @@ _BAD_ENTRIES = [
 ])
 def test_format2_in_order_file_with_a_bad_index_is_refused(prefix, second, message):
     # Every label in use and one bad entry, after triples in row order or
-    # after triples that have left it: the one pass reports the first
-    # malformed entry in file order, whichever path the file takes.
+    # after triples that have left it: the check reports the first
+    # malformed entry in file order, wherever it stands.
     with pytest.raises(FormatError) as raised:
         load_automaton({**_IN_ORDER_FILE, "transitions": prefix + [second]})
     assert str(raised.value) == message
@@ -293,6 +277,46 @@ def test_format2_clash_is_found_only_by_sorting():
     report = classify(load_automaton(data))
     assert report.deterministic is False
     assert report.deterministic_witness == "state q1 has two transitions on a: to q1 and q2"
+
+
+# Files the format-2 writer made: `spanex compile` of `.*x{a.*}.*` over ab
+# and of the rule-book join under prop7, with the digests it pinned.
+_FORMAT2_GOLDENS = [
+    ("dense", "dense_format2.json",
+     "0250ae09f2907dfdb09e9fdfdc29d0aacc235875c72a098f25a670d60fda1fbc"),
+    ("join", "join_prop7_format2.json",
+     "8e2f82e1f1a41a28701bb4bc3d5ee9a21676f019539d57187c949b0e4b7969a7"),
+]
+
+
+@pytest.mark.parametrize("name, file, digest", _FORMAT2_GOLDENS, ids=["dense", "join-prop7"])
+def test_format2_golden_loads_as_todays_compile(name, file, digest):
+    # Nothing writes format 2 any more; these files keep its loader
+    # tested on what the writer made, not only on hand-made objects.
+    text = (Path(__file__).parent / "data" / file).read_bytes()
+    assert hashlib.sha256(text).hexdigest() == digest
+    data = json.loads(text)
+    assert data["format"] == 2
+    det, _ = _rule_book_compiles()[name]()
+    loaded = load_automaton(data)
+    assert loaded._labels == det._labels
+    assert loaded._rows == det._rows
+    assert classify(loaded) == classify(det)
+    assert automaton_json(loaded) == automaton_json(det)
+
+
+@pytest.mark.parametrize("columns, triples", [
+    ([[None, None], [1, None], [None, 1]], [[0, 1, 1], [1, 2, 1]]),
+    ([[None, None], [1, None], [None, [1, 0]]], [[0, 1, 1], [1, 2, 1], [1, 2, 0]]),
+], ids=["targets", "target-list"])
+def test_format3_labels_in_any_order_load_like_format2(columns, triples):
+    # A hand-made file may list its labels out of rank order and keep a
+    # column of nulls: the columns are ranked, and the unused label
+    # dropped, as format 2 ranks its triples.
+    header = {**_IN_ORDER_FILE, "variables": ["x", "y"],
+              "labels": [{"markers": ["open:y"]}] + _IN_ORDER_FILE["labels"]}
+    del header["transitions"]
+    loads_alike({**header, "format": 3, "columns": columns}, {**header, "transitions": triples})
 
 
 def _rule_book_compiles():
@@ -313,11 +337,13 @@ def _rule_book_compiles():
 
 @pytest.mark.parametrize("name", ["contact", "dense", "k10", "join", "union", "project"])
 def test_compiled_files_load_in_order_and_certify_by_labelling(name, monkeypatch):
-    # The benchmark's automata keep the fast paths: their files fill the
-    # rows in order, and every one but contact, which reaches a state
-    # with two marker histories, is certified without the walk.
+    # The benchmark's automata keep the fast paths: their format-3 files
+    # fill the rows column by column with no sort, each symbol's column
+    # is its letter table, and every one but contact, which reaches a
+    # state with two marker histories, is certified without the walk.
     det, _ = _rule_book_compiles()[name]()
     data = json.loads(automaton_json(det))
+    assert data["format"] == 3
 
     def refuse(*args):
         raise AssertionError(f"slow path taken on {name}")
@@ -325,6 +351,9 @@ def test_compiled_files_load_in_order_and_certify_by_labelling(name, monkeypatch
     monkeypatch.setattr(spanex.automata, "_rows_by_sort", refuse)
     loaded = load_automaton(data)
     assert loaded._tables is not None
+    for label, column in zip(loaded._labels, data["columns"]):
+        if isinstance(label, str):
+            assert loaded._tables.letters[label] is column
     if name == "contact":
         assert not _one_history_per_pair(loaded)
         assert classify(loaded) == classify_reference(loaded)

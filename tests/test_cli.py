@@ -79,7 +79,7 @@ def test_compile_det_seva_unchanged(runner, fig4_path):
     assert result.exit_code == 0
     data = json.loads(result.stdout)
     assert len(data["states"]) == 10
-    assert len(data["transitions"]) == 13
+    assert len(format1_of(data)["transitions"]) == 13
 
 
 def test_compile_prop4_reports_fanout(runner, tmp_path):
@@ -701,10 +701,15 @@ _GOOD_FORMAT2 = {
     "finals": [1], "transitions": [[0, 0, 1], [1, 1, 1]],
 }
 _MISSING = object()
+# The automaton of _GOOD_FORMAT2 in format 3.
+_FORMAT3 = {"format": 3, "transitions": _MISSING,
+            "labels": [{"symbol": "a"}, {"markers": ["open:x", "close:x"]}],
+            "columns": [[None, 1], [1, None]]}
 
 
 @pytest.mark.parametrize("malformed, field", [
-    ({"format": 3}, "format"),
+    ({"format": 3}, "columns"),
+    ({"format": 4}, "format"),
     ({"format": 2.0}, "format"),
     ({"kind": _MISSING}, "kind"),
     ({"labels": _MISSING}, "labels"),
@@ -722,10 +727,24 @@ _MISSING = object()
     ({"kind": "va"}, "labels"),
     ({"transitions": [[0, 2, 1]]}, "transition label"),
     ({"alphabet": ["b"]}, "alphabet"),
-], ids=["format-3", "format-float", "kind-missing", "labels-missing", "initial-range",
-        "initial-true", "final-negative", "target-range", "source-true", "triple-short",
-        "triple-long", "transition-object", "state-repeated", "state-int", "label-epsilon",
-        "label-set-in-va", "label-range", "symbol-outside-alphabet"])
+    ({**_FORMAT3, "columns": [[None, 1]]}, "columns"),
+    ({**_FORMAT3, "columns": [[None, 1], {"0": 1}]}, "columns"),
+    ({**_FORMAT3, "columns": [[None, 1], [1]]}, "columns"),
+    ({**_FORMAT3, "columns": [[None, True], [1, None]]}, "columns"),
+    ({**_FORMAT3, "columns": [[None, 1.0], [1, None]]}, "columns"),
+    ({**_FORMAT3, "columns": [[None, -1], [1, None]]}, "columns"),
+    ({**_FORMAT3, "columns": [[None, 2], [1, None]]}, "columns"),
+    ({**_FORMAT3, "columns": [[None, "0"], [1, None]]}, "columns"),
+    ({**_FORMAT3, "columns": [[None, [0, "x"]], [1, None]]}, "columns"),
+    ({**_FORMAT3, "labels": [{"symbol": "a"}, {"symbol": "a"}]}, "labels"),
+], ids=["format-3", "format-4", "format-float", "kind-missing", "labels-missing",
+        "initial-range", "initial-true", "final-negative", "target-range", "source-true",
+        "triple-short", "triple-long", "transition-object", "state-repeated", "state-int",
+        "label-epsilon", "label-set-in-va", "label-range", "symbol-outside-alphabet",
+        "format3-column-count", "format3-column-object", "format3-column-length",
+        "format3-entry-true", "format3-entry-float", "format3-entry-negative",
+        "format3-entry-range", "format3-entry-string", "format3-list-non-index",
+        "format3-label-repeated"])
 def test_malformed_format2_exits_2(runner, tmp_path, malformed, field):
     data = {key: value for key, value in {**_GOOD_FORMAT2, **malformed}.items()
             if value is not _MISSING}
@@ -813,7 +832,7 @@ def test_unreadable_json_exits_2(runner, tmp_path):
 
 _AUTOMATON_KEYS = ["alphabet", "variables", "states", "initial", "finals", "transitions",
                    "kind", "from", "to", "label", "symbol", "markers", "epsilon", "format",
-                   "labels"]
+                   "labels", "columns"]
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 2)
     | st.sampled_from(["q0", "q1", "a", "b", "x", "open:x", "close:x", "va", "eva"]),
@@ -836,20 +855,40 @@ _LABELS = _mostly(st.one_of(
     st.just({"epsilon": True}),
 ))
 _INDICES = _mostly(st.integers(0, 3))
+_INDEXED_HEADER = {
+    "kind": _mostly(st.sampled_from(["va", "eva"])),
+    "alphabet": _mostly(st.just(["a", "b"])),
+    "states": _mostly(st.sampled_from([["q0"], ["q0", "q1"], ["q1", "q0", "q2"]])),
+    "labels": _mostly(st.lists(_LABELS, max_size=3)),
+    "initial": _INDICES,
+    "finals": _mostly(st.lists(_INDICES, max_size=2)),
+}
+_VARIABLES = {"variables": _mostly(st.lists(st.sampled_from(["x", "y"]), max_size=2))}
 _FORMAT2_OBJECTS = st.fixed_dictionaries(
     {
         "format": _mostly(st.just(2)),
-        "kind": _mostly(st.sampled_from(["va", "eva"])),
-        "alphabet": _mostly(st.just(["a", "b"])),
-        "states": _mostly(st.sampled_from([["q0"], ["q0", "q1"], ["q1", "q0", "q2"]])),
-        "labels": _mostly(st.lists(_LABELS, max_size=3)),
-        "initial": _INDICES,
-        "finals": _mostly(st.lists(_INDICES, max_size=2)),
+        **_INDEXED_HEADER,
         "transitions": _mostly(st.lists(_mostly(st.lists(_INDICES, min_size=3, max_size=3)),
                                         max_size=4)),
     },
-    optional={"variables": _mostly(st.lists(st.sampled_from(["x", "y"]), max_size=2))},
+    optional=_VARIABLES,
 )
+_ENTRIES = _mostly(st.one_of(st.none(), _INDICES, st.lists(_INDICES, max_size=3)))
+
+
+@st.composite
+def _format3_objects(draw):
+    """A format-3 object whose columns mostly have one entry per listed
+    state and one column per listed label."""
+    data = draw(st.fixed_dictionaries({"format": _mostly(st.just(3)), **_INDEXED_HEADER},
+                                      optional=_VARIABLES))
+    n = len(data["states"]) if isinstance(data["states"], list) else 1
+    width = len(data["labels"]) if isinstance(data["labels"], list) else 1
+    column = _mostly(st.lists(_ENTRIES, min_size=n, max_size=n))
+    data["columns"] = draw(_mostly(st.lists(column, min_size=width, max_size=width)))
+    return data
+
+
 _AUTOMATON_OBJECTS = st.fixed_dictionaries(
     {
         "alphabet": _mostly(st.just(["a", "b"])),
@@ -866,8 +905,8 @@ _AUTOMATON_OBJECTS = st.fixed_dictionaries(
 )
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(st.one_of(_AUTOMATON_OBJECTS, _FORMAT2_OBJECTS))
+@settings(derandomize=True, database=None, max_examples=450, deadline=None)
+@given(st.one_of(_AUTOMATON_OBJECTS, _FORMAT2_OBJECTS, _format3_objects()))
 def test_random_automaton_json_never_crashes(data):
     runner = CliRunner()
     with runner.isolated_filesystem():
@@ -922,25 +961,25 @@ _UNION = 'union(rgx(".*a.......x{.*}"), rgx(".*x{b.*}b....."))'
 @pytest.mark.parametrize("source, states, transitions, format1_digest, digest", [
     (["--rgx", _CONTACT, "--alphabet", "".join(sorted(_CONTACT_ALPHABET))], 14, 99,
      "9d03338e2e29e51c0061898c09a84580d4bc8712445902e6b39eb7ecccd61a1e",
-     "6d9d2e8a13875386376d82a8f61c93d96281bad96beeb035cf9bd19f486761ab"),
+     "d64c42dd2d89cfff64b36a4ac2f9fd760d9199d9af939b5156b2a7a03d6eabd5"),
     (["--rgx", ".*(x{a}|y{b}).*", "--alphabet", "ab"], 6, 10,
      "49bf2e8ae5745cf735b7d979f552049c77316392f461e4071345c4237136d2e7",
-     "2693524ef26ff1036f0bccf74f712a612628f08245d773beb7705893ac91cebf"),
+     "bce6c8435c80b8515d5a2623bd1728ef35cd583545f4cfd0c5c4beb762774dca"),
     (["--rgx", ".*x{a.*}.*", "--alphabet", "ab"], 4, 9,
      "f9806d1925a9f93a3a2d25a9846ded8478c73dbca6b8e0a1a150069126d18304",
-     "0250ae09f2907dfdb09e9fdfdc29d0aacc235875c72a098f25a670d60fda1fbc"),
+     "2568e5222343863f13c7ed5af25649c17ad97cbdee1b8ea09c3684552278f34a"),
     (["--expr", _JOIN, "--strategy", "prop7", "--alphabet", "ab"], 520, 1937,
      "8d9b47218d0b4db31e776d337faa0a25132e82caefb4c68529010ea825f6bfdd",
-     "8e2f82e1f1a41a28701bb4bc3d5ee9a21676f019539d57187c949b0e4b7969a7"),
+     "47c960d04fb5ff0d79d23c4446e02dfab55cf3732646a01f40a521af3bd77f99"),
     (["--expr", _JOIN, "--strategy", "prop8", "--alphabet", "ab"], 520, 1937,
      "74d6f78c3878ac2bbf1e427b6ac955d401dd92052df18acf54cc1e332a1ee1fa",
-     "f4a0d18d1ea6565bb238d7ca6c6659f3f8f255e3ff81587bd8430c9596aafe2f"),
+     "fb39841f5d74dabcb75367ed34acbbbf47860a3352b6b62b45e32a66689b1991"),
     (["--expr", _UNION, "--strategy", "prop7", "--alphabet", "ab"], 271, 924,
      "31e5cab94c0ad9d401debef514615e1104e6155f4eec9ddaf16b366536262fc6",
-     "1f166d1e7684706d6345f1fca98b7721fc758e9d906b83dc38b34ada175d745c"),
+     "f1d1ded8d25eb4ccc5e3858bb8e5c076ab0bb0ddc7b6de78d2f06395c72d1bbd"),
     (["--expr", _UNION, "--strategy", "prop8", "--alphabet", "ab"], 270, 921,
      "9e32ef65d70c8b589afdb3b55149f3b7d64d5169a3549325661faa88558d9458",
-     "a9c65e432e3170cd7b45d0f72097be2ccd087b093618388ca20d198a01b8a97c"),
+     "d262aa1f3e6435040b57a13cc9bb66d0ea37733dc94b8bf5b71d6c6807b23058"),
 ], ids=["contact-general", "general", "functional", "join-prop7", "join-prop8",
         "union-prop7", "union-prop8"])
 def test_compile_bytes_pinned(runner, tmp_path, source, states, transitions, format1_digest,
@@ -951,8 +990,10 @@ def test_compile_bytes_pinned(runner, tmp_path, source, states, transitions, for
     result = runner.invoke(main, ["compile", *source])
     assert result.exit_code == 0, result.output
     data = json.loads(result.stdout)
-    assert (len(data["states"]), len(data["transitions"])) == (states, transitions)
-    format1 = json.dumps(format1_of(data), indent=2, sort_keys=True) + "\n"
+    assert data["format"] == 3
+    format1 = format1_of(data)
+    assert (len(data["states"]), len(format1["transitions"])) == (states, transitions)
+    format1 = json.dumps(format1, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(format1.encode()).hexdigest() == format1_digest
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
     out = tmp_path / "compiled.json"

@@ -12,7 +12,7 @@ preprocessing agrees with the reference kernel, also on every prefix,
 where it ends with the capturing stage that the run search predicts.
 Over random VAs and EVAs, sequential or not, functional or not and
 deterministic or not, the classifier agrees with the reference
-classifier, a file loads as the sorting loader loads it, shuffled or
+classifier, a file loads as its format-2 encoding loads, shuffled or
 not, the bisimulation quotient finds the reference partition and
 keeps the semantics and the verdicts, and both pipelines keep the
 outputs of their construction without the quotient.  Over random EVAs
@@ -22,9 +22,11 @@ construction over named states builds."""
 import json
 from unittest import mock
 
+import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+import spanex.automata
 from spanex import (
     EVA,
     Document,
@@ -66,8 +68,9 @@ from helpers import (
     bisimulation_names_reference,
     classify_reference,
     determinize_reference,
+    format2_of,
     list_outputs,
-    loads_like_the_sort_path,
+    loads_alike,
     mapping_set_project,
     prefix_run_like_reference,
     preprocessed_like_reference,
@@ -286,15 +289,23 @@ def test_classify_equals_reference_classifier(automaton):
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(ANY_AUTOMATON)
-def test_format2_in_order_pass_loads_like_the_sort_path(automaton):
-    # A written file takes the in-order pass unless a state moves twice on
-    # one label; its shuffled copy, with a repeated triple, is sorted.
-    # Both load as the sort path loads them.
+def test_format3_file_loads_like_its_format2_encoding(automaton):
+    # A written file's columns fill the rows directly unless a state
+    # moves twice on one label; then they are expanded and sorted.  Either
+    # way the file loads as its format-2 triples, shuffled or not, load.
     data = dump_automaton(automaton)
-    moves = {(q, a) for q, a, _ in data["transitions"]}
-    assert loads_like_the_sort_path(data) is (len(moves) < len(data["transitions"]))
-    if data["transitions"]:
-        assert loads_like_the_sort_path(_reordered(data, 7)) is True
+    assert data["format"] == 3
+    expanded = []
+    real = spanex.automata._expanded_rows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spanex.automata, "_expanded_rows",
+                      lambda *args: expanded.append(args) or real(*args))
+        loads_alike(data, format2_of(data))
+    assert bool(expanded) is any(isinstance(entry, list)
+                                 for column in data["columns"] for entry in column)
+    triples = format2_of(data)
+    if triples["transitions"]:
+        loads_alike(data, _reordered(triples, 7))
 
 
 def test_random_automata_reach_every_classification():

@@ -324,7 +324,7 @@ def test_contact_rule_compiles_to_its_own_quotient(monkeypatch):
     histories = va_to_det_seva_general(rgx_to_va(ast, alphabet))
     assert len(histories.states) == 16
     assert hashlib.sha256((automaton_json(histories) + "\n").encode()).hexdigest() == (
-        "75e9afae0f70c027fc4bc3f6e6cdc73988e8d598f6d37b044e47cb05537c339c")
+        "511edb3553102552baa3d74854a2a851fb2144b5e09573015422491d46c81a65")
     assert len(bisimulation_quotient(histories).states) == 14
     assert set(enumerate_stream(evaluate_preprocess(histories, doc))) == set(
         enumerate_stream(evaluate_preprocess(det, doc)))
