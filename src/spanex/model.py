@@ -62,24 +62,6 @@ def markers_of(variables: Iterable[str]) -> MarkerSet:
     return frozenset(out)
 
 
-def markers_compatible(used: MarkerSet, step: MarkerSet) -> bool:
-    """Whether a run that has used the markers ``used`` may take the
-    marker set ``step`` at its next position: no marker is used twice,
-    and each close in ``step`` has its open in ``used`` or in ``step``.
-    A history is itself valid when it is compatible as one step from the
-    empty history."""
-    if used & step:
-        return False
-    opened = {m.var for m in used | step if m.is_open}
-    return all(m.var in opened for m in step if not m.is_open)
-
-
-def all_closed(markers: MarkerSet) -> bool:
-    """Whether every variable opened in ``markers`` is also closed."""
-    closed = {m.var for m in markers if not m.is_open}
-    return all(m.var in closed for m in markers if m.is_open)
-
-
 def marker_set_key(s: MarkerSet) -> Tuple[Tuple[int, str], ...]:
     return tuple(sorted(m.sort_key() for m in s))
 

@@ -7,9 +7,13 @@ bounds are not always paid.  ``va_to_det_seva_general`` is the one
 pipeline from a VA or EVA to a det-seVA: it takes the
 ``bisimulation_quotient`` of the condensed EVA, which also drops the
 states that cannot reach a final state, and determinizes it, tracking
-marker histories only for non-sequential input.  The plain subset
-construction, ``determinize_eva``, walks integer subsets of the input's
-rows; every other construction goes through ``_reachable_eva``.
+marker histories only for non-sequential input.  ``determinize_eva``,
+the one subset walk (2^n states from n, 2^n*3^l with histories over l
+variables), keys each state by its members' ``canon_key`` ranks and its
+history bitmask; (member ranks, marker ranks) sort as ``canon_key``
+sorts the named states, since it compares frozensets by their sorted
+member keys and markers by ``Marker.sort_key``.  Every other
+construction goes through ``_reachable_eva``.
 Constructed state names encode their provenance (state subsets, (subset,
 seen-markers) pairs; a quotient block takes the name of its first
 member) so that tests can inspect structure.
@@ -21,9 +25,9 @@ import logging
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from .automata import (EVA, VA, Label, State, canon_key, classify, reachable,
+from .automata import (EVA, VA, Label, State, _marker_masks, canon_key, classify, reachable,
                        require_functional)
-from .model import MarkerSet, all_closed, markers_compatible
+from .model import Marker, MarkerSet
 
 logger = logging.getLogger(__name__)
 
@@ -111,70 +115,93 @@ def _subset_moves(subset: FrozenSet[State], out: Callable[[State], Iterable[Tupl
     return [(label, frozenset(ps)) for label, ps in targets.items()]
 
 
-def determinize_eva(eva: EVA) -> EVA:
-    """Classical subset construction over the reachable part.
+def determinize_eva(eva: EVA, *, histories: bool = False) -> EVA:
+    """The subset construction over the reachable part: at most 2^n
+    states from n, each the frozenset of its members.  With ``histories``
+    a state is ``(frozenset(members), frozenset(markers used))``; a marker
+    step that reuses a marker or closes an unopened variable is dropped,
+    and a state is final only if its history closes what it opens: at
+    most 2^n*3^l states over l variables, and a sequential result.
 
-    The result is deterministic with the same semantics; a sequential
-    input yields a sequential output.  Subset states are frozensets of
-    the input states, in the canonical order, so the result is the
-    automaton ``EVA()`` builds from those frozensets and their moves.
-
-    The construction walks the input's integer rows.  Each input state is
-    ranked by ``canon_key`` once, and a subset is the bitset of its
-    members' ranks, so its members in ascending bit order are the sorted
-    member keys that ``canon_key`` compares frozensets by: sorting the
-    subsets by those rank tuples gives the canonical order.  Each
-    subset's moves, one target per label in label rank order, become its
-    row, which ``EVA``'s core takes as it is, without a check or a sort.
-    """
+    It walks the input's integer rows.  A state's key is the bitset of
+    its members' ``canon_key`` ranks shifted above its history, a bitmask
+    in the layout of ``automata._marker_masks``.  ``canon_key`` compares
+    frozensets by their sorted member keys and markers by
+    ``Marker.sort_key`` (opens first, variables in ``str`` order), so
+    sorting by (member ranks, marker ranks) is the canonical order of the
+    named states.  Each state's moves, one per label in rank order, are
+    its row, which ``EVA``'s core takes as it is."""
     order = eva._order
     ranked = sorted(range(len(order)), key=lambda i: canon_key(order[i]))
     bit = {i: b for b, i in enumerate(ranked)}
-    # moves[b]: the (label rank, target bitset) pairs of the state of rank b.
-    moves = [[(r, 1 << bit[p]) for r, p in eva._rows[i]] for i in ranked]
-    start = bit[eva._initial_id]
-    ids = {1 << start: 0}
-    members: List[Tuple[int, ...]] = [(start,)]
-    # Every subset's (label rank, target) moves, in walk order and then
-    # rank order; the moves of subset q are moved[starts[q]:starts[q + 1]].
+    labels = eva._labels
+    # Without histories every label takes the letter step and h stays 0.
+    marker_ranks, masks, needs, opens, shift = range(0), (), (), 0, 0
+    if histories:
+        variables, symbols, masks, needs, opens = _marker_masks(eva)
+        marker_ranks, shift = range(symbols, len(labels)), 2 * len(variables)
+    # moves[b]: the (label rank, target key bit) pairs of rank b.
+    moves = [[(r, 1 << (bit[p] + shift)) for r, p in eva._rows[i]] for i in ranked]
+    keys = [1 << (bit[eva._initial_id] + shift)]
+    ids = {keys[0]: 0}
+    history_bits = (1 << shift) - 1
+    members: List[Tuple[int, ...]] = []
+    # Every state's (label rank, target) moves, in walk order and then
+    # rank order; the moves of state q are moved[starts[q]:starts[q + 1]].
     moved: List[Tuple[int, int]] = []
     starts = []
-    # The walk appends each subset found to ``members`` and reaches it in turn.
-    for subset in members:
-        starts.append(len(moved))
-        image = [0] * len(eva._labels)
-        for b in subset:
+    for key in keys:  # each state found is appended and reached in turn
+        h, key = key & history_bits, key >> shift
+        subset, image = [], [0] * len(labels)
+        while key:
+            low = key & -key
+            b = low.bit_length() - 1
+            subset.append(b)
             for r, mask in moves[b]:
                 image[r] |= mask
+            key ^= low
+        members.append(tuple(subset))
+        starts.append(len(moved))
+        # A marker step that reuses a marker or closes an unopened variable goes.
+        for r in marker_ranks:
+            m = masks[r]
+            image[r] = image[r] | m if image[r] and not (h & m or needs[r] & ~(h | m)) else 0
         for r, mask in enumerate(image):
             if mask:
+                mask |= h
                 p = ids.get(mask)
                 if p is None:
-                    p = ids[mask] = len(members)
-                    found = []
-                    while mask:
-                        low = mask & -mask
-                        found.append(low.bit_length() - 1)
-                        mask ^= low
-                    members.append(tuple(found))
+                    p = ids[mask] = len(keys)
+                    keys.append(mask)
                 moved.append((r, p))
     starts.append(len(moved))
-    canonical = sorted(range(len(members)), key=members.__getitem__)
-    new = [0] * len(members)
+    by_rank = [order[i] for i in ranked]
+    if histories:
+        # Marker rank i opens the i-th variable (bit 2i), l + i closes it.
+        marker_bits = [(2 * i + (not is_open), Marker(v, is_open))
+                       for is_open in (True, False) for i, v in enumerate(variables)]
+        used = [[r for r, (b, _) in enumerate(marker_bits) if key >> b & 1] for key in keys]
+        canonical = sorted(range(len(keys)), key=lambda q: (members[q], used[q]))
+        states = [(frozenset(map(by_rank.__getitem__, members[q])),
+                   frozenset(marker_bits[r][1] for r in used[q])) for q in canonical]
+    else:
+        canonical = sorted(range(len(keys)), key=members.__getitem__)
+        states = [frozenset(map(by_rank.__getitem__, members[q])) for q in canonical]
+    new = [0] * len(keys)
     for position, q in enumerate(canonical):
         new[q] = position
-    by_rank = [order[i] for i in ranked]
     final = {bit[i] for i in eva._final_ids}
-    # The labels some subset moves on, in their input order: a label that
-    # only unreachable input states move on is left out.
-    labels = eva._labels
+    # The labels some state moves on, in input order: the labels of
+    # unreachable input states and the marker steps no history takes go.
     kept = sorted(set(map(itemgetter(0), moved)))
     rank = [0] * len(labels)
     for position, r in enumerate(kept):
         rank[r] = position
     det = EVA.__new__(EVA)
-    det._setup([frozenset(map(by_rank.__getitem__, members[q])) for q in canonical], new[0],
-               [new[q] for q, subset in enumerate(members) if not final.isdisjoint(subset)],
+    # (key ^ key >> 1) & opens: the variables opened and not closed.
+    det._setup(states, new[0],
+               [new[q] for q, subset in enumerate(members)
+                if not final.isdisjoint(subset) and not (keys[q] ^ keys[q] >> 1) & opens],
                labels, [labels[r] for r in kept],
                [[(rank[r], new[p]) for r, p in moved[starts[q]:starts[q + 1]]]
                 for q in canonical], None, eva.alphabet, eva.variables)
@@ -277,13 +304,13 @@ def va_to_det_seva_general(automaton) -> EVA:
 
     It classifies its input (the report is kept on the automaton, so an
     input that ``compile_spanner`` or the caller classified is not walked
-    again), condenses a VA by ``va_to_eva`` and takes the
-    ``bisimulation_quotient``.  As in the paper, a sequential input is
-    then determinized by ``determinize_eva``; only a non-sequential one
-    takes the marker-history construction, whose states pair a subset of
-    quotient states with the markers used so far and which takes a
-    variable step only when ``markers_compatible`` with them, so the
-    output is sequential by construction.
+    again), condenses a VA by ``va_to_eva``, takes the
+    ``bisimulation_quotient`` and runs ``determinize_eva``, with marker
+    histories, as in the paper, only for a non-sequential input, whose
+    output is then sequential by construction.  Its (member ranks, marker
+    ranks) sort is the ``canon_key`` order of the named subsets and
+    (subset, markers) pairs, so the bytes are those of the construction
+    over named states.
 
     Hard-asserts, n the quotient's state count and l the variable count:
     on sequential input 2^n states, and 2^n*(n^2+|Sigma|) transitions
@@ -293,27 +320,13 @@ def va_to_det_seva_general(automaton) -> EVA:
     report = classify(automaton)
     eva = bisimulation_quotient(automaton if isinstance(automaton, EVA) else va_to_eva(automaton))
     n, n_vars, n_letters = len(eva.states), len(eva.variables), len(eva.alphabet)
+    result = determinize_eva(eva, histories=not report.sequential)
     if report.sequential:
-        result = determinize_eva(eva)
-        within = _at_most_power_of_two(len(result.states), n)
+        route, within = "subset", _at_most_power_of_two(len(result.states), n)
         transition_bound = (2 ** n) * (n ** 2 + n_letters) if report.functional else None
     else:
-        def moves(state: Tuple[FrozenSet[State], MarkerSet]):
-            subset, used = state
-            for label, targets in _subset_moves(subset, eva.out):
-                if isinstance(label, str):
-                    yield label, (targets, used)
-                elif markers_compatible(used, label):
-                    yield label, (targets, used | label)
-
-        result = _reachable_eva(
-            (frozenset([eva.initial]), frozenset()), moves,
-            lambda state: bool(state[0] & eva.finals) and all_closed(state[1]),
-            eva.alphabet, eva.variables,
-        )
-        within = len(result.states) <= (2 ** n) * (3 ** n_vars)
+        route, within = "marker-history", len(result.states) <= (2 ** n) * (3 ** n_vars)
         transition_bound = (2 ** n) * (5 ** n_vars + (3 ** n_vars) * n_letters)
-    route = "subset" if report.sequential else "marker-history"
     logger.info("det-seVA pipeline (%s): %d quotient states -> %d deterministic states",
                 route, n, len(result.states))
     if not within:

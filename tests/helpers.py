@@ -30,7 +30,7 @@ from spanex.automata import (
     ClassificationReport, DetTables, Label, State, format_label, label_key, reachable, state_name)
 from spanex.engine import DagNode, NodeList, enumerate_ndjson, enumerate_raw
 from spanex.instrument import OpCounter
-from spanex.model import Marker, MarkerSet, all_closed, marker_set_key, markers_compatible
+from spanex.model import Marker, MarkerSet, marker_set_key
 from spanex.transform import _reachable_eva, _subset_moves
 
 
@@ -302,6 +302,27 @@ def determinize_reference(eva: EVA) -> EVA:
                           lambda subset: _subset_moves(subset, eva.out),
                           lambda subset: bool(subset & eva.finals),
                           eva.alphabet, eva.variables)
+
+
+def marker_history_reference(eva: EVA) -> EVA:
+    """The marker-history construction over named states: a ``reachable``
+    walk whose states pair a frozenset of ``eva``'s states with the
+    markers used so far, which takes a marker step only when
+    ``markers_compatible`` with them and is final only when a member is
+    final and the markers are ``all_closed``, built by ``EVA()``."""
+    def moves(state: Tuple[frozenset, MarkerSet]):
+        subset, used = state
+        for label, targets in _subset_moves(subset, eva.out):
+            if isinstance(label, str):
+                yield label, (targets, used)
+            elif markers_compatible(used, label):
+                yield label, (targets, used | label)
+
+    return _reachable_eva(
+        (frozenset([eva.initial]), frozenset()), moves,
+        lambda state: bool(state[0] & eva.finals) and all_closed(state[1]),
+        eva.alphabet, eva.variables,
+    )
 
 
 def same_automaton(first: EVA, second: EVA) -> bool:
@@ -580,6 +601,24 @@ def _describe_path(parents, config, extra: str) -> str:
         cur = prev
     path = " ".join(reversed(steps)) if steps else "(empty run)"
     return f"run [{path}] {extra}"
+
+
+def markers_compatible(used: MarkerSet, step: MarkerSet) -> bool:
+    """Whether a run that has used the markers ``used`` may take the
+    marker set ``step`` at its next position: no marker is used twice,
+    and each close in ``step`` has its open in ``used`` or in ``step``.
+    A history is itself valid when it is compatible as one step from the
+    empty history."""
+    if used & step:
+        return False
+    opened = {m.var for m in used | step if m.is_open}
+    return all(m.var in opened for m in step if not m.is_open)
+
+
+def all_closed(markers: MarkerSet) -> bool:
+    """Whether every variable opened in ``markers`` is also closed."""
+    closed = {m.var for m in markers if not m.is_open}
+    return all(m.var in closed for m in markers if m.is_open)
 
 
 # The history of a run that can no longer be valid.

@@ -17,7 +17,9 @@ not, the bisimulation quotient finds the reference partition and
 keeps the semantics and the verdicts, and both pipelines keep the
 outputs of their construction without the quotient.  Over random EVAs
 and their quotients, ``determinize_eva`` builds what the subset
-construction over named states builds."""
+construction over named states builds, and with marker histories what
+the marker-history construction over named states builds, also from
+condensed random VAs."""
 
 import json
 from unittest import mock
@@ -71,6 +73,7 @@ from helpers import (
     format2_of,
     list_outputs,
     loads_alike,
+    marker_history_reference,
     mapping_set_project,
     prefix_run_like_reference,
     preprocessed_like_reference,
@@ -351,6 +354,17 @@ def test_determinize_equals_the_named_subset_construction(eva):
     # uses, which both constructions drop.
     for automaton in (eva, bisimulation_quotient(eva)):
         assert same_automaton(determinize_eva(automaton), determinize_reference(automaton))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(random_vas().map(va_to_eva), random_evas(functional=False)))
+def test_marker_histories_equal_the_named_construction(eva):
+    # The walk over integer subsets and bitmask histories builds what the
+    # marker-history construction over (frozenset, frozenset) states
+    # builds, on the EVA and on the quotient the pipeline gives it.
+    for automaton in (eva, bisimulation_quotient(eva)):
+        assert same_automaton(determinize_eva(automaton, histories=True),
+                              marker_history_reference(automaton))
 
 
 REGEXES = st.recursive(

@@ -40,8 +40,8 @@ from fixtures import (
     random_documents,
     random_instance,
 )
-from helpers import (all_docs, close_m, determinize_reference, mapping, mset, open_m,
-                     same_automaton, trim)
+from helpers import (all_docs, close_m, determinize_reference, mapping, marker_history_reference,
+                     mset, open_m, same_automaton, trim)
 
 
 def test_va_to_eva_fig3_pair_transition():
@@ -384,16 +384,55 @@ def test_given_sequential_eva_is_reduced_before_determinizing():
         assert count_det_seva(det, doc) == count_det_seva(plain, doc) == len(outputs)
 
 
+# Over v2 and v10, whose str order (v10 first) is not their numeric
+# order: one subset is reached with either variable open, and a close
+# whose open the history lacks must be dropped.
+_TWO_OPENS = EVA(
+    ["q0", "q1", "q2"], "q0", ["q2"],
+    [("q0", mset(open_m("v2")), "q1"), ("q0", mset(open_m("v10")), "q1"),
+     ("q0", mset(open_m("v10")), "q2"), ("q1", "a", "q1"),
+     ("q1", mset(close_m("v2")), "q2"), ("q1", mset(close_m("v10")), "q2"),
+     ("q1", mset(close_m("v2"), close_m("v10")), "q2")],
+    ["a"], ["v2", "v10"])
+
+
+@pytest.mark.parametrize("pattern", [None, "(v2{a}|v10{b})*", "(v2{a}|v10{a})*b",
+                                     "(v2{a*}|v10{a*})(v2{b}|v10{b})", "v10{a}(v2{.*})*"])
+def test_marker_histories_sort_variables_by_name(pattern):
+    # None stands for _TWO_OPENS.
+    eva = bisimulation_quotient(
+        _TWO_OPENS if pattern is None else va_to_eva(rgx_to_va(parse_rgx(pattern, "ab"), "ab")))
+    assert not classify(eva).sequential
+    det = determinize_eva(eva, histories=True)
+    assert same_automaton(det, marker_history_reference(eva))
+
+
+def test_marker_histories_keep_only_valid_steps():
+    det = determinize_eva(bisimulation_quotient(_TWO_OPENS), histories=True)
+    assert [automata.state_name(q) for q in det.state_order()] == [
+        "({q0},{})", "({q1},{open:v10})", "({q1},{open:v2})", "({q1|q2},{open:v10})",
+        "({q2},{close:v10|open:v10})", "({q2},{close:v2|open:v2})"]
+    # A subset holding q2 is final only once its history closes v10.
+    assert sorted(map(automata.state_name, det.finals)) == [
+        "({q2},{close:v10|open:v10})", "({q2},{close:v2|open:v2})"]
+    # No history takes the close of both variables.
+    assert [automata.format_label(label) for label in det._labels] == [
+        "a", "{open:v10}", "{open:v2}", "{close:v10}", "{close:v2}"]
+
+
 def _k_quotient(k):
     # The quotient that `.*a.{k}x{.*}` over ab is determinized from.
     va = rgx_to_va(parse_rgx(".*a" + "." * k + "x{.*}", "ab"), "ab")
     return bisimulation_quotient(va_to_eva(va))
 
 
-def test_determinize_keys_each_input_state_once(monkeypatch):
-    # The subsets are bitsets over the input's canon_key ranks: no subset
-    # is keyed or stepped as a frozenset of named states.
-    eva = _k_quotient(12)
+@pytest.mark.parametrize("k, histories", [(12, False), (8, True)],
+                         ids=["subsets", "marker-histories"])
+def test_determinize_keys_each_input_state_once(monkeypatch, k, histories):
+    # The subsets are bitsets over the input's canon_key ranks, with the
+    # marker history as a bitmask beside them: no state is keyed or
+    # stepped as a frozenset of named states.
+    eva = _k_quotient(k)
     real_key, real_moves = automata.canon_key, transform._subset_moves
     keyed, stepped = [], []
 
@@ -405,8 +444,8 @@ def test_determinize_keys_each_input_state_once(monkeypatch):
     monkeypatch.setattr(transform, "canon_key", counting_key)
     monkeypatch.setattr(transform, "_subset_moves",
                         lambda *args: stepped.append(args) or real_moves(*args))
-    det = determinize_eva(eva)
-    assert len(det.states) == 2 ** 13 + 2
+    det = determinize_eva(eva, histories=histories)
+    assert len(det.states) == 2 ** (k + 1) + 2
     assert len(keyed) <= len(eva.states)
     assert stepped == []
 
@@ -492,7 +531,9 @@ def test_determinize_equals_the_named_subset_construction_on_every_workload_rule
     workloads = _perfbench_workloads()
     given = []
 
-    def spy(eva):
+    def spy(eva, *, histories=False):
+        # Every rule is sequential, so none tracks marker histories.
+        assert not histories
         given.append(eva)
         return determinize_eva(eva)
 
