@@ -135,13 +135,16 @@ class _AutomatonBase:
     ``_clash`` holds the first two transitions of one state on one label
     (state id, label rank, both target ids), or None.  Each producer
     finishes its rows and hands them to ``_setup``: the constructor sorts
-    its triples with ``_rows_by_sort``, a format-3 file of one target per
-    state and label fills them column by column (``_column_rows``), any
-    other indexed file sorts its checked triples (``_sorted_rows``) and
-    ``determinize_eva`` hands over its subsets' moves."""
+    its triples with ``_rows_by_sort``, any indexed file that is not a
+    format-3 file of one target per state and label sorts its checked
+    triples (``_sorted_rows``) and ``determinize_eva`` hands over its
+    subsets' moves.  A format-3 file of one target per state and label
+    hands over its columns as tables instead (``_column_rows``): an EVA's
+    become its ``DetTables``, from which ``_rows`` is derived the first
+    time something reads it, and a VA's rows are derived at once."""
 
     __slots__ = ("alphabet", "states", "initial", "finals", "variables", "_order",
-                 "_initial_id", "_final_ids", "_labels", "_rows", "_clash", "_size",
+                 "_initial_id", "_final_ids", "_labels", "_row_lists", "_clash", "_size",
                  "_out", "_transitions", "_report", "_tables")
 
     def __init__(
@@ -182,21 +185,25 @@ class _AutomatonBase:
         rank = {label: r for r, label in enumerate(ranked)}
         rows, clash = _rows_by_sort(len(order), len(ranked),
                                     [rank[label] for label in labels], triples)
-        self._setup(order, index[initial], [index[q] for q in finals], labels, ranked,
+        self._setup(order, states, index[initial], [index[q] for q in finals], labels, ranked,
                     rows, clash, alphabet, variables)
 
-    def _setup(self, order: List[State], initial: int, finals: Iterable[int],
-               labels: List[Label], ranked: List[Label], rows: List[List[Tuple[int, int]]],
+    def _setup(self, order: List[State], states: FrozenSet[State], initial: int,
+               finals: Iterable[int], labels: List[Label], ranked: List[Label],
+               rows: Optional[List[List[Tuple[int, int]]]],
                clash: Optional[Tuple[int, int, int, int]], alphabet: Iterable[str],
                variables: Optional[Iterable[str]], lists: Optional[Tuple] = None) -> None:
-        """The one core of every automaton: the states ``order``, the ids of
-        the initial and final states, every listed label, each checked, the
-        labels in use ``ranked`` by ``label_key``, their finished ``rows``
-        and ``clash``, and for a loaded EVA the ``DetTables`` markers and
-        letters its file's columns filled (``lists``).  A listed label no row
+        """The one core of every automaton: the states ``order`` and their
+        set ``states``, the ids of the initial and final states, every
+        listed label, each checked, the labels in use ``ranked`` by
+        ``label_key``, and their finished ``rows`` and ``clash``; or, for a
+        format-3 file of one target per state and label, no rows and the
+        ``DetTables`` markers and letters its columns filled (``lists``).
+        An EVA keeps those as its tables and derives its rows from them on
+        first use; a VA derives its rows at once.  A listed label no row
         uses adds no variable."""
         self.alphabet = frozenset(alphabet)
-        self.states = frozenset(order)
+        self.states = states
         self.initial = order[initial]
         self._final_ids = sorted(set(finals))
         self.finals = frozenset(order[i] for i in self._final_ids)
@@ -217,12 +224,30 @@ class _AutomatonBase:
                     f"markers reference undeclared variables: {sorted(missing)}"
                 )
         self.variables = frozenset(variables)
-        self._labels, self._rows, self._clash = ranked, rows, clash
-        self._size = len(order) + sum(map(len, rows))
+        n = len(order)
+        if rows is None and not isinstance(self, EVA):
+            rows, lists = _rows_from_tables(n, ranked, *lists), None
+        self._labels, self._row_lists, self._clash = ranked, rows, clash
+        if rows is None:
+            markers, letters = lists
+            self._size = (n + sum(map(len, markers))
+                          + sum(n - column.count(None) for column in letters.values()))
+        else:
+            self._size = n + sum(map(len, rows))
         self._out: Optional[Dict[State, List[Tuple[Label, State]]]] = None
         self._transitions: Optional[FrozenSet[Transition]] = None
         self._report: Optional[ClassificationReport] = None
         self._tables: Optional[DetTables] = None if lists is None else DetTables(self, *lists)
+
+    @property
+    def _rows(self) -> List[List[Tuple[int, int]]]:
+        """The integer rows; a loaded EVA's are derived from its tables on
+        first use."""
+        if self._row_lists is None:
+            tables = self._tables
+            self._row_lists = _rows_from_tables(len(self._order), self._labels,
+                                                tables.markers, tables.letters)
+        return self._row_lists
 
     def _validate_label(self, label: Label) -> None:
         raise NotImplementedError
@@ -286,8 +311,9 @@ class EVA(_AutomatonBase):
     __slots__ = ()
 
     def tables(self) -> "DetTables":
-        """The interned evaluation tables, built on first use and then
-        shared by every evaluation and count of this automaton."""
+        """The interned evaluation tables, filled by the load of a column
+        file or built from the rows on first use, and then shared by every
+        evaluation and count of this automaton."""
         if self._tables is None:
             self._tables = DetTables(self)
         return self._tables
@@ -306,12 +332,35 @@ class EVA(_AutomatonBase):
             raise FormatError(f"EVA labels must be symbols or nonempty marker sets, got {label!r}")
 
 
+def _rows_from_tables(n: int, ranked: List[Label], markers: List[List[Tuple[Label, int]]],
+                      letters: Dict[str, List[Optional[int]]]) -> List[List[Tuple[int, int]]]:
+    """The ``n`` rows over the labels ``ranked`` that the tables hold: the
+    letter table of each symbol in use, then each state's marker moves,
+    which ``markers`` lists in rank order."""
+    rows: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    rank: Dict[Label, int] = {}
+    for r, label in enumerate(ranked):
+        if isinstance(label, str):
+            for row, p in zip(rows, letters[label]):
+                if p is not None:
+                    row.append((r, p))
+        else:
+            rank[label] = r
+    for row, moves in zip(rows, markers):
+        for label, p in moves:
+            row.append((rank[label], p))
+    return rows
+
+
 class DetTables:
     """The transition structure of an EVA over dense state ids, built in
     one pass over its integer rows on first use, or handed by
     ``_AutomatonBase._setup`` the ``markers`` and ``letters`` that a
     format-3 file's columns filled, where each symbol's column is its
-    letter table.
+    letter table.  Such an EVA has no rows until something reads them,
+    and then derives them from these tables (``_rows_from_tables``); so
+    the count and the evaluation of a loaded det-seVA, and the labelling
+    that certifies it, read these tables only.
 
     States are numbered ``0..k-1`` in ``state_order()`` order, so sorting
     ids sorts states canonically.  ``markers[q]`` holds the marker-set
@@ -456,13 +505,14 @@ def load_automaton(data: Dict[str, Any]):
     dumps to the same object and evaluates with the same ``DetTables`` ids
     as the automaton it was written from.  A file of null and index
     entries only, the file of every deterministic EVA, is checked column
-    by column with built-ins and fills the rows and an EVA's ``DetTables``
-    in one pass per column, so ``tables()`` then costs nothing; its symbol
-    columns become the letter tables as they are, so ``data`` must not be
-    changed afterwards.  Any other file is expanded to index triples and
-    sorted (``_column_rows``).  No
-    state-named transition is built: ``out`` and ``transitions`` stay
-    unbuilt until something asks for them.
+    by column with built-ins and fills only an EVA's ``DetTables``, so
+    ``tables()`` then costs nothing; its symbol columns become the letter
+    tables as they are, so ``data`` must not be changed afterwards.  Its
+    rows are derived from the tables the first time something reads them,
+    and a VA's at once.  Any other file is expanded to index triples and
+    sorted (``_column_rows``).  No state-named transition is built:
+    ``out`` and ``transitions`` stay unbuilt until something asks for
+    them.
 
     A ``"format": 2`` object, which older versions wrote, has the same
     header, lists its labels in any order and holds ``[source, label,
@@ -511,7 +561,8 @@ def _load_indexed(data: Dict[str, Any], version: int):
     if kind not in ("va", "eva"):
         raise FormatError(f"unknown automaton kind {kind!r}")
     states = _strings_from_json(_list_from_json(_field(data, "states"), "states"), "states")
-    if len(set(states)) != len(states):
+    names = frozenset(states)
+    if len(names) != len(states):
         raise FormatError("states must name each state once")
     labels: List[Label] = []
     for obj in _list_from_json(_field(data, "labels"), "labels"):
@@ -535,8 +586,8 @@ def _load_indexed(data: Dict[str, Any], version: int):
     else:
         ranked, rows, clash, lists = _column_rows(_field(data, "columns"), n, labels, alphabet)
     automaton = EVA.__new__(EVA) if kind == "eva" else VA.__new__(VA)
-    automaton._setup(list(states), initial, finals, labels, ranked, rows, clash, alphabet,
-                     variables, lists if kind == "eva" else None)
+    automaton._setup(list(states), names, initial, finals, labels, ranked, rows, clash,
+                     alphabet, variables, lists)
     return automaton
 
 
@@ -569,16 +620,16 @@ def _sorted_rows(n: int, labels: List[Label], triples: List) -> Tuple:
 
 
 def _column_rows(columns: Any, n: int, labels: List[Label], alphabet: List[str]) -> Tuple:
-    """The labels in use ranked by ``label_key``, the rows, the clash and
-    the ``DetTables`` markers and letters (or None) of a format-3 file's
-    ``columns``, one list of ``n`` entries per label.
+    """The labels in use ranked by ``label_key``, the rows (or None), the
+    clash and the ``DetTables`` markers and letters (or None) of a
+    format-3 file's ``columns``, one list of ``n`` entries per label.
 
     When every entry is null or an index, the common case, built-ins
     check the entries: their types, then the ``min`` and ``max`` of their
     set of indices.  An all-null column is an unused label.  The used
-    columns, taken in rank order, fill the rows and the tables in one
-    ``zip`` pass each: a symbol's column is its letter table, and a marker
-    label's targets are appended to ``markers`` in ``out`` order.  No
+    columns, taken in rank order, fill only the tables, and no rows: a
+    symbol's column is its letter table, and a marker label's targets are
+    appended to ``markers`` in ``out`` order in one ``zip`` pass.  No
     state moves twice on one label, so there is no clash.  A file that
     fails these checks, such as one with a list of targets, goes to
     ``_expanded_rows``."""
@@ -603,25 +654,20 @@ def _column_rows(columns: Any, n: int, labels: List[Label], alphabet: List[str])
     used = [(label_key(labels[a]), a) for a, column in enumerate(columns)
             if any(column) or 0 in column]
     used.sort()
-    rows: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    markers: List[List[Tuple[MarkerSet, int]]] = [[] for _ in range(n)]
+    markers: List[List[Tuple[Label, int]]] = [[] for _ in range(n)]
     letters: Dict[str, List[Optional[int]]] = {}
-    for r, (_, a) in enumerate(used):
+    for _, a in used:
         column, label = columns[a], labels[a]
         if isinstance(label, str):
             letters[label] = column
-            for row, p in zip(rows, column):
-                if p is not None:
-                    row.append((r, p))
         else:
-            for row, moves, p in zip(rows, markers, column):
+            for moves, p in zip(markers, column):
                 if p is not None:
-                    row.append((r, p))
                     moves.append((label, p))
     for a in alphabet:
         if a not in letters:
             letters[a] = [None] * n
-    return [labels[a] for _, a in used], rows, None, (markers, letters)
+    return [labels[a] for _, a in used], None, None, (markers, letters)
 
 
 def _expanded_rows(columns: List[List[Any]], n: int, labels: List[Label]) -> Tuple:
@@ -910,15 +956,16 @@ def classify(automaton) -> ClassificationReport:
     """Decide sequential / functional (and deterministic for EVA).
 
     Both passes keep a run's marker history as a bitmask over the one
-    table ``_marker_masks`` builds.  An EVA is first certified by
-    labelling (``_one_history_per_pair``): when each (state, marker-step
-    flag) pair it reaches has one history, every marker step is
-    compatible and every final pair has used every marker, it is
-    sequential and functional.  Any other automaton takes the
-    reachability walk over (state, history) configurations
-    (``_walk_configurations``), which alone writes witnesses.
-    Determinism is the rows' ``_clash``: an automaton whose rows were
-    filled in order has none.  The report is kept on the
+    table ``_marker_masks`` builds.  An EVA without a ``_clash`` is first
+    certified by labelling over its ``tables()`` (``_one_history_per_pair``):
+    when each (state, marker-step flag) pair it reaches has one history,
+    every marker step is compatible and every final pair has used every
+    marker, it is sequential and functional.  The tables keep only the
+    last target of a clash, so an EVA with one is not labelled.  Any other
+    automaton takes the reachability walk over (state, history)
+    configurations of its rows (``_walk_configurations``), which alone
+    writes witnesses.  Determinism is the rows' ``_clash``: a file of one
+    target per state and label has none.  The report is kept on the
     automaton.  An automaton of more than ``VARIABLE_CAP`` variables
     raises and never gets one, so a kept report needs no cap check."""
     if automaton._report is None:
@@ -933,7 +980,8 @@ def classify(automaton) -> ClassificationReport:
 
 def _classify(automaton) -> ClassificationReport:
     labels = automaton._labels
-    if isinstance(automaton, EVA) and _one_history_per_pair(automaton):
+    if (isinstance(automaton, EVA) and automaton._clash is None
+            and _one_history_per_pair(automaton)):
         sequential, functional, seq_witness, fun_witness = True, True, None, None
     else:
         sequential, functional, seq_witness, fun_witness = _walk_configurations(automaton)
@@ -992,7 +1040,8 @@ def _marker_masks(automaton) -> Tuple[List[str], int, List[int], List[int], int]
 
 
 def _one_history_per_pair(eva: EVA) -> bool:
-    """Whether labelling certifies ``eva`` sequential and functional.
+    """Whether labelling certifies ``eva``, which has no ``_clash``,
+    sequential and functional.
 
     Each (state, flag) pair the runs reach, the flag allowing a variable
     step, is labelled with the marker history (``_marker_masks``) of the
@@ -1000,21 +1049,28 @@ def _one_history_per_pair(eva: EVA) -> bool:
     compatible with its history, every step yields the history its
     target pair already holds and every final pair reached holds every
     bit.  Then the configurations ``_walk_configurations`` reaches are
-    these pairs with their histories, and none of them is bad."""
-    rows = eva._rows
+    these pairs with their histories, and none of them is bad.  The
+    moves are read from ``tables()``: the letter tables of the symbols in
+    use and ``markers[q]``, whose labels map to their bits and needs."""
+    tables = eva.tables()
+    labels = eva._labels
     _, symbols, masks, needs, opens = _marker_masks(eva)
+    columns = [tables.letters[a] for a in labels[:symbols]]
+    steps = {labels[r]: (masks[r], needs[r]) for r in range(symbols, len(labels))}
+    markers = tables.markers
     full = opens | opens << 1
-    final = bytearray(len(rows))
-    for q in eva._final_ids:
+    n = len(markers)
+    final = bytearray(n)
+    for q in tables.finals:
         final[q] = 1
     # The histories of the pairs that allow a variable step (the initial
     # one and those a letter reaches) and of those a marker step reaches,
     # -1 until reached.  The stack holds the state ids of newly reached
     # pairs of the first kind and the complements of the second.
-    at_letter = [-1] * len(rows)
-    at_marker = [-1] * len(rows)
-    at_letter[eva._initial_id] = 0
-    stack = [eva._initial_id]
+    at_letter = [-1] * n
+    at_marker = [-1] * n
+    at_letter[tables.initial] = 0
+    stack = [tables.initial]
     while stack:
         q = stack.pop()
         may_step = q >= 0
@@ -1025,20 +1081,20 @@ def _one_history_per_pair(eva: EVA) -> bool:
             h = at_marker[q]
         if final[q] and h != full:
             return False
-        for r, p in rows[q]:
-            if r < symbols:
+        for column in columns:
+            p = column[q]
+            if p is not None:
                 seen = at_letter[p]
                 if seen < 0:
                     at_letter[p] = h
                     stack.append(p)
                 elif seen != h:
                     return False
-            elif not may_step:
-                break  # marker ranks follow the symbols in a row
-            else:
-                m = masks[r]
+        if may_step:
+            for label, p in markers[q]:
+                m, need = steps[label]
                 g = h | m
-                if h & m or needs[r] & ~g:
+                if h & m or need & ~g:
                     return False
                 seen = at_marker[p]
                 if seen < 0:

@@ -199,7 +199,7 @@ def determinize_eva(eva: EVA, *, histories: bool = False) -> EVA:
         rank[r] = position
     det = EVA.__new__(EVA)
     # (key ^ key >> 1) & opens: the variables opened and not closed.
-    det._setup(states, new[0],
+    det._setup(states, frozenset(states), new[0],
                [new[q] for q, subset in enumerate(members)
                 if not final.isdisjoint(subset) and not (keys[q] ^ keys[q] >> 1) & opens],
                labels, [labels[r] for r in kept],

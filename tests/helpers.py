@@ -155,8 +155,12 @@ def format2_of(data: Dict[str, Any]) -> Dict[str, Any]:
 def loads_alike(first: Dict[str, Any], second: Dict[str, Any]) -> None:
     """Assert that the automaton objects ``first`` and ``second`` load to
     equal rows, clash, labels, variables, size, ``DetTables`` slots,
-    report and file text."""
+    report and file text.  The reports are taken first, before anything
+    else reads the rows, so a file that loads into tables alone is
+    classified over them; each automaton keeps its report."""
     one, other = load_automaton(first), load_automaton(second)
+    classify(one)
+    classify(other)
     assert type(one) is type(other)
     assert one._rows == other._rows
     assert one._clash == other._clash

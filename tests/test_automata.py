@@ -15,7 +15,10 @@ from spanex import (
     brute_enumerate_va,
     classify,
     compile_spanner,
+    count_det_seva,
     dump_automaton,
+    enumerate_stream,
+    evaluate_preprocess,
     functional_va_to_det_seva,
     load_automaton,
     parse_rgx,
@@ -338,7 +341,7 @@ def _rule_book_compiles():
 @pytest.mark.parametrize("name", ["contact", "dense", "k10", "join", "union", "project"])
 def test_compiled_files_load_in_order_and_certify_by_labelling(name, monkeypatch):
     # The benchmark's automata keep the fast paths: their format-3 files
-    # fill the rows column by column with no sort, each symbol's column
+    # fill their tables column by column with no sort, each symbol's column
     # is its letter table, and every one but contact, which reaches a
     # state with two marker histories, is certified without the walk.
     det, _ = _rule_book_compiles()[name]()
@@ -360,6 +363,64 @@ def test_compiled_files_load_in_order_and_certify_by_labelling(name, monkeypatch
     else:
         monkeypatch.setattr(spanex.automata, "_walk_configurations", refuse)
         assert classify(loaded) == ClassificationReport(True, True, True)
+
+
+@pytest.mark.parametrize("name", ["dense", "k10"])
+def test_compiled_file_classifies_counts_and_enumerates_without_rows(name):
+    # A count or enumerate job reads the loaded tables only; the rows,
+    # out and transitions are derived on first use, equal to those of the
+    # same file's format-2 load.
+    det, _ = _rule_book_compiles()[name]()
+    data = json.loads(automaton_json(det))
+    loaded, expected = load_automaton(data), load_automaton(format2_of(data))
+    doc = Document("ab" * 20)
+    assert classify(loaded) == ClassificationReport(True, True, True)
+    total = count_det_seva(loaded, doc)
+    assert len(list(enumerate_stream(evaluate_preprocess(loaded, doc)))) == total
+    assert total == count_det_seva(expected, doc) > 0
+    assert loaded.size == expected.size
+    assert (loaded._row_lists, loaded._out, loaded._transitions) == (None, None, None)
+    assert loaded._rows == expected._rows
+    for q in expected.state_order():
+        assert loaded.out(q) == expected.out(q)
+    assert loaded.transitions == expected.transitions
+    assert automaton_json(loaded) == automaton_json(expected)
+
+
+def _clash_eva():
+    """A nondeterministic EVA whose letter table keeps only the move 0 -a-> 2,
+    over which every pair has one history; the run through 1 closes x
+    without opening it and still accepts."""
+    return EVA([0, 1, 2, 3], 0, [3], [(0, "a", 1), (0, "a", 2), (1, mset(close_m("x")), 3),
+                                      (2, mset(open_m("x"), close_m("x")), 3)], "a")
+
+
+# The file of _clash_eva(): state 0's two moves on a are one list entry.
+_CLASH_FILE = {
+    "alphabet": ["a"], "format": 3, "kind": "eva", "variables": ["x"],
+    "states": ["0", "1", "2", "3"], "initial": 0, "finals": [3],
+    "labels": [{"symbol": "a"}, {"markers": ["open:x", "close:x"]}, {"markers": ["close:x"]}],
+    "columns": [[[1, 2], None, None, None], [None, None, 3, None], [None, 3, None, None]],
+}
+
+
+@pytest.mark.parametrize("source", ["constructed", "format3"])
+def test_an_eva_with_a_clash_is_not_labelled(source, monkeypatch):
+    # Labelling over the tables would certify this EVA sequential; the
+    # clash sends it to the walk, which finds the bad run.
+    assert json.loads(automaton_json(_clash_eva())) == _CLASH_FILE
+    expanded = []
+    real = spanex.automata._expanded_rows
+    monkeypatch.setattr(spanex.automata, "_expanded_rows",
+                        lambda *args: expanded.append(args) or real(*args))
+    eva = _clash_eva() if source == "constructed" else load_automaton(_CLASH_FILE)
+    assert bool(expanded) is (source == "format3")
+    report = classify(eva)
+    assert report == classify_reference(eva)
+    assert report == ClassificationReport(
+        False, False, False,
+        "run [a {close:x}] reuses or mis-nests a marker and still accepts",
+        "not sequential", "state 0 has two transitions on a: to 1 and 2")
 
 
 def _labelled_eva(extra=(), finals=("s3",)):

@@ -293,9 +293,10 @@ def test_classify_equals_reference_classifier(automaton):
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(ANY_AUTOMATON)
 def test_format3_file_loads_like_its_format2_encoding(automaton):
-    # A written file's columns fill the rows directly unless a state
-    # moves twice on one label; then they are expanded and sorted.  Either
-    # way the file loads as its format-2 triples, shuffled or not, load.
+    # A written file's columns fill only the tables unless a state moves
+    # twice on one label; then they are expanded and sorted into rows.
+    # Either way the file loads, and classifies before its rows are read,
+    # as its format-2 triples, shuffled or not, load.
     data = dump_automaton(automaton)
     assert data["format"] == 3
     expanded = []
@@ -306,6 +307,9 @@ def test_format3_file_loads_like_its_format2_encoding(automaton):
         loads_alike(data, format2_of(data))
     assert bool(expanded) is any(isinstance(entry, list)
                                  for column in data["columns"] for entry in column)
+    # A VA derives its rows from the columns as it loads; an EVA does not.
+    loaded = load_automaton(data)
+    assert (loaded._row_lists is None) is (isinstance(loaded, EVA) and not expanded)
     triples = format2_of(data)
     if triples["transitions"]:
         loads_alike(data, _reordered(triples, 7))
