@@ -23,16 +23,20 @@ as lazy-DFA matchers and REmatch (Riveros, Van Sint Jan, Vrgoč, VLDB
   capturing stage takes, one (copy, marker set, target) edge per node,
   the reading moves as a first arrival per next state and the appends
   after it, the next live set, and the paper's op constants of both
-  stages.  Replaying it takes the copies, prepends the nodes and moves
-  the lists, with no dict and no sort.
+  stages packed into one integer of 64-bit lanes (see ``LANE``): a
+  replay adds them with one addition, and the lanes are split once,
+  after the document.  Replaying it takes the copies, prepends the
+  nodes and moves the lists, with no dict and no sort.
 - Each DAG node is its own list cell: its ``next`` slot chains the list
   it sits in, so a node costs one object.  The sink ⊥ is a node without
   a predecessor list, made afresh by each call: appends may set its
   ``next``, so it belongs to one run.
 - A step is *in place* when it has no edges and no joins and sends
-  every list to its own slot: its replay only adds the op constants
-  and takes the next live set and row, and the lists stay where they
-  are (the next live set may name other states).
+  every list to its own slot: its replay is one row lookup and one
+  addition of its packed constant, after which it takes the next live
+  set and row, and the lists stay where they are (the next live set may
+  name other states).  The end of the document is never in place: its
+  step may build the last nodes.
 - Looking one letter ahead: at i <= n a marker transition into a state
   with no transition on the next letter builds a node that reading drops
   at once, off every output path, so steps leave such edges out.  The
@@ -53,7 +57,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from . import counting
 from .automata import EVA, DetTables, State, require_det_seva
@@ -163,10 +167,24 @@ class EvaluationState:
         }
 
 
-# (sources, node edges, slot ids, first arrivals or None in place, joins,
-#  lazy copies, nodes, reading visits, appends, next live set, its row of
-#  steps or None without a reading part)
+# The fields of a recorded step, by position: the slots whose lazy copies
+# capturing takes, its node edges, the state id of every slot, the first
+# arrivals (None in place, () at the end of the document), the joins, the
+# packed op constants, the next live set and its row of steps (None at
+# the end of the document).
+SOURCES, EDGES, SLOTS, FIRSTS, JOINS, OPS, LIVE, ROW = range(8)
 Step = Tuple[Any, ...]
+
+# A step's op constants are packed into one integer of four LANE-bit
+# lanes: lazy copies, paper nodes, reading visits and appends, lowest
+# first, so the sum of packed constants is the packed sum of their lanes
+# while no lane's total reaches 2^LANE.  No step constant exceeds the
+# automaton's size |A| (states plus transitions), so over a document of
+# n characters no lane's total exceeds (n + 1) * |A|: a carry needs that
+# product to reach 2^64, about 1.8e19, and a 10^12-character document
+# over an automaton of size 10^7 stays below it.
+LANE = 64
+_LANE_MASK = (1 << LANE) - 1
 
 
 def evaluate_preprocess(
@@ -185,15 +203,17 @@ def evaluate_preprocess(
     Each character replays the step recorded for its live set and letter
     (see the module docstring), so work per position is proportional to
     the live part of the automaton; an in-place step, which builds no
-    node and moves no list, costs one row lookup and its op constants.
+    node and moves no list, costs one row lookup and one addition of its
+    packed op constants.
     The capturing stage at i <= n builds only the nodes whose target
     reads the next letter; every output path of the DAG is the paper's.
 
     Operation counts are the paper's per-stage amounts, not the nodes
     built: one ``preprocess`` step per lazy copy (one per live state),
     per live state visited in either stage and per list append, two per
-    DAG node of the paper's stage, plus one for the initial list.  They
-    are summed in locals and added to ``counter`` at the end.
+    DAG node of the paper's stage, plus one for the initial list.  A
+    step's counts are packed into one integer (see ``LANE``); they are
+    summed in one local and split into ``counter`` at the end.
     """
     if validate:
         require_det_seva(automaton)
@@ -210,8 +230,7 @@ def evaluate_preprocess(
     rows: Dict[Tuple[int, ...], Dict[Optional[str], Step]] = {live: {}}
     row = rows[live]
     held = 0  # the recorded steps and their slots and edges
-    # ops: the initial list plus the live states visited by reading.
-    ops, copies, nodes, appends = 1, 0, 0, 0
+    total = 0  # the packed op constants of the steps taken
 
     for i, symbol in enumerate(chain(document.content, (None,)), 1):
         step = row.get(symbol)
@@ -226,9 +245,11 @@ def evaluate_preprocess(
                 row = rows[live] = {}
                 held = 0
             step = row[symbol] = _record(live, markers, successor, reached, rows)
-            held += 1 + len(step[1]) + len(step[2])
-        (sources, edges, slots, firsts, joins, stage_copies, stage_nodes, stage_reads,
-         stage_appends, live, row) = step
+            held += 1 + len(step[EDGES]) + len(step[SLOTS])
+        sources, edges, slots, firsts, joins, packed, live, row = step
+        total += packed
+        if firsts is None:  # in place: every list stays in its slot
+            continue
 
         # Capturing: each kept marker transition adds a node holding a
         # lazy copy of its source's list; every copy is taken before the
@@ -242,31 +263,28 @@ def evaluate_preprocess(
                 else:
                     target = work[t]
                     target.start = DagNode(marker_set, i, taken[k], target.start)
-        copies += stage_copies
-        nodes += stage_nodes
         if row is None:  # the end of the document
             break
 
         # Reading: each list moves along its letter transition into the
         # first arrival's place, and the later arrivals are appended to
-        # it in ascending state order; the other lists empty.  An in-place
-        # step (``firsts`` None) leaves every list in its slot.  It skips
-        # the append-once check: it moves and appends no list, and after
-        # any step ``work`` holds no consumed list (the appended ones
-        # leave it), so the check would find nothing.
-        if firsts is not None:
-            moved = []
-            for s in firsts:
-                nodelist = work[s]
-                if nodelist.consumed:
-                    raise AssertionError("append-once discipline violated: list already appended")
-                moved.append(nodelist)
-            for s, d in joins:
-                moved[d].append(work[s])
-            work = moved
-        ops += stage_reads
-        appends += stage_appends
+        # it in ascending state order; the other lists empty.  In-place
+        # steps skip the append-once check: they move and append no list,
+        # and after any step ``work`` holds no consumed list (the appended
+        # ones leave it), so the check would find nothing.
+        moved = []
+        for s in firsts:
+            nodelist = work[s]
+            if nodelist.consumed:
+                raise AssertionError("append-once discipline violated: list already appended")
+            moved.append(nodelist)
+        for s, d in joins:
+            moved[d].append(work[s])
+        work = moved
 
+    copies, nodes = total & _LANE_MASK, total >> LANE & _LANE_MASK
+    # ops: the initial list plus the live states visited by reading.
+    ops, appends = 1 + (total >> 2 * LANE & _LANE_MASK), total >> 3 * LANE
     counter.preprocess += ops + 2 * copies + 2 * nodes + appends
     counter.note("lazycopy", copies)
     if nodes:
@@ -290,7 +308,7 @@ def _record(live: Tuple[int, ...], markers: List[List[Tuple[MarkerSet, int]]],
     free slot, given as None on its first edge.  ``slots`` holds the state
     id of every slot.  Only edges into a state that reads the letter are
     kept.  ``successor`` None records the end of the document: every
-    edge, no reading part and no next row.
+    edge, no reading part, ``firsts`` () and no next row.
 
     Reading: ``firsts[d]`` is the slot whose list moves into the d-th
     state of the next live set, and each join (slot, d) appends a list to
@@ -298,17 +316,17 @@ def _record(live: Tuple[int, ...], markers: List[List[Tuple[MarkerSet, int]]],
     in place: no edge, no join and ``firsts[d] == d`` for every slot.
     The next live set's row is taken from ``rows`` or added to it.
 
-    The op constants are the paper's: one copy per live state and one
-    node per marker transition, |L+| visits and one append per letter
-    transition taken from L+, where L+ is ``live`` with all its marker
-    targets.  Every state of L+ and of the next live set is marked in
-    ``reached``.
+    The op constants are the paper's, packed into ``LANE``-bit lanes:
+    one copy per live state and one node per marker transition, |L+|
+    visits and one append per letter transition taken from L+, where L+
+    is ``live`` with all its marker targets.  Every state of L+ and of
+    the next live set is marked in ``reached``.
     """
     slots = list(live)
     slot: Optional[Dict[int, int]] = None
     sources: List[int] = []
     edges: List[Tuple[int, MarkerSet, Optional[int]]] = []
-    dropped: List[int] = []
+    dropped: Set[int] = set()
     nodes = 0
     for j, q in enumerate(live):
         out = markers[q]
@@ -319,7 +337,7 @@ def _record(live: Tuple[int, ...], markers: List[List[Tuple[MarkerSet, int]]],
         for marker_set, p in out:
             reached[p] = 1
             if successor is not None and successor[p] is None:
-                dropped.append(p)
+                dropped.add(p)
                 continue
             if slot is None:
                 slot = dict(zip(live, range(len(live))))
@@ -332,9 +350,10 @@ def _record(live: Tuple[int, ...], markers: List[List[Tuple[MarkerSet, int]]],
             sources.append(j)
     visits = len(slots)
     if dropped:
-        visits += len(set(dropped).difference(slot or live))
+        dropped.difference_update(slot or live)
+        visits += len(dropped)
     if successor is None:
-        return sources, edges, slots, None, [], len(live), nodes, 0, 0, live, None
+        return sources, edges, slots, (), [], len(live) | nodes << LANE, live, None
     moves: Dict[int, int] = {}  # next state -> slot of its first arrival
     joins = []
     grown = len(slots) > len(live)  # new targets sit after ``live``, out of state order
@@ -359,8 +378,9 @@ def _record(live: Tuple[int, ...], markers: List[List[Tuple[MarkerSet, int]]],
     row = rows.get(following)
     if row is None:
         row = rows[following] = {}
-    return (sources, edges, slots, firsts, joins, len(live), nodes, visits, len(after) + len(joins),
-            following, row)
+    packed = (len(live) | nodes << LANE | visits << 2 * LANE
+              | len(after) + len(joins) << 3 * LANE)
+    return sources, edges, slots, firsts, joins, packed, following, row
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ _ORDERS = [order for order in itertools.permutations(_MARKERS)
 
 
 @st.composite
-def random_evas(draw, functional: bool) -> EVA:
+def random_evas(draw, functional: bool, clash: bool = False) -> EVA:
     """A small EVA over {a, b} and the variables x, y: a chain q0 -> q1
     -> ... -> q(n-1) plus random transitions, many of them marker sets, so
     that marker steps often lead into states with marker steps of their own.
@@ -205,6 +205,12 @@ def random_evas(draw, functional: bool) -> EVA:
     with equal prefixes, a marker set adds the difference, and the states
     with all four markers are the final ones.  Otherwise labels and final
     states are arbitrary.
+
+    A ``clash`` (with ``functional``) adds a second target to one state's
+    move on a letter: the state d, which reuses a marker of that state's
+    prefix, or closes x unopened, on its way to the final q(n-1).  d sorts
+    before every qi, so a letter table keeps the other target and drops d:
+    the only runs that break sequentiality go through the dropped move.
     """
     n = draw(st.integers(2, 5))
     if functional:
@@ -227,8 +233,16 @@ def random_evas(draw, functional: bool) -> EVA:
     moves = [(q, label, p) for q in range(n) for p in range(n) for label in labels(q, p)]
     extra = draw(st.lists(st.sampled_from(moves), max_size=2 * n))
     names = [f"q{i}" for i in range(n)]
-    return EVA(names, "q0", [names[q] for q in finals],
-               [(names[q], label, names[p]) for q, label, p in chain + extra], "ab", ["x", "y"])
+    transitions = [(names[q], label, names[p]) for q, label, p in chain + extra]
+    states, final_names = list(names), [names[q] for q in finals]
+    if clash:
+        q, letter = draw(st.integers(0, n - 1)), draw(st.sampled_from("ab"))
+        if not any(source == q and label == letter for source, label, _ in chain + extra):
+            transitions.append((names[q], letter, names[q]))
+        bad = Marker.open("x") if Marker.open("x") in seen[q] else Marker.close("x")
+        transitions += [(names[q], letter, "d"), ("d", frozenset([bad]), names[-1])]
+        states.append("d")
+    return EVA(states, "q0", final_names, transitions, "ab", ["x", "y"])
 
 
 @st.composite

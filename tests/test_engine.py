@@ -725,6 +725,51 @@ def test_kernel_op_counts_pinned(build, text, ops, detail, count_ops, outputs, m
     assert sum(not nl.is_empty for nl in state.lists.values()) == nonempty
 
 
+def _contact_document(seed, length):
+    """Contact records and separators of the Fig-1 text, and its single
+    characters as noise, drawn until the text holds ``length`` characters."""
+    rng = random.Random(seed)
+    pieces = ["John_<j@g.be>", "Jane_<555-12>", ",_", *sorted(set(FIG1_TEXT))]
+    parts, size = [], 0
+    while size < length:
+        parts.append(rng.choice(pieces))
+        size += len(parts[-1])
+    return Document("".join(parts))
+
+
+def test_packed_op_constants_split_like_the_reference_past_every_lane_boundary():
+    # Each step packs its op constants into lanes of one integer; on this
+    # document every lane's total passes 2^16, so a narrow lane carries
+    # and swapped lanes read another count.
+    det, doc = _fig1_reduced_det_seva(), _contact_document(47, 50_000)
+    got, want = OpCounter(), OpCounter()
+    evaluate_preprocess(det, doc, counter=got)
+    preprocess_reference(det, doc, counter=want)
+    assert (got.preprocess, got.detail) == (want.preprocess, want.detail)
+    copies, nodes, appends = (want.detail[key] for key in ("lazycopy", "node", "append"))
+    visits = want.preprocess - 1 - 2 * copies - 2 * nodes - appends
+    assert min(copies, nodes, visits, appends) > 1 << 16
+
+
+@pytest.mark.parametrize("text", ["a", "ba", "aaba", "bbbbba"])
+def test_last_capture_at_the_end_of_the_document(monkeypatch, text):
+    # .*x{a} closes x after the last letter: the end-of-document step
+    # carries that marker edge, so it must not be replayed in place.
+    record, ends = engine._record, []
+
+    def watched(live, markers, successor, reached, rows):
+        step = record(live, markers, successor, reached, rows)
+        if successor is None:
+            ends.append(step)
+        return step
+
+    monkeypatch.setattr(engine, "_record", watched)
+    det, _ = compile_spanner(parse_rgx(".*x{a}", "ab"), "ab")
+    n = len(text)
+    assert preprocessed_like_reference(det, Document(text)) == [f'{{"x": [{n}, {n + 1}]}}\n']
+    assert len(ends) == 1 and ends[0][engine.EDGES] and ends[0][engine.ROW] is None
+
+
 def test_preprocess_with_step_memo_cleared_before_every_recording(monkeypatch):
     # A zero budget clears the memo before every recording, so each step
     # re-interns the live set it starts from.
@@ -744,7 +789,7 @@ def test_step_memo_entries_stay_within_budget(monkeypatch):
 
     def watched(live, markers, successor, reached, rows):
         step = record(live, markers, successor, reached, rows)
-        held.append(sum(1 + len(s[1]) + len(s[2])
+        held.append(sum(1 + len(s[engine.EDGES]) + len(s[engine.SLOTS])
                         for s in chain([step], *(row.values() for row in rows.values()))))
         return step
 

@@ -91,7 +91,7 @@ def _recorded(monkeypatch, eva, doc):
 
     def step_watched(live, markers, successor, reached, rows):
         step = step_record(live, markers, successor, reached, rows)
-        steps.append((live, step, step[3] is None and step[10] is not None))
+        steps.append((live, step, step[engine.FIRSTS] is None and step[engine.ROW] is not None))
         return step
 
     monkeypatch.setattr(counting, "_record", count_watched)
@@ -124,7 +124,7 @@ def test_pure_in_place_run(monkeypatch):
     ids = {q: k for k, q in enumerate(eva.tables().states)}
     after = [(ids["u"], ids["v"]), (ids["g"], ids["h"])]
     assert sorted(program[3] for _, program, in_place in programs if in_place) == sorted(after)
-    assert sorted(step[9] for _, step, in_place in steps if in_place) == sorted(after)
+    assert sorted(step[engine.LIVE] for _, step, in_place in steps if in_place) == sorted(after)
     assert {live for live, _, in_place in programs + steps if in_place} == {after[0]}
 
 
@@ -136,7 +136,7 @@ def test_swap_is_not_in_place(monkeypatch, a_run):
     programs, steps = _recorded(monkeypatch, eva, doc)
     swaps = [program for _, program, _ in programs if program[1] == [(0, 1), (1, 0)]]
     assert swaps and all(size == 2 for size, *_ in swaps)
-    assert any(step[3] == [1, 0] for _, step, _ in steps)
+    assert any(step[engine.FIRSTS] == [1, 0] for _, step, _ in steps)
     assert not any(in_place for *_, in_place in programs + steps)
 
 
@@ -174,7 +174,7 @@ def test_in_place_step_renames_its_live_state(monkeypatch):
     assert lines == ['{"x": [1, 9]}\n']
     _, steps = _recorded(monkeypatch, eva, doc)
     ids = {q: k for k, q in enumerate(eva.tables().states)}
-    renamed = [(live, step[9]) for live, step, in_place in steps if in_place]
+    renamed = [(live, step[engine.LIVE]) for live, step, in_place in steps if in_place]
     assert ((ids["u"],), (ids["w"],)) in renamed
     assert ((ids["w"],), (ids["w"],)) in renamed
 

@@ -277,7 +277,8 @@ def test_prefix_runs_are_the_papers_capturing_stage(eva, texts):
 
 
 ANY_AUTOMATON = st.one_of(random_vas(), random_evas(functional=False),
-                          random_evas(functional=True))
+                          random_evas(functional=True),
+                          random_evas(functional=True, clash=True))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
