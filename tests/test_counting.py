@@ -182,7 +182,7 @@ def test_memo_entries_stay_within_budget(monkeypatch):
 
     def watched(live, markers, successor, end, rows):
         program = record(live, markers, successor, end, rows)
-        held.append(sum(1 + len(p[1])
+        held.append(sum(1 + len(p[counting.PAIRS])
                         for p in chain([program], *(row.values() for row in rows.values()))))
         return program
 
@@ -260,3 +260,26 @@ def test_count_names_an_unknown_symbol_where_it_is_read(text, position):
         with pytest.raises(InputError) as raised:
             kernel(_marker_into_final(), Document(text))
         assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("text, position", [("a" * 2_000 + "z" + "a" * 9, 2_001),
+                                            ("a" * 2_000 + "zz", 2_001),
+                                            ("a" * 2_000 + "z", 2_001)])
+def test_unknown_symbol_after_a_recorded_prefix_is_named_where_it_is_read(monkeypatch, text,
+                                                                          position):
+    # Every 'a' after the first replays a recorded program, so the unknown
+    # symbol is the first miss that has no letter table.  The error comes
+    # before the end of the document: no end program is recorded.
+    record, ends = counting._record, []
+
+    def watched(live, markers, successor, end, rows):
+        ends.append(end)
+        return record(live, markers, successor, end, rows)
+
+    monkeypatch.setattr(counting, "_record", watched)
+    message = f"symbol 'z' at position {position} is not in the alphabet"
+    for kernel in (count_det_seva, count_reference):
+        with pytest.raises(InputError) as raised:
+            kernel(_marker_into_final(), Document(text))
+        assert str(raised.value) == message
+    assert ends and not any(ends)

@@ -6,7 +6,12 @@ on its document; both kernels must agree with their reference kernels on
 the outputs, their order, the counts, the op counts and ``reached``.
 Preprocessing must also agree on every state's list after each
 capturing stage: the run on the first i letters ends with capturing
-stage i + 1, so runs on every prefix show the per-stage lists."""
+stage i + 1, so runs on every prefix show the per-stage lists.
+Counting replays a program in which each next slot has one source path
+(a swap, a drop or a duplication of counts) through its move, and one in
+which two paths merge into a slot through its pairs."""
+
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +82,34 @@ def _renamed():
     )
 
 
+def _drop():
+    # i opens one of x, y and z into u, v or w, which read 'b'; u and w
+    # also read 'a', v does not.  After b, the first 'a' takes (u, v, w)
+    # to (u, w): v's count leaves the middle slot and every next slot has
+    # one source, a move without a merge.  Each variable closes into f.
+    return EVA(
+        ["i", "u", "v", "w", "f"], "i", ["f"],
+        [("i", mset(open_m("x")), "u"), ("i", mset(open_m("y")), "v"),
+         ("i", mset(open_m("z")), "w"), ("u", "a", "u"), ("u", "b", "u"), ("v", "b", "v"),
+         ("w", "a", "w"), ("w", "b", "w"), ("u", mset(close_m("x")), "f"),
+         ("v", mset(close_m("y")), "f"), ("w", mset(close_m("z")), "f")],
+        ["a", "b"], ["x", "y", "z"],
+    )
+
+
+def _duplicate():
+    # i reads every letter into itself, and x may open into o, which reads
+    # 'a' into u: from (i,), 'a' sends slot 0 to both i and u, one path
+    # each.  u reads nothing and closes x into f, so every 'b' goes back
+    # to (i,) and the next 'a' replays the duplication.
+    return EVA(
+        ["i", "o", "u", "f"], "i", ["f"],
+        [("i", "a", "i"), ("i", "b", "i"), ("i", mset(open_m("x")), "o"), ("o", "a", "u"),
+         ("u", mset(close_m("x")), "f")],
+        ["a", "b"], ["x"],
+    )
+
+
 def _recorded(monkeypatch, eva, doc):
     """Every (live set, program, in place) that counting records on the
     document and every (live set, step, in place) that preprocessing
@@ -86,7 +119,7 @@ def _recorded(monkeypatch, eva, doc):
 
     def count_watched(live, markers, successor, end, rows):
         program = count_record(live, markers, successor, end, rows)
-        programs.append((live, program, program[0] is None))
+        programs.append((live, program, program[counting.SIZE] is None))
         return program
 
     def step_watched(live, markers, successor, reached, rows):
@@ -99,6 +132,22 @@ def _recorded(monkeypatch, eva, doc):
     count_det_seva(eva, doc)
     evaluate_preprocess(eva, doc)
     return programs, steps
+
+
+def _replayed_moves(monkeypatch):
+    """The source order of each move counting replays, in replay order."""
+    replayed = []
+
+    def watched_getter(*order):
+        move = itemgetter(*order)
+
+        def watched(counts):
+            replayed.append(order)
+            return move(counts)
+        return watched
+
+    monkeypatch.setattr(counting, "itemgetter", watched_getter)
+    return replayed
 
 
 def _like_references(eva, doc):
@@ -123,7 +172,8 @@ def test_pure_in_place_run(monkeypatch):
     # in preprocessing.
     ids = {q: k for k, q in enumerate(eva.tables().states)}
     after = [(ids["u"], ids["v"]), (ids["g"], ids["h"])]
-    assert sorted(program[3] for _, program, in_place in programs if in_place) == sorted(after)
+    assert sorted(program[counting.LIVE]
+                  for _, program, in_place in programs if in_place) == sorted(after)
     assert sorted(step[engine.LIVE] for _, step, in_place in steps if in_place) == sorted(after)
     assert {live for live, _, in_place in programs + steps if in_place} == {after[0]}
 
@@ -134,8 +184,8 @@ def test_swap_is_not_in_place(monkeypatch, a_run):
     counted, _ = _like_references(eva, doc)
     assert counted == (3 if a_run % 2 else 1)
     programs, steps = _recorded(monkeypatch, eva, doc)
-    swaps = [program for _, program, _ in programs if program[1] == [(0, 1), (1, 0)]]
-    assert swaps and all(size == 2 for size, *_ in swaps)
+    swaps = [program for _, program, _ in programs if program[counting.PAIRS] == [(0, 1), (1, 0)]]
+    assert swaps and all(program[counting.SIZE] == 2 for program in swaps)
     assert any(step[engine.FIRSTS] == [1, 0] for _, step, _ in steps)
     assert not any(in_place for *_, in_place in programs + steps)
 
@@ -145,11 +195,57 @@ def test_marker_path_into_its_own_slot_is_not_in_place(monkeypatch):
     counted, _ = _like_references(eva, doc)
     assert counted == 2
     programs, _ = _recorded(monkeypatch, eva, doc)
-    doubled = [program for _, program, _ in programs if program[1] == [(0, 0), (0, 0)]]
-    assert doubled and all(size == 1 for size, *_ in doubled)
+    doubled = [program for _, program, _ in programs if program[counting.PAIRS] == [(0, 0), (0, 0)]]
+    assert doubled and all(program[counting.SIZE] == 1 for program in doubled)
     # Only t's programs, on 'a' and at the end, are in place.
     t = _marker_into_own_slot().tables().states.index("t")
     assert {live for live, _, in_place in programs if in_place} == {(t,)}
+
+
+def test_swap_replays_through_its_move(monkeypatch):
+    replayed = _replayed_moves(monkeypatch)
+    eva, doc = _swap(), Document("bbb" + "a" * 9)
+    assert _like_references(eva, doc)[0] == 3
+    # The first 'b' sends i's count to i and, through p, to q; every 'a'
+    # swaps two counts.
+    assert replayed == [(0, 0)] + [(1, 0)] * 9
+    programs, _ = _recorded(monkeypatch, eva, doc)
+    swaps = [program for _, program, _ in programs if program[counting.PAIRS] == [(0, 1), (1, 0)]]
+    assert swaps and all(program[counting.MOVE] is not None for program in swaps)
+
+
+def test_doubled_program_replays_through_its_pairs(monkeypatch):
+    replayed = _replayed_moves(monkeypatch)
+    eva, doc = _marker_into_own_slot(), Document("a" * 12)
+    assert _like_references(eva, doc)[0] == 2
+    assert replayed == []
+    programs, _ = _recorded(monkeypatch, eva, doc)
+    doubled = [program for _, program, _ in programs if program[counting.PAIRS] == [(0, 0), (0, 0)]]
+    assert doubled and all(program[counting.MOVE] is None for program in doubled)
+
+
+def test_drop_replays_through_its_move(monkeypatch):
+    replayed = _replayed_moves(monkeypatch)
+    eva, doc = _drop(), Document("baab")
+    assert _like_references(eva, doc)[0] == 2
+    assert replayed == [(0, 0, 0), (0, 2)]
+    programs, _ = _recorded(monkeypatch, eva, doc)
+    ids = {q: k for k, q in enumerate(eva.tables().states)}
+    drops = [program for live, program, _ in programs
+             if live == (ids["u"], ids["v"], ids["w"]) and program[counting.SIZE] == 2]
+    assert [program[counting.PAIRS] for program in drops] == [[(0, 0), (2, 1)]]
+
+
+def test_duplication_replays_through_its_move(monkeypatch):
+    replayed = _replayed_moves(monkeypatch)
+    eva, doc = _duplicate(), Document("ab" * 4 + "a")
+    assert _like_references(eva, doc)[0] == 1
+    assert replayed == [(0, 0)] * 5
+    programs, _ = _recorded(monkeypatch, eva, doc)
+    ids = {q: k for k, q in enumerate(eva.tables().states)}
+    duplications = [program for live, program, _ in programs if program[counting.MOVE] is not None]
+    assert [program[counting.LIVE] for program in duplications] == [(ids["i"], ids["u"])]
+    assert duplications[0][counting.PAIRS] == [(0, 0), (0, 1)]
 
 
 def test_sink_belongs_to_one_run():

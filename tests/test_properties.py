@@ -19,7 +19,8 @@ outputs of their construction without the quotient.  Over random EVAs
 and their quotients, ``determinize_eva`` builds what the subset
 construction over named states builds, and with marker histories what
 the marker-history construction over named states builds, also from
-condensed random VAs."""
+condensed random VAs.  Over random det-seVAs, every counting program
+that holds a move gives the counts its pairs give."""
 
 import json
 from unittest import mock
@@ -50,7 +51,7 @@ from spanex import (
     va_to_det_seva_general,
     va_to_eva,
 )
-from spanex import transform
+from spanex import counting, transform
 from spanex.algebra import Atom, Join, Project, Union
 from spanex.automata import reachable
 from spanex.engine import enumerate_ndjson
@@ -65,6 +66,7 @@ from spanex.rgx import (
     rgx_to_va,
 )
 
+from fixtures import RandomProfile, random_instance
 from helpers import (
     all_docs,
     bisimulation_names_reference,
@@ -224,6 +226,51 @@ def test_compiled_eva_matches_brute_oracle(eva, texts):
         assert len(set(outputs)) == len(outputs)
         assert set(outputs) == brute_enumerate_va(eva, Document(text))
         assert count_det_seva(det, Document(text)) == len(outputs)
+
+
+def _replay_pairs(program, counts):
+    new = [0] * program[counting.SIZE]
+    for source, target in program[counting.PAIRS]:
+        new[target] += counts[source]
+    return new
+
+
+@st.composite
+def det_sevas_with_texts(draw):
+    """A det-seVA of the seeded generator and documents over its alphabet,
+    long enough for live sets to recur."""
+    profile = RandomProfile(kind="det_seva", states=draw(st.integers(2, 7)),
+                            variables=draw(st.integers(1, 2)))
+    eva = random_instance(draw(st.integers(0, 10_000)), profile)
+    return eva, draw(st.lists(st.text(alphabet=sorted(eva.alphabet), max_size=60),
+                              min_size=1, max_size=3))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(det_sevas_with_texts(), st.randoms())
+def test_move_programs_replay_like_their_pairs(instance, rng):
+    # A program has a move exactly when it is not in place, not the end of
+    # the document, has two next slots or more and one pair into each.
+    det, texts = instance
+    programs = []
+    record = counting._record
+
+    def watched(live, markers, successor, end, rows):
+        program = record(live, markers, successor, end, rows)
+        programs.append((live, program))
+        return program
+
+    with mock.patch.object(counting, "_record", watched):
+        for text in texts:
+            count_det_seva(det, Document(text))
+    for live, program in programs:
+        size, move = program[counting.SIZE], program[counting.MOVE]
+        targets = [target for _, target in program[counting.PAIRS]]
+        assert (move is not None) == (program[counting.ROW] is not None and size is not None
+                                      and len(set(targets)) == len(targets) == size > 1)
+        if move is not None:
+            counts = [rng.randrange(1 << 70) for _ in live]
+            assert list(move(counts)) == _replay_pairs(program, counts)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
