@@ -11,6 +11,7 @@ automaton files only: ``load_automaton`` removes them.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -135,13 +136,13 @@ class _AutomatonBase:
     ``_clash`` holds the first two transitions of one state on one label
     (state id, label rank, both target ids), or None.  Each producer
     finishes its rows and hands them to ``_setup``: the constructor sorts
-    its triples with ``_rows_by_sort``, any indexed file that is not a
+    its triples with ``_rows_by_sort`` and any indexed file that is not a
     format-3 file of one target per state and label sorts its checked
-    triples (``_sorted_rows``) and ``determinize_eva`` hands over its
-    subsets' moves.  A format-3 file of one target per state and label
-    hands over its columns as tables instead (``_column_rows``): an EVA's
-    become its ``DetTables``, from which ``_rows`` is derived the first
-    time something reads it, and a VA's rows are derived at once."""
+    triples (``_sorted_rows``).  A format-3 file of one target per state
+    and label (``_column_rows``) and ``determinize_eva`` hand over tables
+    instead: an EVA's become its ``DetTables``, from which ``_rows`` is
+    derived the first time something reads it, and a VA's rows are
+    derived at once."""
 
     __slots__ = ("alphabet", "states", "initial", "finals", "variables", "_order",
                  "_initial_id", "_final_ids", "_labels", "_row_lists", "_clash", "_size",
@@ -197,11 +198,11 @@ class _AutomatonBase:
         set ``states``, the ids of the initial and final states, every
         listed label, each checked, the labels in use ``ranked`` by
         ``label_key``, and their finished ``rows`` and ``clash``; or, for a
-        format-3 file of one target per state and label, no rows and the
-        ``DetTables`` markers and letters its columns filled (``lists``).
-        An EVA keeps those as its tables and derives its rows from them on
-        first use; a VA derives its rows at once.  A listed label no row
-        uses adds no variable."""
+        format-3 file of one target per state and label and for
+        ``determinize_eva``, no rows and the ``DetTables`` markers and
+        letters (``lists``).  An EVA keeps those as its tables and derives
+        its rows from them on first use; a VA derives its rows at once.  A
+        listed label no row uses adds no variable."""
         self.alphabet = frozenset(alphabet)
         self.states = states
         self.initial = order[initial]
@@ -241,8 +242,8 @@ class _AutomatonBase:
 
     @property
     def _rows(self) -> List[List[Tuple[int, int]]]:
-        """The integer rows; a loaded EVA's are derived from its tables on
-        first use."""
+        """The integer rows; those of an EVA handed over as tables are
+        derived from them on first use."""
         if self._row_lists is None:
             tables = self._tables
             self._row_lists = _rows_from_tables(len(self._order), self._labels,
@@ -312,8 +313,9 @@ class EVA(_AutomatonBase):
 
     def tables(self) -> "DetTables":
         """The interned evaluation tables, filled by the load of a column
-        file or built from the rows on first use, and then shared by every
-        evaluation and count of this automaton."""
+        file or by ``determinize_eva``, or built from the rows on first
+        use, and then shared by every evaluation and count of this
+        automaton."""
         if self._tables is None:
             self._tables = DetTables(self)
         return self._tables
@@ -357,10 +359,11 @@ class DetTables:
     one pass over its integer rows on first use, or handed by
     ``_AutomatonBase._setup`` the ``markers`` and ``letters`` that a
     format-3 file's columns filled, where each symbol's column is its
-    letter table.  Such an EVA has no rows until something reads them,
-    and then derives them from these tables (``_rows_from_tables``); so
-    the count and the evaluation of a loaded det-seVA, and the labelling
-    that certifies it, read these tables only.
+    letter table, or that ``determinize_eva`` made from its subsets'
+    moves.  Such an EVA has no rows until something reads them, and then
+    derives them from these tables (``_rows_from_tables``); so the count
+    and the evaluation of a loaded or compiled det-seVA, the labelling
+    that certifies it and the writer read these tables only.
 
     States are numbered ``0..k-1`` in ``state_order()`` order, so sorting
     ids sorts states canonically.  ``markers[q]`` holds the marker-set
@@ -754,50 +757,75 @@ def _json_list(items: List[str]) -> str:
     return "[\n    " + ",\n    ".join(items) + "\n  ]"
 
 
+def _label_text(label: Label) -> str:
+    """The text ``json.dumps(_label_to_json(label), indent=2,
+    sort_keys=True)`` writes, with its lines after the first four spaces
+    further in, as an entry of a top-level list."""
+    (field, value), = _label_to_json(label).items()
+    if field == "markers":
+        items = ",\n        ".join(map(encode_basestring_ascii, value))
+        return '{\n      "markers": [\n        ' + items + "\n      ]\n    }"
+    return '{\n      "symbol": ' + encode_basestring_ascii(value) + "\n    }"
+
+
 def automaton_json(automaton: _AutomatonBase) -> str:
     """The automaton file in format 3: the text ``json.dumps(obj, indent=2,
-    sort_keys=True)`` writes for the format's object, made in one walk over
-    the rows in state order.  ``states`` lists the names in
-    ``state_order()`` and ``labels`` the labels in use in rank order;
-    ``columns[r]`` holds, for each state, its target on label rank ``r``,
-    null, or the ascending list of its targets if it has two or more.
+    sort_keys=True)`` writes for the format's object, made in one pass in
+    state order.  ``states`` lists the names in ``state_order()`` and
+    ``labels`` the labels in use in rank order; ``columns[r]`` holds, for
+    each state, its target on label rank ``r``, null, or the ascending
+    list of its targets if it has two or more.  An EVA without rows, whose
+    tables hold one target per state and label, has its symbol columns
+    read off its letter tables and its marker columns filled from its
+    marker lists; any other automaton's columns are filled from its rows.
     State names print as ``state_name`` gives them, or as ``s0, s1, ...``
-    in state order if two print alike."""
+    in state order if two print alike; every string is quoted by the
+    encoder ``json.dumps`` uses."""
     order = automaton._order
+    n = len(order)
     names = [state_name(q) for q in order]
-    if len(set(names)) != len(names):
-        names = [f"s{i}" for i in range(len(order))]
+    if len(set(names)) != n:
+        names = [f"s{i}" for i in range(n)]
     # The JSON text of each state's index.
-    index = [str(i) for i in range(len(order))]
+    index = [str(i) for i in range(n)]
     labels = automaton._labels
-    columns = [["null"] * len(order) for _ in labels]
-    # The target texts of each (label rank, state id) with two or more.
-    lists: Dict[Tuple[int, int], List[str]] = {}
-    for i, row in enumerate(automaton._rows):
-        last = -1
-        for r, p in row:
-            if r != last:
-                columns[r][i] = index[p]
-                last = r
-            else:  # a row lists one label's targets in ascending order
-                lists.setdefault((r, i), [columns[r][i]]).append(index[p])
-    for (r, i), targets in lists.items():
-        columns[r][i] = "[\n        " + ",\n        ".join(targets) + "\n      ]"
+    if automaton._row_lists is None:
+        tables = automaton._tables
+        text: Dict[Optional[int], str] = dict(enumerate(index))
+        text[None] = "null"
+        columns = [list(map(text.__getitem__, tables.letters[label]))
+                   if isinstance(label, str) else ["null"] * n for label in labels]
+        rank = {label: r for r, label in enumerate(labels)}
+        for i, moves in enumerate(tables.markers):
+            for label, p in moves:
+                columns[rank[label]][i] = index[p]
+    else:
+        columns = [["null"] * n for _ in labels]
+        # The target texts of each (label rank, state id) with two or more.
+        lists: Dict[Tuple[int, int], List[str]] = {}
+        for i, row in enumerate(automaton._rows):
+            last = -1
+            for r, p in row:
+                if r != last:
+                    columns[r][i] = index[p]
+                    last = r
+                else:  # a row lists one label's targets in ascending order
+                    lists.setdefault((r, i), [columns[r][i]]).append(index[p])
+        for (r, i), targets in lists.items():
+            columns[r][i] = "[\n        " + ",\n        ".join(targets) + "\n      ]"
     return "".join([
-        '{\n  "alphabet": ', _json_list([json.dumps(a) for a in sorted(automaton.alphabet)]),
+        '{\n  "alphabet": ', _json_list(list(map(encode_basestring_ascii,
+                                                 sorted(automaton.alphabet)))),
         ',\n  "columns": ', _json_list(["[\n      " + ",\n      ".join(column) + "\n    ]"
                                         for column in columns]),
         ',\n  "finals": ', _json_list([index[i] for i in automaton._final_ids]),
         ',\n  "format": 3',
         ',\n  "initial": ', index[automaton._initial_id],
         ',\n  "kind": ', '"eva"' if isinstance(automaton, EVA) else '"va"',
-        # A label object is an entry of a top-level list, so its lines
-        # after the first move four spaces in.
-        ',\n  "labels": ', _json_list([json.dumps(_label_to_json(label), indent=2,
-                                                  sort_keys=True).replace("\n", "\n    ")
-                                       for label in labels]),
-        ',\n  "states": ', _json_list([json.dumps(name) for name in names]),
-        ',\n  "variables": ', _json_list([json.dumps(v) for v in sorted(automaton.variables)]),
+        ',\n  "labels": ', _json_list(list(map(_label_text, labels))),
+        ',\n  "states": ', _json_list(list(map(encode_basestring_ascii, names))),
+        ',\n  "variables": ', _json_list(list(map(encode_basestring_ascii,
+                                                  sorted(automaton.variables)))),
         "\n}",
     ])
 

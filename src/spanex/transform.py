@@ -22,8 +22,8 @@ member) so that tests can inspect structure.
 from __future__ import annotations
 
 import logging
-from operator import itemgetter
-from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
+from operator import or_
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .automata import (EVA, VA, Label, State, _marker_masks, canon_key, classify, reachable,
                        require_functional)
@@ -115,6 +115,11 @@ def _subset_moves(subset: FrozenSet[State], out: Callable[[State], Iterable[Tupl
     return [(label, frozenset(ps)) for label, ps in targets.items()]
 
 
+#: The width, in member ranks, of one chunk of a ``determinize_eva``
+#: subset key: the chunk's value keys its cached image.
+CHUNK = 8
+
+
 def determinize_eva(eva: EVA, *, histories: bool = False) -> EVA:
     """The subset construction over the reachable part: at most 2^n
     states from n, each the frozenset of its members.  With ``histories``
@@ -125,56 +130,92 @@ def determinize_eva(eva: EVA, *, histories: bool = False) -> EVA:
 
     It walks the input's integer rows.  A state's key is the bitset of
     its members' ``canon_key`` ranks shifted above its history, a bitmask
-    in the layout of ``automata._marker_masks``.  ``canon_key`` compares
-    frozensets by their sorted member keys and markers by
+    in the layout of ``automata._marker_masks``.  The member bits are read
+    ``CHUNK`` at a time: the first time a chunk holds a value, that value
+    is stored with its member ranks and, per label rank, the OR of its
+    members' target bits, made from the members' own moves; a state's
+    image is the OR of its non-empty chunks' entries.  ``canon_key``
+    compares frozensets by their sorted member keys and markers by
     ``Marker.sort_key`` (opens first, variables in ``str`` order), so
     sorting by (member ranks, marker ranks) is the canonical order of the
-    named states.  Each state's moves, one per label in rank order, are
-    its row, which ``EVA``'s core takes as it is."""
+    named states.  The walk keeps each state's moves, one per label in
+    rank order, in flat integer lists, and hands them to ``EVA``'s core
+    as ``DetTables`` letter columns and marker lists: the result has no
+    rows until something reads them."""
     order = eva._order
     ranked = sorted(range(len(order)), key=lambda i: canon_key(order[i]))
     bit = {i: b for b, i in enumerate(ranked)}
     labels = eva._labels
-    # Without histories every label takes the letter step and h stays 0.
-    marker_ranks, masks, needs, opens, shift = range(0), (), (), 0, 0
+    # Without histories no label rank takes the marker rule and h stays 0.
+    first_marker, masks, needs, opens, shift = len(labels), (), (), 0, 0
     if histories:
-        variables, symbols, masks, needs, opens = _marker_masks(eva)
-        marker_ranks, shift = range(symbols, len(labels)), 2 * len(variables)
+        variables, first_marker, masks, needs, opens = _marker_masks(eva)
+        shift = 2 * len(variables)
     # moves[b]: the (label rank, target key bit) pairs of rank b.
     moves = [[(r, 1 << (bit[p] + shift)) for r, p in eva._rows[i]] for i in ranked]
+    # chunks[c][v]: the member ranks and the image of the members whose
+    # ranks, less c * CHUNK, are the bits of v.
+    chunks: List[Dict[int, Tuple[Tuple[int, ...], List[int]]]] = [
+        {} for _ in range(0, len(order), CHUNK)]
+    chunk_bits = (1 << CHUNK) - 1
     keys = [1 << (bit[eva._initial_id] + shift)]
     ids = {keys[0]: 0}
     history_bits = (1 << shift) - 1
     members: List[Tuple[int, ...]] = []
-    # Every state's (label rank, target) moves, in walk order and then
-    # rank order; the moves of state q are moved[starts[q]:starts[q + 1]].
-    moved: List[Tuple[int, int]] = []
-    starts = []
-    for key in keys:  # each state found is appended and reached in turn
-        h, key = key & history_bits, key >> shift
-        subset, image = [], [0] * len(labels)
-        while key:
-            low = key & -key
-            b = low.bit_length() - 1
-            subset.append(b)
-            for r, mask in moves[b]:
-                image[r] |= mask
-            key ^= low
-        members.append(tuple(subset))
-        starts.append(len(moved))
-        # A marker step that reuses a marker or closes an unopened variable goes.
-        for r in marker_ranks:
-            m = masks[r]
-            image[r] = image[r] | m if image[r] and not (h & m or needs[r] & ~(h | m)) else 0
+    # Every move as (source, label rank, target), in walk order and then
+    # rank order, over three flat lists.
+    sources: List[int] = []
+    label_ranks: List[int] = []
+    targets: List[int] = []
+    for q, key in enumerate(keys):  # each state found is appended and reached in turn
+        h, rest = key & history_bits, key >> shift
+        c, subset, image = 0, (), None
+        while rest:
+            value = rest & chunk_bits
+            # Skip to the lowest non-empty chunk: a long literal's states
+            # are each a subset of one member, and stepping through every
+            # empty chunk below it made a 20,000-letter one 9 times slower.
+            if not value:
+                skip = ((rest & -rest).bit_length() - 1) // CHUNK
+                rest >>= skip * CHUNK
+                c += skip
+                value = rest & chunk_bits
+            entry = chunks[c].get(value)
+            if entry is None:
+                ranks, part, base, left = [], [0] * len(labels), c * CHUNK - 1, value
+                while left:
+                    low = left & -left
+                    b = base + low.bit_length()
+                    ranks.append(b)
+                    for r, mask in moves[b]:
+                        part[r] |= mask
+                    left ^= low
+                entry = chunks[c][value] = tuple(ranks), part
+            if image is None:
+                subset, image = entry
+            else:
+                subset += entry[0]
+                image = list(map(or_, image, entry[1]))
+            rest >>= CHUNK
+            c += 1
+        members.append(subset)
         for r, mask in enumerate(image):
             if mask:
+                if r >= first_marker:
+                    # A marker step that reuses a marker or closes an
+                    # unopened variable goes.
+                    m = masks[r]
+                    if h & m or needs[r] & ~(h | m):
+                        continue
+                    mask |= m
                 mask |= h
                 p = ids.get(mask)
                 if p is None:
                     p = ids[mask] = len(keys)
                     keys.append(mask)
-                moved.append((r, p))
-    starts.append(len(moved))
+                sources.append(q)
+                label_ranks.append(r)
+                targets.append(p)
     by_rank = [order[i] for i in ranked]
     if histories:
         # Marker rank i opens the i-th variable (bit 2i), l + i closes it.
@@ -187,24 +228,31 @@ def determinize_eva(eva: EVA, *, histories: bool = False) -> EVA:
     else:
         canonical = sorted(range(len(keys)), key=members.__getitem__)
         states = [frozenset(map(by_rank.__getitem__, members[q])) for q in canonical]
-    new = [0] * len(keys)
+    n = len(keys)
+    new = [0] * n
     for position, q in enumerate(canonical):
         new[q] = position
-    final = {bit[i] for i in eva._final_ids}
-    # The labels some state moves on, in input order: the labels of
-    # unreachable input states and the marker steps no history takes go.
-    kept = sorted(set(map(itemgetter(0), moved)))
-    rank = [0] * len(labels)
-    for position, r in enumerate(kept):
-        rank[r] = position
+    # The key bits of the final members.
+    final = sum(1 << (bit[i] + shift) for i in eva._final_ids)
+    letters: Dict[str, List[Optional[int]]] = {a: [None] * n for a in eva.alphabet}
+    markers: List[List[Tuple[MarkerSet, int]]] = [[] for _ in range(n)]
+    # The letter table of each symbol rank; marker ranks have None.
+    tables = [letters[label] if isinstance(label, str) else None for label in labels]
+    for q, r, p in zip(map(new.__getitem__, sources), label_ranks, map(new.__getitem__, targets)):
+        table = tables[r]
+        if table is None:
+            markers[q].append((labels[r], p))
+        else:
+            table[q] = p
     det = EVA.__new__(EVA)
-    # (key ^ key >> 1) & opens: the variables opened and not closed.
+    # (key ^ key >> 1) & opens: the variables opened and not closed.  The
+    # labels some state moves on keep their input order: the labels of
+    # unreachable input states and the marker steps no history takes go.
     det._setup(states, frozenset(states), new[0],
-               [new[q] for q, subset in enumerate(members)
-                if not final.isdisjoint(subset) and not (keys[q] ^ keys[q] >> 1) & opens],
-               labels, [labels[r] for r in kept],
-               [[(rank[r], new[p]) for r, p in moved[starts[q]:starts[q + 1]]]
-                for q in canonical], None, eva.alphabet, eva.variables)
+               [new[q] for q, key in enumerate(keys)
+                if key & final and not (key ^ key >> 1) & opens],
+               labels, [labels[r] for r in sorted(set(label_ranks))], None, None,
+               eva.alphabet, eva.variables, (markers, letters))
     return det
 
 

@@ -195,10 +195,12 @@ _ORDERS = [order for order in itertools.permutations(_MARKERS)
 
 
 @st.composite
-def random_evas(draw, functional: bool, clash: bool = False) -> EVA:
-    """A small EVA over {a, b} and the variables x, y: a chain q0 -> q1
-    -> ... -> q(n-1) plus random transitions, many of them marker sets, so
-    that marker steps often lead into states with marker steps of their own.
+def random_evas(draw, functional: bool, clash: bool = False,
+                states: Tuple[int, int] = (2, 5)) -> EVA:
+    """An EVA of ``states`` (least, most) states over {a, b} and the
+    variables x, y: a chain q0 -> q1 -> ... -> q(n-1) plus up to 2n random
+    transitions, many of them marker sets, so that marker steps often lead
+    into states with marker steps of their own.
 
     When ``functional``, state qi holds a prefix of one valid marker order,
     growing along the chain and complete at the end: letters join states
@@ -212,7 +214,7 @@ def random_evas(draw, functional: bool, clash: bool = False) -> EVA:
     before every qi, so a letter table keeps the other target and drops d:
     the only runs that break sequentiality go through the dropped move.
     """
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(*states))
     if functional:
         order = draw(st.sampled_from(_ORDERS))
         cuts = sorted(draw(st.lists(st.integers(0, 4), min_size=n - 2, max_size=n - 2)))
@@ -260,6 +262,21 @@ def with_unreachable_moves(draw, evas) -> EVA:
     finals = draw(st.lists(st.sampled_from(names), max_size=1))
     return EVA(eva.states | set(names), eva.initial, eva.finals | set(finals),
                eva.transitions | set(transitions), "ab", ["x", "y"])
+
+
+@st.composite
+def with_fans(draw, evas) -> EVA:
+    """An EVA drawn from ``evas`` plus one to three fans, each a state's
+    moves on one letter to two to six states, so that the subsets of a
+    determinization gather many members."""
+    eva = draw(evas)
+    order = eva.state_order()
+    fans = set()
+    for _ in range(draw(st.integers(1, 3))):
+        q, letter = draw(st.sampled_from(order)), draw(st.sampled_from("ab"))
+        targets = draw(st.lists(st.sampled_from(order), min_size=2, max_size=6, unique=True))
+        fans.update((q, letter, p) for p in targets)
+    return EVA(eva.states, eva.initial, eva.finals, eva.transitions | fans, "ab", ["x", "y"])
 
 
 @st.composite

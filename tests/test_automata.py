@@ -53,6 +53,28 @@ def test_json_round_trip_eva():
     assert dump_automaton(loaded) == data
 
 
+@pytest.mark.parametrize("kind", ["va", "eva"])
+def test_writer_quotes_strings_and_labels_like_json_dumps(kind):
+    # automaton_json writes each label object and quotes each string
+    # itself; with non-ASCII and escaped characters in symbols, variables
+    # and state names its text is still json.dumps(obj, indent=2,
+    # sort_keys=True), from a VA's rows and from a loaded EVA's tables.
+    def move(q, label, p):
+        return {"from": q, "label": label, "to": p}
+
+    data = {"kind": kind, "alphabet": ["\u00e9", '"'], "variables": ["\u00fc"],
+            "states": ["p\u00e9", "q\\", "r"], "initial": "p\u00e9", "finals": ["r"],
+            "transitions": [move("p\u00e9", {"symbol": '"'}, "p\u00e9"),
+                            move("p\u00e9", {"markers": ["open:\u00fc"]}, "q\\"),
+                            move("q\\", {"symbol": "\u00e9"}, "q\\"),
+                            move("q\\", {"markers": ["close:\u00fc"]}, "r")]}
+    text = automaton_json(load_automaton(data))
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+    loaded = load_automaton(json.loads(text))
+    assert (loaded._row_lists is None) is (kind == "eva")
+    assert automaton_json(loaded) == text
+
+
 def test_kind_field_resolves_singleton_ambiguity():
     base = {
         "alphabet": ["a"],
@@ -385,6 +407,31 @@ def test_compiled_file_classifies_counts_and_enumerates_without_rows(name):
         assert loaded.out(q) == expected.out(q)
     assert loaded.transitions == expected.transitions
     assert automaton_json(loaded) == automaton_json(expected)
+
+
+@pytest.mark.parametrize("name", ["dense", "k10"])
+def test_compiled_det_seva_classifies_counts_enumerates_and_writes_without_rows(name):
+    # determinize_eva hands its result over as tables, so a compile job's
+    # classify, count, enumerate and write read them only; the rows, out
+    # and transitions, derived on first use, equal those of the written
+    # file's format-2 reload.
+    det, _ = _rule_book_compiles()[name]()
+    doc = Document("ab" * 20)
+    assert classify(det) == ClassificationReport(True, True, True)
+    total = count_det_seva(det, doc)
+    assert len(list(enumerate_stream(evaluate_preprocess(det, doc)))) == total
+    text = automaton_json(det)
+    assert (det._row_lists, det._out, det._transitions) == (None, None, None)
+    expected = load_automaton(format2_of(json.loads(text)))
+    assert total == count_det_seva(expected, doc) > 0
+    assert det.size == expected.size
+    assert det._rows == expected._rows
+    name_of = dict(zip(det.state_order(), expected.state_order()))
+    for q in det.state_order():
+        assert [(label, name_of[p]) for label, p in det.out(q)] == expected.out(name_of[q])
+    assert {(name_of[q], label, name_of[p]) for q, label, p in det.transitions} == (
+        expected.transitions)
+    assert automaton_json(det) == automaton_json(expected) == text
 
 
 def _clash_eva():

@@ -87,6 +87,7 @@ from helpers import (
     spanner_difference,
     trim,
     walks_agree,
+    with_fans,
     with_unreachable_moves,
 )
 from test_automata import _reordered
@@ -417,6 +418,20 @@ def test_marker_histories_equal_the_named_construction(eva):
     for automaton in (eva, bisimulation_quotient(eva)):
         assert same_automaton(determinize_eva(automaton, histories=True),
                               marker_history_reference(automaton))
+
+
+WIDE_EVAS = with_fans(st.one_of(random_evas(functional=False, states=(7, 20)),
+                                random_evas(functional=True, states=(7, 20))))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(WIDE_EVAS)
+def test_determinize_equals_the_named_constructions_across_chunks(eva):
+    # EVAs of 7 to 20 states with fans of letter moves, whose subsets often
+    # hold members on both sides of a chunk boundary of the walk's keys
+    # (transform.CHUNK), on both routes.
+    assert same_automaton(determinize_eva(eva), determinize_reference(eva))
+    assert same_automaton(determinize_eva(eva, histories=True), marker_history_reference(eva))
 
 
 REGEXES = st.recursive(

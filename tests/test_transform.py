@@ -450,10 +450,33 @@ def test_determinize_keys_each_input_state_once(monkeypatch, k, histories):
     assert stepped == []
 
 
-def test_determinize_hands_its_rows_over_in_rank_order(monkeypatch):
-    # The subsets' moves become the result's rows in canonical state order
-    # and label rank order, which the core takes as they are: nothing is
-    # sorted or checked like a file's triples.
+def _chunk_spanning(eva, det):
+    """The number of states of ``det``, determinized from ``eva``, whose
+    members' ``canon_key`` ranks lie in two or more chunks of the walk."""
+    rank = {q: r for r, q in enumerate(sorted(eva.states, key=automata.canon_key))}
+    return sum(len({rank[q] // transform.CHUNK
+                    for q in (state[0] if isinstance(state, tuple) else state)}) > 1
+               for state in det.states)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7])
+def test_determinize_reads_subsets_chunk_by_chunk(k):
+    # The quotients of `.*a.{k}x{.*}` have k + 4 states.  For k = 4 the
+    # walk's keys fill one chunk; for k = 5 the one state past it is only
+    # ever a subset alone; for k = 6 and 7 subsets hold members of both
+    # chunks, on both routes.
+    eva = _k_quotient(k)
+    assert len(eva.states) == k + 4
+    for det, reference in ((determinize_eva(eva), determinize_reference(eva)),
+                           (determinize_eva(eva, histories=True), marker_history_reference(eva))):
+        assert (_chunk_spanning(eva, det) > 0) is (k > 5)
+        assert same_automaton(det, reference)
+
+
+def test_determinize_hands_its_tables_over_in_rank_order(monkeypatch):
+    # The subsets' moves become the result's tables in canonical state
+    # order and label rank order, which the core takes as they are:
+    # nothing is sorted or checked like a file's triples.
     eva = _k_quotient(8)
 
     def refuse(*args):
