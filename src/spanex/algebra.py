@@ -17,7 +17,6 @@ from .rgx import MAX_NESTING, RegexAst, infer_alphabet, parse_rgx, rgx_to_va
 from .transform import (
     _at_most_power_of_two,
     _reachable_eva,
-    _subset_moves,
     bisimulation_quotient,
     determinize_eva,
     va_to_det_seva_general,
@@ -111,9 +110,10 @@ def union_eva_linear(a1: EVA, a2: EVA) -> EVA:
 
 
 def union_eva_deterministic(a1: EVA, a2: EVA) -> EVA:
-    """Union that preserves determinism: the subset construction over the
-    operands' tagged states, from both initial states; the reachable part.
-    As both operands are deterministic, it runs them in lockstep and
+    """Union that preserves determinism: ``determinize_eva`` over the
+    operands' disjoint union, of states ``("u1", q)`` and ``("u2", q)``,
+    from both initial states.  As both operands are deterministic, a
+    subset holds at most one state of each: it runs them in lockstep and
     branches off into a single component exactly when the other has no
     transition for the current label.  Size at most |A1| * |A2|."""
     for automaton in (a1, a2):
@@ -121,11 +121,12 @@ def union_eva_deterministic(a1: EVA, a2: EVA) -> EVA:
         require_det_seva(automaton)
     _require_same_variables(a1, a2)
     operands = {"u1": a1, "u2": a2}
-    result = _reachable_eva(
-        frozenset([("u1", a1.initial), ("u2", a2.initial)]),
-        lambda subset: _subset_moves(subset, lambda s: _tagged_out(operands, s)),
-        lambda subset: any(q in operands[tag].finals for tag, q in subset),
-        a1.alphabet | a2.alphabet, a1.variables)
+    starts = [("u1", a1.initial), ("u2", a2.initial)]
+    tagged = _reachable_eva(
+        starts[0], lambda state: _tagged_out(operands, state),
+        lambda state: state[1] in operands[state[0]].finals,
+        a1.alphabet | a2.alphabet, a1.variables, roots=starts[1:])
+    result = determinize_eva(tagged, start=starts)
     bound = (len(a1.states) + 1) * (len(a2.states) + 1)
     if len(result.states) > bound:
         raise AssertionError(

@@ -317,7 +317,9 @@ class EVA(_AutomatonBase):
         use, and then shared by every evaluation and count of this
         automaton."""
         if self._tables is None:
-            self._tables = DetTables(self)
+            rows = self._rows
+            self._tables = DetTables(self, *_fill_tables(len(rows), self._labels, self.alphabet, (
+                (i, r, p) for i, row in enumerate(rows) for r, p in row)))
         return self._tables
 
     def _validate_label(self, label: Label) -> None:
@@ -354,16 +356,34 @@ def _rows_from_tables(n: int, ranked: List[Label], markers: List[List[Tuple[Labe
     return rows
 
 
+def _fill_tables(n: int, ranked: List[Label], alphabet: Iterable[str],
+                 moves: Iterable[Tuple[int, int, int]]) -> Tuple:
+    """The ``DetTables`` marker lists and letter tables of ``n`` states
+    over the labels ``ranked``, from the ``(state id, label rank, target
+    id)`` triples ``moves``; a letter's last target given is kept."""
+    markers = [[] for _ in range(n)]
+    letters: Dict[str, List[Optional[int]]] = {a: [None] * n for a in alphabet}
+    # The letter table of each symbol rank; marker ranks have None.
+    tables = [letters[label] if isinstance(label, str) else None for label in ranked]
+    for q, r, p in moves:
+        table = tables[r]
+        if table is None:
+            markers[q].append((ranked[r], p))
+        else:
+            table[q] = p
+    return markers, letters
+
+
 class DetTables:
-    """The transition structure of an EVA over dense state ids, built in
-    one pass over its integer rows on first use, or handed by
-    ``_AutomatonBase._setup`` the ``markers`` and ``letters`` that a
-    format-3 file's columns filled, where each symbol's column is its
-    letter table, or that ``determinize_eva`` made from its subsets'
-    moves.  Such an EVA has no rows until something reads them, and then
-    derives them from these tables (``_rows_from_tables``); so the count
-    and the evaluation of a loaded or compiled det-seVA, the labelling
-    that certifies it and the writer read these tables only.
+    """The transition structure of an EVA over dense state ids: the
+    ``markers`` and ``letters`` that ``_fill_tables`` makes from its
+    integer rows on first use (``EVA.tables``), or that
+    ``_AutomatonBase._setup`` is handed by a format-3 file's columns,
+    where each symbol's column is its letter table, or by
+    ``determinize_eva``.  Such an EVA has no rows until something reads
+    them, and then derives them from these tables (``_rows_from_tables``);
+    so the count and the evaluation of a loaded or compiled det-seVA, the
+    labelling that certifies it and the writer read these tables only.
 
     States are numbered ``0..k-1`` in ``state_order()`` order, so sorting
     ids sorts states canonically.  ``markers[q]`` holds the marker-set
@@ -379,9 +399,8 @@ class DetTables:
 
     __slots__ = ("states", "initial", "finals", "markers", "letters", "variables", "marker_ranks")
 
-    def __init__(self, automaton: EVA,
-                 markers: Optional[List[List[Tuple[MarkerSet, int]]]] = None,
-                 letters: Optional[Dict[str, List[Optional[int]]]] = None):
+    def __init__(self, automaton: EVA, markers: List[List[Tuple[MarkerSet, int]]],
+                 letters: Dict[str, List[Optional[int]]]):
         states = automaton.state_order()
         labels = automaton._labels
         self.states: List[State] = states
@@ -394,18 +413,6 @@ class DetTables:
                     tuple(rank[m.var] for m in label if not m.is_open))
             for label in labels if not isinstance(label, str)
         }
-        if markers is None:
-            markers = [[] for _ in states]
-            letters = {a: [None] * len(states) for a in automaton.alphabet}
-            # The letter table of each symbol rank; marker ranks have None.
-            tables = [letters[label] if isinstance(label, str) else None for label in labels]
-            for i, row in enumerate(automaton._rows):
-                for r, p in row:
-                    table = tables[r]
-                    if table is None:
-                        markers[i].append((labels[r], p))
-                    else:
-                        table[i] = p
         self.markers: List[List[Tuple[MarkerSet, int]]] = markers
         self.letters: Dict[str, List[Optional[int]]] = letters
 
@@ -1224,7 +1231,7 @@ def require_functional(automaton, message: str) -> None:
 
 def require_det_seva(automaton: EVA) -> None:
     """Precondition guard of the evaluation and counting engines and of
-    the lockstep union."""
+    the operands of the determinism-preserving union."""
     report = classify(automaton)
     if report.deterministic is not True:
         raise PreconditionError(

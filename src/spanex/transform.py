@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import logging
 from operator import or_
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .automata import (EVA, VA, Label, State, _marker_masks, canon_key, classify, reachable,
-                       require_functional)
+from .automata import (EVA, VA, Label, State, _fill_tables, _marker_masks, canon_key, classify,
+                       reachable, require_functional)
 from .model import Marker, MarkerSet
 
 logger = logging.getLogger(__name__)
@@ -86,12 +86,12 @@ def va_to_eva(va: VA) -> EVA:
 
 def _reachable_eva(start: State, moves: Callable[[State], Iterable[Tuple[Label, State]]],
                    accepting: Callable[[State], bool], alphabet: Iterable[str],
-                   variables: Iterable[str]) -> EVA:
-    """The EVA over the reachable part from ``start``: ``moves(state)``
-    gives the ``(label, target)`` pairs of a state and ``accepting(state)``
-    whether it is final.  The builder behind every construction but
-    ``determinize_eva``; one ``reachable`` walk records each state's moves
-    once."""
+                   variables: Iterable[str], roots: Iterable[State] = ()) -> EVA:
+    """The EVA over the reachable part from ``start`` and the ``roots``:
+    ``moves(state)`` gives the ``(label, target)`` pairs of a state and
+    ``accepting(state)`` whether it is final.  The builder behind every
+    construction but ``determinize_eva``; one ``reachable`` walk records
+    each state's moves once."""
     transitions: List[Tuple[State, Label, State]] = []
 
     def targets(state: State) -> List[State]:
@@ -99,20 +99,8 @@ def _reachable_eva(start: State, moves: Callable[[State], Iterable[Tuple[Label, 
         transitions.extend(found)
         return [p for _, _, p in found]
 
-    states = reachable([start], targets)
+    states = reachable([start, *roots], targets)
     return EVA(states, start, filter(accepting, states), transitions, alphabet, variables)
-
-
-def _subset_moves(subset: FrozenSet[State], out: Callable[[State], Iterable[Tuple[Label, State]]]
-                  ) -> List[Tuple[Label, FrozenSet[State]]]:
-    """The subset step: for each label some member of ``subset`` moves
-    on, the set of all the members' targets on it, given each member's
-    ``(label, target)`` moves by ``out``."""
-    targets: Dict[Label, Set[State]] = {}
-    for q in subset:
-        for label, p in out(q):
-            targets.setdefault(label, set()).add(p)
-    return [(label, frozenset(ps)) for label, ps in targets.items()]
 
 
 #: The width, in member ranks, of one chunk of a ``determinize_eva``
@@ -120,9 +108,11 @@ def _subset_moves(subset: FrozenSet[State], out: Callable[[State], Iterable[Tupl
 CHUNK = 8
 
 
-def determinize_eva(eva: EVA, *, histories: bool = False) -> EVA:
+def determinize_eva(eva: EVA, *, histories: bool = False,
+                    start: Optional[Iterable[State]] = None) -> EVA:
     """The subset construction over the reachable part: at most 2^n
-    states from n, each the frozenset of its members.  With ``histories``
+    states from n, each the frozenset of its members, from the subset of
+    the ``start`` states, by default ``[eva.initial]``.  With ``histories``
     a state is ``(frozenset(members), frozenset(markers used))``; a marker
     step that reuses a marker or closes an unopened variable is dropped,
     and a state is final only if its history closes what it opens: at
@@ -158,7 +148,7 @@ def determinize_eva(eva: EVA, *, histories: bool = False) -> EVA:
     chunks: List[Dict[int, Tuple[Tuple[int, ...], List[int]]]] = [
         {} for _ in range(0, len(order), CHUNK)]
     chunk_bits = (1 << CHUNK) - 1
-    keys = [1 << (bit[eva._initial_id] + shift)]
+    keys = [sum({1 << (bit[order.index(q)] + shift) for q in start or [eva.initial]})]
     ids = {keys[0]: 0}
     history_bits = (1 << shift) - 1
     members: List[Tuple[int, ...]] = []
@@ -234,16 +224,8 @@ def determinize_eva(eva: EVA, *, histories: bool = False) -> EVA:
         new[q] = position
     # The key bits of the final members.
     final = sum(1 << (bit[i] + shift) for i in eva._final_ids)
-    letters: Dict[str, List[Optional[int]]] = {a: [None] * n for a in eva.alphabet}
-    markers: List[List[Tuple[MarkerSet, int]]] = [[] for _ in range(n)]
-    # The letter table of each symbol rank; marker ranks have None.
-    tables = [letters[label] if isinstance(label, str) else None for label in labels]
-    for q, r, p in zip(map(new.__getitem__, sources), label_ranks, map(new.__getitem__, targets)):
-        table = tables[r]
-        if table is None:
-            markers[q].append((labels[r], p))
-        else:
-            table[q] = p
+    tables = _fill_tables(n, labels, eva.alphabet, zip(
+        map(new.__getitem__, sources), label_ranks, map(new.__getitem__, targets)))
     det = EVA.__new__(EVA)
     # (key ^ key >> 1) & opens: the variables opened and not closed.  The
     # labels some state moves on keep their input order: the labels of
@@ -252,7 +234,7 @@ def determinize_eva(eva: EVA, *, histories: bool = False) -> EVA:
                [new[q] for q, key in enumerate(keys)
                 if key & final and not (key ^ key >> 1) & opens],
                labels, [labels[r] for r in sorted(set(label_ranks))], None, None,
-               eva.alphabet, eva.variables, (markers, letters))
+               eva.alphabet, eva.variables, tables)
     return det
 
 

@@ -8,7 +8,8 @@ import collections
 import hashlib
 import itertools
 import json
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from hypothesis import strategies as st
 
@@ -26,12 +27,14 @@ from spanex import (
     evaluate_preprocess,
     load_automaton,
 )
+from spanex.algebra import _require_same_variables, _tagged_out
 from spanex.automata import (
-    ClassificationReport, DetTables, Label, State, format_label, label_key, reachable, state_name)
+    ClassificationReport, DetTables, Label, State, format_label, label_key, reachable,
+    require_det_seva, require_functional, state_name)
 from spanex.engine import DagNode, NodeList, enumerate_ndjson, enumerate_raw
 from spanex.instrument import OpCounter
 from spanex.model import Marker, MarkerSet, marker_set_key
-from spanex.transform import _reachable_eva, _subset_moves
+from spanex.transform import _reachable_eva
 
 
 def span(i: int, j: int) -> Span:
@@ -329,11 +332,24 @@ def trim(automaton):
     )
 
 
-def determinize_reference(eva: EVA) -> EVA:
+def _subset_moves(subset: FrozenSet[State], out: Callable[[State], Iterable[Tuple[Label, State]]]
+                  ) -> List[Tuple[Label, FrozenSet[State]]]:
+    """The subset step: for each label some member of ``subset`` moves
+    on, the set of all the members' targets on it, given each member's
+    ``(label, target)`` moves by ``out``."""
+    targets: Dict[Label, Set[State]] = {}
+    for q in subset:
+        for label, p in out(q):
+            targets.setdefault(label, set()).add(p)
+    return [(label, frozenset(ps)) for label, ps in targets.items()]
+
+
+def determinize_reference(eva: EVA, start: Optional[Iterable[State]] = None) -> EVA:
     """The subset construction over named states: a ``reachable`` walk
-    whose states are frozensets of ``eva``'s states, built by ``EVA()``,
-    which sorts them by ``canon_key``."""
-    return _reachable_eva(frozenset([eva.initial]),
+    whose states are frozensets of ``eva``'s states, from the subset of
+    the ``start`` states (by default of the initial state alone), built by
+    ``EVA()``, which sorts them by ``canon_key``."""
+    return _reachable_eva(frozenset([eva.initial] if start is None else start),
                           lambda subset: _subset_moves(subset, eva.out),
                           lambda subset: bool(subset & eva.finals),
                           eva.alphabet, eva.variables)
@@ -358,6 +374,28 @@ def marker_history_reference(eva: EVA) -> EVA:
         lambda state: bool(state[0] & eva.finals) and all_closed(state[1]),
         eva.alphabet, eva.variables,
     )
+
+
+def lockstep_union_reference(a1: EVA, a2: EVA) -> EVA:
+    """The determinism-preserving union over named states: the subset
+    construction over the operands' tagged states, from both initial
+    states, as a ``reachable`` walk whose states are frozensets of
+    ``("u1", q)`` and ``("u2", q)``, built by ``EVA()``."""
+    for automaton in (a1, a2):
+        require_functional(automaton, "union operand must be functional")
+        require_det_seva(automaton)
+    _require_same_variables(a1, a2)
+    operands = {"u1": a1, "u2": a2}
+    result = _reachable_eva(
+        frozenset([("u1", a1.initial), ("u2", a2.initial)]),
+        lambda subset: _subset_moves(subset, lambda s: _tagged_out(operands, s)),
+        lambda subset: any(q in operands[tag].finals for tag, q in subset),
+        a1.alphabet | a2.alphabet, a1.variables)
+    bound = (len(a1.states) + 1) * (len(a2.states) + 1)
+    if len(result.states) > bound:
+        raise AssertionError(
+            f"deterministic union exceeded its size bound: {len(result.states)} > {bound}")
+    return result
 
 
 def same_automaton(first: EVA, second: EVA) -> bool:

@@ -40,11 +40,13 @@ from fixtures import (
 from helpers import (
     all_docs,
     close_m,
+    lockstep_union_reference,
     mapping,
     mapping_set_join,
     mapping_set_project,
     mset,
     open_m,
+    same_automaton,
     spanner_difference,
     trim,
 )
@@ -179,6 +181,30 @@ def test_union_deterministic_size():
     compiled = compile_expr(Union(Atom(parse_rgx(texts[0], ab), ab),
                                   Atom(parse_rgx(texts[1], ab), ab)), "prop8")
     assert (len(compiled.states), len(compiled.transitions)) == (270, 921)
+
+
+def _reentered(automaton: EVA) -> bool:
+    return any(p == automaton.initial for _, _, p in automaton.transitions)
+
+
+@pytest.mark.parametrize("texts, reentered", [
+    (("x{a*}b*", "a*x{b*}"), (False, True, False)),
+    ((".*x{a}.*", ".*x{b}.*"), (True, True, True)),
+], ids=["initial-subset-left", "initial-subset-reentered"])
+def test_union_deterministic_equals_the_lockstep_construction(texts, reentered):
+    # The walk starts from the subset of both initial states and builds
+    # what the lockstep walk over named subsets builds, whether or not a
+    # move enters an initial state again: `reentered` says, for the first
+    # operand, the second and the union, whether one does.
+    ab = frozenset("ab")
+    a1, a2 = (determinize_eva(_atom_to_feva(Atom(parse_rgx(text, ab), ab))) for text in texts)
+    det = union_eva_deterministic(a1, a2)
+    assert tuple(map(_reentered, (a1, a2, det))) == reentered
+    assert det.initial == frozenset([("u1", a1.initial), ("u2", a2.initial)])
+    assert same_automaton(det, lockstep_union_reference(a1, a2))
+    for doc in all_docs("ab", 4):
+        want = brute_enumerate_va(a1, doc) | brute_enumerate_va(a2, doc)
+        assert brute_enumerate_va(det, doc) == want, doc.content
 
 
 def test_project_examples():

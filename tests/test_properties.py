@@ -75,6 +75,7 @@ from helpers import (
     format2_of,
     list_outputs,
     loads_alike,
+    lockstep_union_reference,
     marker_history_reference,
     mapping_set_project,
     prefix_run_like_reference,
@@ -432,6 +433,19 @@ def test_determinize_equals_the_named_constructions_across_chunks(eva):
     # (transform.CHUNK), on both routes.
     assert same_automaton(determinize_eva(eva), determinize_reference(eva))
     assert same_automaton(determinize_eva(eva, histories=True), marker_history_reference(eva))
+
+
+DET_OPERANDS = st.one_of(random_evas(functional=True),
+                         random_evas(functional=True, states=(7, 20))).map(determinize_eva)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(DET_OPERANDS, DET_OPERANDS)
+def test_union_deterministic_equals_the_lockstep_construction(a1, a2):
+    # The determinism-preserving union, a determinize_eva walk over the
+    # tagged operands from both initial states, builds what the lockstep
+    # walk over named subsets of tagged states builds.
+    assert same_automaton(union_eva_deterministic(a1, a2), lockstep_union_reference(a1, a2))
 
 
 REGEXES = st.recursive(

@@ -433,8 +433,8 @@ def test_determinize_keys_each_input_state_once(monkeypatch, k, histories):
     # marker history as a bitmask beside them: no state is keyed or
     # stepped as a frozenset of named states.
     eva = _k_quotient(k)
-    real_key, real_moves = automata.canon_key, transform._subset_moves
-    keyed, stepped = [], []
+    real_key = automata.canon_key
+    keyed = []
 
     def counting_key(obj):
         keyed.append(obj)
@@ -442,12 +442,10 @@ def test_determinize_keys_each_input_state_once(monkeypatch, k, histories):
 
     monkeypatch.setattr(automata, "canon_key", counting_key)
     monkeypatch.setattr(transform, "canon_key", counting_key)
-    monkeypatch.setattr(transform, "_subset_moves",
-                        lambda *args: stepped.append(args) or real_moves(*args))
     det = determinize_eva(eva, histories=histories)
     assert len(det.states) == 2 ** (k + 1) + 2
     assert len(keyed) <= len(eva.states)
-    assert stepped == []
+    assert not hasattr(transform, "_subset_moves")
 
 
 def _chunk_spanning(eva, det):
@@ -550,15 +548,16 @@ def _perfbench_workloads():
 def test_determinize_equals_the_named_subset_construction_on_every_workload_rule(monkeypatch):
     # Every automaton the benchmark's rules determinize: the quotient of
     # each regex rule, the atoms of each prop8 expression and the
-    # combined automaton of each prop7 one.
+    # combined automaton of each prop7 one, and the tagged operands of
+    # each prop8 union with the subset it starts from.
     workloads = _perfbench_workloads()
     given = []
 
-    def spy(eva, *, histories=False):
+    def spy(eva, *, histories=False, start=None):
         # Every rule is sequential, so none tracks marker histories.
         assert not histories
-        given.append(eva)
-        return determinize_eva(eva)
+        given.append((eva, start))
+        return determinize_eva(eva, start=start)
 
     monkeypatch.setattr(transform, "determinize_eva", spy)
     monkeypatch.setattr(algebra, "determinize_eva", spy)
@@ -571,5 +570,6 @@ def test_determinize_equals_the_named_subset_construction_on_every_workload_rule
                 compile_spanner(parse_expr(rule.text, default_alphabet=rule.alphabet),
                                 strategy=rule.strategy)
             assert len(given) > before, rule.name
-    for eva in given:
-        assert same_automaton(determinize_eva(eva), determinize_reference(eva))
+    assert any(start is not None for _, start in given)
+    for eva, start in given:
+        assert same_automaton(determinize_eva(eva, start=start), determinize_reference(eva, start))
